@@ -1,19 +1,31 @@
-"""Per-cell claim queues and capacity-respecting ticket allocation.
+"""Per-cell claim queues grouped by claim class, and ticket allocation.
 
 A ClaimStore belongs to one coordination peer and holds, for each index cell
-the peer owns, the claims waiting there in (arrival_time, claim_id) order.
-Tickets are transient: on arrival they are allocated against the waiting
-claims of their single cell and any leftover capacity is discarded, since a
-fresh status ticket will follow.
+the peer owns, the claims waiting there. Claims with equal constraint tuples
+form one claim class. Every unit a cloud submits for one model shares its
+constraints, so a cell holding thousands of claims holds only a few classes.
+Each class is a FIFO bucket in (arrival_time, claim_id) order.
+
+Whether a claim matches a ticket depends on its constraints alone, so a
+ticket is tested once per class, against the bucket's head claim. The
+matching buckets are merged back into global (arrival_time, claim_id) order
+and served first fit, exactly as one scan of a single sorted cell queue
+would serve them. Tickets are transient: any leftover capacity is
+discarded, since a fresh status ticket will follow.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
 from dataclasses import dataclass
+from heapq import merge
+from itertools import chain
 
 from .errors import InvalidArgumentError
-from .spatial import IndexCell, ResourceClaim, ResourceTicket, matches
+from .spatial import Constraint, IndexCell, ResourceClaim, ResourceTicket, matches
+
+# (arrival_time, claim_id, claim): unique on the first two within a cell.
+_Entry = tuple[int, str, ResourceClaim]
 
 
 @dataclass(frozen=True)
@@ -29,74 +41,63 @@ class AllocationDecision:
 
 
 class _CellQueue:
-    __slots__ = ("order", "claims", "ids")
+    """One cell's claims: a FIFO bucket per claim class, plus an index from
+    claim id to (bucket, arrival_time), so removal never rehashes a class.
+    Emptied buckets stay in place for the class's next claim."""
+
+    __slots__ = ("buckets", "index")
 
     def __init__(self) -> None:
-        self.order: list[tuple[int, str]] = []
-        self.claims: dict[tuple[int, str], ResourceClaim] = {}
-        self.ids: set[str] = set()
+        self.buckets: dict[tuple[Constraint, ...], list[_Entry]] = {}
+        self.index: dict[str, tuple[list[_Entry], int]] = {}
 
     def insert(self, claim: ResourceClaim) -> None:
-        key = (claim.arrival_time, claim.claim_id)
-        insort(self.order, key)
-        self.claims[key] = claim
-        self.ids.add(claim.claim_id)
-
-    def remove(self, claim: ResourceClaim) -> None:
-        key = (claim.arrival_time, claim.claim_id)
-        i = bisect_left(self.order, key)
-        del self.order[i]
-        del self.claims[key]
-        self.ids.discard(claim.claim_id)
+        bucket = self.buckets.setdefault(claim.constraints, [])
+        insort(bucket, (claim.arrival_time, claim.claim_id, claim))
+        self.index[claim.claim_id] = (bucket, claim.arrival_time)
 
     def remove_id(self, claim_id: str) -> bool:
-        if claim_id not in self.ids:
+        found = self.index.pop(claim_id, None)
+        if found is None:
             return False
-        for key in self.order:
-            if key[1] == claim_id:
-                self.remove(self.claims[key])
-                return True
-        return False
-
-    def listed(self) -> list[ResourceClaim]:
-        return [self.claims[key] for key in self.order]
+        bucket, arrival_time = found
+        del bucket[bisect_left(bucket, (arrival_time, claim_id))]
+        return True
 
 
 class ClaimStore:
-    """Ordered claim lists keyed by index-cell coordinates."""
+    """Claim-class buckets keyed by index-cell coordinates."""
 
     def __init__(self) -> None:
         self._cells: dict[tuple[int, ...], _CellQueue] = {}
 
     def post_claim(self, cell: IndexCell, claim: ResourceClaim) -> None:
         """Insert in (arrival_time, claim_id) order; duplicates are ignored."""
-        queue = self._cells.setdefault(cell.coords, _CellQueue())
-        if claim.claim_id in queue.ids:
-            return
-        queue.insert(claim)
+        queue = self._cells.get(cell.coords)
+        if queue is None:
+            queue = self._cells[cell.coords] = _CellQueue()
+        if claim.claim_id not in queue.index:
+            queue.insert(claim)
 
     def post_ticket(
         self, cell: IndexCell, ticket: ResourceTicket, now_ms: int | None = None
     ) -> list[AllocationDecision]:
         """Allocate the ticket against this cell's waiting claims.
 
-        Scans stored order; a claim is served when it matches the ticket and
-        its requested units fit the remaining capacity (first fit, so a large
-        claim does not block later smaller ones). Served claims leave this
-        cell; the scan stops as soon as capacity reaches zero. Leftover
-        capacity is discarded rather than parked.
+        Walks the matching classes in (arrival_time, claim_id) order; a claim
+        is served when its requested units fit the remaining capacity (first
+        fit, so a large claim does not block later smaller ones). Served
+        claims leave this cell; the walk stops as soon as capacity reaches
+        zero. Leftover capacity is discarded rather than parked.
         """
         decided_at = ticket.issue_time if now_ms is None else now_ms
         queue = self._cells.get(cell.coords)
         remaining = ticket.available_units
-        decisions: list[AllocationDecision] = []
         if queue is None or remaining <= 0:
-            return decisions
-        for claim in queue.listed():
-            if remaining <= 0:
-                break
-            if not matches(claim, ticket):
-                continue
+            return []
+        classes = [b for b in queue.buckets.values() if b and matches(b[0][2], ticket)]
+        decisions: list[AllocationDecision] = []
+        for _, _, claim in merge(*classes):
             if claim.requested_units > remaining:
                 continue
             decisions.append(
@@ -110,7 +111,10 @@ class ClaimStore:
                 )
             )
             remaining -= claim.requested_units
-            queue.remove(claim)
+            if remaining <= 0:
+                break
+        for decision in decisions:
+            queue.remove_id(decision.claim_id)
         granted = sum(d.units_granted for d in decisions)
         if granted > ticket.available_units:
             raise InvalidArgumentError(
@@ -120,11 +124,7 @@ class ClaimStore:
 
     def remove_claim(self, claim_id: str) -> int:
         """Drop every replica of a claim; returns how many cells held it."""
-        removed = 0
-        for queue in self._cells.values():
-            if queue.remove_id(claim_id):
-                removed += 1
-        return removed
+        return sum(queue.remove_id(claim_id) for queue in self._cells.values())
 
     def discard(self, cell_coords: tuple[int, ...], claim_id: str) -> bool:
         """Targeted single-cell removal (replica cleanup fast path)."""
@@ -132,19 +132,19 @@ class ClaimStore:
         return queue.remove_id(claim_id) if queue is not None else False
 
     def snapshot(self, cell: IndexCell) -> list[ResourceClaim]:
-        """Read-only copy of one cell's queue, in stored order."""
+        """Read-only copy of one cell's claims, in (arrival_time, claim_id) order."""
         queue = self._cells.get(cell.coords)
-        return queue.listed() if queue is not None else []
+        return [] if queue is None else [e[2] for e in sorted(chain(*queue.buckets.values()))]
 
     def waiting_claim_ids(self) -> tuple[str, ...]:
         """Distinct ids of all claims still stored, sorted."""
         ids: set[str] = set()
         for queue in self._cells.values():
-            ids.update(queue.ids)
+            ids.update(queue.index)
         return tuple(sorted(ids))
 
     def replica_count(self, claim_id: str) -> int:
-        return sum(1 for queue in self._cells.values() if claim_id in queue.ids)
+        return sum(1 for queue in self._cells.values() if claim_id in queue.index)
 
     def is_empty(self) -> bool:
-        return all(not queue.order for queue in self._cells.values())
+        return all(not queue.index for queue in self._cells.values())

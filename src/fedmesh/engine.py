@@ -65,15 +65,6 @@ class RngStream:
             draw = math.nextafter(hi, lo)
         return draw
 
-    def getrandbits(self, k: int) -> int:
-        return self._random.getrandbits(k)
-
-    def randint(self, a: int, b: int) -> int:
-        return self._random.randint(a, b)
-
-    def choice(self, seq):
-        return seq[self._random.randrange(len(seq))]
-
 
 def payload_kind(payload: Any) -> str:
     return getattr(payload, "kind", type(payload).__name__)

@@ -36,6 +36,7 @@ from .errors import (
 from .overlay import OverlayMembership
 from .spatial import (
     AttributeSpace,
+    Constraint,
     Eq,
     Ge,
     IndexCell,
@@ -115,7 +116,6 @@ class ExecutionNode:
     cpu_type: str
     busy: bool = False
     committed: bool = False
-    current_job: str | None = None
 
 
 # Simulation message payloads.
@@ -242,6 +242,10 @@ class FederationState:
         self.completed_total = 0
         self.stranded_total = 0
         self.node_points: dict[tuple[str, str], tuple[object, ...]] = {}
+        # A node's tickets for one label share its point, hence its cell.
+        self.ticket_cells: dict[tuple[str, str], IndexCell] = {}
+        # Keyed by constraint tuple; valid because the node set is fixed.
+        self.satisfiable: dict[tuple[Constraint, ...], bool] = {}
         self.ticket_streams: dict[str, RngStream] = {}
         recompute_cell_assignment(self)
 
@@ -439,7 +443,10 @@ def publish_ticket(state: FederationState, node: ExecutionNode | str) -> None:
             origin=node.node_id,
             issue_time=now,
         )
-        cell = map_ticket(state.space, state.cells, ticket)
+        key = (node.node_id, label)
+        cell = state.ticket_cells.get(key)
+        if cell is None:
+            cell = state.ticket_cells[key] = map_ticket(state.space, state.cells, ticket)
         owner = state.cell_owner[cell.coords]
         delay = state.latency.between(node.cloud_id, state.peer_cloud[owner])
         state.engine.schedule(delay, f"peer/{owner}", TicketPost(ticket, cell.coords))
@@ -598,7 +605,6 @@ def _node_handler(state: FederationState, node_id: str):
                 "that fails its claim constraints"
             )
         node.busy = True
-        node.current_job = payload.unit.unit_id
         exec_ms = max(1, round(payload.unit.demand_ghz_s / node.speed_ghz * 1000))
         state.engine.schedule(
             exec_ms, f"node/{node.node_id}", ExecDone(payload.unit, payload.claim)
@@ -607,7 +613,6 @@ def _node_handler(state: FederationState, node_id: str):
     def handle_done(node: ExecutionNode, payload: ExecDone) -> None:
         node.busy = False
         node.committed = False
-        node.current_job = None
         label = SERVICE_LABELS[payload.unit.model]
         state.metrics.record_completion(node.cloud_id, label, payload.unit.model)
         delay = state.latency.between(node.cloud_id, payload.claim.origin)
@@ -649,8 +654,11 @@ def _build_claim(
 
 
 def _claim_satisfiable(state: FederationState, claim: ResourceClaim) -> bool:
-    for node in state.nodes.values():
-        for label in state.clouds[node.cloud_id].service_types:
-            if point_satisfies(claim, state.node_point(node, label)):
-                return True
-    return False
+    known = state.satisfiable.get(claim.constraints)
+    if known is None:
+        known = state.satisfiable[claim.constraints] = any(
+            point_satisfies(claim, state.node_point(node, label))
+            for node in state.nodes.values()
+            for label in state.clouds[node.cloud_id].service_types
+        )
+    return known

@@ -1,12 +1,22 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedmesh import ClaimStore, ResourceTicket, build_base_cells, map_claim, map_ticket
+from fedmesh import (
+    ClaimStore,
+    Eq,
+    Ge,
+    ResourceClaim,
+    ResourceTicket,
+    build_base_cells,
+    map_claim,
+    map_ticket,
+)
 from fedmesh.oracles import (
     centralized_fifo_allocate,
     distributed_fifo_allocate,
@@ -15,7 +25,7 @@ from fedmesh.oracles import (
     random_ticket,
 )
 
-from conftest import published_ticket, stored_claims
+from conftest import THREAD_LABEL, published_ticket, stored_claims
 
 
 @pytest.fixture()
@@ -209,3 +219,89 @@ class TestOracleEquivalence:
         capacity = {t.ticket_id: t.available_units for t in tickets}
         for ticket_id, total in granted.items():
             assert total <= capacity[ticket_id]
+
+
+def _thread_claim(claim_id: str, min_speed: float, arrival_time: int, units: int = 1):
+    return ResourceClaim(
+        claim_id=claim_id,
+        constraints=(Eq(THREAD_LABEL), Eq(1), Eq("Intel"), Ge(min_speed)),
+        requested_units=units,
+        origin=f"origin/{claim_id}",
+        arrival_time=arrival_time,
+        job_ref=claim_id,
+    )
+
+
+class TestClaimClasses:
+    """Several claims per constraint tuple, as every real workload posts."""
+
+    def test_two_matching_classes_serve_in_global_first_fit_order(
+        self, testbed_space, testbed_cells
+    ):
+        # Classes by minimum speed: 2.0 and 2.4 match the 2.7 GHz ticket, 3.0 does not.
+        claims = {
+            "a1": _thread_claim("a1", 2.0, 100),
+            "b1": _thread_claim("b1", 2.4, 100),  # tied with a1, later id
+            "c1": _thread_claim("c1", 3.0, 50),  # earliest, never matches
+            "big": _thread_claim("big", 2.4, 150, units=6),  # too large for the ticket
+            "a2": _thread_claim("a2", 2.0, 200, units=2),
+            "b2": _thread_claim("b2", 2.4, 210, units=2),  # fits no more once a2 is served
+            "a3": _thread_claim("a3", 2.0, 300),
+            "b3": _thread_claim("b3", 2.4, 400),
+        }
+        base = published_ticket()
+        ticket = dataclasses.replace(base, available_units=5)
+        cell = map_ticket(testbed_space, testbed_cells, ticket)
+        store = ClaimStore()
+        for claim_id in ("a3", "b3", "c1", "b2", "a1", "big", "a2", "b1"):
+            store.post_claim(cell, claims[claim_id])
+        assert [c.claim_id for c in store.snapshot(cell)] == [
+            "c1", "a1", "b1", "big", "a2", "b2", "a3", "b3"
+        ]
+
+        decisions = store.post_ticket(cell, ticket)
+        assert [d.claim_id for d in decisions] == ["a1", "b1", "a2", "a3"]
+        assert [(d.ticket_id, d.claim_id, d.units_granted) for d in decisions] == (
+            centralized_fifo_allocate(list(claims.values()), [ticket])
+        )
+        assert [c.claim_id for c in store.snapshot(cell)] == ["c1", "big", "b2", "b3"]
+
+        assert store.discard(cell.coords, "b2")
+        assert not store.discard(cell.coords, "b2")
+        assert [c.claim_id for c in store.snapshot(cell)] == ["c1", "big", "b3"]
+        assert store.replica_count("b2") == 0
+        assert store.replica_count("b3") == 1
+        assert store.waiting_claim_ids() == ("b3", "big", "c1")
+
+        # The class whose middle claim left still serves in order.
+        follow_up = dataclasses.replace(base, ticket_id="again", available_units=7)
+        assert [d.claim_id for d in store.post_ticket(cell, follow_up)] == ["big", "b3"]
+        assert [c.claim_id for c in store.snapshot(cell)] == ["c1"]
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.randoms(use_true_random=False))
+    def test_property_shared_classes_match_centralized_allocator(self, rnd):
+        space = random_space(rnd, rnd.randint(1, 3))
+        cells = build_base_cells(space)
+        tickets = [
+            random_ticket(rnd, space, f"t{j}", units=rnd.randint(0, 4), issue_time=j)
+            for j in range(rnd.randint(1, 6))
+        ]
+        pool = [
+            random_claim(rnd, space, f"class{k}", anchor=rnd.choice(tickets)).constraints
+            for k in range(rnd.randint(2, 3))
+        ]
+        claims = [
+            ResourceClaim(
+                claim_id=f"c{j:02d}",
+                constraints=rnd.choice(pool),
+                requested_units=rnd.randint(1, 3),
+                origin=f"origin/c{j:02d}",
+                arrival_time=rnd.randrange(4) * 10,
+                job_ref=f"c{j:02d}",
+            )
+            for j in range(rnd.randint(2, 16))
+        ]
+        assert distributed_fifo_allocate(space, cells, claims, tickets) == (
+            centralized_fifo_allocate(claims, tickets)
+        )

@@ -46,6 +46,7 @@ from .spatial import (
     map_claim,
     map_ticket,
     point_satisfies,
+    spatial_hash,
 )
 from .workloads import (
     SERVICE_LABELS,
@@ -280,9 +281,12 @@ class RunReport:
 
 
 def recompute_cell_assignment(state: FederationState) -> None:
-    """Re-derive the cell-to-peer map from the current overlay membership."""
+    """Re-derive the cell-to-peer map from the current overlay membership.
+
+    The only place cells are hashed onto the overlay, once per cell.
+    """
     state.cell_owner = {
-        cell.coords: state.membership.name_of(state.membership.owner_of(cell.key))
+        cell.coords: state.membership.name_of(state.membership.owner_of(spatial_hash(cell)))
         for cell in state.cells
     }
 

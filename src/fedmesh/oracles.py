@@ -119,7 +119,7 @@ def random_space(rng: random.Random, dim: int, f_min: int | None = None) -> Attr
             hi = lo + rng.uniform(0.5, 10.0)
             dims.append(DimensionSpec(name=f"d{i}", kind=NUMERIC, bounds=(lo, hi)))
     f = f_min if f_min is not None else rng.randint(1, 4)
-    return AttributeSpace(dims=tuple(dims), f_min=f, f_max=f)
+    return AttributeSpace(dims=tuple(dims), f_min=f)
 
 
 def random_ticket(

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .experiments import RunResult, SweepResult
-from .workloads import MODELS, job_share_percent
+from .workloads import MODELS, JobShare, MetricsSink, job_share_percent
 
 RESPONSE_HEADER = "cloud_id,model,granularity,response_time_s"
 JOBS_HEADER = "cloud_id,service_type,jobs_completed"
@@ -83,124 +83,97 @@ def _jobs_rows(result: RunResult) -> list[tuple[str, str, int]]:
     return rows
 
 
-def _share_rows(result: RunResult) -> list[tuple[str, float, float]]:
-    cloud_ids = tuple(sorted(c.cloud_id for c in result.scenario.clouds))
-    share = job_share_percent(result.state.metrics, cloud_ids)
-    return [(cloud, *share.shares[cloud]) for cloud in cloud_ids]
-
-
-def build_result_table(result: RunResult) -> ResultTable:
-    table = ResultTable()
-    for cloud, model, granularity, rt in _response_rows(result):
-        table.add("response_time_s", f"{cloud}/{model}", granularity, rt, "s")
-    for cloud, label, count in _jobs_rows(result):
-        table.add("jobs_completed", f"{cloud}/{label}", 0, float(count), "jobs")
-    for cloud, task_pct, thread_pct in _share_rows(result):
-        table.add("job_share_pct", f"{cloud}/task", 0, task_pct, "%")
-        table.add("job_share_pct", f"{cloud}/thread", 0, thread_pct, "%")
-    table.add("events_processed", "engine", 0, float(result.report.events_processed), "events")
-    table.add("virtual_time_ms", "engine", 0, float(result.report.virtual_time_ms), "ms")
-    table.add("stranded_claims", "engine", 0, float(len(result.stranded)), "claims")
-    sink = result.state.metrics
-    for model in MODELS:
-        table.add("units_submitted", model, 0, float(sink.submitted_units.get(model, 0)), "units")
-        table.add("units_completed", model, 0, float(sink.completed_units.get(model, 0)), "units")
-    table.add("tickets_published", "engine", 0, float(sink.tickets_published), "tickets")
-    table.add("stale_tickets_dropped", "engine", 0, float(sink.stale_tickets), "tickets")
-    return table
-
-
 def _write(path: Path, text: str) -> Path:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text, encoding="utf-8", newline="\n")
     return path
 
 
-def _summary_meta(result: RunResult) -> dict:
-    share = job_share_percent(
-        result.state.metrics, tuple(sorted(c.cloud_id for c in result.scenario.clouds))
-    )
-    return {
+def _write_outputs(
+    out_dir: str | Path,
+    fmt: str,
+    table: ResultTable,
+    meta: dict,
+    responses: list[tuple[str, str, int, float]],
+    jobs: list[tuple[str, str, int]],
+    share: JobShare,
+) -> list[Path]:
+    """Add the response, jobs and share rows to ``table`` and write
+    summary.json with ``meta``; csv also writes the three CSVs from the
+    same rows."""
+    for cloud, model, granularity, rt in responses:
+        table.add("response_time_s", f"{cloud}/{model}", granularity, rt, "s")
+    for cloud, label, count in jobs:
+        table.add("jobs_completed", f"{cloud}/{label}", 0, float(count), "jobs")
+    shares = share.shares.items()
+    for cloud, (task_pct, thread_pct) in shares:
+        table.add("job_share_pct", f"{cloud}/task", 0, task_pct, "%")
+        table.add("job_share_pct", f"{cloud}/thread", 0, thread_pct, "%")
+    out = Path(out_dir)
+    written = [_write(out / SUMMARY_JSON, table.to_json(meta))]
+    if fmt == "csv":
+        csvs = (
+            (RESPONSE_CSV, RESPONSE_HEADER, [f"{c},{m},{g},{_f3(r)}" for c, m, g, r in responses]),
+            (JOBS_CSV, JOBS_HEADER, [f"{c},{s},{n}" for c, s, n in jobs]),
+            (SHARE_CSV, SHARE_HEADER, [f"{c},{_f3(t)},{_f3(th)}" for c, (t, th) in shares]),
+        )
+        for name, header, lines in csvs:
+            written.append(_write(out / name, "\n".join([header, *lines]) + "\n"))
+    return written
+
+
+def write_run_outputs(result: RunResult, out_dir: str | Path, fmt: str = "csv") -> list[Path]:
+    """Emit the run's metric files; csv writes all four, json just the summary."""
+    sink = result.state.metrics
+    table = ResultTable()
+    table.add("events_processed", "engine", 0, float(result.report.events_processed), "events")
+    table.add("virtual_time_ms", "engine", 0, float(result.report.virtual_time_ms), "ms")
+    table.add("stranded_claims", "engine", 0, float(len(result.stranded)), "claims")
+    for model in MODELS:
+        table.add("units_submitted", model, 0, float(sink.submitted_units.get(model, 0)), "units")
+        table.add("units_completed", model, 0, float(sink.completed_units.get(model, 0)), "units")
+    table.add("tickets_published", "engine", 0, float(sink.tickets_published), "tickets")
+    table.add("stale_tickets_dropped", "engine", 0, float(sink.stale_tickets), "tickets")
+    cloud_ids = tuple(sorted(c.cloud_id for c in result.scenario.clouds))
+    share = job_share_percent(sink, cloud_ids)
+    meta = {
         "schema_version": result.scenario.schema_version,
         "seed": result.scenario.seed,
         "zero_job_models": list(share.zero_models),
         "stranded_claims": list(result.stranded),
     }
-
-
-def write_run_outputs(result: RunResult, out_dir: str | Path, fmt: str = "csv") -> list[Path]:
-    """Emit the run's metric files; csv writes all four, json just the summary."""
-    out = Path(out_dir)
-    table = build_result_table(result)
-    written = [_write(out / SUMMARY_JSON, table.to_json(_summary_meta(result)))]
-    if fmt == "csv":
-        lines = [RESPONSE_HEADER]
-        lines += [f"{c},{m},{g},{_f3(rt)}" for c, m, g, rt in _response_rows(result)]
-        written.append(_write(out / RESPONSE_CSV, "\n".join(lines) + "\n"))
-        lines = [JOBS_HEADER]
-        lines += [f"{c},{s},{n}" for c, s, n in _jobs_rows(result)]
-        written.append(_write(out / JOBS_CSV, "\n".join(lines) + "\n"))
-        lines = [SHARE_HEADER]
-        lines += [f"{c},{_f3(t)},{_f3(th)}" for c, t, th in _share_rows(result)]
-        written.append(_write(out / SHARE_CSV, "\n".join(lines) + "\n"))
-    return written
+    return _write_outputs(
+        out_dir, fmt, table, meta, _response_rows(result), _jobs_rows(result), share
+    )
 
 
 def write_sweep_outputs(sweep: SweepResult, out_dir: str | Path, fmt: str = "csv") -> list[Path]:
     """Emit one response-time row per (cloud, model, granularity); the jobs
     and share tables aggregate across the sweep's runs."""
-    out = Path(out_dir)
     table = ResultTable()
-    response_rows = sorted(sweep.response.items())
-    for (cloud, model, granularity), rt in response_rows:
-        table.add("response_time_s", f"{cloud}/{model}", granularity, rt, "s")
-
-    jobs: dict[tuple[str, str], int] = {}
-    share_acc: dict[tuple[str, str], int] = {}
+    merged = MetricsSink()
     stranded: list[str] = []
     for size in sweep.sizes:
         result = sweep.runs[size]
         for key, count in result.state.metrics.completed_jobs.items():
-            jobs[key] = jobs.get(key, 0) + count
+            merged.completed_jobs[key] = merged.completed_jobs.get(key, 0) + count
         for key, count in result.state.metrics.completed_by_model.items():
-            share_acc[key] = share_acc.get(key, 0) + count
+            merged.completed_by_model[key] = merged.completed_by_model.get(key, 0) + count
         stranded.extend(result.stranded)
         table.add(
             "events_processed", "engine", size * size,
             float(result.report.events_processed), "events",
         )
-    for (cloud, label), count in sorted(jobs.items()):
-        table.add("jobs_completed", f"{cloud}/{label}", 0, float(count), "jobs")
-
     cloud_ids = tuple(sorted(c.cloud_id for c in sweep.scenario.clouds))
-    totals = {m: sum(n for (_, mm), n in share_acc.items() if mm == m) for m in MODELS}
-    share_rows = []
-    for cloud in cloud_ids:
-        pcts = [
-            0.0 if totals[m] == 0 else 100.0 * share_acc.get((cloud, m), 0) / totals[m]
-            for m in MODELS
-        ]
-        share_rows.append((cloud, pcts[0], pcts[1]))
-        table.add("job_share_pct", f"{cloud}/task", 0, pcts[0], "%")
-        table.add("job_share_pct", f"{cloud}/thread", 0, pcts[1], "%")
-
+    share = job_share_percent(merged, cloud_ids)
     meta = {
         "schema_version": sweep.scenario.schema_version,
         "seed": sweep.scenario.seed,
         "models": list(sweep.models),
         "sizes": list(sweep.sizes),
-        "zero_job_models": [m for m in MODELS if totals[m] == 0],
+        "zero_job_models": list(share.zero_models),
         "stranded_claims": sorted(set(stranded)),
     }
-    written = [_write(out / SUMMARY_JSON, table.to_json(meta))]
-    if fmt == "csv":
-        lines = [RESPONSE_HEADER]
-        lines += [f"{c},{m},{g},{_f3(rt)}" for (c, m, g), rt in response_rows]
-        written.append(_write(out / RESPONSE_CSV, "\n".join(lines) + "\n"))
-        lines = [JOBS_HEADER]
-        lines += [f"{c},{s},{n}" for (c, s), n in sorted(jobs.items())]
-        written.append(_write(out / JOBS_CSV, "\n".join(lines) + "\n"))
-        lines = [SHARE_HEADER]
-        lines += [f"{c},{_f3(t)},{_f3(th)}" for c, t, th in share_rows]
-        written.append(_write(out / SHARE_CSV, "\n".join(lines) + "\n"))
-    return written
+    responses = [(c, m, g, rt) for (c, m, g), rt in sorted(sweep.response.items())]
+    job_rows = [(c, s, n) for (c, s), n in sorted(merged.completed_jobs.items())]
+    return _write_outputs(out_dir, fmt, table, meta, responses, job_rows, share)

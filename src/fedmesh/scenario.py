@@ -11,7 +11,7 @@ Grammar (hand-editable, diff-friendly):
 
     [space]
     f_min = 3
-    f_max = 3
+    f_max = 3                     # must equal f_min: cells are never subdivided
 
     [dimension speed_ghz]         # order of dimension sections is the
     kind = numeric                # dimension order of the attribute space
@@ -106,14 +106,13 @@ class Scenario:
     inbox_capacity: int
     max_virtual_ms: int
     f_min: int
-    f_max: int
     dims: tuple[DimensionSpec, ...]
     latency: LatencyModel
     clouds: tuple[CloudConfig, ...]
     workloads: tuple[WorkloadSpec, ...]
 
     def space(self) -> AttributeSpace:
-        return AttributeSpace(dims=self.dims, f_min=self.f_min, f_max=self.f_max)
+        return AttributeSpace(dims=self.dims, f_min=self.f_min)
 
     def with_seed(self, seed: int) -> "Scenario":
         return replace(self, seed=seed)
@@ -264,7 +263,7 @@ class _Builder:
         if inbox is not None and inbox < 1:
             self.error(top.line, "inbox_capacity", "must be >= 1")
 
-        f_min, f_max = 0, 0
+        f_min = 0
         space_sections = [s for s in sections if s.kind == "space"]
         if not space_sections:
             self.error(0, "space", "missing [space] section")
@@ -273,12 +272,17 @@ class _Builder:
                 self.error(space_sections[1].line, "space", "duplicate [space] section")
             sec = space_sections[0]
             f_min = self.get_int(sec, "f_min") or 0
-            f_max = self.get_int(sec, "f_max") or 0
+            has_f_max = "f_max" in sec.entries
+            f_max = self.get_int(sec, "f_max", f_min)
+            if f_min >= 1 and (not has_f_max or f_max != f_min):
+                self.error(
+                    sec.line,
+                    "f_max",
+                    f"must be present and equal f_min = {f_min}: cells are never subdivided",
+                )
             self.leftover(sec)
             if f_min < 1:
                 self.error(sec.line, "f_min", f"must be >= 1, got {f_min}")
-            if f_max < f_min:
-                self.error(sec.line, "f_max", f"must be >= f_min, got {f_max}")
 
         dims = self.build_dims([s for s in sections if s.kind == "dimension"])
         if dims and f_min >= 1 and f_min ** len(dims) > MAX_CELLS:
@@ -309,7 +313,6 @@ class _Builder:
             inbox_capacity=inbox or 1000,
             max_virtual_ms=horizon or DEFAULT_MAX_VIRTUAL_MS,
             f_min=f_min,
-            f_max=f_max,
             dims=tuple(dims),
             latency=latency,
             clouds=tuple(clouds),

@@ -2,8 +2,9 @@
 
 Every resource attribute is one dimension of a normalized unit cube. The cube
 is divided into ``f_min`` equal slices per dimension, giving ``f_min ** dim``
-base index cells; each cell's midpoint (its control point) is hashed into the
-overlay key space, which assigns the cell to a peer.
+base index cells. Cells are never subdivided. This module is pure geometry:
+the federation places each cell on a peer by hashing its midpoint (its control
+point) into the overlay key space through :func:`spatial_hash`.
 
 Claims are range objects: they are replicated to every base cell their region
 intersects. Tickets are point objects: they map to exactly one cell. Matching
@@ -56,17 +57,16 @@ class DimensionSpec:
 
 @dataclass(frozen=True)
 class AttributeSpace:
-    """Ordered dimensions plus the division levels of the index grid."""
+    """Ordered dimensions plus the division level of the index grid."""
 
     dims: tuple[DimensionSpec, ...]
     f_min: int
-    f_max: int
 
     def __post_init__(self) -> None:
         if len(self.dims) < 1:
             raise InvalidArgumentError("attribute space needs at least one dimension")
-        if not 1 <= self.f_min <= self.f_max:
-            raise InvalidArgumentError("division levels must satisfy 1 <= f_min <= f_max")
+        if self.f_min < 1:
+            raise InvalidArgumentError("division level must satisfy f_min >= 1")
         names = [d.name for d in self.dims]
         if len(set(names)) != len(names):
             raise InvalidArgumentError("dimension names must be unique")
@@ -115,12 +115,11 @@ Constraint = Union[Eq, Ge, Le, Range]
 
 @dataclass(frozen=True)
 class IndexCell:
-    """One base cell of the grid, identified by its control-point hash."""
+    """One base cell of the grid: its coordinates, bounds and control point."""
 
     coords: tuple[int, ...]
     bounds: tuple[tuple[float, float], ...]
     control_point: tuple[float, ...]
-    key: NodeId
 
 
 @dataclass(frozen=True)
@@ -166,14 +165,7 @@ def build_base_cells(space: AttributeSpace) -> tuple[IndexCell, ...]:
     for coords in itertools.product(range(f), repeat=space.dim):
         bounds = tuple((c / f, (c + 1) / f) for c in coords)
         control = tuple((lo + hi) / 2 for lo, hi in bounds)
-        cells.append(
-            IndexCell(
-                coords=coords,
-                bounds=bounds,
-                control_point=control,
-                key=hash_name(serialize_control_point(control)),
-            )
-        )
+        cells.append(IndexCell(coords=coords, bounds=bounds, control_point=control))
     return tuple(cells)
 
 

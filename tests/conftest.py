@@ -33,7 +33,6 @@ def testbed_space() -> AttributeSpace:
             DimensionSpec(name="speed_ghz", kind="numeric", bounds=(0.0, 4.0)),
         ),
         f_min=3,
-        f_max=3,
     )
 
 
@@ -51,7 +50,6 @@ def grid2x2_space() -> AttributeSpace:
             DimensionSpec(name="y", kind="numeric", bounds=(0.0, 1.0)),
         ),
         f_min=2,
-        f_max=2,
     )
 
 

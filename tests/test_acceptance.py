@@ -25,6 +25,7 @@ from fedmesh import (
     map_claim,
     map_ticket,
     run_sweep,
+    spatial_hash,
 )
 from fedmesh.cli import main
 from fedmesh.oracles import (
@@ -84,7 +85,7 @@ def test_criterion_2_cell_distribution(testbed_cells):
             membership.join(name)
         counts: dict[str, int] = {}
         for cell in testbed_cells:
-            owner = membership.name_of(membership.owner_of(cell.key))
+            owner = membership.name_of(membership.owner_of(spatial_hash(cell)))
             counts[owner] = counts.get(owner, 0) + 1
         return counts
 

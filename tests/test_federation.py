@@ -21,6 +21,7 @@ from fedmesh import (
     run_sweep,
     run_to_quiescence,
     scale_workloads,
+    spatial_hash,
     submit_application,
 )
 from fedmesh.federation import on_allocation
@@ -72,7 +73,6 @@ def scenario(clouds, workloads=(), seed=42, eager=True):
         inbox_capacity=1000,
         max_virtual_ms=1_000_000_000,
         f_min=3,
-        f_max=3,
         dims=dims(),
         latency=LatencyModel(),
         clouds=tuple(clouds),
@@ -113,7 +113,7 @@ class TestDeploy:
         assert len(state.cell_owner) == 81
         assert "cloud-3" not in set(state.cell_owner.values())
         for cell in state.cells:
-            expected = state.membership.name_of(state.membership.owner_of(cell.key))
+            expected = state.membership.name_of(state.membership.owner_of(spatial_hash(cell)))
             assert state.cell_owner[cell.coords] == expected
 
 

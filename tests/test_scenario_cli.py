@@ -61,7 +61,7 @@ class TestParse:
         assert all(c.node_count == 4 for c in sc.clouds)
         assert len(sc.workloads) == 10
         assert sc.seed == 42
-        assert sc.f_min == sc.f_max == 3
+        assert sc.f_min == 3
 
     def test_minimal_scenario_parses(self):
         sc = parse_scenario(MINIMAL)
@@ -74,6 +74,7 @@ class TestParse:
         with pytest.raises(ScenarioError) as exc:
             parse_scenario(bad)
         assert any(d.field == "f_min" for d in exc.value.diagnostics)
+        assert not any(d.field == "f_max" for d in exc.value.diagnostics)
 
     def test_unknown_submit_cloud_diagnosed(self):
         bad = MINIMAL.replace("submit_cloud = cloud-1", "submit_cloud = cloud-9")
@@ -105,6 +106,15 @@ class TestParse:
         with pytest.raises(ScenarioError) as exc:
             parse_scenario(bad)
         assert any("speed_ghz" in d.message for d in exc.value.diagnostics)
+
+    @pytest.mark.parametrize("space", ["f_min = 2\nf_max = 3", "f_min = 2"])
+    def test_f_max_must_equal_f_min(self, space):
+        bad = MINIMAL.replace("f_min = 2\nf_max = 2", space)
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(bad)
+        (diag,) = [d for d in exc.value.diagnostics if d.field == "f_max"]
+        assert diag.line == MINIMAL.splitlines().index("[space]") + 1
+        assert "never subdivided" in diag.message
 
     def test_cell_guard(self):
         bad = MINIMAL.replace("f_min = 2", "f_min = 20").replace("f_max = 2", "f_max = 20")

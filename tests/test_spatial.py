@@ -21,6 +21,8 @@ from fedmesh import (
     build_base_cells,
     claim_region,
     denormalize,
+    deploy_federation,
+    hash_name,
     map_claim,
     map_ticket,
     matches,
@@ -36,7 +38,7 @@ from conftest import TASK_LABEL, THREAD_LABEL, published_ticket, stored_claims
 
 def one_dim_space(f=1):
     return AttributeSpace(
-        dims=(DimensionSpec(name="x", kind="numeric", bounds=(0.0, 1.0)),), f_min=f, f_max=f
+        dims=(DimensionSpec(name="x", kind="numeric", bounds=(0.0, 1.0)),), f_min=f
     )
 
 
@@ -105,10 +107,25 @@ class TestControlPointSerialization:
 class TestSpatialHash:
     def test_stable_across_calls(self, testbed_cells):
         for cell in testbed_cells[:5]:
-            assert spatial_hash(cell) == spatial_hash(cell) == cell.key
+            assert spatial_hash(cell) == spatial_hash(cell) == hash_name(
+                serialize_control_point(cell.control_point)
+            )
 
     def test_all_81_keys_distinct(self, testbed_cells):
-        assert len({c.key for c in testbed_cells}) == 81
+        assert len({spatial_hash(c) for c in testbed_cells}) == 81
+
+    def test_only_deploy_hashes_cells(self, monkeypatch, testbed_space, melbourne_scenario):
+        calls: list[str] = []
+
+        def counting_hash(name: str):
+            calls.append(name)
+            return hash_name(name)
+
+        monkeypatch.setattr("fedmesh.spatial.hash_name", counting_hash)
+        build_base_cells(testbed_space)
+        assert calls == []
+        deploy_federation(melbourne_scenario)
+        assert len(calls) == 81
 
     def test_five_peer_distribution_mean(self, testbed_cells):
         membership = OverlayMembership()
@@ -116,7 +133,7 @@ class TestSpatialHash:
             membership.join(f"cloud-{i}")
         counts: dict[str, int] = {}
         for cell in testbed_cells:
-            owner = membership.name_of(membership.owner_of(cell.key))
+            owner = membership.name_of(membership.owner_of(spatial_hash(cell)))
             counts[owner] = counts.get(owner, 0) + 1
         assert sum(counts.values()) == 81
         assert sum(counts.values()) / 5 == pytest.approx(16.2)
@@ -136,7 +153,6 @@ class TestNormalize:
                 ),
             ),
             f_min=3,
-            f_max=3,
         )
         assert normalize(space, 0, THREAD_LABEL) == 0.5
 
@@ -345,7 +361,6 @@ class TestSliceBoundaries:
                 DimensionSpec(name="v", kind="numeric", bounds=(-3.0, 9.0)),
             ),
             f_min=f,
-            f_max=f,
         )
         cells = build_base_cells(space)
         u_points = [a / f for a in range(f + 1)]
@@ -366,7 +381,6 @@ class TestSliceBoundaries:
         space = AttributeSpace(
             dims=(DimensionSpec(name="u", kind="numeric", bounds=(0.0, 1.0)),),
             f_min=3,
-            f_max=3,
         )
         cells = build_base_cells(space)
         ticket = ResourceTicket("t", (1 / 3,), 1, "n", 0)
@@ -376,7 +390,6 @@ class TestSliceBoundaries:
         space = AttributeSpace(
             dims=(DimensionSpec(name="u", kind="numeric", bounds=(0.0, 1.0)),),
             f_min=3,
-            f_max=3,
         )
         cells = build_base_cells(space)
         claim = ResourceClaim("c", (Eq(1 / 3),), 1, "o", 0, "j")

@@ -283,12 +283,31 @@ class RunReport:
 def recompute_cell_assignment(state: FederationState) -> None:
     """Re-derive the cell-to-peer map from the current overlay membership.
 
-    The only place cells are hashed onto the overlay, once per cell.
+    The only place cells are hashed onto the overlay, once per cell. Claims
+    are never handed over between peers, so a peer may lose a cell only
+    while it holds no claims for that cell and has no events in flight;
+    otherwise the run could never match them, and this raises
+    ConsistencyError naming the peer instead.
     """
-    state.cell_owner = {
-        cell.coords: state.membership.name_of(state.membership.owner_of(spatial_hash(cell)))
+    membership = state.membership
+    owners = {
+        cell.coords: membership.name_of(membership.owner_of(spatial_hash(cell)))
         for cell in state.cells
     }
+    losing: dict[str, set[str]] = {}
+    for cell in state.cells:
+        old = state.cell_owner.get(cell.coords)
+        if old is not None and old != owners[cell.coords]:
+            waiting = losing.setdefault(old, set())
+            waiting.update(claim.claim_id for claim in state.stores[old].snapshot(cell))
+    for peer, waiting in losing.items():
+        in_flight = state.engine.inbox(f"peer/{peer}").pending
+        if waiting or in_flight:
+            raise ConsistencyError(
+                f"peer {peer!r} would lose cells holding {len(waiting)} waiting claims "
+                f"with {in_flight} events in flight to it; claims are not handed over"
+            )
+    state.cell_owner = owners
 
 
 def deploy_federation(scenario: "Scenario") -> FederationState:

@@ -1,10 +1,10 @@
 """Brute-force oracles and randomized equivalence harnesses.
 
-Everything here deliberately avoids the clever paths it checks: ownership by
-linear scan instead of ring search, allocation by a centralized scan of the
-global claim list instead of per-cell queues, and rendezvous by direct
-constraint evaluation. The CLI's ``oracle`` command and the acceptance suite
-both drive these.
+Everything here deliberately avoids the clever paths it checks: ownership and
+prefix tables by linear scan instead of ring search, allocation by a
+centralized scan of the global claim list instead of per-cell queues, and
+rendezvous by direct constraint evaluation. The CLI's ``oracle`` command and
+the acceptance suite both drive these.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import struct
 from dataclasses import dataclass
 
 from .coordination import ClaimStore
-from .overlay import NodeId, OverlayMembership, circular_distance
+from .overlay import NodeId, OverlayMembership, circular_distance, shared_prefix_len
 from .spatial import (
     CATEGORICAL,
     NUMERIC,
@@ -69,6 +69,19 @@ def pure_sha1(data: bytes) -> bytes:
 def brute_force_owner(members: tuple[NodeId, ...], key: NodeId) -> NodeId:
     """Global-view nearest peer by plain linear scan."""
     return min(members, key=lambda m: (circular_distance(m.value, key.value), m.value))
+
+
+def brute_force_prefix_table(
+    members: tuple[NodeId, ...], owner: NodeId
+) -> dict[tuple[int, str], NodeId]:
+    """Prefix table by linear scan: group every other member by slot (shared
+    hex digits with the owner, next digit), keep each slot's nearest."""
+    slots: dict[tuple[int, str], list[NodeId]] = {}
+    for member in members:
+        if member != owner:
+            depth = shared_prefix_len(owner.hex, member.hex)
+            slots.setdefault((depth, member.hex[depth]), []).append(member)
+    return {slot: brute_force_owner(tuple(group), owner) for slot, group in slots.items()}
 
 
 @dataclass(frozen=True)
@@ -241,9 +254,12 @@ def rendezvous_suite(trials: int, dims: tuple[int, ...], seed: int) -> SuiteRepo
     failures = 0
     total = 0
     for dim in dims:
+        grids: dict[int, tuple[IndexCell, ...]] = {}  # geometry depends on (f_min, dim) only
         for t in range(trials):
             space = random_space(rng, dim)
-            cells = build_base_cells(space)
+            cells = grids.get(space.f_min)
+            if cells is None:
+                cells = grids[space.f_min] = build_base_cells(space)
             ticket = random_ticket(rng, space, f"t{dim}-{t}")
             anchored = rng.random() < 0.6
             claim = random_claim(

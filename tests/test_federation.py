@@ -116,6 +116,31 @@ class TestDeploy:
             expected = state.membership.name_of(state.membership.owner_of(spatial_hash(cell)))
             assert state.cell_owner[cell.coords] == expected
 
+    def test_builtin_deploy_passes_the_handoff_check(self, melbourne_scenario):
+        state = deploy_federation(melbourne_scenario)
+        before = dict(state.cell_owner)
+        recompute_cell_assignment(state)
+        assert state.cell_owner == before
+
+    @pytest.mark.parametrize(
+        "until_ms, waiting, in_flight",
+        # t=0: cloud-1's first 25 claim posts are still in flight to it.
+        # t=2 s: it holds 175 waiting claims in the 18 cells it would lose;
+        # without the check the run never matches them and hits the horizon.
+        [(0, 0, 25), (2_000, 175, 0)],
+    )
+    def test_leave_that_strands_claims_fails_fast(
+        self, melbourne_scenario, until_ms, waiting, in_flight
+    ):
+        state = deploy_federation(melbourne_scenario)
+        state.engine.run(until_ms=until_ms)
+        before = dict(state.cell_owner)
+        state.membership.leave(state.membership.id_of("cloud-1"))
+        expected = rf"'cloud-1'.* {waiting} waiting claims with {in_flight} events in flight"
+        with pytest.raises(ConsistencyError, match=expected):
+            recompute_cell_assignment(state)
+        assert state.cell_owner == before
+
 
 class TestSubmit:
     def test_one_claim_per_unit(self):

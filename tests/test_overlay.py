@@ -20,7 +20,7 @@ from fedmesh import (
     hash_name,
 )
 from fedmesh.overlay import LEAF_SET_SIZE, RING_SIZE, shared_prefix_len
-from fedmesh.oracles import brute_force_owner, pure_sha1
+from fedmesh.oracles import brute_force_owner, brute_force_prefix_table, pure_sha1
 
 
 def fill(names):
@@ -194,6 +194,46 @@ class TestRoutingState:
             state = m.routing_state(owner)
             assert state.covers_all
             assert set(state.leaf_set) == set(m.members()) - {owner}
+
+
+class TestPrefixTableFromRingSlices:
+    """The prefix table built from ring slices equals a member-by-member scan."""
+
+    def check(self, m):
+        members = m.members()
+        for owner in members:
+            assert m.routing_state(owner).prefix_table == brute_force_prefix_table(members, owner)
+
+    def crafted(self, monkeypatch, values):
+        ids = {f"n{i}": NodeId(v) for i, v in enumerate(sorted({v % RING_SIZE for v in values}))}
+        monkeypatch.setattr("fedmesh.overlay.hash_name", lambda name: ids[name])
+        return fill(ids)
+
+    @pytest.mark.parametrize("n", [1, 2, 9, 40, 300])
+    def test_hashed_memberships(self, n):
+        self.check(fill(f"slice-{n}-{i}" for i in range(n)))
+
+    def test_ids_sharing_long_prefixes(self, monkeypatch):
+        rng = random.Random(41)
+        for _ in range(40):
+            base = rng.getrandbits(160)
+            values = [base]
+            for _ in range(rng.randint(1, 24)):
+                low_bits = 4 * rng.randint(1, 40)  # keep the other leading digits of base
+                values.append(base >> low_bits << low_bits | rng.getrandbits(low_bits))
+            self.check(self.crafted(monkeypatch, values))
+
+    def test_same_slot_ties_around_the_antipode(self, monkeypatch):
+        # Pairs mirrored about the owner's antipode are equally far from the
+        # owner and usually share a slot: the smaller id must win.
+        rng = random.Random(43)
+        for _ in range(60):
+            owner = rng.getrandbits(160)
+            values = [owner] + [rng.getrandbits(160) for _ in range(rng.randint(0, 4))]
+            for _ in range(rng.randint(1, 4)):
+                delta = rng.getrandbits(rng.randint(1, 152))
+                values += [owner + RING_SIZE // 2 + delta, owner + RING_SIZE // 2 - delta]
+            self.check(self.crafted(monkeypatch, values))
 
 
 class TestRoute:

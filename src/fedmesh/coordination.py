@@ -1,7 +1,8 @@
 """Per-cell claim queues grouped by claim class, and ticket allocation.
 
-A ClaimStore belongs to one coordination peer and holds, for each index cell
-the peer owns, the claims waiting there. Claims with equal constraint tuples
+One ClaimStore serves a whole federation and holds, keyed by index cell, the
+claims waiting at each cell; which peer owns a cell routes its messages but
+does not decide where its claims are kept. Claims with equal constraint tuples
 form one claim class. Every unit a cloud submits for one model shares its
 constraints, so a cell holding thousands of claims holds only a few classes.
 Each class is a FIFO bucket in (arrival_time, claim_id) order.
@@ -145,6 +146,3 @@ class ClaimStore:
 
     def replica_count(self, claim_id: str) -> int:
         return sum(1 for queue in self._cells.values() if claim_id in queue.index)
-
-    def is_empty(self) -> bool:
-        return all(not queue.index for queue in self._cells.values())

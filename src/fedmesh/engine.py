@@ -49,8 +49,6 @@ class RngStream:
     """
 
     def __init__(self, seed: int, label: str) -> None:
-        self.seed = seed
-        self.label = label
         material = hashlib.sha256(f"{seed}|{label}".encode("utf-8")).digest()
         self._random = random.Random(int.from_bytes(material[:8], "big"))
 
@@ -94,17 +92,9 @@ class SimulationEngine:
     def has_pending_events(self) -> bool:
         return bool(self._heap)
 
-    def register(
-        self,
-        target: str,
-        handler: Callable[[SimEvent], None],
-        *,
-        inbox_capacity: int | None = None,
-    ) -> None:
+    def register(self, target: str, handler: Callable[[SimEvent], None]) -> None:
         self._handlers[target] = handler
-        self._inboxes.setdefault(
-            target, Inbox(self._default_capacity if inbox_capacity is None else inbox_capacity)
-        )
+        self._inboxes.setdefault(target, Inbox(self._default_capacity))
 
     def inbox(self, target: str) -> Inbox:
         box = self._inboxes.get(target)

@@ -5,8 +5,8 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, replace
 
+from .config import Scenario
 from .federation import FederationState, RunReport, deploy_federation, run_to_quiescence
-from .scenario import Scenario
 from .workloads import MODELS, SWEEP_SIZES
 
 log = logging.getLogger("fedmesh.experiments")

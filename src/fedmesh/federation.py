@@ -17,14 +17,30 @@ Message flow for one work unit (all delays are per-link scenario constants):
 A node with an allocation in flight is "committed": its stale tickets are
 discarded by the coordination peers until the unit finishes, so a node never
 executes two units at once even though status tickets are periodic.
+
+Waiting claims live in one ClaimStore keyed by cell. Which peer owns a cell
+decides who handles the cell's messages and what latency they pay, not where
+its claims are kept, so a cell that changes owner keeps its queue.
 """
 
 from __future__ import annotations
 
 import logging
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, ClassVar, NamedTuple
+from typing import ClassVar, NamedTuple
 
+from .config import (
+    DIM_CPU,
+    DIM_PROCESSORS,
+    DIM_SERVICE,
+    DIM_SPEED,
+    FULL_P2P,
+    HUB,
+    CloudConfig,
+    LatencyModel,
+    Scenario,
+)
 from .coordination import AllocationDecision, ClaimStore
 from .engine import RngStream, SimEvent, SimulationEngine
 from .errors import (
@@ -56,54 +72,7 @@ from .workloads import (
     generate_units,
 )
 
-if TYPE_CHECKING:  # pragma: no cover
-    from .scenario import Scenario
-
 log = logging.getLogger("fedmesh.federation")
-
-HUB = "hub"
-FULL_P2P = "full_p2p"
-TOPOLOGIES = (HUB, FULL_P2P)
-
-DEFAULT_MAX_VIRTUAL_MS = 1_000_000_000
-
-# Dimension names the scheduling services rely on when building claims and
-# tickets; scenario validation guarantees they exist with the right kinds.
-DIM_SERVICE = "service_type"
-DIM_PROCESSORS = "processors"
-DIM_CPU = "cpu_type"
-DIM_SPEED = "speed_ghz"
-
-
-@dataclass(frozen=True)
-class LatencyModel:
-    intra_cloud_ms: int = 1
-    inter_cloud_ms: int = 5
-
-    def between(self, cloud_a: str, cloud_b: str) -> int:
-        return self.intra_cloud_ms if cloud_a == cloud_b else self.inter_cloud_ms
-
-
-@dataclass(frozen=True)
-class CloudConfig:
-    cloud_id: str
-    node_count: int
-    node_speed_ghz: float
-    cpu_type: str
-    service_types: tuple[str, ...]
-    status_update_interval_ms: tuple[int, int]
-    topology: str = HUB
-
-    def __post_init__(self) -> None:
-        if self.node_count < 1:
-            raise InvalidArgumentError(f"{self.cloud_id}: node_count must be >= 1")
-        if self.topology not in TOPOLOGIES:
-            raise InvalidArgumentError(f"{self.cloud_id}: unknown topology {self.topology!r}")
-        lo, hi = self.status_update_interval_ms
-        if lo < 1 or hi < lo:
-            raise InvalidArgumentError(f"{self.cloud_id}: bad status interval [{lo}, {hi}]")
-        if not self.service_types:
-            raise InvalidArgumentError(f"{self.cloud_id}: at least one service type required")
 
 
 @dataclass
@@ -180,7 +149,7 @@ class TimerTick:
 class _PendingUnit(NamedTuple):
     claim: ResourceClaim
     unit: WorkUnit
-    app_id: str
+    cells: list[tuple[int, ...]]  # each replica's cell; a list costs less heap than a tuple
 
 
 @dataclass
@@ -230,18 +199,16 @@ class FederationState:
         self.seed = seed
         self.max_virtual_ms = max_virtual_ms
         self.metrics = MetricsSink()
-        self.stores: dict[str, ClaimStore] = {name: ClaimStore() for name in peer_cloud}
+        self.store = ClaimStore()
         self.cell_owner: dict[tuple[int, ...], str] = {}
         self.apps: dict[str, ApplicationHandle] = {}
         self.pending: dict[str, _PendingUnit] = {}
-        self.claim_locations: dict[str, list[tuple[str, tuple[int, ...]]]] = {}
         self.served: set[str] = set()
         self.dispatched: set[str] = set()
         self.stranded_ids: set[str] = set()
         self.pending_submits = 0
         self.submitted_total = 0
         self.completed_total = 0
-        self.stranded_total = 0
         self.node_points: dict[tuple[str, str], tuple[object, ...]] = {}
         # A node's tickets for one label share its point, hence its cell.
         self.ticket_cells: dict[tuple[str, str], IndexCell] = {}
@@ -255,7 +222,7 @@ class FederationState:
         """No submissions outstanding and every unit completed or stranded."""
         return (
             self.pending_submits == 0
-            and self.completed_total + self.stranded_total >= self.submitted_total
+            and self.completed_total + len(self.stranded_ids) >= self.submitted_total
         )
 
     def node_point(self, node: ExecutionNode, service_label: str) -> tuple[object, ...]:
@@ -283,34 +250,33 @@ class RunReport:
 def recompute_cell_assignment(state: FederationState) -> None:
     """Re-derive the cell-to-peer map from the current overlay membership.
 
-    The only place cells are hashed onto the overlay, once per cell. Claims
-    are never handed over between peers, so a peer may lose a cell only
-    while it holds no claims for that cell and has no events in flight;
-    otherwise the run could never match them, and this raises
-    ConsistencyError naming the peer instead.
+    The only place cells are hashed onto the overlay, once per cell. Waiting
+    claims stay with their cell, so a new owner serves them with no handoff.
+    Messages already in flight are not forwarded, though: a peer may lose
+    cells only while nothing is in flight to it, and every new owner must be
+    a deployed peer. Otherwise this raises ConsistencyError naming the peer
+    and leaves the map as it was.
     """
     membership = state.membership
     owners = {
         cell.coords: membership.name_of(membership.owner_of(spatial_hash(cell)))
         for cell in state.cells
     }
-    losing: dict[str, set[str]] = {}
-    for cell in state.cells:
-        old = state.cell_owner.get(cell.coords)
-        if old is not None and old != owners[cell.coords]:
-            waiting = losing.setdefault(old, set())
-            waiting.update(claim.claim_id for claim in state.stores[old].snapshot(cell))
-    for peer, waiting in losing.items():
+    for peer, count in sorted(Counter(owners.values()).items()):
+        if peer not in state.peer_cloud:
+            raise ConsistencyError(f"peer {peer!r} would own {count} cells but was never deployed")
+    losing = {old for coords, old in state.cell_owner.items() if old != owners[coords]}
+    for peer in sorted(losing):
         in_flight = state.engine.inbox(f"peer/{peer}").pending
-        if waiting or in_flight:
+        if in_flight:
             raise ConsistencyError(
-                f"peer {peer!r} would lose cells holding {len(waiting)} waiting claims "
-                f"with {in_flight} events in flight to it; claims are not handed over"
+                f"peer {peer!r} would lose cells with {in_flight} events in flight to it; "
+                "in-flight messages are not forwarded"
             )
     state.cell_owner = owners
 
 
-def deploy_federation(scenario: "Scenario") -> FederationState:
+def deploy_federation(scenario: Scenario) -> FederationState:
     """Instantiate coordinators, build the index, and arm the timers.
 
     Under the hub model one coordinator peer joins per cloud; under full_p2p
@@ -429,16 +395,12 @@ def submit_application(
         if not _claim_satisfiable(state, claim):
             handle.stranded.add(unit.unit_id)
             state.stranded_ids.add(claim.claim_id)
-            state.stranded_total += 1
-        state.pending[claim.claim_id] = _PendingUnit(claim=claim, unit=unit, app_id=app_id)
-        targets = map_claim(state.space, state.cells, claim)
-        locations = []
-        for cell in targets:
-            owner = state.cell_owner[cell.coords]
+        cells = [cell.coords for cell in map_claim(state.space, state.cells, claim)]
+        state.pending[claim.claim_id] = _PendingUnit(claim, unit, cells)
+        for coords in cells:
+            owner = state.cell_owner[coords]
             delay = state.latency.between(scheduler_cloud, state.peer_cloud[owner])
-            state.engine.schedule(delay, f"peer/{owner}", ClaimPost(claim, cell.coords))
-            locations.append((owner, cell.coords))
-        state.claim_locations[claim.claim_id] = locations
+            state.engine.schedule(delay, f"peer/{owner}", ClaimPost(claim, coords))
     return handle
 
 
@@ -502,7 +464,7 @@ def response_time(state: FederationState, app: ApplicationHandle | str) -> float
     return (last - handle.submit_time_ms) / 1000.0
 
 
-def run_to_quiescence(state: FederationState, max_virtual_ms: int | None = None) -> RunReport:
+def run_to_quiescence(state: FederationState) -> RunReport:
     """Drive the event loop until nothing remains to do.
 
     Periodic timers stop rescheduling once every unit is completed or
@@ -510,16 +472,13 @@ def run_to_quiescence(state: FederationState, max_virtual_ms: int | None = None)
     with events still pending is reported as an error. Any claim left waiting
     must be one that was marked unsatisfiable at submission.
     """
-    limit = state.max_virtual_ms if max_virtual_ms is None else max_virtual_ms
-    processed = state.engine.run(until_ms=limit)
+    processed = state.engine.run(until_ms=state.max_virtual_ms)
     if state.engine.has_pending_events:
         raise SimulationError(
-            f"virtual-time horizon {limit} ms reached with events still pending"
+            f"virtual-time horizon {state.max_virtual_ms} ms reached with events still pending"
         )
-    leftover: set[str] = set()
-    for store in state.stores.values():
-        leftover.update(store.waiting_claim_ids())
-    unexpected = leftover - state.stranded_ids
+    leftover = state.store.waiting_claim_ids()
+    unexpected = set(leftover) - state.stranded_ids
     if unexpected:
         raise ConsistencyError(
             f"satisfiable claims left waiting at quiescence: {sorted(unexpected)[:5]}"
@@ -527,7 +486,7 @@ def run_to_quiescence(state: FederationState, max_virtual_ms: int | None = None)
     return RunReport(
         events_processed=processed,
         virtual_time_ms=state.engine.now,
-        stranded_claim_ids=tuple(sorted(leftover)),
+        stranded_claim_ids=leftover,
     )
 
 
@@ -558,7 +517,7 @@ def _scheduler_handler(state: FederationState, cloud_id: str):
 
 
 def _peer_handler(state: FederationState, peer_name: str):
-    store = state.stores[peer_name]
+    store = state.store
 
     def handle(event: SimEvent) -> None:
         payload = event.payload
@@ -587,10 +546,9 @@ def _peer_handler(state: FederationState, peer_name: str):
             state.served.add(decision.claim_id)
             node.committed = True
             # Retire every replica before any further event can observe it.
-            for owner, coords in state.claim_locations.pop(decision.claim_id, ()):
-                if owner == peer_name and coords == payload.cell_coords:
-                    continue  # the matched copy is already gone
-                state.stores[owner].discard(coords, decision.claim_id)
+            for coords in state.pending[decision.claim_id].cells:
+                if coords != payload.cell_coords:  # the matched copy is already gone
+                    store.discard(coords, decision.claim_id)
             state.metrics.record_decision(decision)
             delay = state.latency.between(state.peer_cloud[peer_name], decision.notify)
             state.engine.schedule(

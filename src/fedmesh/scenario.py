@@ -48,33 +48,28 @@ processors and speed_ghz (numeric).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .errors import FedmeshError
-from .federation import (
+from .config import (
     DIM_CPU,
     DIM_PROCESSORS,
     DIM_SERVICE,
     DIM_SPEED,
     DEFAULT_MAX_VIRTUAL_MS,
+    REQUIRED_DIMS,
     TOPOLOGIES,
     CloudConfig,
     LatencyModel,
+    Scenario,
 )
-from .spatial import CATEGORICAL, NUMERIC, AttributeSpace, DimensionSpec
+from .errors import FedmeshError
+from .spatial import CATEGORICAL, NUMERIC, DimensionSpec
 from .workloads import MODELS, SERVICE_LABELS, DemandDistribution, WorkloadSpec
 
 SCHEMA_VERSION = 1
 MAX_CELLS = 100_000
-
-REQUIRED_DIMS = {
-    DIM_SERVICE: CATEGORICAL,
-    DIM_CPU: CATEGORICAL,
-    DIM_PROCESSORS: NUMERIC,
-    DIM_SPEED: NUMERIC,
-}
 
 
 @dataclass(frozen=True)
@@ -96,29 +91,6 @@ class ScenarioError(FedmeshError):
         summary = "; ".join(str(d) for d in diagnostics[:5])
         extra = "" if len(diagnostics) <= 5 else f" (+{len(diagnostics) - 5} more)"
         super().__init__(f"{source}: {summary}{extra}")
-
-
-@dataclass(frozen=True)
-class Scenario:
-    schema_version: int
-    seed: int
-    eager_tickets: bool
-    inbox_capacity: int
-    max_virtual_ms: int
-    f_min: int
-    dims: tuple[DimensionSpec, ...]
-    latency: LatencyModel
-    clouds: tuple[CloudConfig, ...]
-    workloads: tuple[WorkloadSpec, ...]
-
-    def space(self) -> AttributeSpace:
-        return AttributeSpace(dims=self.dims, f_min=self.f_min)
-
-    def with_seed(self, seed: int) -> "Scenario":
-        return replace(self, seed=seed)
-
-    def with_workloads(self, workloads: tuple[WorkloadSpec, ...]) -> "Scenario":
-        return replace(self, workloads=workloads)
 
 
 class _Section:

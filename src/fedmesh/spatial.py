@@ -75,12 +75,6 @@ class AttributeSpace:
     def dim(self) -> int:
         return len(self.dims)
 
-    def index_of(self, name: str) -> int:
-        for i, d in enumerate(self.dims):
-            if d.name == name:
-                return i
-        raise InvalidArgumentError(f"no dimension named {name!r}")
-
 
 # Per-dimension claim constraints. Categorical dimensions admit only Eq.
 

@@ -81,13 +81,6 @@ class TestSchedule:
         engine.run()
         engine.schedule(1, "a", "z")  # would overflow had deliveries not drained
 
-    def test_per_entity_capacity_override(self):
-        engine = SimulationEngine(default_inbox_capacity=1000)
-        engine.register("tiny", lambda e: None, inbox_capacity=1)
-        engine.schedule(1, "tiny", "x")
-        with pytest.raises(BufferOverflowError):
-            engine.schedule(1, "tiny", "y")
-
 
 class TestRun:
     def test_empty_queue_is_a_no_op(self):

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedmesh import (
     CloudConfig,
@@ -30,6 +32,8 @@ from fedmesh.workloads import SERVICE_LABELS
 from conftest import TASK_LABEL, THREAD_LABEL
 
 BOTH = (TASK_LABEL, THREAD_LABEL)
+BUILTIN_PEERS = tuple(f"cloud-{i}" for i in range(1, 6))
+BUILTIN_UNITS = 250
 
 
 def dims():
@@ -122,24 +126,70 @@ class TestDeploy:
         recompute_cell_assignment(state)
         assert state.cell_owner == before
 
-    @pytest.mark.parametrize(
-        "until_ms, waiting, in_flight",
-        # t=0: cloud-1's first 25 claim posts are still in flight to it.
-        # t=2 s: it holds 175 waiting claims in the 18 cells it would lose;
-        # without the check the run never matches them and hits the horizon.
-        [(0, 0, 25), (2_000, 175, 0)],
-    )
-    def test_leave_that_strands_claims_fails_fast(
-        self, melbourne_scenario, until_ms, waiting, in_flight
+    def test_cells_never_go_to_an_undeployed_peer(self, melbourne_scenario):
+        # A peer that joins the overlay mid-run has no handler and no cloud.
+        state = deploy_federation(melbourne_scenario)
+        before = dict(state.cell_owner)
+        state.membership.join("cloud-9")
+        with pytest.raises(ConsistencyError, match=r"'cloud-9' would own 10 cells .*never deployed"):
+            recompute_cell_assignment(state)
+        assert state.cell_owner == before
+
+    def test_leave_with_posts_in_flight_fails_fast(self, melbourne_scenario):
+        # At t=0 cloud-1's first 25 claim posts are still in flight to it;
+        # in-flight messages are not forwarded to the cells' new owners.
+        state = deploy_federation(melbourne_scenario)
+        state.engine.run(until_ms=0)
+        before = dict(state.cell_owner)
+        state.membership.leave(state.membership.id_of("cloud-1"))
+        with pytest.raises(ConsistencyError, match=r"'cloud-1'.* 25 events in flight"):
+            recompute_cell_assignment(state)
+        assert state.cell_owner == before
+
+    def test_leave_hands_waiting_claims_to_new_owners(self, melbourne_scenario):
+        # At t=2 s cloud-1 owns 18 cells holding 175 waiting claims and has
+        # nothing in flight; the claims stay with their cells and the cells'
+        # new owners serve them.
+        state = deploy_federation(melbourne_scenario)
+        state.engine.run(until_ms=2_000)
+        lost = [state.cells_by_coords[c] for c, o in state.cell_owner.items() if o == "cloud-1"]
+        waiting = {claim.claim_id for cell in lost for claim in state.store.snapshot(cell)}
+        assert (len(lost), len(waiting)) == (18, 175)
+        state.membership.leave(state.membership.id_of("cloud-1"))
+        recompute_cell_assignment(state)
+        run_to_quiescence(state)
+        assert "cloud-1" not in state.cell_owner.values()
+        assert_served_exactly_once(state)
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(peer=st.sampled_from(BUILTIN_PEERS), until_ms=st.integers(0, 80_000))
+    def test_property_any_leave_completes_or_names_events_in_flight(
+        self, melbourne_scenario, peer, until_ms
     ):
         state = deploy_federation(melbourne_scenario)
         state.engine.run(until_ms=until_ms)
         before = dict(state.cell_owner)
-        state.membership.leave(state.membership.id_of("cloud-1"))
-        expected = rf"'cloud-1'.* {waiting} waiting claims with {in_flight} events in flight"
-        with pytest.raises(ConsistencyError, match=expected):
+        in_flight = state.engine.inbox(f"peer/{peer}").pending
+        state.membership.leave(state.membership.id_of(peer))
+        try:
             recompute_cell_assignment(state)
-        assert state.cell_owner == before
+        except ConsistencyError as exc:
+            assert in_flight > 0
+            assert f"{peer!r} would lose cells with {in_flight} events in flight" in str(exc)
+            assert state.cell_owner == before
+            return
+        run_to_quiescence(state)
+        assert peer not in state.cell_owner.values()
+        assert_served_exactly_once(state)
+
+
+def assert_served_exactly_once(state, units=BUILTIN_UNITS):
+    claim_ids = [d.claim_id for d in state.metrics.decisions]
+    assert len(claim_ids) == len(set(claim_ids)) == units
+    assert state.served == state.dispatched
+    assert state.completed_total == state.submitted_total == units
+    assert not state.stranded_ids
+    assert not state.store.waiting_claim_ids()
 
 
 class TestSubmit:
@@ -168,9 +218,8 @@ class TestSubmit:
         state = deploy_federation(scenario([cloud("cloud-1", 2.4), cloud("cloud-2", 3.0)]))
         submit_application(state, "cloud-1", workload("cloud-1", rows=1, cols=1))
         state.engine.run(until_ms=10)  # let claim-post messages land
-        (claim_id,) = state.claim_locations
-        total = sum(store.replica_count(claim_id) for store in state.stores.values())
-        assert total == len(state.claim_locations[claim_id]) >= 1
+        (claim_id,) = state.pending
+        assert state.store.replica_count(claim_id) == len(state.pending[claim_id].cells) >= 1
 
 
 class TestPublishTicket:
@@ -375,13 +424,14 @@ class TestProtocolGuards:
         submit_application(state, "cloud-1", workload("cloud-1", rows=1, cols=1))
         from fedmesh.federation import ClaimPost
 
-        (claim_id,) = state.claim_locations
+        (claim_id,) = state.pending
         claim = state.pending[claim_id].claim
         state.served.add(claim_id)  # as the decision-taking peer would
-        target_peer, coords = state.claim_locations[claim_id][0]
+        coords = state.pending[claim_id].cells[0]
+        target_peer = state.cell_owner[coords]
         state.engine.schedule(1, f"peer/{target_peer}", ClaimPost(claim, coords))
         state.engine.run(until_ms=20)
-        assert all(store.replica_count(claim_id) == 0 for store in state.stores.values())
+        assert state.store.replica_count(claim_id) == 0
 
     def test_rapid_tickets_interleaving_with_claim_posts(self):
         # Status intervals of a few ms overlap ticket arrivals with claim-post

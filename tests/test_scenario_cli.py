@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import ast
 import json
 from pathlib import Path
 
 import pytest
 
+import fedmesh.config
+import fedmesh.federation
+import fedmesh.scenario
 from fedmesh import ScenarioError, builtin_scenario_path, load_scenario, parse_scenario
 from fedmesh.cli import main
 
@@ -238,3 +242,26 @@ class TestOracleCommand:
 
     def test_bad_trials_rejected(self):
         assert main(["oracle", "--trials", "0"]) == 2
+
+
+def imported_modules(module) -> set[str]:
+    """Every module a source file imports, including under TYPE_CHECKING;
+    package-relative names keep their leading dots."""
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+    names: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = "." * node.level + (node.module or "")
+            names.add(base)
+            if node.module is None:
+                names.update(base + alias.name for alias in node.names)
+    return names
+
+
+def test_parser_and_federation_do_not_import_each_other():
+    assert not imported_modules(fedmesh.scenario) & {".federation", "fedmesh.federation"}
+    assert not imported_modules(fedmesh.federation) & {".scenario", "fedmesh.scenario"}
+    internal = {name for name in imported_modules(fedmesh.config) if name.startswith(".")}
+    assert internal == {".errors", ".spatial", ".workloads"}

@@ -123,12 +123,8 @@ class ClaimStore:
             )
         return decisions
 
-    def remove_claim(self, claim_id: str) -> int:
-        """Drop every replica of a claim; returns how many cells held it."""
-        return sum(queue.remove_id(claim_id) for queue in self._cells.values())
-
     def discard(self, cell_coords: tuple[int, ...], claim_id: str) -> bool:
-        """Targeted single-cell removal (replica cleanup fast path)."""
+        """Drop one replica of a claim from one cell; False if it was not there."""
         queue = self._cells.get(cell_coords)
         return queue.remove_id(claim_id) if queue is not None else False
 
@@ -143,6 +139,3 @@ class ClaimStore:
         for queue in self._cells.values():
             ids.update(queue.index)
         return tuple(sorted(ids))
-
-    def replica_count(self, claim_id: str) -> int:
-        return sum(1 for queue in self._cells.values() if claim_id in queue.index)

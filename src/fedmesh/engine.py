@@ -1,9 +1,10 @@
 """Deterministic discrete-event core.
 
 Virtual time is integer milliseconds. Events fire in (fire_at, seq) order,
-where seq is assigned at schedule time, so the full trace is a pure function
-of the scenario and its seed. Entity inboxes are bounded: overflowing one is
-an explicit error, never a silent drop.
+where seq is assigned at schedule time, so the delivery order is a pure
+function of the scenario and its seed. Each registered handler receives the
+scheduled payload itself; the engine keeps the time (``now``). Entity inboxes
+are bounded: overflowing one is an explicit error, never a silent drop.
 """
 
 from __future__ import annotations
@@ -12,22 +13,11 @@ import hashlib
 import heapq
 import math
 import random
-from dataclasses import dataclass
 from typing import Any, Callable
 
 from .errors import BufferOverflowError, InvalidArgumentError, SimulationError
 
 DEFAULT_INBOX_CAPACITY = 1000
-
-
-@dataclass(frozen=True)
-class SimEvent:
-    """A timestamped message or timer delivered to one entity."""
-
-    fire_at: int
-    seq: int
-    target: str
-    payload: Any
 
 
 class Inbox:
@@ -64,25 +54,17 @@ class RngStream:
         return draw
 
 
-def payload_kind(payload: Any) -> str:
-    return getattr(payload, "kind", type(payload).__name__)
-
-
 class SimulationEngine:
     """Single-threaded event loop over a global (fire_at, seq) order."""
 
-    def __init__(
-        self, *, default_inbox_capacity: int = DEFAULT_INBOX_CAPACITY, trace: bool = False
-    ) -> None:
+    def __init__(self, *, default_inbox_capacity: int = DEFAULT_INBOX_CAPACITY) -> None:
         self._now = 0
         self._seq = 0
         self._heap: list[tuple[int, int, str, Any]] = []
-        self._handlers: dict[str, Callable[[SimEvent], None]] = {}
+        self._handlers: dict[str, Callable[[Any], None]] = {}
         self._inboxes: dict[str, Inbox] = {}
         self._default_capacity = default_inbox_capacity
         self.events_processed = 0
-        self.trace_enabled = trace
-        self.trace_lines: list[str] = []
 
     @property
     def now(self) -> int:
@@ -92,7 +74,7 @@ class SimulationEngine:
     def has_pending_events(self) -> bool:
         return bool(self._heap)
 
-    def register(self, target: str, handler: Callable[[SimEvent], None]) -> None:
+    def register(self, target: str, handler: Callable[[Any], None]) -> None:
         self._handlers[target] = handler
         self._inboxes.setdefault(target, Inbox(self._default_capacity))
 
@@ -126,32 +108,24 @@ class SimulationEngine:
         """
         processed = 0
         while self._heap:
-            fire_at, seq, target, payload = self._heap[0]
+            fire_at, _, target, payload = self._heap[0]
             if until_ms is not None and fire_at > until_ms:
                 break
             heapq.heappop(self._heap)
             assert fire_at >= self._now, "clock must never run backwards"
             self._now = fire_at
             self.inbox(target).pending -= 1
-            event = SimEvent(fire_at=fire_at, seq=seq, target=target, payload=payload)
-            if self.trace_enabled:
-                self.trace_lines.append(f"{fire_at}\t{seq}\t{target}\t{payload_kind(payload)}")
             handler = self._handlers.get(target)
             if handler is None:
                 raise SimulationError(
-                    f"no handler for entity {target!r} (event {payload_kind(payload)} at t={fire_at})"
+                    f"no handler for entity {target!r} (event {type(payload).__name__} at t={fire_at})"
                 )
             try:
-                handler(event)
+                handler(payload)
             except Exception as exc:
                 raise SimulationError(
-                    f"handler for {target!r} failed on {payload_kind(payload)} at t={fire_at}: {exc}"
+                    f"handler for {target!r} failed on {type(payload).__name__} at t={fire_at}: {exc}"
                 ) from exc
             processed += 1
             self.events_processed += 1
         return processed
-
-    def trace_hash(self) -> str:
-        """Stable digest of the processed-event trace."""
-        body = "\n".join(self.trace_lines).encode("utf-8")
-        return hashlib.sha256(body).hexdigest()

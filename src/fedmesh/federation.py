@@ -28,7 +28,7 @@ from __future__ import annotations
 import logging
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import ClassVar, NamedTuple
+from typing import NamedTuple
 
 from .config import (
     DIM_CPU,
@@ -42,7 +42,7 @@ from .config import (
     Scenario,
 )
 from .coordination import AllocationDecision, ClaimStore
-from .engine import RngStream, SimEvent, SimulationEngine
+from .engine import RngStream, SimulationEngine
 from .errors import (
     ConsistencyError,
     InvalidArgumentError,
@@ -93,33 +93,28 @@ class ExecutionNode:
 
 @dataclass(frozen=True)
 class SubmitApp:
-    kind: ClassVar[str] = "submit"
     spec: WorkloadSpec
 
 
 @dataclass(frozen=True)
 class ClaimPost:
-    kind: ClassVar[str] = "claim-post"
     claim: ResourceClaim
     cell_coords: tuple[int, ...]
 
 
 @dataclass(frozen=True)
 class TicketPost:
-    kind: ClassVar[str] = "ticket-post"
     ticket: ResourceTicket
     cell_coords: tuple[int, ...]
 
 
 @dataclass(frozen=True)
 class MatchNotify:
-    kind: ClassVar[str] = "match-notify"
     decision: AllocationDecision
 
 
 @dataclass(frozen=True)
 class Dispatch:
-    kind: ClassVar[str] = "dispatch"
     decision: AllocationDecision
     claim: ResourceClaim
     unit: WorkUnit
@@ -127,14 +122,12 @@ class Dispatch:
 
 @dataclass(frozen=True)
 class ExecDone:
-    kind: ClassVar[str] = "exec-done"
     unit: WorkUnit
     claim: ResourceClaim
 
 
 @dataclass(frozen=True)
 class ResultMsg:
-    kind: ClassVar[str] = "result"
     unit: WorkUnit
     node_id: str
     service_label: str
@@ -142,7 +135,6 @@ class ResultMsg:
 
 @dataclass(frozen=True)
 class TimerTick:
-    kind: ClassVar[str] = "timer"
     node_id: str
 
 
@@ -404,15 +396,13 @@ def submit_application(
     return handle
 
 
-def publish_ticket(state: FederationState, node: ExecutionNode | str) -> None:
+def publish_ticket(state: FederationState, node: ExecutionNode) -> None:
     """Advertise an idle node: one point ticket per hosted service type.
 
     A busy or committed node publishes nothing. Each ticket carries one free
     processor and routes to the single cell containing the node's attribute
     point.
     """
-    if isinstance(node, str):
-        node = state.nodes[node]
     if state.finished:
         return
     if node.busy or node.committed:
@@ -453,9 +443,8 @@ def on_allocation(state: FederationState, decision: AllocationDecision) -> None:
     )
 
 
-def response_time(state: FederationState, app: ApplicationHandle | str) -> float:
+def response_time(state: FederationState, handle: ApplicationHandle) -> float:
     """Seconds from submission to the last unit's result arrival."""
-    handle = state.apps[app] if isinstance(app, str) else app
     if not handle.complete:
         raise NotReadyError(
             f"application {handle.app_id!r}: {len(handle.completions)}/{handle.unit_count} units done"
@@ -494,8 +483,7 @@ def run_to_quiescence(state: FederationState) -> RunReport:
 
 
 def _scheduler_handler(state: FederationState, cloud_id: str):
-    def handle(event: SimEvent) -> None:
-        payload = event.payload
+    def handle(payload: object) -> None:
         if isinstance(payload, SubmitApp):
             state.pending_submits -= 1
             submit_application(state, payload.spec.submit_cloud, payload.spec)
@@ -519,8 +507,7 @@ def _scheduler_handler(state: FederationState, cloud_id: str):
 def _peer_handler(state: FederationState, peer_name: str):
     store = state.store
 
-    def handle(event: SimEvent) -> None:
-        payload = event.payload
+    def handle(payload: object) -> None:
         if isinstance(payload, ClaimPost):
             if payload.claim.claim_id in state.served:
                 return  # replica still in flight when the claim was served
@@ -559,8 +546,7 @@ def _peer_handler(state: FederationState, peer_name: str):
 
 
 def _node_handler(state: FederationState, node_id: str):
-    def handle(event: SimEvent) -> None:
-        payload = event.payload
+    def handle(payload: object) -> None:
         node = state.nodes[node_id]
         if isinstance(payload, TimerTick):
             if state.finished:

@@ -223,17 +223,25 @@ def distributed_fifo_allocate(
     """The per-cell path: replicate claims, match each ticket at its one cell,
     retire replicas of served claims before the next ticket."""
     store = ClaimStore()
+    replicas: dict[str, tuple[IndexCell, ...]] = {}
     for claim in claims:
-        for cell in map_claim(space, cells, claim):
+        replicas[claim.claim_id] = map_claim(space, cells, claim)
+        for cell in replicas[claim.claim_id]:
             store.post_claim(cell, claim)
     allocations: list[tuple[str, str, int]] = []
     for ticket in tickets:
         cell = map_ticket(space, cells, ticket)
         decisions = store.post_ticket(cell, ticket)
         for d in decisions:
-            store.remove_claim(d.claim_id)
+            for replica in replicas[d.claim_id]:
+                store.discard(replica.coords, d.claim_id)
             allocations.append((d.ticket_id, d.claim_id, d.units_granted))
     return allocations
+
+
+def replica_count(store: ClaimStore, cells: tuple[IndexCell, ...], claim_id: str) -> int:
+    """How many of the given cells still hold a replica of the claim."""
+    return sum(any(c.claim_id == claim_id for c in store.snapshot(cell)) for cell in cells)
 
 
 @dataclass(frozen=True)

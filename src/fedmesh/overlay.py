@@ -58,18 +58,6 @@ class NodeId:
         """Canonical text form: exactly 40 lowercase hex digits."""
         return format(self.value, "040x")
 
-    @classmethod
-    def from_hex(cls, text: str) -> "NodeId":
-        if len(text) != ID_HEX_DIGITS:
-            raise InvalidArgumentError(f"expected {ID_HEX_DIGITS} hex digits, got {len(text)}")
-        try:
-            return cls(int(text, 16))
-        except ValueError as exc:
-            raise InvalidArgumentError(f"not a hex id: {text!r}") from exc
-
-    def distance(self, other: "NodeId") -> int:
-        return circular_distance(self.value, other.value)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"NodeId({self.hex})"
 
@@ -151,27 +139,19 @@ class RoutingState:
 class OverlayMembership:
     """Global registry of named peers with derived routing state.
 
-    Mutations (join/leave) bump a version counter and invalidate the cached
-    per-peer routing states; states are rebuilt lazily, which keeps repeated
-    join sequences cheap for large memberships.
+    Mutations (join/leave) invalidate the cached ring and per-peer routing
+    states; states are rebuilt lazily, which keeps repeated join sequences
+    cheap for large memberships.
     """
 
     def __init__(self) -> None:
         self._peers: dict[str, NodeId] = {}
         self._by_value: dict[int, tuple[str, NodeId]] = {}
-        self._version = 0
         self._ring: list[int] | None = None
         self._states: dict[int, RoutingState] = {}
 
-    @property
-    def version(self) -> int:
-        return self._version
-
     def __len__(self) -> int:
         return len(self._peers)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._peers
 
     def members(self) -> tuple[NodeId, ...]:
         """All peer ids, sorted ascending."""
@@ -183,12 +163,6 @@ class OverlayMembership:
         except KeyError:
             raise NotAMemberError(f"no peer with id {node_id.hex}") from None
 
-    def id_of(self, name: str) -> NodeId:
-        try:
-            return self._peers[name]
-        except KeyError:
-            raise NotAMemberError(f"no peer named {name!r}") from None
-
     def join(self, name: str) -> NodeId:
         """Add a named peer; its id is the hash of the name."""
         if name in self._peers:
@@ -199,7 +173,7 @@ class OverlayMembership:
             raise IdCollisionError(f"{name!r} collides with {other!r} at {nid.hex}")
         self._peers[name] = nid
         self._by_value[nid.value] = (name, nid)
-        self._bump()
+        self._invalidate()
         return nid
 
     def leave(self, node_id: NodeId) -> None:
@@ -207,7 +181,7 @@ class OverlayMembership:
             raise NotAMemberError(f"no peer with id {node_id.hex}")
         name, _ = self._by_value.pop(node_id.value)
         del self._peers[name]
-        self._bump()
+        self._invalidate()
 
     def owner_of(self, key: NodeId) -> NodeId:
         """Peer circularly nearest to key; exact ties go to the smaller id."""
@@ -268,15 +242,9 @@ class OverlayMembership:
             cur = nxt
             hops += 1
 
-    def dump(self) -> str:
-        """Deterministic text table: one ``hexid name`` line, sorted by id."""
-        lines = [f"{self._by_value[v][1].hex} {self._by_value[v][0]}" for v in self._ring_values()]
-        return "\n".join(lines)
-
     # internals
 
-    def _bump(self) -> None:
-        self._version += 1
+    def _invalidate(self) -> None:
         self._ring = None
         self._states.clear()
 

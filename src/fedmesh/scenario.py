@@ -234,6 +234,8 @@ class _Builder:
             self.error(top.line, "schema_version", f"unsupported version {version}")
         if inbox is not None and inbox < 1:
             self.error(top.line, "inbox_capacity", "must be >= 1")
+        if horizon is not None and horizon < 1:
+            self.error(top.line, "max_virtual_ms", "must be >= 1")
 
         f_min = 0
         space_sections = [s for s in sections if s.kind == "space"]
@@ -283,7 +285,7 @@ class _Builder:
             seed=seed if seed is not None else 0,
             eager_tickets=eager,
             inbox_capacity=inbox or 1000,
-            max_virtual_ms=horizon or DEFAULT_MAX_VIRTUAL_MS,
+            max_virtual_ms=horizon,
             f_min=f_min,
             dims=tuple(dims),
             latency=latency,
@@ -295,6 +297,8 @@ class _Builder:
         dims: list[DimensionSpec] = []
         seen: set[str] = set()
         for sec in sections:
+            if not sec.name:
+                continue  # "needs a name" is already diagnosed
             if sec.name in seen:
                 self.error(sec.line, "dimension", f"duplicate dimension {sec.name!r}")
                 continue

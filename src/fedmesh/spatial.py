@@ -191,19 +191,6 @@ def normalize(space: AttributeSpace, dim_index: int, value: object) -> float:
     return (rank + 0.5) / len(labels)
 
 
-def denormalize(space: AttributeSpace, dim_index: int, coordinate: float) -> object:
-    """Inverse of :func:`normalize` (exact for labels, linear for numbers)."""
-    spec = space.dims[dim_index]
-    if not 0.0 <= coordinate <= 1.0:
-        raise DomainError(f"{spec.name}: coordinate {coordinate} outside [0, 1]")
-    if spec.kind == NUMERIC:
-        lo, hi = spec.bounds  # type: ignore[misc]
-        return lo + coordinate * (hi - lo)
-    labels = spec.labels  # type: ignore[assignment]
-    rank = min(int(coordinate * len(labels)), len(labels) - 1)
-    return labels[rank]
-
-
 def validate_claim(space: AttributeSpace, claim: ResourceClaim) -> None:
     """Check the claim's constraints against the space's dimensions."""
     if len(claim.constraints) != space.dim:

@@ -7,7 +7,7 @@ simulator except for the execution-service label their claims request.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .coordination import AllocationDecision
 from .engine import RngStream
@@ -96,11 +96,6 @@ def generate_units(spec: WorkloadSpec, seed: int) -> list[WorkUnit]:
             WorkUnit(unit_id=f"{app_id}#{k}", app_id=app_id, model=spec.model, demand_ghz_s=demand)
         )
     return units
-
-
-def granularity_sweep(model: str, base: WorkloadSpec) -> list[WorkloadSpec]:
-    """The five observation points: square sizes 5, 7, 9, 11, 13."""
-    return [replace(base, model=model, rows=s, cols=s) for s in SWEEP_SIZES]
 
 
 @dataclass

@@ -33,6 +33,7 @@ from fedmesh.oracles import (
     brute_force_owner,
     measure_routing,
     rendezvous_suite,
+    replica_count,
 )
 
 from conftest import published_ticket, stored_claims
@@ -120,9 +121,9 @@ def test_criterion_3_stored_claims_replay(testbed_space, testbed_cells):
     assert len(decisions) == 1
     assert decisions[0].claim_id == "claim-1"
     assert decisions[0].units_granted == 1
-    assert store.replica_count("claim-1") == 1  # only the unmatched replica left
-    assert store.replica_count("claim-2") == 2
-    assert store.replica_count("claim-3") == 2
+    assert replica_count(store, testbed_cells, "claim-1") == 1  # only the unmatched replica left
+    assert replica_count(store, testbed_cells, "claim-2") == 2
+    assert replica_count(store, testbed_cells, "claim-3") == 2
     assert {c.claim_id for c in store.snapshot(tcell)} == {"claim-3"}
     assert time.monotonic() - start < 1.0
     announce(3, "replaying the stored-claims table serves exactly claim 1")
@@ -231,13 +232,15 @@ def test_criterion_9_exactly_once(sweep, testbed_space, testbed_cells):
 
     # The coordination-level replay grants claim-1 exactly once as well.
     store = ClaimStore()
-    for claim in stored_claims():
+    claims = stored_claims()
+    for claim in claims:
         for cell in map_claim(testbed_space, testbed_cells, claim):
             store.post_claim(cell, claim)
     ticket = published_ticket()
     tcell = map_ticket(testbed_space, testbed_cells, ticket)
     first = store.post_ticket(tcell, ticket)
-    store.remove_claim("claim-1")
+    for cell in map_claim(testbed_space, testbed_cells, claims[0]):  # retire claim-1
+        store.discard(cell.coords, "claim-1")
     second = store.post_ticket(tcell, published_ticket(issue_time=800))
     granted = [d.claim_id for d in first + second]
     assert granted.count("claim-1") == 1

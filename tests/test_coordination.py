@@ -23,6 +23,7 @@ from fedmesh.oracles import (
     random_claim,
     random_space,
     random_ticket,
+    replica_count,
 )
 
 from conftest import THREAD_LABEL, published_ticket, stored_claims
@@ -86,7 +87,7 @@ class TestPostClaim:
 
 
 class TestPostTicket:
-    def test_replay_serves_only_first_thread_claim(self, replay):
+    def test_replay_serves_only_first_thread_claim(self, testbed_cells, replay):
         store, claims, ticket, tcell = replay
         decisions = store.post_ticket(tcell, ticket)
         assert len(decisions) == 1
@@ -98,7 +99,7 @@ class TestPostTicket:
         # claims 2 and 3 stay stored (claim-3 matched but capacity ran out).
         remaining = {c.claim_id for c in store.snapshot(tcell)}
         assert "claim-3" in remaining
-        assert store.replica_count("claim-2") > 0
+        assert replica_count(store, testbed_cells, "claim-2") > 0
 
     def test_zero_capacity_ticket_changes_nothing(self, replay):
         store, claims, ticket, tcell = replay
@@ -125,7 +126,7 @@ class TestPostTicket:
         store.post_claim(cell, modest)
         decisions = store.post_ticket(cell, published_ticket())
         assert [d.claim_id for d in decisions] == ["modest"]
-        assert store.replica_count("hungry") == 1
+        assert replica_count(store, testbed_cells, "hungry") == 1
 
     def test_decided_at_defaults_to_issue_time(self, replay):
         store, claims, ticket, tcell = replay
@@ -136,23 +137,30 @@ class TestPostTicket:
         assert store.post_ticket(tcell, ticket, now_ms=705)[0].decided_at == 705
 
 
-class TestRemoveClaim:
+def discard_replicas(store, cells, claim_id) -> int:
+    """Discard a claim from each of its replica cells; returns how many held it."""
+    return sum(store.discard(cell.coords, claim_id) for cell in cells)
+
+
+class TestDiscard:
     def test_removes_every_replica(self, testbed_space, testbed_cells, replay):
         store, claims, ticket, tcell = replay
-        c1 = claims[0]
-        replicas = store.replica_count("claim-1")
-        assert replicas == len(map_claim(testbed_space, testbed_cells, c1)) == 2
-        assert store.remove_claim("claim-1") == 2
-        assert store.replica_count("claim-1") == 0
+        cells = map_claim(testbed_space, testbed_cells, claims[0])
+        assert replica_count(store, testbed_cells, "claim-1") == len(cells) == 2
+        assert discard_replicas(store, cells, "claim-1") == 2
+        assert replica_count(store, testbed_cells, "claim-1") == 0
 
-    def test_unknown_id_returns_zero(self):
-        assert ClaimStore().remove_claim("ghost") == 0
+    def test_unknown_id_returns_zero(self, testbed_cells):
+        assert discard_replicas(ClaimStore(), testbed_cells, "ghost") == 0
 
-    def test_after_service_one_replica_already_gone(self, replay):
+    def test_after_service_one_replica_already_gone(
+        self, testbed_space, testbed_cells, replay
+    ):
         store, claims, ticket, tcell = replay
-        before = store.replica_count("claim-1")
+        cells = map_claim(testbed_space, testbed_cells, claims[0])
+        before = replica_count(store, testbed_cells, "claim-1")
         store.post_ticket(tcell, ticket)
-        assert store.remove_claim("claim-1") == before - 1
+        assert discard_replicas(store, cells, "claim-1") == before - 1
 
 
 class TestSnapshot:
@@ -269,8 +277,8 @@ class TestClaimClasses:
         assert store.discard(cell.coords, "b2")
         assert not store.discard(cell.coords, "b2")
         assert [c.claim_id for c in store.snapshot(cell)] == ["c1", "big", "b3"]
-        assert store.replica_count("b2") == 0
-        assert store.replica_count("b3") == 1
+        assert replica_count(store, (cell,), "b2") == 0
+        assert replica_count(store, (cell,), "b3") == 1
         assert store.waiting_claim_ids() == ("b3", "big", "c1")
 
         # The class whose middle claim left still serves in order.

@@ -16,6 +16,7 @@ from fedmesh import (
     Scenario,
     WorkloadSpec,
     deploy_federation,
+    hash_name,
     publish_ticket,
     recompute_cell_assignment,
     response_time,
@@ -27,6 +28,7 @@ from fedmesh import (
     submit_application,
 )
 from fedmesh.federation import on_allocation
+from fedmesh.oracles import replica_count
 from fedmesh.workloads import SERVICE_LABELS
 
 from conftest import TASK_LABEL, THREAD_LABEL
@@ -111,7 +113,7 @@ class TestDeploy:
 
     def test_recompute_after_membership_change(self):
         state = deploy_federation(scenario([cloud(f"cloud-{i}", 2.4) for i in range(1, 6)]))
-        state.membership.leave(state.membership.id_of("cloud-3"))
+        state.membership.leave(hash_name("cloud-3"))
         state.peer_cloud.pop("cloud-3")
         recompute_cell_assignment(state)
         assert len(state.cell_owner) == 81
@@ -141,7 +143,7 @@ class TestDeploy:
         state = deploy_federation(melbourne_scenario)
         state.engine.run(until_ms=0)
         before = dict(state.cell_owner)
-        state.membership.leave(state.membership.id_of("cloud-1"))
+        state.membership.leave(hash_name("cloud-1"))
         with pytest.raises(ConsistencyError, match=r"'cloud-1'.* 25 events in flight"):
             recompute_cell_assignment(state)
         assert state.cell_owner == before
@@ -155,7 +157,7 @@ class TestDeploy:
         lost = [state.cells_by_coords[c] for c, o in state.cell_owner.items() if o == "cloud-1"]
         waiting = {claim.claim_id for cell in lost for claim in state.store.snapshot(cell)}
         assert (len(lost), len(waiting)) == (18, 175)
-        state.membership.leave(state.membership.id_of("cloud-1"))
+        state.membership.leave(hash_name("cloud-1"))
         recompute_cell_assignment(state)
         run_to_quiescence(state)
         assert "cloud-1" not in state.cell_owner.values()
@@ -170,7 +172,7 @@ class TestDeploy:
         state.engine.run(until_ms=until_ms)
         before = dict(state.cell_owner)
         in_flight = state.engine.inbox(f"peer/{peer}").pending
-        state.membership.leave(state.membership.id_of(peer))
+        state.membership.leave(hash_name(peer))
         try:
             recompute_cell_assignment(state)
         except ConsistencyError as exc:
@@ -219,14 +221,15 @@ class TestSubmit:
         submit_application(state, "cloud-1", workload("cloud-1", rows=1, cols=1))
         state.engine.run(until_ms=10)  # let claim-post messages land
         (claim_id,) = state.pending
-        assert state.store.replica_count(claim_id) == len(state.pending[claim_id].cells) >= 1
+        replicas = replica_count(state.store, state.cells, claim_id)
+        assert replicas == len(state.pending[claim_id].cells) >= 1
 
 
 class TestPublishTicket:
     def test_idle_node_emits_one_ticket_per_service(self):
         state = deploy_federation(scenario([cloud("cloud-1", 2.7, nodes=1)]))
         state.submitted_total = 1  # keep the run "unfinished" for this probe
-        publish_ticket(state, "cloud-1/n0")
+        publish_ticket(state, state.nodes["cloud-1/n0"])
         assert state.metrics.tickets_published == 2
 
     def test_busy_or_committed_node_stays_silent(self):
@@ -431,7 +434,7 @@ class TestProtocolGuards:
         target_peer = state.cell_owner[coords]
         state.engine.schedule(1, f"peer/{target_peer}", ClaimPost(claim, coords))
         state.engine.run(until_ms=20)
-        assert state.store.replica_count(claim_id) == 0
+        assert replica_count(state.store, state.cells, claim_id) == 0
 
     def test_rapid_tickets_interleaving_with_claim_posts(self):
         # Status intervals of a few ms overlap ticket arrivals with claim-post

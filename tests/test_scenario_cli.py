@@ -5,11 +5,13 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fedmesh.config
 import fedmesh.federation
 import fedmesh.scenario
-from fedmesh import ScenarioError, builtin_scenario_path, load_scenario, parse_scenario
+from fedmesh import Scenario, ScenarioError, builtin_scenario_path, load_scenario, parse_scenario
 from fedmesh.cli import main
 
 MINIMAL = """\
@@ -125,6 +127,24 @@ class TestParse:
         with pytest.raises(ScenarioError) as exc:
             parse_scenario(bad)
         assert any("guard" in d.message for d in exc.value.diagnostics)
+
+    @pytest.mark.parametrize(
+        "body", ["kind = numeric\nbounds = 0, 1", "kind = categorical\nlabels = a, b"]
+    )
+    def test_unnamed_dimension_is_diagnosed(self, body):
+        bad = MINIMAL + f"\n[dimension]\n{body}\n"
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(bad)
+        (diag,) = [d for d in exc.value.diagnostics if "needs a name" in d.message]
+        assert diag.line == len(MINIMAL.splitlines()) + 2
+
+    @pytest.mark.parametrize("horizon", ["0", "-5"])
+    def test_horizon_below_one_is_diagnosed(self, horizon):
+        bad = MINIMAL.replace("seed = 7", f"seed = 7\nmax_virtual_ms = {horizon}")
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(bad)
+        (diag,) = [d for d in exc.value.diagnostics if d.field == "max_virtual_ms"]
+        assert diag.message == "must be >= 1"
 
 
 class TestValidateCommand:
@@ -244,6 +264,70 @@ class TestOracleCommand:
         assert main(["oracle", "--trials", "0"]) == 2
 
 
+BUILTIN_LINES = [
+    line
+    for line in builtin_scenario_path().read_text(encoding="utf-8").splitlines()
+    if line.strip() and not line.startswith("#")
+]
+MUTANT_VALUES = (
+    "", "0", "-1", "1", "3.5", "1e9", "nan", "inf", "x", ",", "a, b", "0, 0", "5, 1",
+    "true", "numeric", "categorical", "full_p2p", "constant, 0", "uniform, 1", "cloud-1",
+    "P2PTaskExecution",
+)
+MUTANT_NAMES = ("", "x", "cloud-1", "speed_ghz", "two words")
+MUTANT_LINES = (
+    "[dimension]", "[cloud]", "[workload]", "[space]", "[latency]", "[bogus]", "[]", "[",
+    "[bogus name]", "key = value", "junk",
+)
+AT = st.integers(0, 10**6)
+MUTATIONS = st.one_of(
+    st.tuples(st.just("value"), AT, st.sampled_from(MUTANT_VALUES)),
+    st.tuples(st.just("rename"), AT, st.sampled_from(MUTANT_NAMES)),
+    st.tuples(st.just("drop"), AT, st.none()),
+    st.tuples(st.just("insert"), AT, st.sampled_from(MUTANT_LINES)),
+    st.tuples(st.just("duplicate"), AT, st.none()),
+)
+
+
+def mutate(lines: list[str], op: str, at: int, arg: str | None) -> None:
+    """Apply one edit in place; value and rename pick among key lines and
+    section headers respectively."""
+    if op == "insert":
+        lines.insert(at % (len(lines) + 1), arg)
+        return
+    if op in ("value", "rename"):
+        header = op == "rename"
+        candidates = [i for i, line in enumerate(lines) if line.startswith("[") == header]
+        if not candidates:
+            return
+        i = candidates[at % len(candidates)]
+        if header:
+            lines[i] = f"[{lines[i].strip('[]').split(' ')[0]} {arg}]"
+        elif "=" in lines[i]:
+            lines[i] = f"{lines[i].partition('=')[0]}= {arg}"
+        return
+    if lines:
+        i = at % len(lines)
+        if op == "drop":
+            del lines[i]
+        else:
+            lines.insert(i, lines[i])
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.lists(MUTATIONS, min_size=1, max_size=6))
+def test_property_mutated_builtin_scenario_parses_or_is_diagnosed(mutations):
+    lines = list(BUILTIN_LINES)
+    for mutation in mutations:
+        mutate(lines, *mutation)
+    try:
+        result = parse_scenario("\n".join(lines))
+    except ScenarioError as exc:
+        assert exc.diagnostics
+    else:
+        assert isinstance(result, Scenario)
+
+
 def imported_modules(module) -> set[str]:
     """Every module a source file imports, including under TYPE_CHECKING;
     package-relative names keep their leading dots."""
@@ -258,6 +342,47 @@ def imported_modules(module) -> set[str]:
             if node.module is None:
                 names.update(base + alias.name for alias in node.names)
     return names
+
+
+def test_library_defines_nothing_that_only_tests_use():
+    """Code only tests use lives in oracles.py or under tests/: every
+    top-level function or class and every non-dunder method of the other
+    modules is referenced from src/ or bench/ (re-exports do not count)."""
+    package = Path(fedmesh.config.__file__).parent
+    sources = [p for p in package.glob("*.py") if p.name != "__init__.py"]
+    referenced: set[str] = set()
+    for path in sources + list((package.parents[1] / "bench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                referenced.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
+    # The churn driver: mid-run leaves are exercised by tests until the
+    # simulator schedules them itself.
+    allowed = {"overlay.OverlayMembership.leave"}
+    unused = []
+    for path in sorted(sources):
+        if path.name == "oracles.py":
+            continue
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            names = [node.name]
+            if isinstance(node, ast.ClassDef):
+                names += [
+                    f"{node.name}.{m.name}"
+                    for m in node.body
+                    if isinstance(m, ast.FunctionDef)
+                    and not (m.name.startswith("__") and m.name.endswith("__"))
+                ]
+            unused += [
+                f"{path.stem}.{name}"
+                for name in names
+                if name.rsplit(".", 1)[-1] not in referenced
+            ]
+    assert sorted(set(unused) - allowed) == []
 
 
 def test_parser_and_federation_do_not_import_each_other():

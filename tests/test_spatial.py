@@ -20,7 +20,6 @@ from fedmesh import (
     ResourceTicket,
     build_base_cells,
     claim_region,
-    denormalize,
     deploy_federation,
     hash_name,
     map_claim,
@@ -170,10 +169,12 @@ class TestNormalize:
             if spec.kind == "numeric":
                 lo, hi = spec.bounds
                 v = rng.uniform(lo, hi)
-                assert denormalize(testbed_space, i, normalize(testbed_space, i, v)) == pytest.approx(v)
+                x = normalize(testbed_space, i, v)
+                assert lo + x * (hi - lo) == pytest.approx(v)
             else:
                 v = spec.labels[rng.randrange(len(spec.labels))]
-                assert denormalize(testbed_space, i, normalize(testbed_space, i, v)) == v
+                x = normalize(testbed_space, i, v)
+                assert spec.labels[int(x * len(spec.labels))] == v
 
 
 class TestClaimRegion:

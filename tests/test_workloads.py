@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from fedmesh import (
@@ -7,10 +9,11 @@ from fedmesh import (
     MetricsSink,
     WorkloadSpec,
     generate_units,
-    granularity_sweep,
     job_share_percent,
     run_scenario,
+    scale_workloads,
 )
+from fedmesh.workloads import SWEEP_SIZES
 
 
 def spec(rows=5, cols=5, model="task", demand=None, app_id=None):
@@ -53,25 +56,30 @@ class TestGenerateUnits:
 
 class TestGranularitySweep:
     def test_five_observation_points(self):
-        specs = granularity_sweep("task", spec())
-        assert len(specs) == 5
+        assert SWEEP_SIZES == (5, 7, 9, 11, 13)
 
-    def test_sizes_strictly_increasing(self):
-        sizes = [s.unit_count for s in granularity_sweep("task", spec())]
-        assert sizes == [25, 49, 81, 121, 169]
+    def test_sizes_strictly_increasing(self, melbourne_scenario):
+        sizes = [
+            {w.unit_count for w in scale_workloads(melbourne_scenario, ("task",), s).workloads
+             if w.model == "task"}
+            for s in SWEEP_SIZES
+        ]
+        assert sizes == [{25}, {49}, {81}, {121}, {169}]
 
-    def test_specs_differ_only_in_partitioning(self):
-        base = spec()
-        for s in granularity_sweep("task", base):
-            assert (s.model, s.unit_demand, s.submit_cloud, s.submit_time_ms) == (
-                base.model,
-                base.unit_demand,
-                base.submit_cloud,
-                base.submit_time_ms,
-            )
+    def test_model_override(self, melbourne_scenario):
+        scaled = scale_workloads(melbourne_scenario, ("thread",), 7)
+        for base, s in zip(melbourne_scenario.workloads, scaled.workloads):
+            assert (s.rows, s.cols) == ((7, 7) if base.model == "thread" else (base.rows, base.cols))
 
-    def test_model_override(self):
-        assert all(s.model == "thread" for s in granularity_sweep("thread", spec()))
+    def test_specs_differ_only_in_partitioning(self, melbourne_scenario):
+        for size in SWEEP_SIZES:
+            scaled = scale_workloads(melbourne_scenario, ("task",), size)
+            for base, s in zip(melbourne_scenario.workloads, scaled.workloads):
+                if base.model != "task":
+                    assert s == base  # a model outside the sweep is left untouched
+                    continue
+                assert (s.rows, s.cols) == (size, size)
+                assert dataclasses.replace(s, rows=base.rows, cols=base.cols) == base
 
 
 class TestJobShare:
@@ -118,4 +126,4 @@ class TestConservation:
 
         result = run_scenario(melbourne_scenario)
         for app_id, recorded in result.state.metrics.response_times.items():
-            assert recorded == response_time(result.state, app_id)
+            assert recorded == response_time(result.state, result.state.apps[app_id])

@@ -2,9 +2,11 @@
 
 Virtual time is integer milliseconds. Events fire in (fire_at, seq) order,
 where seq is assigned at schedule time, so the delivery order is a pure
-function of the scenario and its seed. Each registered handler receives the
-scheduled payload itself; the engine keeps the time (``now``). Entity inboxes
-are bounded: overflowing one is an explicit error, never a silent drop.
+function of the scenario and its seed. Each entity has one inbox: its handler,
+which receives the scheduled payload itself (the engine keeps the time,
+``now``), and a bounded count of undelivered events. Overflowing an inbox is
+an explicit error, never a silent drop, and scheduling to a target that never
+registered a handler is rejected at once, not when the event would fire.
 """
 
 from __future__ import annotations
@@ -21,11 +23,12 @@ DEFAULT_INBOX_CAPACITY = 1000
 
 
 class Inbox:
-    """Bounded count of scheduled-but-undelivered events for one entity."""
+    """One entity's handler and its bounded count of undelivered events."""
 
-    __slots__ = ("capacity", "pending")
+    __slots__ = ("handler", "capacity", "pending")
 
-    def __init__(self, capacity: int = DEFAULT_INBOX_CAPACITY) -> None:
+    def __init__(self, handler: Callable[[Any], None], capacity: int) -> None:
+        self.handler = handler
         self.capacity = capacity
         self.pending = 0
 
@@ -61,7 +64,6 @@ class SimulationEngine:
         self._now = 0
         self._seq = 0
         self._heap: list[tuple[int, int, str, Any]] = []
-        self._handlers: dict[str, Callable[[Any], None]] = {}
         self._inboxes: dict[str, Inbox] = {}
         self._default_capacity = default_inbox_capacity
         self.events_processed = 0
@@ -75,21 +77,26 @@ class SimulationEngine:
         return bool(self._heap)
 
     def register(self, target: str, handler: Callable[[Any], None]) -> None:
-        self._handlers[target] = handler
-        self._inboxes.setdefault(target, Inbox(self._default_capacity))
-
-    def inbox(self, target: str) -> Inbox:
+        """Create the target's inbox, or swap the handler of an existing one."""
         box = self._inboxes.get(target)
         if box is None:
-            box = Inbox(self._default_capacity)
-            self._inboxes[target] = box
-        return box
+            self._inboxes[target] = Inbox(handler, self._default_capacity)
+        else:
+            box.handler = handler
+
+    def inbox(self, target: str) -> Inbox:
+        """The inbox of a registered target (KeyError for any other)."""
+        return self._inboxes[target]
 
     def schedule(self, delay_ms: int, target: str, payload: Any) -> int:
         """Enqueue an event at now + delay_ms; returns its sequence number."""
         if delay_ms < 0:
             raise InvalidArgumentError(f"delay must be >= 0, got {delay_ms}")
-        box = self.inbox(target)
+        box = self._inboxes.get(target)
+        if box is None:
+            raise SimulationError(
+                f"no handler for entity {target!r} ({type(payload).__name__} at t={self._now})"
+            )
         if box.pending + 1 > box.capacity:
             raise BufferOverflowError(
                 f"inbox of {target!r} at capacity {box.capacity}; refusing to enqueue"
@@ -114,14 +121,10 @@ class SimulationEngine:
             heapq.heappop(self._heap)
             assert fire_at >= self._now, "clock must never run backwards"
             self._now = fire_at
-            self.inbox(target).pending -= 1
-            handler = self._handlers.get(target)
-            if handler is None:
-                raise SimulationError(
-                    f"no handler for entity {target!r} (event {type(payload).__name__} at t={fire_at})"
-                )
+            box = self._inboxes[target]
+            box.pending -= 1
             try:
-                handler(payload)
+                box.handler(payload)
             except Exception as exc:
                 raise SimulationError(
                     f"handler for {target!r} failed on {type(payload).__name__} at t={fire_at}: {exc}"

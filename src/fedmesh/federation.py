@@ -18,9 +18,17 @@ A node with an allocation in flight is "committed": its stale tickets are
 discarded by the coordination peers until the unit finishes, so a node never
 executes two units at once even though status tickets are periodic.
 
+Messages: the WorkloadSpec (submission), ClaimPost, TicketPost, the
+AllocationDecision (match notification), Dispatch, ExecDone, the finished
+WorkUnit (result) and a node's TimerTick. Each entity kind (scheduler, peer,
+node) dispatches on the payload's type through one table; any other payload
+is a named error.
+
 Waiting claims live in one ClaimStore keyed by cell. Which peer owns a cell
 decides who handles the cell's messages and what latency they pay, not where
-its claims are kept, so a cell that changes owner keeps its queue.
+its claims are kept, so a cell that changes owner keeps its queue. A claim or
+ticket post that reaches a peer no longer owning its cell is forwarded to the
+current owner, as Pastry routes a message on to a key's new root.
 """
 
 from __future__ import annotations
@@ -88,54 +96,31 @@ class ExecutionNode:
     committed: bool = False
 
 
-# Simulation message payloads.
+# Message payloads that are not domain objects themselves.
 
 
-@dataclass(frozen=True)
-class SubmitApp:
-    spec: WorkloadSpec
-
-
-@dataclass(frozen=True)
-class ClaimPost:
+class ClaimPost(NamedTuple):
     claim: ResourceClaim
     cell_coords: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class TicketPost:
+class TicketPost(NamedTuple):
     ticket: ResourceTicket
     cell_coords: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class MatchNotify:
-    decision: AllocationDecision
-
-
-@dataclass(frozen=True)
-class Dispatch:
-    decision: AllocationDecision
+class Dispatch(NamedTuple):
     claim: ResourceClaim
     unit: WorkUnit
 
 
-@dataclass(frozen=True)
-class ExecDone:
-    unit: WorkUnit
+class ExecDone(NamedTuple):
     claim: ResourceClaim
-
-
-@dataclass(frozen=True)
-class ResultMsg:
     unit: WorkUnit
-    node_id: str
-    service_label: str
 
 
-@dataclass(frozen=True)
-class TimerTick:
-    node_id: str
+class TimerTick(NamedTuple):
+    """A node's periodic status-update timer."""
 
 
 class _PendingUnit(NamedTuple):
@@ -243,11 +228,10 @@ def recompute_cell_assignment(state: FederationState) -> None:
     """Re-derive the cell-to-peer map from the current overlay membership.
 
     The only place cells are hashed onto the overlay, once per cell. Waiting
-    claims stay with their cell, so a new owner serves them with no handoff.
-    Messages already in flight are not forwarded, though: a peer may lose
-    cells only while nothing is in flight to it, and every new owner must be
-    a deployed peer. Otherwise this raises ConsistencyError naming the peer
-    and leaves the map as it was.
+    claims stay with their cell, so a new owner serves them with no handoff,
+    and a post still in flight to a cell's old owner is forwarded on arrival.
+    Every new owner must be a deployed peer; otherwise this raises
+    ConsistencyError naming the peer and leaves the map as it was.
     """
     membership = state.membership
     owners = {
@@ -257,14 +241,6 @@ def recompute_cell_assignment(state: FederationState) -> None:
     for peer, count in sorted(Counter(owners.values()).items()):
         if peer not in state.peer_cloud:
             raise ConsistencyError(f"peer {peer!r} would own {count} cells but was never deployed")
-    losing = {old for coords, old in state.cell_owner.items() if old != owners[coords]}
-    for peer in sorted(losing):
-        in_flight = state.engine.inbox(f"peer/{peer}").pending
-        if in_flight:
-            raise ConsistencyError(
-                f"peer {peer!r} would lose cells with {in_flight} events in flight to it; "
-                "in-flight messages are not forwarded"
-            )
     state.cell_owner = owners
 
 
@@ -321,24 +297,24 @@ def deploy_federation(scenario: Scenario) -> FederationState:
     )
 
     for cloud_id in clouds:
-        engine.register(f"scheduler/{cloud_id}", _scheduler_handler(state, cloud_id))
+        _register(state, _SCHEDULER, f"scheduler/{cloud_id}", cloud_id)
     for peer_name in peer_cloud:
-        engine.register(f"peer/{peer_name}", _peer_handler(state, peer_name))
-    for node_id in nodes:
-        engine.register(f"node/{node_id}", _node_handler(state, node_id))
+        _register(state, _PEER, f"peer/{peer_name}", peer_name)
+    for node_id, node in nodes.items():
+        _register(state, _NODE, f"node/{node_id}", node)
 
     for node_id, node in nodes.items():
         stream = RngStream(scenario.seed, f"ticket/{node_id}")
         state.ticket_streams[node_id] = stream
         lo, hi = clouds[node.cloud_id].status_update_interval_ms
         delay = int(round(stream.uniform(lo, hi)))
-        engine.schedule(delay, f"node/{node_id}", TimerTick(node_id=node_id))
+        engine.schedule(delay, f"node/{node_id}", TimerTick())
 
     for spec in scenario.workloads:
         if spec.submit_cloud not in clouds:
             raise InvalidArgumentError(f"workload targets unknown cloud {spec.submit_cloud!r}")
         state.pending_submits += 1
-        engine.schedule(spec.submit_time_ms, f"scheduler/{spec.submit_cloud}", SubmitApp(spec))
+        engine.schedule(spec.submit_time_ms, f"scheduler/{spec.submit_cloud}", spec)
 
     log.info(
         "deployed federation: %d clouds, %d nodes, %d peers, %d cells",
@@ -438,12 +414,10 @@ def on_allocation(state: FederationState, decision: AllocationDecision) -> None:
         raise ConsistencyError(f"allocation for unknown claim {decision.claim_id}")
     node = state.nodes[decision.target]
     delay = state.latency.between(pending.claim.origin, node.cloud_id)
-    state.engine.schedule(
-        delay, f"node/{node.node_id}", Dispatch(decision, pending.claim, pending.unit)
-    )
+    state.engine.schedule(delay, f"node/{node.node_id}", Dispatch(pending.claim, pending.unit))
 
 
-def response_time(state: FederationState, handle: ApplicationHandle) -> float:
+def response_time(handle: ApplicationHandle) -> float:
     """Seconds from submission to the last unit's result arrival."""
     if not handle.complete:
         raise NotReadyError(
@@ -479,119 +453,115 @@ def run_to_quiescence(state: FederationState) -> RunReport:
     )
 
 
-# Event handlers (one closure per entity).
+# Event handlers: one table per entity kind, keyed by payload type. Each
+# _on_* receives the state, the entity (a scheduler's cloud id, a peer's name
+# or the ExecutionNode itself) and the payload.
 
 
-def _scheduler_handler(state: FederationState, cloud_id: str):
+def _register(state: FederationState, table: dict, target: str, entity: object) -> None:
     def handle(payload: object) -> None:
-        if isinstance(payload, SubmitApp):
-            state.pending_submits -= 1
-            submit_application(state, payload.spec.submit_cloud, payload.spec)
-        elif isinstance(payload, MatchNotify):
-            on_allocation(state, payload.decision)
-        elif isinstance(payload, ResultMsg):
-            handle_result(payload)
-        else:
-            raise ConsistencyError(f"scheduler/{cloud_id}: unexpected {type(payload).__name__}")
+        on = table.get(type(payload))
+        if on is None:
+            raise ConsistencyError(f"{target}: unexpected {type(payload).__name__}")
+        on(state, entity, payload)
 
-    def handle_result(payload: ResultMsg) -> None:
-        handle = state.apps[payload.unit.app_id]
-        handle.completions[payload.unit.unit_id] = state.engine.now
-        state.completed_total += 1
-        if handle.complete:
-            state.metrics.record_response(handle.app_id, response_time(state, handle))
-
-    return handle
+    state.engine.register(target, handle)
 
 
-def _peer_handler(state: FederationState, peer_name: str):
-    store = state.store
-
-    def handle(payload: object) -> None:
-        if isinstance(payload, ClaimPost):
-            if payload.claim.claim_id in state.served:
-                return  # replica still in flight when the claim was served
-            cell = state.cells_by_coords[payload.cell_coords]
-            store.post_claim(cell, payload.claim)
-        elif isinstance(payload, TicketPost):
-            handle_ticket(payload)
-        else:
-            raise ConsistencyError(f"peer/{peer_name}: unexpected {type(payload).__name__}")
-
-    def handle_ticket(payload: TicketPost) -> None:
-        if state.finished:
-            return
-        node = state.nodes[payload.ticket.origin]
-        if node.busy or node.committed:
-            state.metrics.stale_tickets += 1
-            return
-        cell = state.cells_by_coords[payload.cell_coords]
-        decisions = store.post_ticket(cell, payload.ticket, now_ms=state.engine.now)
-        for decision in decisions:
-            if decision.claim_id in state.served:
-                raise ConsistencyError(f"claim {decision.claim_id} served twice")
-            state.served.add(decision.claim_id)
-            node.committed = True
-            # Retire every replica before any further event can observe it.
-            for coords in state.pending[decision.claim_id].cells:
-                if coords != payload.cell_coords:  # the matched copy is already gone
-                    store.discard(coords, decision.claim_id)
-            state.metrics.record_decision(decision)
-            delay = state.latency.between(state.peer_cloud[peer_name], decision.notify)
-            state.engine.schedule(
-                delay, f"scheduler/{decision.notify}", MatchNotify(decision)
-            )
-
-    return handle
+def _on_submit(state: FederationState, cloud_id: str, spec: WorkloadSpec) -> None:
+    state.pending_submits -= 1
+    submit_application(state, cloud_id, spec)
 
 
-def _node_handler(state: FederationState, node_id: str):
-    def handle(payload: object) -> None:
-        node = state.nodes[node_id]
-        if isinstance(payload, TimerTick):
-            if state.finished:
-                return
-            publish_ticket(state, node)
-            lo, hi = state.clouds[node.cloud_id].status_update_interval_ms
-            delay = int(round(state.ticket_streams[node_id].uniform(lo, hi)))
-            state.engine.schedule(delay, f"node/{node_id}", TimerTick(node_id=node_id))
-        elif isinstance(payload, Dispatch):
-            handle_dispatch(node, payload)
-        elif isinstance(payload, ExecDone):
-            handle_done(node, payload)
-        else:
-            raise ConsistencyError(f"node/{node_id}: unexpected {type(payload).__name__}")
+def _on_match(state: FederationState, cloud_id: str, decision: AllocationDecision) -> None:
+    on_allocation(state, decision)
 
-    def handle_dispatch(node: ExecutionNode, payload: Dispatch) -> None:
-        if node.busy:
-            raise ConsistencyError(f"node {node.node_id} dispatched while busy")
-        label = SERVICE_LABELS[payload.unit.model]
-        if not point_satisfies(payload.claim, state.node_point(node, label)):
-            raise ConsistencyError(
-                f"unit {payload.unit.unit_id} dispatched to node {node.node_id} "
-                "that fails its claim constraints"
-            )
-        node.busy = True
-        exec_ms = max(1, round(payload.unit.demand_ghz_s / node.speed_ghz * 1000))
-        state.engine.schedule(
-            exec_ms, f"node/{node.node_id}", ExecDone(payload.unit, payload.claim)
+
+def _on_result(state: FederationState, cloud_id: str, unit: WorkUnit) -> None:
+    handle = state.apps[unit.app_id]
+    handle.completions[unit.unit_id] = state.engine.now
+    state.completed_total += 1
+    if handle.complete:
+        state.metrics.record_response(handle.app_id, response_time(handle))
+
+
+def _forwarded(state: FederationState, peer: str, post: ClaimPost | TicketPost) -> bool:
+    """Pass a post for a cell this peer no longer owns on to the cell's
+    current owner, as Pastry routes a key on to its new root."""
+    owner = state.cell_owner[post.cell_coords]
+    if owner == peer:
+        return False
+    delay = state.latency.between(state.peer_cloud[peer], state.peer_cloud[owner])
+    state.engine.schedule(delay, f"peer/{owner}", post)
+    return True
+
+
+def _on_claim(state: FederationState, peer: str, post: ClaimPost) -> None:
+    if post.claim.claim_id in state.served:
+        return  # replica still in flight when the claim was served
+    if not _forwarded(state, peer, post):
+        state.store.post_claim(state.cells_by_coords[post.cell_coords], post.claim)
+
+
+def _on_ticket(state: FederationState, peer: str, post: TicketPost) -> None:
+    if state.finished or _forwarded(state, peer, post):
+        return
+    node = state.nodes[post.ticket.origin]
+    if node.busy or node.committed:
+        state.metrics.stale_tickets += 1
+        return
+    cell = state.cells_by_coords[post.cell_coords]
+    for decision in state.store.post_ticket(cell, post.ticket, now_ms=state.engine.now):
+        if decision.claim_id in state.served:
+            raise ConsistencyError(f"claim {decision.claim_id} served twice")
+        state.served.add(decision.claim_id)
+        node.committed = True
+        # Retire every replica before any further event can observe it.
+        for coords in state.pending[decision.claim_id].cells:
+            if coords != post.cell_coords:  # the matched copy is already gone
+                state.store.discard(coords, decision.claim_id)
+        state.metrics.record_decision(decision)
+        delay = state.latency.between(state.peer_cloud[peer], decision.notify)
+        state.engine.schedule(delay, f"scheduler/{decision.notify}", decision)
+
+
+def _on_tick(state: FederationState, node: ExecutionNode, tick: TimerTick) -> None:
+    if state.finished:
+        return
+    publish_ticket(state, node)
+    lo, hi = state.clouds[node.cloud_id].status_update_interval_ms
+    delay = int(round(state.ticket_streams[node.node_id].uniform(lo, hi)))
+    state.engine.schedule(delay, f"node/{node.node_id}", tick)
+
+
+def _on_dispatch(state: FederationState, node: ExecutionNode, dispatch: Dispatch) -> None:
+    if node.busy:
+        raise ConsistencyError(f"node {node.node_id} dispatched while busy")
+    label = SERVICE_LABELS[dispatch.unit.model]
+    if not point_satisfies(dispatch.claim, state.node_point(node, label)):
+        raise ConsistencyError(
+            f"unit {dispatch.unit.unit_id} dispatched to node {node.node_id} "
+            "that fails its claim constraints"
         )
+    node.busy = True
+    exec_ms = max(1, round(dispatch.unit.demand_ghz_s / node.speed_ghz * 1000))
+    state.engine.schedule(exec_ms, f"node/{node.node_id}", ExecDone(dispatch.claim, dispatch.unit))
 
-    def handle_done(node: ExecutionNode, payload: ExecDone) -> None:
-        node.busy = False
-        node.committed = False
-        label = SERVICE_LABELS[payload.unit.model]
-        state.metrics.record_completion(node.cloud_id, label, payload.unit.model)
-        delay = state.latency.between(node.cloud_id, payload.claim.origin)
-        state.engine.schedule(
-            delay,
-            f"scheduler/{payload.claim.origin}",
-            ResultMsg(payload.unit, node.node_id, label),
-        )
-        if state.eager_tickets:
-            publish_ticket(state, node)
 
-    return handle
+def _on_done(state: FederationState, node: ExecutionNode, done: ExecDone) -> None:
+    node.busy = False
+    node.committed = False
+    label = SERVICE_LABELS[done.unit.model]
+    state.metrics.record_completion(node.cloud_id, label, done.unit.model)
+    delay = state.latency.between(node.cloud_id, done.claim.origin)
+    state.engine.schedule(delay, f"scheduler/{done.claim.origin}", done.unit)
+    if state.eager_tickets:
+        publish_ticket(state, node)
+
+
+_SCHEDULER = {WorkloadSpec: _on_submit, AllocationDecision: _on_match, WorkUnit: _on_result}
+_PEER = {ClaimPost: _on_claim, TicketPost: _on_ticket}
+_NODE = {TimerTick: _on_tick, Dispatch: _on_dispatch, ExecDone: _on_done}
 
 
 # Claim construction helpers.

@@ -100,10 +100,11 @@ class TestRun:
         assert engine.run() == 1
 
     def test_missing_handler_aborts(self):
+        # Rejected when scheduled, not when the event would fire.
         engine = SimulationEngine()
-        engine.schedule(1, "ghost", Ping())
-        with pytest.raises(SimulationError, match="ghost"):
-            engine.run()
+        with pytest.raises(SimulationError, match=r"ghost.*Ping"):
+            engine.schedule(1, "ghost", Ping())
+        assert not engine.has_pending_events
 
     def test_handler_error_carries_diagnostics(self):
         engine = SimulationEngine()

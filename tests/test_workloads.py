@@ -126,4 +126,4 @@ class TestConservation:
 
         result = run_scenario(melbourne_scenario)
         for app_id, recorded in result.state.metrics.response_times.items():
-            assert recorded == response_time(result.state, result.state.apps[app_id])
+            assert recorded == response_time(result.state.apps[app_id])

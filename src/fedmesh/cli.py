@@ -146,6 +146,9 @@ def cmd_oracle(args) -> int:
     if args.trials < 1:
         print("--trials must be >= 1", file=sys.stderr)
         return EXIT_INVALID_SCENARIO
+    if args.dims < 2:
+        print("--dims must be >= 2", file=sys.stderr)
+        return EXIT_INVALID_SCENARIO
     reports = run_oracle_suites(args.trials, args.dims, args.seed)
     all_passed = True
     for report in reports:

@@ -7,6 +7,12 @@ form one claim class. Every unit a cloud submits for one model shares its
 constraints, so a cell holding thousands of claims holds only a few classes.
 Each class is a FIFO bucket in (arrival_time, claim_id) order.
 
+The federation interns one ClaimClass per (cloud, model): a constraint tuple
+whose hash is computed once, at construction, so a cell insert pays one
+cached-hash call and finds its bucket by identity. A ClaimClass hashes and
+compares as the plain tuple it holds, so claims built with fresh tuples (as
+the oracles and tests build them) still meet an interned class in one bucket.
+
 Whether a claim matches a ticket depends on its constraints alone, so a
 ticket is tested once per class, against the bucket's head claim. The
 matching buckets are merged back into global (arrival_time, claim_id) order
@@ -18,6 +24,7 @@ discarded, since a fresh status ticket will follow.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
+from collections.abc import Iterable
 from dataclasses import dataclass
 from heapq import merge
 from itertools import chain
@@ -29,7 +36,20 @@ from .spatial import Constraint, IndexCell, ResourceClaim, ResourceTicket, match
 _Entry = tuple[int, str, ResourceClaim]
 
 
-@dataclass(frozen=True)
+class ClaimClass(tuple):
+    """A constraint tuple with its hash cached: equal to, and hashing as, the
+    plain tuple of the same constraints."""
+
+    def __new__(cls, constraints: Iterable[Constraint]) -> ClaimClass:
+        self = super().__new__(cls, constraints)
+        self._hash = tuple.__hash__(self)
+        return self
+
+    def __hash__(self) -> int:
+        return self._hash
+
+
+@dataclass(frozen=True, slots=True)
 class AllocationDecision:
     """One claim granted against one ticket."""
 
@@ -53,7 +73,9 @@ class _CellQueue:
         self.index: dict[str, tuple[list[_Entry], int]] = {}
 
     def insert(self, claim: ResourceClaim) -> None:
-        bucket = self.buckets.setdefault(claim.constraints, [])
+        bucket = self.buckets.get(claim.constraints)
+        if bucket is None:
+            bucket = self.buckets[claim.constraints] = []
         insort(bucket, (claim.arrival_time, claim.claim_id, claim))
         self.index[claim.claim_id] = (bucket, claim.arrival_time)
 

@@ -49,7 +49,7 @@ from .config import (
     LatencyModel,
     Scenario,
 )
-from .coordination import AllocationDecision, ClaimStore
+from .coordination import AllocationDecision, ClaimClass, ClaimStore
 from .engine import RngStream, SimulationEngine
 from .errors import (
     ConsistencyError,
@@ -60,7 +60,6 @@ from .errors import (
 from .overlay import OverlayMembership
 from .spatial import (
     AttributeSpace,
-    Constraint,
     Eq,
     Ge,
     IndexCell,
@@ -94,6 +93,10 @@ class ExecutionNode:
     cpu_type: str
     busy: bool = False
     committed: bool = False
+    target: str = field(init=False)  # the node's engine address, built once
+
+    def __post_init__(self) -> None:
+        self.target = f"node/{self.node_id}"
 
 
 # Message payloads that are not domain objects themselves.
@@ -121,6 +124,14 @@ class ExecDone(NamedTuple):
 
 class TimerTick(NamedTuple):
     """A node's periodic status-update timer."""
+
+
+class _ClaimClassRecord(NamedTuple):
+    """The one constraint tuple every claim of a class shares, and whether
+    any node in the federation can satisfy it."""
+
+    constraints: ClaimClass
+    satisfiable: bool
 
 
 class _PendingUnit(NamedTuple):
@@ -178,6 +189,10 @@ class FederationState:
         self.metrics = MetricsSink()
         self.store = ClaimStore()
         self.cell_owner: dict[tuple[int, ...], str] = {}
+        # Engine addresses and sorted service labels, built once at deploy.
+        self.peer_targets = {peer: f"peer/{peer}" for peer in peer_cloud}
+        self.scheduler_targets = {cid: f"scheduler/{cid}" for cid in clouds}
+        self.service_labels = {cid: tuple(sorted(c.service_types)) for cid, c in clouds.items()}
         self.apps: dict[str, ApplicationHandle] = {}
         self.pending: dict[str, _PendingUnit] = {}
         self.served: set[str] = set()
@@ -189,8 +204,10 @@ class FederationState:
         self.node_points: dict[tuple[str, str], tuple[object, ...]] = {}
         # A node's tickets for one label share its point, hence its cell.
         self.ticket_cells: dict[tuple[str, str], IndexCell] = {}
-        # Keyed by constraint tuple; valid because the node set is fixed.
-        self.satisfiable: dict[tuple[Constraint, ...], bool] = {}
+        # Keyed by (model, cpu_type, speed), the inputs of a cloud's claims, so
+        # clouds submitting equal claims share one record. Satisfiability is
+        # valid for the whole run because the node set is fixed.
+        self.claim_classes: dict[tuple[str, str, float], _ClaimClassRecord] = {}
         self.ticket_streams: dict[str, RngStream] = {}
         recompute_cell_assignment(self)
 
@@ -296,25 +313,25 @@ def deploy_federation(scenario: Scenario) -> FederationState:
         max_virtual_ms=scenario.max_virtual_ms,
     )
 
-    for cloud_id in clouds:
-        _register(state, _SCHEDULER, f"scheduler/{cloud_id}", cloud_id)
-    for peer_name in peer_cloud:
-        _register(state, _PEER, f"peer/{peer_name}", peer_name)
-    for node_id, node in nodes.items():
-        _register(state, _NODE, f"node/{node_id}", node)
+    for cloud_id, target in state.scheduler_targets.items():
+        _register(state, _SCHEDULER, target, cloud_id)
+    for peer_name, target in state.peer_targets.items():
+        _register(state, _PEER, target, peer_name)
+    for node in nodes.values():
+        _register(state, _NODE, node.target, node)
 
     for node_id, node in nodes.items():
         stream = RngStream(scenario.seed, f"ticket/{node_id}")
         state.ticket_streams[node_id] = stream
         lo, hi = clouds[node.cloud_id].status_update_interval_ms
         delay = int(round(stream.uniform(lo, hi)))
-        engine.schedule(delay, f"node/{node_id}", TimerTick())
+        engine.schedule(delay, node.target, TimerTick())
 
     for spec in scenario.workloads:
         if spec.submit_cloud not in clouds:
             raise InvalidArgumentError(f"workload targets unknown cloud {spec.submit_cloud!r}")
         state.pending_submits += 1
-        engine.schedule(spec.submit_time_ms, f"scheduler/{spec.submit_cloud}", spec)
+        engine.schedule(spec.submit_time_ms, state.scheduler_targets[spec.submit_cloud], spec)
 
     log.info(
         "deployed federation: %d clouds, %d nodes, %d peers, %d cells",
@@ -330,7 +347,8 @@ def submit_application(
 
     The claims pin the submitting cloud's own attributes: service type and
     CPU type as equalities, one processor, and speed at least as fast as the
-    local nodes. Units no node in the federation can ever satisfy are marked
+    local nodes; every claim of one (cloud, model) shares one interned
+    ClaimClass. Units no node in the federation can ever satisfy are marked
     stranded up front (their claims are still posted and reported at the
     end of the run).
     """
@@ -357,18 +375,25 @@ def submit_application(
     state.metrics.record_submitted(spec.model, len(units))
     state.submitted_total += len(units)
 
-    scheduler_cloud = cloud_id
+    claim_class = _claim_class(state, cloud, spec.model)
     for unit in units:
-        claim = _build_claim(state, cloud, unit, now)
-        if not _claim_satisfiable(state, claim):
+        claim = ResourceClaim(
+            claim_id=unit.unit_id,
+            constraints=claim_class.constraints,
+            requested_units=1,
+            origin=cloud_id,
+            arrival_time=now,
+            job_ref=unit.unit_id,
+        )
+        if not claim_class.satisfiable:
             handle.stranded.add(unit.unit_id)
             state.stranded_ids.add(claim.claim_id)
         cells = [cell.coords for cell in map_claim(state.space, state.cells, claim)]
         state.pending[claim.claim_id] = _PendingUnit(claim, unit, cells)
         for coords in cells:
             owner = state.cell_owner[coords]
-            delay = state.latency.between(scheduler_cloud, state.peer_cloud[owner])
-            state.engine.schedule(delay, f"peer/{owner}", ClaimPost(claim, coords))
+            delay = state.latency.between(cloud_id, state.peer_cloud[owner])
+            state.engine.schedule(delay, state.peer_targets[owner], ClaimPost(claim, coords))
     return handle
 
 
@@ -384,8 +409,7 @@ def publish_ticket(state: FederationState, node: ExecutionNode) -> None:
     if node.busy or node.committed:
         return
     now = state.engine.now
-    cloud = state.clouds[node.cloud_id]
-    for label in sorted(cloud.service_types):
+    for label in state.service_labels[node.cloud_id]:
         point = state.node_point(node, label)
         ticket = ResourceTicket(
             ticket_id=f"{node.node_id}@{now}/{label}",
@@ -400,7 +424,7 @@ def publish_ticket(state: FederationState, node: ExecutionNode) -> None:
             cell = state.ticket_cells[key] = map_ticket(state.space, state.cells, ticket)
         owner = state.cell_owner[cell.coords]
         delay = state.latency.between(node.cloud_id, state.peer_cloud[owner])
-        state.engine.schedule(delay, f"peer/{owner}", TicketPost(ticket, cell.coords))
+        state.engine.schedule(delay, state.peer_targets[owner], TicketPost(ticket, cell.coords))
         state.metrics.tickets_published += 1
 
 
@@ -414,7 +438,7 @@ def on_allocation(state: FederationState, decision: AllocationDecision) -> None:
         raise ConsistencyError(f"allocation for unknown claim {decision.claim_id}")
     node = state.nodes[decision.target]
     delay = state.latency.between(pending.claim.origin, node.cloud_id)
-    state.engine.schedule(delay, f"node/{node.node_id}", Dispatch(pending.claim, pending.unit))
+    state.engine.schedule(delay, node.target, Dispatch(pending.claim, pending.unit))
 
 
 def response_time(handle: ApplicationHandle) -> float:
@@ -492,7 +516,7 @@ def _forwarded(state: FederationState, peer: str, post: ClaimPost | TicketPost) 
     if owner == peer:
         return False
     delay = state.latency.between(state.peer_cloud[peer], state.peer_cloud[owner])
-    state.engine.schedule(delay, f"peer/{owner}", post)
+    state.engine.schedule(delay, state.peer_targets[owner], post)
     return True
 
 
@@ -522,7 +546,7 @@ def _on_ticket(state: FederationState, peer: str, post: TicketPost) -> None:
                 state.store.discard(coords, decision.claim_id)
         state.metrics.record_decision(decision)
         delay = state.latency.between(state.peer_cloud[peer], decision.notify)
-        state.engine.schedule(delay, f"scheduler/{decision.notify}", decision)
+        state.engine.schedule(delay, state.scheduler_targets[decision.notify], decision)
 
 
 def _on_tick(state: FederationState, node: ExecutionNode, tick: TimerTick) -> None:
@@ -531,7 +555,7 @@ def _on_tick(state: FederationState, node: ExecutionNode, tick: TimerTick) -> No
     publish_ticket(state, node)
     lo, hi = state.clouds[node.cloud_id].status_update_interval_ms
     delay = int(round(state.ticket_streams[node.node_id].uniform(lo, hi)))
-    state.engine.schedule(delay, f"node/{node.node_id}", tick)
+    state.engine.schedule(delay, node.target, tick)
 
 
 def _on_dispatch(state: FederationState, node: ExecutionNode, dispatch: Dispatch) -> None:
@@ -545,7 +569,7 @@ def _on_dispatch(state: FederationState, node: ExecutionNode, dispatch: Dispatch
         )
     node.busy = True
     exec_ms = max(1, round(dispatch.unit.demand_ghz_s / node.speed_ghz * 1000))
-    state.engine.schedule(exec_ms, f"node/{node.node_id}", ExecDone(dispatch.claim, dispatch.unit))
+    state.engine.schedule(exec_ms, node.target, ExecDone(dispatch.claim, dispatch.unit))
 
 
 def _on_done(state: FederationState, node: ExecutionNode, done: ExecDone) -> None:
@@ -554,7 +578,7 @@ def _on_done(state: FederationState, node: ExecutionNode, done: ExecDone) -> Non
     label = SERVICE_LABELS[done.unit.model]
     state.metrics.record_completion(node.cloud_id, label, done.unit.model)
     delay = state.latency.between(node.cloud_id, done.claim.origin)
-    state.engine.schedule(delay, f"scheduler/{done.claim.origin}", done.unit)
+    state.engine.schedule(delay, state.scheduler_targets[done.claim.origin], done.unit)
     if state.eager_tickets:
         publish_ticket(state, node)
 
@@ -564,38 +588,31 @@ _PEER = {ClaimPost: _on_claim, TicketPost: _on_ticket}
 _NODE = {TimerTick: _on_tick, Dispatch: _on_dispatch, ExecDone: _on_done}
 
 
-# Claim construction helpers.
+# Claim classes.
 
 
-def _build_claim(
-    state: FederationState, cloud: CloudConfig, unit: WorkUnit, now: int
-) -> ResourceClaim:
-    values = {
-        DIM_SERVICE: Eq(SERVICE_LABELS[unit.model]),
-        DIM_PROCESSORS: Eq(1),
-        DIM_CPU: Eq(cloud.cpu_type),
-        DIM_SPEED: Ge(cloud.node_speed_ghz),
-    }
-    try:
-        constraints = tuple(values[d.name] for d in state.space.dims)
-    except KeyError as exc:
-        raise InvalidArgumentError(f"attribute space lacks required dimension {exc}") from None
-    return ResourceClaim(
-        claim_id=unit.unit_id,
-        constraints=constraints,
-        requested_units=1,
-        origin=cloud.cloud_id,
-        arrival_time=now,
-        job_ref=unit.unit_id,
-    )
-
-
-def _claim_satisfiable(state: FederationState, claim: ResourceClaim) -> bool:
-    known = state.satisfiable.get(claim.constraints)
-    if known is None:
-        known = state.satisfiable[claim.constraints] = any(
-            point_satisfies(claim, state.node_point(node, label))
+def _claim_class(state: FederationState, cloud: CloudConfig, model: str) -> _ClaimClassRecord:
+    """The claim class of a cloud's units of one model, built on first use."""
+    key = (model, cloud.cpu_type, cloud.node_speed_ghz)
+    record = state.claim_classes.get(key)
+    if record is None:
+        values = {
+            DIM_SERVICE: Eq(SERVICE_LABELS[model]),
+            DIM_PROCESSORS: Eq(1),
+            DIM_CPU: Eq(cloud.cpu_type),
+            DIM_SPEED: Ge(cloud.node_speed_ghz),
+        }
+        names = [d.name for d in state.space.dims]
+        if set(names) != values.keys():
+            raise InvalidArgumentError(
+                f"claims need exactly the dimensions {sorted(values)}; the space has {names}"
+            )
+        constraints = ClaimClass(values[name] for name in names)
+        probe = ResourceClaim("", constraints, 1, cloud.cloud_id, 0, "")  # read for its constraints
+        satisfiable = any(
+            point_satisfies(probe, state.node_point(node, label))
             for node in state.nodes.values()
             for label in state.clouds[node.cloud_id].service_types
         )
-    return known
+        record = state.claim_classes[key] = _ClaimClassRecord(constraints, satisfiable)
+    return record

@@ -14,6 +14,7 @@ import struct
 from dataclasses import dataclass
 
 from .coordination import ClaimStore
+from .errors import InvalidArgumentError
 from .overlay import NodeId, OverlayMembership, circular_distance, shared_prefix_len
 from .spatial import (
     CATEGORICAL,
@@ -343,7 +344,9 @@ def routing_suite(checks: int, seed: int) -> SuiteReport:
 
 
 def run_oracle_suites(trials: int, max_dims: int, seed: int) -> list[SuiteReport]:
-    dims = tuple(range(2, max(2, max_dims) + 1))
+    if max_dims < 2:
+        raise InvalidArgumentError(f"oracle suites need max_dims >= 2, got {max_dims}")
+    dims = tuple(range(2, max_dims + 1))
     per_dim = max(1, trials // len(dims))
     return [
         rendezvous_suite(per_dim, dims, seed),

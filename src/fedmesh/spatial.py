@@ -116,7 +116,7 @@ class IndexCell:
     control_point: tuple[float, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ResourceClaim:
     """A range look-up query: one constraint per dimension plus capacity."""
 
@@ -132,7 +132,7 @@ class ResourceClaim:
             raise InvalidArgumentError("requested_units must be >= 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ResourceTicket:
     """A point update query: a node's attribute values plus free capacity."""
 

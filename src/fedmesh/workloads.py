@@ -74,7 +74,7 @@ class WorkloadSpec:
         return f"{self.submit_cloud}/{self.model}-{self.rows}x{self.cols}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WorkUnit:
     unit_id: str
     app_id: str

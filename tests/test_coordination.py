@@ -17,6 +17,7 @@ from fedmesh import (
     map_claim,
     map_ticket,
 )
+from fedmesh.coordination import ClaimClass
 from fedmesh.oracles import (
     centralized_fifo_allocate,
     distributed_fifo_allocate,
@@ -285,6 +286,53 @@ class TestClaimClasses:
         follow_up = dataclasses.replace(base, ticket_id="again", available_units=7)
         assert [d.claim_id for d in store.post_ticket(cell, follow_up)] == ["big", "b3"]
         assert [c.claim_id for c in store.snapshot(cell)] == ["c1"]
+
+    def test_claim_class_hashes_and_compares_as_its_tuple(self):
+        plain = (Eq(THREAD_LABEL), Eq(1), Eq("Intel"), Ge(2.4))
+        interned = ClaimClass(plain)
+        assert isinstance(interned, tuple) and interned is not plain
+        assert hash(interned) == hash(plain)
+        assert interned == plain and plain == interned
+        assert interned != ClaimClass((Eq(THREAD_LABEL), Eq(1), Eq("Intel"), Ge(3.0)))
+        assert {plain: "bucket"}[interned] == "bucket"
+
+    def test_claim_class_hashes_its_constraints_once(self):
+        calls = []
+
+        class Counted:
+            def __hash__(self):
+                calls.append(1)
+                return 7
+
+        interned = ClaimClass((Counted(), Counted()))
+        assert len(calls) == 2
+        for _ in range(3):
+            hash(interned)
+        assert len(calls) == 2
+
+    def test_interned_and_plain_claims_share_one_bucket(self, testbed_space, testbed_cells):
+        interned = ClaimClass((Eq(THREAD_LABEL), Eq(1), Eq("Intel"), Ge(2.4)))
+        claims = [
+            dataclasses.replace(
+                _thread_claim(f"u{j}", 2.4, arrival_time=(j * 7) % 5 * 10),
+                constraints=interned if j % 2 else tuple(interned),
+            )
+            for j in range(8)
+        ]
+        assert {type(c.constraints) for c in claims} == {tuple, ClaimClass}
+        ticket = dataclasses.replace(published_ticket(), available_units=5)
+        cell = map_ticket(testbed_space, testbed_cells, ticket)
+        store = ClaimStore()
+        for claim in claims:
+            store.post_claim(cell, claim)
+        assert len(store._cells[cell.coords].buckets) == 1
+        fifo = sorted(claims, key=lambda c: (c.arrival_time, c.claim_id))
+        assert store.snapshot(cell) == fifo
+        decisions = store.post_ticket(cell, ticket)
+        assert [(d.ticket_id, d.claim_id, d.units_granted) for d in decisions] == (
+            centralized_fifo_allocate(claims, [ticket])
+        )
+        assert store.snapshot(cell) == fifo[5:]
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(st.randoms(use_true_random=False))

@@ -1,21 +1,28 @@
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedmesh import (
+    AllocationDecision,
     CloudConfig,
     ConsistencyError,
     DemandDistribution,
     DimensionSpec,
     Eq,
     Ge,
+    InvalidArgumentError,
     LatencyModel,
     NotReadyError,
+    ResourceClaim,
+    ResourceTicket,
     Scenario,
     SimulationError,
     WorkloadSpec,
+    WorkUnit,
     deploy_federation,
     hash_name,
     publish_ticket,
@@ -32,7 +39,7 @@ from fedmesh.federation import ClaimPost, TimerTick, on_allocation
 from fedmesh.oracles import replica_count
 from fedmesh.workloads import SERVICE_LABELS
 
-from conftest import TASK_LABEL, THREAD_LABEL
+from conftest import TASK_LABEL, THREAD_LABEL, published_ticket
 
 BOTH = (TASK_LABEL, THREAD_LABEL)
 BUILTIN_PEERS = tuple(f"cloud-{i}" for i in range(1, 6))
@@ -215,6 +222,39 @@ class TestSubmit:
         assert by_dim["cpu_type"] == Eq("Intel")
         assert by_dim["speed_ghz"] == Ge(2.4)
 
+    def test_claims_of_one_cloud_and_model_share_one_interned_class(self):
+        state = deploy_federation(scenario([cloud("cloud-1", 2.4), cloud("cloud-2", 3.0)]))
+        for cloud_id in ("cloud-1", "cloud-2"):
+            for model in ("task", "thread"):
+                for app in range(2):
+                    spec = workload(cloud_id, model=model, rows=2, cols=3, app_id=f"{cloud_id}/{model}{app}")
+                    submit_application(state, cloud_id, spec)
+        by_pair = {}
+        for pending in state.pending.values():
+            pair = (pending.claim.origin, pending.unit.model)
+            by_pair.setdefault(pair, set()).add(id(pending.claim.constraints))
+        assert len(by_pair) == 4
+        assert all(len(ids) == 1 for ids in by_pair.values())
+        distinct = {id(p.claim.constraints) for p in state.pending.values()}
+        assert len(distinct) == len(by_pair)
+
+    def test_clouds_submitting_equal_claims_share_one_class(self):
+        state = deploy_federation(scenario([cloud("cloud-1", 2.4), cloud("cloud-2", 2.4)]))
+        submit_application(state, "cloud-1", workload("cloud-1", rows=1, cols=2))
+        submit_application(state, "cloud-2", workload("cloud-2", rows=1, cols=2))
+        assert len({id(p.claim.constraints) for p in state.pending.values()}) == 1
+        assert len(state.claim_classes) == 1
+
+    @pytest.mark.parametrize("change", ["missing", "extra"])
+    def test_space_without_exactly_the_claim_dimensions_rejected(self, change):
+        if change == "missing":
+            space_dims = tuple(d for d in dims() if d.name != "speed_ghz")
+        else:
+            space_dims = dims() + (DimensionSpec(name="memory_gb", kind="numeric", bounds=(0.0, 64.0)),)
+        state = deploy_federation(dataclasses.replace(scenario([cloud("cloud-1", 2.4)]), dims=space_dims))
+        with pytest.raises(InvalidArgumentError, match="claims need exactly the dimensions"):
+            submit_application(state, "cloud-1", workload("cloud-1", rows=1, cols=1))
+
     def test_unknown_cloud_rejected(self):
         state = deploy_federation(scenario([cloud("cloud-1", 2.4)]))
         with pytest.raises(Exception):
@@ -246,6 +286,15 @@ class TestPublishTicket:
         node.committed = True
         publish_ticket(state, node)
         assert state.metrics.tickets_published == 0
+
+    def test_tickets_go_out_in_sorted_label_order(self):
+        state = deploy_federation(scenario([cloud("cloud-1", 2.7, nodes=1, services=(THREAD_LABEL, TASK_LABEL))]))
+        state.submitted_total = 1
+        received = []
+        state.engine.register("peer/cloud-1", lambda post: received.append(post.ticket.point[0]))
+        publish_ticket(state, state.nodes["cloud-1/n0"])
+        state.engine.run(until_ms=10)
+        assert received == [TASK_LABEL, THREAD_LABEL] == sorted(BOTH)
 
     def test_ticket_point_mirrors_node_attributes(self):
         state = deploy_federation(scenario([cloud("cloud-2", 2.7, nodes=1)]))
@@ -410,6 +459,24 @@ class TestStranded:
         assert not handle.complete
         assert len(handle.stranded) == 4
 
+    def test_class_no_node_can_satisfy_strands_all_its_units(self):
+        # cloud-1 offers only task execution at 3.0 GHz; cloud-2's thread
+        # nodes are too slow for cloud-1's thread claims (speed >= 3.0).
+        sc = scenario(
+            [cloud("cloud-1", 3.0, services=(TASK_LABEL,)), cloud("cloud-2", 2.4)],
+            [
+                workload("cloud-1", model="thread", rows=2, cols=3),
+                workload("cloud-1", model="task", rows=2, cols=2, at=3),
+                workload("cloud-2", model="thread", rows=1, cols=2, at=6),
+            ],
+        )
+        result = run_scenario(sc)
+        stranded_handle = result.state.apps["cloud-1/thread-2x3"]
+        assert sorted(result.stranded) == sorted(stranded_handle.stranded)
+        assert len(stranded_handle.stranded) == 6
+        assert result.state.completed_total == 6
+        assert [r.satisfiable for r in result.state.claim_classes.values()].count(False) == 1
+
     def test_mixed_satisfiable_units_still_finish(self):
         sc = scenario(
             [cloud("cloud-1", 2.4, services=(TASK_LABEL,))],
@@ -421,6 +488,19 @@ class TestStranded:
         result = run_scenario(sc)
         assert result.state.completed_total == 4
         assert len(result.stranded) == 1
+
+
+class TestRecords:
+    def test_per_unit_and_per_message_records_have_no_instance_dict(self):
+        # Slotted records keep the heap of a deep claim backlog small.
+        state = deploy_federation(scenario([cloud("cloud-1", 2.4)], [workload("cloud-1", rows=1, cols=2)]))
+        state.engine.run(until_ms=1)
+        pending = next(iter(state.pending.values()))
+        run_to_quiescence(state)
+        records = (pending.claim, pending.unit, state.metrics.decisions[0], published_ticket())
+        for record, kind in zip(records, (ResourceClaim, WorkUnit, AllocationDecision, ResourceTicket)):
+            assert type(record) is kind
+            assert not hasattr(record, "__dict__")
 
 
 class TestProtocolGuards:

@@ -11,8 +11,16 @@ from hypothesis import strategies as st
 import fedmesh.config
 import fedmesh.federation
 import fedmesh.scenario
-from fedmesh import Scenario, ScenarioError, builtin_scenario_path, load_scenario, parse_scenario
+from fedmesh import (
+    InvalidArgumentError,
+    Scenario,
+    ScenarioError,
+    builtin_scenario_path,
+    load_scenario,
+    parse_scenario,
+)
 from fedmesh.cli import main
+from fedmesh.oracles import run_oracle_suites
 
 MINIMAL = """\
 schema_version = 1
@@ -262,6 +270,15 @@ class TestOracleCommand:
 
     def test_bad_trials_rejected(self):
         assert main(["oracle", "--trials", "0"]) == 2
+
+    @pytest.mark.parametrize("dims", ["1", "0", "-1"])
+    def test_dims_below_two_rejected(self, dims, capsys):
+        assert main(["oracle", "--trials", "10", "--dims", dims]) == 2
+        captured = capsys.readouterr()
+        assert "--dims must be >= 2" in captured.err
+        assert "[pass]" not in captured.out
+        with pytest.raises(InvalidArgumentError, match="max_dims >= 2"):
+            run_oracle_suites(10, int(dims), 5)
 
 
 BUILTIN_LINES = [

@@ -7,6 +7,13 @@ which receives the scheduled payload itself (the engine keeps the time,
 ``now``), and a bounded count of undelivered events. Overflowing an inbox is
 an explicit error, never a silent drop, and scheduling to a target that never
 registered a handler is rejected at once, not when the event would fire.
+
+The queue is a calendar of slots (R. Brown, "Calendar queues", CACM 1988):
+one list of (inbox, payload) per fire time, kept in schedule order, which is
+seq order, plus a heap of the distinct fire times. Events that share a
+millisecond, such as the replicas of one claim, are appended to one list
+instead of each being pushed on a heap. A zero-delay event scheduled while a
+slot is delivered joins the end of that slot, after its earlier-seq siblings.
 """
 
 from __future__ import annotations
@@ -23,11 +30,13 @@ DEFAULT_INBOX_CAPACITY = 1000
 
 
 class Inbox:
-    """One entity's handler and its bounded count of undelivered events."""
+    """One entity's target name, handler and bounded count of undelivered
+    events."""
 
-    __slots__ = ("handler", "capacity", "pending")
+    __slots__ = ("target", "handler", "capacity", "pending")
 
-    def __init__(self, handler: Callable[[Any], None], capacity: int) -> None:
+    def __init__(self, target: str, handler: Callable[[Any], None], capacity: int) -> None:
+        self.target = target
         self.handler = handler
         self.capacity = capacity
         self.pending = 0
@@ -63,7 +72,8 @@ class SimulationEngine:
     def __init__(self, *, default_inbox_capacity: int = DEFAULT_INBOX_CAPACITY) -> None:
         self._now = 0
         self._seq = 0
-        self._heap: list[tuple[int, int, str, Any]] = []
+        self._slots: dict[int, list[tuple[Inbox, Any]]] = {}
+        self._times: list[int] = []  # heap of the fire times that have a slot
         self._inboxes: dict[str, Inbox] = {}
         self._default_capacity = default_inbox_capacity
         self.events_processed = 0
@@ -74,13 +84,13 @@ class SimulationEngine:
 
     @property
     def has_pending_events(self) -> bool:
-        return bool(self._heap)
+        return bool(self._times)
 
     def register(self, target: str, handler: Callable[[Any], None]) -> None:
         """Create the target's inbox, or swap the handler of an existing one."""
         box = self._inboxes.get(target)
         if box is None:
-            self._inboxes[target] = Inbox(handler, self._default_capacity)
+            self._inboxes[target] = Inbox(target, handler, self._default_capacity)
         else:
             box.handler = handler
 
@@ -97,38 +107,57 @@ class SimulationEngine:
             raise SimulationError(
                 f"no handler for entity {target!r} ({type(payload).__name__} at t={self._now})"
             )
-        if box.pending + 1 > box.capacity:
+        if box.pending >= box.capacity:
             raise BufferOverflowError(
                 f"inbox of {target!r} at capacity {box.capacity}; refusing to enqueue"
             )
         box.pending += 1
+        fire_at = self._now + int(delay_ms)
+        slot = self._slots.get(fire_at)
+        if slot is None:
+            self._slots[fire_at] = [(box, payload)]
+            heapq.heappush(self._times, fire_at)
+        else:
+            slot.append((box, payload))
         seq = self._seq
         self._seq += 1
-        heapq.heappush(self._heap, (self._now + int(delay_ms), seq, target, payload))
         return seq
 
     def run(self, until_ms: int | None = None) -> int:
         """Process events in order until the queue empties or time runs out.
 
         Events with fire_at beyond until_ms stay queued. A handler exception
-        aborts the run with entity/event/time diagnostics attached.
+        aborts the run with entity/event/time diagnostics attached; the failed
+        event is dropped and the rest of its millisecond stays queued.
         """
+        slots, times = self._slots, self._times
         processed = 0
-        while self._heap:
-            fire_at, _, target, payload = self._heap[0]
+        while times:
+            fire_at = times[0]
             if until_ms is not None and fire_at > until_ms:
                 break
-            heapq.heappop(self._heap)
             assert fire_at >= self._now, "clock must never run backwards"
             self._now = fire_at
-            box = self._inboxes[target]
-            box.pending -= 1
+            slot = slots[fire_at]
+            done = 0
             try:
-                box.handler(payload)
+                # The list iterator re-reads the length, so it also reaches
+                # the zero-delay events that handlers append to this slot.
+                for box, payload in slot:
+                    box.pending -= 1
+                    box.handler(payload)
+                    done += 1
             except Exception as exc:
                 raise SimulationError(
-                    f"handler for {target!r} failed on {type(payload).__name__} at t={fire_at}: {exc}"
+                    f"handler for {box.target!r} failed on {type(payload).__name__} at t={fire_at}: {exc}"
                 ) from exc
-            processed += 1
-            self.events_processed += 1
+            finally:
+                # Delivered events leave the slot, and so does one whose
+                # handler raised; the rest of its millisecond stays queued.
+                self.events_processed += done
+                del slot[: done + 1]
+                if not slot:
+                    heapq.heappop(times)
+                    del slots[fire_at]
+            processed += done
         return processed

@@ -4,7 +4,8 @@ Message flow for one work unit (all delays are per-link scenario constants):
 
   1. a client submission reaches the cloud's scheduling service directly;
   2. the scheduler wraps each unit in a resource claim and posts it to every
-     index cell the claim's region intersects (one message per cell owner);
+     index cell the claim's region intersects (one message per cell, even
+     when one peer owns several of them);
   3. idle execution nodes periodically advertise themselves with resource
      tickets, one per hosted service type, routed to their single cell owner;
   4. the owning peer allocates the ticket against the cell's waiting claims;
@@ -104,12 +105,12 @@ class ExecutionNode:
 
 class ClaimPost(NamedTuple):
     claim: ResourceClaim
-    cell_coords: tuple[int, ...]
+    cell: IndexCell
 
 
 class TicketPost(NamedTuple):
     ticket: ResourceTicket
-    cell_coords: tuple[int, ...]
+    cell: IndexCell
 
 
 class Dispatch(NamedTuple):
@@ -137,7 +138,7 @@ class _ClaimClassRecord(NamedTuple):
 class _PendingUnit(NamedTuple):
     claim: ResourceClaim
     unit: WorkUnit
-    cells: list[tuple[int, ...]]  # each replica's cell; a list costs less heap than a tuple
+    cells: tuple[IndexCell, ...]  # each replica's cell, as map_claim returned them
 
 
 @dataclass
@@ -177,7 +178,6 @@ class FederationState:
         self.engine = engine
         self.space = space
         self.cells = cells
-        self.cells_by_coords = {c.coords: c for c in cells}
         self.membership = membership
         self.peer_cloud = peer_cloud
         self.clouds = clouds
@@ -376,6 +376,10 @@ def submit_application(
     state.submitted_total += len(units)
 
     claim_class = _claim_class(state, cloud, spec.model)
+    # (delay, owner's target) per cell, for this call only: ownership cannot
+    # change before it returns, but a later leave may move any cell.
+    routes: dict[tuple[int, ...], tuple[int, str]] = {}
+    schedule = state.engine.schedule
     for unit in units:
         claim = ResourceClaim(
             claim_id=unit.unit_id,
@@ -388,12 +392,15 @@ def submit_application(
         if not claim_class.satisfiable:
             handle.stranded.add(unit.unit_id)
             state.stranded_ids.add(claim.claim_id)
-        cells = [cell.coords for cell in map_claim(state.space, state.cells, claim)]
+        cells = map_claim(state.space, state.cells, claim)
         state.pending[claim.claim_id] = _PendingUnit(claim, unit, cells)
-        for coords in cells:
-            owner = state.cell_owner[coords]
-            delay = state.latency.between(cloud_id, state.peer_cloud[owner])
-            state.engine.schedule(delay, state.peer_targets[owner], ClaimPost(claim, coords))
+        for cell in cells:
+            route = routes.get(cell.coords)
+            if route is None:
+                owner = state.cell_owner[cell.coords]
+                delay = state.latency.between(cloud_id, state.peer_cloud[owner])
+                route = routes[cell.coords] = (delay, state.peer_targets[owner])
+            schedule(route[0], route[1], ClaimPost(claim, cell))
     return handle
 
 
@@ -424,7 +431,7 @@ def publish_ticket(state: FederationState, node: ExecutionNode) -> None:
             cell = state.ticket_cells[key] = map_ticket(state.space, state.cells, ticket)
         owner = state.cell_owner[cell.coords]
         delay = state.latency.between(node.cloud_id, state.peer_cloud[owner])
-        state.engine.schedule(delay, state.peer_targets[owner], TicketPost(ticket, cell.coords))
+        state.engine.schedule(delay, state.peer_targets[owner], TicketPost(ticket, cell))
         state.metrics.tickets_published += 1
 
 
@@ -512,7 +519,7 @@ def _on_result(state: FederationState, cloud_id: str, unit: WorkUnit) -> None:
 def _forwarded(state: FederationState, peer: str, post: ClaimPost | TicketPost) -> bool:
     """Pass a post for a cell this peer no longer owns on to the cell's
     current owner, as Pastry routes a key on to its new root."""
-    owner = state.cell_owner[post.cell_coords]
+    owner = state.cell_owner[post.cell.coords]
     if owner == peer:
         return False
     delay = state.latency.between(state.peer_cloud[peer], state.peer_cloud[owner])
@@ -524,7 +531,7 @@ def _on_claim(state: FederationState, peer: str, post: ClaimPost) -> None:
     if post.claim.claim_id in state.served:
         return  # replica still in flight when the claim was served
     if not _forwarded(state, peer, post):
-        state.store.post_claim(state.cells_by_coords[post.cell_coords], post.claim)
+        state.store.post_claim(post.cell, post.claim)
 
 
 def _on_ticket(state: FederationState, peer: str, post: TicketPost) -> None:
@@ -534,16 +541,16 @@ def _on_ticket(state: FederationState, peer: str, post: TicketPost) -> None:
     if node.busy or node.committed:
         state.metrics.stale_tickets += 1
         return
-    cell = state.cells_by_coords[post.cell_coords]
+    cell = post.cell
     for decision in state.store.post_ticket(cell, post.ticket, now_ms=state.engine.now):
         if decision.claim_id in state.served:
             raise ConsistencyError(f"claim {decision.claim_id} served twice")
         state.served.add(decision.claim_id)
         node.committed = True
         # Retire every replica before any further event can observe it.
-        for coords in state.pending[decision.claim_id].cells:
-            if coords != post.cell_coords:  # the matched copy is already gone
-                state.store.discard(coords, decision.claim_id)
+        for other in state.pending[decision.claim_id].cells:
+            if other.coords != cell.coords:  # the matched copy is already gone
+                state.store.discard(other.coords, decision.claim_id)
         state.metrics.record_decision(decision)
         delay = state.latency.between(state.peer_cloud[peer], decision.notify)
         state.engine.schedule(delay, state.scheduler_targets[decision.notify], decision)

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedmesh import (
     BufferOverflowError,
@@ -116,6 +118,108 @@ class TestRun:
         engine.schedule(7, "frail", Ping())
         with pytest.raises(SimulationError, match=r"frail.*Ping.*t=7"):
             engine.run()
+
+
+class Halt(BaseException):
+    """Not an Exception: passes through run() unwrapped, as an interrupt does."""
+
+
+class TestCalendarSlots:
+    @pytest.mark.parametrize(
+        "payloads, left",
+        [(("one", "bad", "two", "three"), ["two", "three"]), (("one", "bad"), [])],
+        ids=["mid-slot", "slot-end"],
+    )
+    @pytest.mark.parametrize(
+        "error, raised",
+        [(RuntimeError("kaput"), SimulationError), (Halt(), Halt)],
+        ids=["error", "halt"],
+    )
+    def test_handler_error_leaves_the_rest_of_its_millisecond_queued(
+        self, payloads, left, error, raised
+    ):
+        engine = SimulationEngine()
+        log = []
+
+        def fragile(payload):
+            if payload == "bad":
+                raise error
+            log.append((engine.now, payload))
+
+        engine.register("a", fragile)
+        engine.schedule(1, "a", "first")
+        for payload in payloads:
+            engine.schedule(5, "a", payload)
+        with pytest.raises(raised):
+            engine.run()
+        assert log == [(1, "first"), (5, "one")]
+        assert engine.events_processed == 2  # the failed event is not counted
+        assert engine.inbox("a").pending == len(left)
+        assert engine.has_pending_events == bool(left)
+        assert engine.run() == len(left)
+        assert log[2:] == [(5, p) for p in left]
+        assert engine.events_processed == 2 + len(left)
+
+    def test_run_until_stops_at_a_slot_boundary_and_resumes(self):
+        engine = SimulationEngine()
+        log = []
+
+        def handler(payload):
+            log.append((engine.now, payload))
+            if payload == "a2":
+                engine.schedule(0, "a", "a2-echo")  # same millisecond, same run
+
+        engine.register("a", handler)
+        for delay, payload in ((5, "a1"), (5, "a2"), (6, "b1"), (7, "c1")):
+            engine.schedule(delay, "a", payload)
+        assert engine.run(until_ms=5) == 3
+        assert log == [(5, "a1"), (5, "a2"), (5, "a2-echo")]
+        assert engine.now == 5
+        engine.schedule(0, "a", "a3")  # a new slot at the current time
+        assert engine.run(until_ms=6) == 2
+        assert log[3:] == [(5, "a3"), (6, "b1")]
+        assert engine.run() == 1
+        assert log[5:] == [(7, "c1")]
+        assert not engine.has_pending_events
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        initial=st.lists(st.integers(0, 6), min_size=1, max_size=12),
+        chained=st.lists(st.integers(0, 3), max_size=24),
+        stops=st.lists(st.tuples(st.integers(0, 20), st.integers(0, 4)), max_size=4),
+    )
+    def test_property_delivery_in_fire_at_then_seq_order(self, initial, chained, stops):
+        # Handlers schedule the `chained` delays (zero delays included) one
+        # per delivery, and `stops` splits the run with run(until_ms), each
+        # followed by one more event scheduled from outside.
+        engine = SimulationEngine()
+        scheduled, delivered = [], []
+        chained = list(chained)
+
+        def send(delay):
+            key = []
+            seq = engine.schedule(delay, "ab"[len(scheduled) % 2], key)
+            key.append((engine.now + delay, seq))
+            scheduled.append(key[0])
+
+        def handler(key):
+            assert key[0][0] == engine.now
+            delivered.append(key[0])
+            if chained:
+                send(chained.pop())
+
+        engine.register("a", handler)
+        engine.register("b", handler)
+        for delay in initial:
+            send(delay)
+        for until, delay in sorted(stops):
+            engine.run(until_ms=until)
+            assert all(fire_at > until for fire_at, _ in set(scheduled) - set(delivered))
+            send(delay)
+        engine.run()
+        assert delivered == sorted(scheduled)
+        assert engine.events_processed == len(scheduled)
+        assert not engine.has_pending_events
 
 
 class TestRngStream:

@@ -175,7 +175,8 @@ class TestDeploy:
         # new owners serve them.
         state = deploy_federation(melbourne_scenario)
         state.engine.run(until_ms=2_000)
-        lost = [state.cells_by_coords[c] for c, o in state.cell_owner.items() if o == "cloud-1"]
+        cells = {cell.coords: cell for cell in state.cells}
+        lost = [cells[c] for c, o in state.cell_owner.items() if o == "cloud-1"]
         waiting = {claim.claim_id for cell in lost for claim in state.store.snapshot(cell)}
         assert (len(lost), len(waiting)) == (18, 175)
         state.membership.leave(hash_name("cloud-1"))
@@ -183,6 +184,43 @@ class TestDeploy:
         run_to_quiescence(state)
         assert "cloud-1" not in state.cell_owner.values()
         assert_served_exactly_once(state)
+
+    def test_submission_after_a_leave_posts_each_replica_to_its_cells_new_owner(
+        self, melbourne_scenario
+    ):
+        # cloud-1 submitted at t=0 and owned cells until it left; routes are
+        # looked up anew by each submission, so none of the next one's
+        # replicas goes to the departed peer or needs forwarding.
+        state = deploy_federation(melbourne_scenario)
+        state.engine.run(until_ms=2_000)
+        state.membership.leave(hash_name("cloud-1"))
+        recompute_cell_assignment(state)
+        arrivals = []
+        for peer, target in state.peer_targets.items():
+
+            def watched(payload, peer=peer, handler=state.engine.inbox(target).handler):
+                if isinstance(payload, ClaimPost):
+                    arrivals.append((peer, state.engine.now, payload))
+                handler(payload)
+
+            state.engine.register(target, watched)
+        earlier = set(state.pending)
+        sent_at = state.engine.now
+        submit_application(state, "cloud-1", workload("cloud-1", rows=2, cols=3, app_id="late"))
+        replicas = sorted(
+            (claim_id, cell.coords)
+            for claim_id, pending in state.pending.items()
+            if claim_id not in earlier
+            for cell in pending.cells
+        )
+        state.engine.run(until_ms=sent_at + state.latency.inter_cloud_ms)
+        late = [(peer, t, post) for peer, t, post in arrivals if post.claim.claim_id not in earlier]
+        assert len(replicas) > 6
+        assert sorted((post.claim.claim_id, post.cell.coords) for _, _, post in late) == replicas
+        assert not [peer for peer, _, _ in late if peer == "cloud-1"]
+        for peer, t, post in late:
+            assert peer == state.cell_owner[post.cell.coords]
+            assert t == sent_at + state.latency.between("cloud-1", state.peer_cloud[peer])
 
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(peer=st.sampled_from(BUILTIN_PEERS), until_ms=st.integers(0, 80_000))
@@ -512,9 +550,9 @@ class TestProtocolGuards:
         (claim_id,) = state.pending
         claim = state.pending[claim_id].claim
         state.served.add(claim_id)  # as the decision-taking peer would
-        coords = state.pending[claim_id].cells[0]
-        target_peer = state.cell_owner[coords]
-        state.engine.schedule(1, f"peer/{target_peer}", ClaimPost(claim, coords))
+        cell = state.pending[claim_id].cells[0]
+        target_peer = state.cell_owner[cell.coords]
+        state.engine.schedule(1, f"peer/{target_peer}", ClaimPost(claim, cell))
         state.engine.run(until_ms=20)
         assert replica_count(state.store, state.cells, claim_id) == 0
 

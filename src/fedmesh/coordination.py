@@ -13,12 +13,16 @@ cached-hash call and finds its bucket by identity. A ClaimClass hashes and
 compares as the plain tuple it holds, so claims built with fresh tuples (as
 the oracles and tests build them) still meet an interned class in one bucket.
 
-Whether a claim matches a ticket depends on its constraints alone, so a
-ticket is tested once per class, against the bucket's head claim. The
-matching buckets are merged back into global (arrival_time, claim_id) order
-and served first fit, exactly as one scan of a single sorted cell queue
-would serve them. Tickets are transient: any leftover capacity is
-discarded, since a fresh status ticket will follow.
+Whether a claim matches a ticket depends on its constraints and the ticket's
+point alone, and both are fixed for a whole run. So each cell keeps a match
+list per ticket point: the buckets whose class that point satisfies, filled
+by testing each class once on the first ticket at that point. The lists are
+refreshed only when a new class first appears in the cell; buckets are never
+deleted, so nothing else makes a list stale. A ticket walks the non-empty
+buckets of its point's list, merged back into global (arrival_time,
+claim_id) order, and serves them first fit, exactly as one scan of a single
+sorted cell queue would serve them. Tickets are transient: any leftover
+capacity is discarded, since a fresh status ticket will follow.
 """
 
 from __future__ import annotations
@@ -62,20 +66,23 @@ class AllocationDecision:
 
 
 class _CellQueue:
-    """One cell's claims: a FIFO bucket per claim class, plus an index from
-    claim id to (bucket, arrival_time), so removal never rehashes a class.
-    Emptied buckets stay in place for the class's next claim."""
+    """One cell's claims: a FIFO bucket per claim class, an index from claim
+    id to (bucket, arrival_time), so removal never rehashes a class, and the
+    match list per ticket point. Emptied buckets stay in place for the
+    class's next claim."""
 
-    __slots__ = ("buckets", "index")
+    __slots__ = ("buckets", "index", "by_point")
 
     def __init__(self) -> None:
         self.buckets: dict[tuple[Constraint, ...], list[_Entry]] = {}
         self.index: dict[str, tuple[list[_Entry], int]] = {}
+        self.by_point: dict[tuple[object, ...], list[list[_Entry]]] = {}
 
     def insert(self, claim: ResourceClaim) -> None:
         bucket = self.buckets.get(claim.constraints)
         if bucket is None:
             bucket = self.buckets[claim.constraints] = []
+            self.by_point.clear()  # every list may lack the new class
         insort(bucket, (claim.arrival_time, claim.claim_id, claim))
         self.index[claim.claim_id] = (bucket, claim.arrival_time)
 
@@ -116,11 +123,21 @@ class ClaimStore:
         decided_at = ticket.issue_time if now_ms is None else now_ms
         queue = self._cells.get(cell.coords)
         remaining = ticket.available_units
-        if queue is None or remaining <= 0:
+        if queue is None or remaining <= 0 or not queue.index:
             return []
-        classes = [b for b in queue.buckets.values() if b and matches(b[0][2], ticket)]
+        matching = queue.by_point.get(ticket.point)
+        if matching is None:
+            # Each probe claim is read for its constraints alone.
+            matching = queue.by_point[ticket.point] = [
+                bucket
+                for constraints, bucket in queue.buckets.items()
+                if matches(ResourceClaim("", constraints, 1, "", 0, ""), ticket)
+            ]
+        classes = [bucket for bucket in matching if bucket]
+        # One class is already in order; only several need merging.
+        walk = classes[0] if len(classes) == 1 else merge(*classes)
         decisions: list[AllocationDecision] = []
-        for _, _, claim in merge(*classes):
+        for _, _, claim in walk:
             if claim.requested_units > remaining:
                 continue
             decisions.append(

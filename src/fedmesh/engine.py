@@ -99,9 +99,19 @@ class SimulationEngine:
         return self._inboxes[target]
 
     def schedule(self, delay_ms: int, target: str, payload: Any) -> int:
-        """Enqueue an event at now + delay_ms; returns its sequence number."""
+        """Enqueue an event at now + delay_ms; returns its sequence number.
+
+        The delay is a whole, finite, non-negative number of milliseconds; any
+        other value is rejected before anything is queued or counted.
+        """
+        if type(delay_ms) is not int:
+            if not (math.isfinite(delay_ms) and delay_ms == int(delay_ms)):
+                raise InvalidArgumentError(
+                    f"delay to {target!r} must be a whole number of ms, got {delay_ms!r}"
+                )
+            delay_ms = int(delay_ms)
         if delay_ms < 0:
-            raise InvalidArgumentError(f"delay must be >= 0, got {delay_ms}")
+            raise InvalidArgumentError(f"delay to {target!r} must be >= 0, got {delay_ms}")
         box = self._inboxes.get(target)
         if box is None:
             raise SimulationError(
@@ -112,7 +122,7 @@ class SimulationEngine:
                 f"inbox of {target!r} at capacity {box.capacity}; refusing to enqueue"
             )
         box.pending += 1
-        fire_at = self._now + int(delay_ms)
+        fire_at = self._now + delay_ms
         slot = self._slots.get(fire_at)
         if slot is None:
             self._slots[fire_at] = [(box, payload)]

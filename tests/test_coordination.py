@@ -11,6 +11,9 @@ from fedmesh import (
     ClaimStore,
     Eq,
     Ge,
+    IndexCell,
+    Le,
+    Range,
     ResourceClaim,
     ResourceTicket,
     build_base_cells,
@@ -361,3 +364,103 @@ class TestClaimClasses:
         assert distributed_fifo_allocate(space, cells, claims, tickets) == (
             centralized_fifo_allocate(claims, tickets)
         )
+
+
+# Two-dimensional classes and points for the match-list tests: no geometry is
+# involved, since a cell's store never re-checks which cell a point maps to.
+_POOL_CLASSES = (
+    (Eq("x"), Ge(1.0)),
+    (Eq("x"), Ge(2.0)),
+    (Eq("x"), Le(1.5)),
+    (Eq("y"), Range(0.5, 2.5)),
+    (Eq("x"), Range(1.0, 3.0)),
+)
+_POOL_POINTS = (("x", 1.0), ("x", 2.0), ("x", 3.0), ("y", 2.0), ("y", 3.0))
+_POOL_CELLS = tuple(IndexCell((k,), ((0.0, 1.0),), (0.5,)) for k in range(2))
+
+
+def _pool_claim(n: int, constraints, arrival_time: int, units: int = 1) -> ResourceClaim:
+    return ResourceClaim(f"c{n:03d}", constraints, units, f"origin/{n}", arrival_time, f"c{n:03d}")
+
+
+def _pool_ticket(n: int, point, units: int) -> ResourceTicket:
+    return ResourceTicket(f"t{n:03d}", point, units, f"node/{n}", n)
+
+
+def _served(decisions) -> list[tuple[str, str, int]]:
+    return [(d.ticket_id, d.claim_id, d.units_granted) for d in decisions]
+
+
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("post"),
+            st.sampled_from(_POOL_CLASSES),
+            st.integers(0, 1),  # cell
+            st.integers(0, 3).map(lambda k: k * 10),  # arrival time
+            st.integers(1, 2),  # units
+        ),
+        st.tuples(st.just("discard"), st.integers(0, 1), st.integers(0, 30)),
+        st.tuples(
+            st.just("ticket"), st.sampled_from(_POOL_POINTS), st.integers(0, 1), st.integers(0, 3)
+        ),
+    ),
+    max_size=40,
+)
+
+
+class TestMatchLists:
+    """A cell caches, per ticket point, the classes that point satisfies; a
+    class new to the cell must reach every cached list."""
+
+    def test_new_class_reaches_a_cached_point(self):
+        cell = _POOL_CELLS[0]
+        point = ("x", 2.0)
+        store = ClaimStore()
+        a1, a2 = (_pool_claim(n, _POOL_CLASSES[0], 100 * n) for n in (1, 2))
+        store.post_claim(cell, a1)
+        store.post_claim(cell, a2)
+        first = _pool_ticket(1, point, 1)
+        assert _served(store.post_ticket(cell, first)) == [("t001", "c001", 1)]
+
+        # Class B is new to the cell, matches the cached point and arrived first.
+        b = _pool_claim(3, _POOL_CLASSES[1], 50)
+        store.post_claim(cell, b)
+        second = _pool_ticket(2, point, 1)
+        expected = centralized_fifo_allocate([a2, b], [second])
+        assert expected == [("t002", "c003", 1)]
+        assert _served(store.post_ticket(cell, second)) == expected
+        assert store.snapshot(cell) == [a2]
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(_OPS)
+    def test_property_interleaved_posts_discards_and_tickets(self, ops):
+        store = ClaimStore()
+        waiting: list[list[ResourceClaim]] = [[] for _ in _POOL_CELLS]
+        posted: list[str] = []
+        for n, op in enumerate(ops):
+            if op[0] == "post":
+                _, constraints, k, arrival_time, units = op
+                claim = _pool_claim(n, constraints, arrival_time, units)
+                store.post_claim(_POOL_CELLS[k], claim)
+                waiting[k].append(claim)
+                posted.append(claim.claim_id)
+            elif op[0] == "discard":
+                _, k, pick = op
+                if not posted:
+                    continue
+                claim_id = posted[pick % len(posted)]
+                held = [c for c in waiting[k] if c.claim_id == claim_id]
+                assert store.discard(_POOL_CELLS[k].coords, claim_id) == bool(held)
+                waiting[k] = [c for c in waiting[k] if c.claim_id != claim_id]
+            else:
+                _, point, k, units = op
+                ticket = _pool_ticket(n, point, units)
+                expected = centralized_fifo_allocate(waiting[k], [ticket])
+                assert _served(store.post_ticket(_POOL_CELLS[k], ticket)) == expected
+                served = {claim_id for _, claim_id, _ in expected}
+                waiting[k] = [c for c in waiting[k] if c.claim_id not in served]
+        for k, cell in enumerate(_POOL_CELLS):
+            assert store.snapshot(cell) == sorted(
+                waiting[k], key=lambda c: (c.arrival_time, c.claim_id)
+            )

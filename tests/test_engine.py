@@ -67,6 +67,27 @@ class TestSchedule:
         with pytest.raises(InvalidArgumentError):
             engine.schedule(-1, "a", "x")
 
+    @pytest.mark.parametrize(
+        "delay", [-1, -0.5, 0.9, 2.5, float("nan"), float("inf"), float("-inf")]
+    )
+    def test_rejected_delay_takes_no_inbox_slot(self, delay):
+        engine = SimulationEngine(default_inbox_capacity=1)
+        engine.register("a", lambda payload: None)
+        with pytest.raises(InvalidArgumentError, match="'a'"):
+            engine.schedule(delay, "a", "x")
+        assert engine.inbox("a").pending == 0
+        assert not engine.has_pending_events
+        engine.schedule(1, "a", "y")  # the one slot is still free
+        assert engine.run() == 1
+
+    def test_whole_float_delay_fires_at_its_millisecond(self):
+        engine = SimulationEngine()
+        log = []
+        engine.register("a", collector(engine, log))
+        engine.schedule(3.0, "a", "x")
+        engine.run()
+        assert log == [(3, "x")] and type(engine.now) is int
+
     def test_inbox_overflow_is_an_error(self):
         engine = SimulationEngine()
         engine.register("jam", lambda payload: None)

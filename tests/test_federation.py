@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -35,8 +39,10 @@ from fedmesh import (
     spatial_hash,
     submit_application,
 )
-from fedmesh.federation import ClaimPost, TimerTick, on_allocation
+from fedmesh import RunResult
+from fedmesh.federation import ClaimPost, Dispatch, TimerTick, on_allocation
 from fedmesh.oracles import replica_count
+from fedmesh.reporting import write_run_outputs
 from fedmesh.workloads import SERVICE_LABELS
 
 from conftest import TASK_LABEL, THREAD_LABEL, published_ticket
@@ -611,6 +617,34 @@ class TestProtocolGuards:
         with pytest.raises(ConsistencyError):
             on_allocation(state, decision)
 
+    def test_dispatch_to_a_node_failing_the_claim_is_refused_every_time(self):
+        state = deploy_federation(
+            scenario([cloud("cloud-1", 2.4, nodes=2), cloud("cloud-2", 3.0, nodes=1)])
+        )
+        submit_application(state, "cloud-2", workload("cloud-2", rows=1, cols=3))
+        units = list(state.pending.values())  # each claim needs >= 3.0 GHz
+
+        def dispatch(pending, node_id):
+            target = state.nodes[node_id].target
+            state.engine.schedule(0, target, Dispatch(pending.claim, pending.unit))
+            state.engine.run(until_ms=state.engine.now)
+
+        dispatch(units[0], "cloud-2/n0")  # a fitting pair of this class
+        assert state.nodes["cloud-2/n0"].busy
+        # Too slow: refused after the fitting pair, again on the same pair,
+        # and on another node with the same point.
+        for pending, node_id in (
+            (units[1], "cloud-1/n0"),
+            (units[2], "cloud-1/n0"),
+            (units[1], "cloud-1/n1"),
+        ):
+            with pytest.raises(SimulationError) as failed:
+                dispatch(pending, node_id)
+            cause = failed.value.__cause__
+            assert isinstance(cause, ConsistencyError)
+            assert pending.unit.unit_id in str(cause) and node_id in str(cause)
+            assert not state.nodes[node_id].busy
+
 
 class TestSweepDriver:
     def test_sweep_collects_all_observation_points(self):
@@ -622,3 +656,154 @@ class TestSweepDriver:
         assert set(sweep.runs) == {2, 3}
         assert ("cloud-1", "task", 4) in sweep.response
         assert ("cloud-1", "task", 9) in sweep.response
+
+
+# Whole runs of random small federations, with optional churn.
+
+_SPEEDS = st.integers(10, 39).map(lambda tenths: tenths / 10)
+
+
+@st.composite
+def federations(draw):
+    n = draw(st.integers(1, 6))
+    clouds = [
+        dataclasses.replace(
+            cloud(
+                f"cloud-{i}",
+                draw(_SPEEDS),
+                nodes=draw(st.integers(1, 3)),
+                services=draw(st.sampled_from((BOTH, (TASK_LABEL,), (THREAD_LABEL,)))),
+                interval=(100, 2000),
+                topology=draw(st.sampled_from(("hub", "full_p2p"))),
+            ),
+            cpu_type=draw(st.sampled_from(("Intel", "AMD"))),
+        )
+        for i in range(n)
+    ]
+    workloads = [
+        workload(
+            f"cloud-{draw(st.integers(0, n - 1))}",
+            model=draw(st.sampled_from(("task", "thread"))),
+            rows=draw(st.integers(1, 3)),
+            cols=draw(st.integers(1, 3)),
+            at=draw(st.integers(0, 3000)),
+            app_id=f"app-{j}",
+        )
+        for j in range(draw(st.integers(1, 4)))
+    ]
+    sc = scenario(clouds, workloads, eager=draw(st.booleans()))
+    # (peer index, leave at, re-join after or None), or no churn at all.
+    churn = draw(
+        st.none()
+        | st.tuples(st.integers(0, 20), st.integers(0, 8000), st.none() | st.integers(0, 4000))
+    )
+    return sc, churn
+
+
+def run_with_churn(sc, churn):
+    """Deploy and run to quiescence; a churn (peer index, leave at, re-join
+    after) makes one peer leave and maybe re-join. With a single peer there is
+    no one to leave to, so nothing leaves."""
+    state = deploy_federation(sc)
+    deployed = dict(state.cell_owner)
+    peers = sorted(state.peer_cloud)
+    if churn is not None and len(peers) > 1:
+        pick, leave_at, rejoin_after = churn
+        peer = peers[pick % len(peers)]
+        state.engine.run(until_ms=leave_at)
+        state.membership.leave(hash_name(peer))
+        recompute_cell_assignment(state)
+        assert peer not in state.cell_owner.values()
+        if rejoin_after is not None:
+            state.engine.run(until_ms=state.engine.now + rejoin_after)
+            state.membership.join(peer)
+            recompute_cell_assignment(state)
+            assert state.cell_owner == deployed
+    return state, run_to_quiescence(state)
+
+
+def fixed_run_outputs(out_dir) -> str:
+    """One mixed-topology federation with a leave and re-join: its output
+    files go to out_dir, its decision stream is returned."""
+    clouds = [
+        cloud("cloud-1", 2.4, nodes=2, interval=(100, 900)),
+        dataclasses.replace(
+            cloud("cloud-2", 3.0, nodes=2, interval=(100, 900), topology="full_p2p"),
+            cpu_type="AMD",
+        ),
+        cloud("cloud-3", 3.0, nodes=1, interval=(100, 900)),
+    ]
+    workloads = [
+        workload("cloud-1", rows=3, cols=3),
+        workload("cloud-2", model="thread", rows=2, cols=3, at=40),
+        workload("cloud-3", model="thread", rows=2, cols=2, at=70),
+    ]
+    sc = scenario(clouds, workloads, eager=False)
+    state, report = run_with_churn(sc, (1, 300, 500))
+    write_run_outputs(RunResult(scenario=sc, state=state, report=report), out_dir)
+    return "\n".join(
+        f"{d.ticket_id} {d.claim_id} {d.decided_at} {d.target}" for d in state.metrics.decisions
+    )
+
+
+class TestWholeRuns:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(federations())
+    def test_property_random_federation_serves_each_satisfiable_unit_once(self, federation):
+        sc, churn = federation
+        state, report = run_with_churn(sc, churn)
+
+        # Quiescence: nothing queued, nothing outstanding.
+        assert not state.engine.has_pending_events and state.finished
+        # Exactly once, and never more than a ticket's one unit.
+        claim_ids = [d.claim_id for d in state.metrics.decisions]
+        assert len(claim_ids) == len(set(claim_ids))
+        assert state.served == state.dispatched == set(claim_ids)
+        completed = {u for handle in state.apps.values() for u in handle.completions}
+        assert completed == state.dispatched and state.completed_total == len(completed)
+        granted: dict[str, int] = {}
+        for d in state.metrics.decisions:
+            granted[d.ticket_id] = granted.get(d.ticket_id, 0) + d.units_granted
+        assert all(units <= 1 for units in granted.values())
+        # Stranded exactly when no node hosts the model on a fast enough CPU
+        # of the submitting cloud's type.
+        clouds = {c.cloud_id: c for c in sc.clouds}
+        for spec in sc.workloads:
+            handle = state.apps[spec.app_id]
+            own = clouds[spec.submit_cloud]
+            servable = any(
+                SERVICE_LABELS[spec.model] in c.service_types
+                and c.cpu_type == own.cpu_type
+                and c.node_speed_ghz >= own.node_speed_ghz
+                for c in sc.clouds
+            )
+            if servable:
+                assert handle.complete and not handle.stranded
+            else:
+                assert not handle.completions and len(handle.stranded) == handle.unit_count
+        stranded = {u for handle in state.apps.values() for u in handle.stranded}
+        assert set(report.stranded_claim_ids) == state.stranded_ids == stranded
+        assert set(state.pending) == stranded
+
+    def test_fixed_federation_is_identical_under_two_hash_seeds(self, tmp_path):
+        here = Path(__file__).resolve().parent
+        program = (
+            "import sys; from test_federation import fixed_run_outputs; "
+            "print(fixed_run_outputs(sys.argv[1]))"
+        )
+        runs = []
+        for hash_seed in ("0", "4242"):
+            out = tmp_path / hash_seed
+            env = dict(
+                os.environ,
+                PYTHONHASHSEED=hash_seed,
+                PYTHONPATH=os.pathsep.join((str(here.parent / "src"), str(here))),
+            )
+            done = subprocess.run(
+                [sys.executable, "-c", program, str(out)],
+                env=env, capture_output=True, text=True, timeout=120, check=True,
+            )
+            files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+            runs.append((done.stdout, files))
+        assert runs[0] == runs[1]
+        assert len(runs[0][0].splitlines()) == 19 and len(runs[0][1]) == 4

@@ -15,14 +15,16 @@ the oracles and tests build them) still meet an interned class in one bucket.
 
 Whether a claim matches a ticket depends on its constraints and the ticket's
 point alone, and both are fixed for a whole run. So each cell keeps a match
-list per ticket point: the buckets whose class that point satisfies, filled
-by testing each class once on the first ticket at that point. The lists are
-refreshed only when a new class first appears in the cell; buckets are never
-deleted, so nothing else makes a list stale. A ticket walks the non-empty
-buckets of its point's list, merged back into global (arrival_time,
-claim_id) order, and serves them first fit, exactly as one scan of a single
-sorted cell queue would serve them. Tickets are transient: any leftover
-capacity is discarded, since a fresh status ticket will follow.
+list per ticket point that recurs: the buckets whose class that point
+satisfies, filled by testing each class once on the second ticket at that
+point. A point's first ticket tests the head claim of each non-empty bucket
+and keeps no list, so points that never repeat cost no more than without
+lists. The lists are refreshed only when a new class first appears in the
+cell; buckets are never deleted, so nothing else makes a list stale. A
+ticket walks the matching non-empty buckets, merged back into global
+(arrival_time, claim_id) order, and serves them first fit, exactly as one
+scan of a single sorted cell queue would serve them. Tickets are transient:
+any leftover capacity is discarded, since a fresh status ticket will follow.
 """
 
 from __future__ import annotations
@@ -38,6 +40,8 @@ from .spatial import Constraint, IndexCell, ResourceClaim, ResourceTicket, match
 
 # (arrival_time, claim_id, claim): unique on the first two within a cell.
 _Entry = tuple[int, str, ResourceClaim]
+# The match-list value of a ticket point seen once in a cell: no list yet.
+_SEEN_ONCE: list[list[_Entry]] = []
 
 
 class ClaimClass(tuple):
@@ -127,13 +131,19 @@ class ClaimStore:
             return []
         matching = queue.by_point.get(ticket.point)
         if matching is None:
-            # Each probe claim is read for its constraints alone.
-            matching = queue.by_point[ticket.point] = [
-                bucket
-                for constraints, bucket in queue.buckets.items()
-                if matches(ResourceClaim("", constraints, 1, "", 0, ""), ticket)
-            ]
-        classes = [bucket for bucket in matching if bucket]
+            # A point's first ticket only marks the point, so a point that
+            # never repeats (as the oracles' random ones) builds no list.
+            queue.by_point[ticket.point] = _SEEN_ONCE
+            classes = [b for b in queue.buckets.values() if b and matches(b[0][2], ticket)]
+        else:
+            if matching is _SEEN_ONCE:
+                # Each probe claim is read for its constraints alone.
+                matching = queue.by_point[ticket.point] = [
+                    bucket
+                    for constraints, bucket in queue.buckets.items()
+                    if matches(ResourceClaim("", constraints, 1, "", 0, ""), ticket)
+                ]
+            classes = [bucket for bucket in matching if bucket]
         # One class is already in order; only several need merging.
         walk = classes[0] if len(classes) == 1 else merge(*classes)
         decisions: list[AllocationDecision] = []

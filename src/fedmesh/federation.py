@@ -25,13 +25,9 @@ WorkUnit (result) and a node's TimerTick. Each entity kind (scheduler, peer,
 node) dispatches on the payload's type through one table; any other payload
 is a named error.
 
-A node's tickets for one service label always carry the same attribute
-point, hence go to the same cell. Each node resolves these ticket sources, one
-(label, point, cell) per hosted label, on its first publish and reuses them
-for every later ticket; the cell's owner is still looked up per ticket, since
-churn can move it. A dispatch re-checks that the node's point satisfies the
-claim, remembering each (constraints, point) pair that fits; a pair that fails
-is refused every time.
+A dispatch re-checks that the node's point satisfies the claim, remembering
+each (constraints, point) pair that fits; a pair that fails is refused every
+time.
 
 Waiting claims live in one ClaimStore keyed by cell. Which peer owns a cell
 decides who handles the cell's messages and what latency they pay, not where
@@ -103,8 +99,6 @@ class ExecutionNode:
     busy: bool = False
     committed: bool = False
     target: str = field(init=False)  # the node's engine address, built once
-    # Where each hosted label's tickets go, resolved on the first publish.
-    ticket_sources: tuple[_TicketSource, ...] | None = field(default=None, init=False)
 
     def __post_init__(self) -> None:
         self.target = f"node/{self.node_id}"
@@ -135,15 +129,6 @@ class ExecDone(NamedTuple):
 
 class TimerTick(NamedTuple):
     """A node's periodic status-update timer."""
-
-
-class _TicketSource(NamedTuple):
-    """A node's tickets for one service label: its point and that point's
-    cell, both fixed for the whole run."""
-
-    label: str
-    point: tuple[object, ...]
-    cell: IndexCell
 
 
 class _ClaimClassRecord(NamedTuple):
@@ -221,6 +206,8 @@ class FederationState:
         self.submitted_total = 0
         self.completed_total = 0
         self.node_points: dict[tuple[str, str], tuple[object, ...]] = {}
+        # A node's tickets for one label share its point, hence its cell.
+        self.ticket_cells: dict[tuple[str, str], IndexCell] = {}
         # (claim constraints, node point) pairs a dispatch has found to fit.
         self.fitting_pairs: set[tuple[tuple[object, ...], tuple[object, ...]]] = set()
         # Keyed by (model, cpu_type, speed), the inputs of a cloud's claims, so
@@ -435,24 +422,23 @@ def publish_ticket(state: FederationState, node: ExecutionNode) -> None:
     if node.busy or node.committed:
         return
     now = state.engine.now
-    if node.ticket_sources is None:
-        node.ticket_sources = tuple(
-            _ticket_source(state, node, label) for label in state.service_labels[node.cloud_id]
+    for label in state.service_labels[node.cloud_id]:
+        point = state.node_point(node, label)
+        ticket = ResourceTicket(
+            ticket_id=f"{node.node_id}@{now}/{label}",
+            point=point,
+            available_units=1,
+            origin=node.node_id,
+            issue_time=now,
         )
-    for label, point, cell in node.ticket_sources:
-        # (ticket_id, point, available_units, origin, issue_time)
-        ticket = ResourceTicket(f"{node.node_id}@{now}/{label}", point, 1, node.node_id, now)
+        key = (node.node_id, label)
+        cell = state.ticket_cells.get(key)
+        if cell is None:
+            cell = state.ticket_cells[key] = map_ticket(state.space, state.cells, ticket)
         owner = state.cell_owner[cell.coords]
         delay = state.latency.between(node.cloud_id, state.peer_cloud[owner])
         state.engine.schedule(delay, state.peer_targets[owner], TicketPost(ticket, cell))
         state.metrics.tickets_published += 1
-
-
-def _ticket_source(state: FederationState, node: ExecutionNode, label: str) -> _TicketSource:
-    point = state.node_point(node, label)
-    # map_ticket reads the probe for its point alone.
-    probe = ResourceTicket(f"{node.node_id}/{label}", point, 1, node.node_id, 0)
-    return _TicketSource(label, point, map_ticket(state.space, state.cells, probe))
 
 
 def on_allocation(state: FederationState, decision: AllocationDecision) -> None:

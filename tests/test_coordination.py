@@ -20,6 +20,7 @@ from fedmesh import (
     map_claim,
     map_ticket,
 )
+from fedmesh import coordination
 from fedmesh.coordination import ClaimClass
 from fedmesh.oracles import (
     centralized_fifo_allocate,
@@ -402,35 +403,60 @@ _OPS = st.lists(
         ),
         st.tuples(st.just("discard"), st.integers(0, 1), st.integers(0, 30)),
         st.tuples(
-            st.just("ticket"), st.sampled_from(_POOL_POINTS), st.integers(0, 1), st.integers(0, 3)
+            st.just("ticket"),
+            st.sampled_from(_POOL_POINTS),
+            st.integers(0, 1),  # cell
+            st.integers(0, 3),  # units
+            st.integers(1, 3),  # tickets in a row at this point
         ),
     ),
+    # Long enough that a point often recurs (its second ticket caches a
+    # list) before every class has reached the cell.
+    min_size=15,
     max_size=40,
 )
 
 
 class TestMatchLists:
-    """A cell caches, per ticket point, the classes that point satisfies; a
-    class new to the cell must reach every cached list."""
+    """A cell caches, per ticket point seen twice, the classes that point
+    satisfies; a class new to the cell must reach every cached list."""
 
     def test_new_class_reaches_a_cached_point(self):
         cell = _POOL_CELLS[0]
         point = ("x", 2.0)
         store = ClaimStore()
-        a1, a2 = (_pool_claim(n, _POOL_CLASSES[0], 100 * n) for n in (1, 2))
-        store.post_claim(cell, a1)
-        store.post_claim(cell, a2)
-        first = _pool_ticket(1, point, 1)
-        assert _served(store.post_ticket(cell, first)) == [("t001", "c001", 1)]
+        a1, a2, a3 = (_pool_claim(n, _POOL_CLASSES[0], 100 * n) for n in (1, 2, 3))
+        for claim in (a1, a2, a3):
+            store.post_claim(cell, claim)
+        # The point's second ticket caches its list.
+        for n, claim in ((1, a1), (2, a2)):
+            ticket = _pool_ticket(n, point, 1)
+            assert _served(store.post_ticket(cell, ticket)) == [(ticket.ticket_id, claim.claim_id, 1)]
 
         # Class B is new to the cell, matches the cached point and arrived first.
-        b = _pool_claim(3, _POOL_CLASSES[1], 50)
+        b = _pool_claim(4, _POOL_CLASSES[1], 50)
         store.post_claim(cell, b)
-        second = _pool_ticket(2, point, 1)
-        expected = centralized_fifo_allocate([a2, b], [second])
-        assert expected == [("t002", "c003", 1)]
-        assert _served(store.post_ticket(cell, second)) == expected
-        assert store.snapshot(cell) == [a2]
+        third = _pool_ticket(3, point, 1)
+        expected = centralized_fifo_allocate([a3, b], [third])
+        assert expected == [("t003", "c004", 1)]
+        assert _served(store.post_ticket(cell, third)) == expected
+        assert store.snapshot(cell) == [a3]
+
+    def test_a_point_seen_once_tests_only_waiting_classes(self, monkeypatch):
+        # Points that never repeat (random floats) must not pay for a list:
+        # the first ticket at a point tests each non-empty bucket once.
+        calls = []
+        real = coordination.matches
+        monkeypatch.setattr(coordination, "matches", lambda c, t: calls.append(c) or real(c, t))
+        cell = _POOL_CELLS[0]
+        store = ClaimStore()
+        claims = [_pool_claim(n, constraints, n) for n, constraints in enumerate(_POOL_CLASSES)]
+        for claim in claims:
+            store.post_claim(cell, claim)
+        for claim in claims[1:]:
+            store.discard(cell.coords, claim.claim_id)
+        store.post_ticket(cell, _pool_ticket(1, ("x", 2.0), 1))
+        assert calls == [claims[0]]
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(_OPS)
@@ -454,12 +480,13 @@ class TestMatchLists:
                 assert store.discard(_POOL_CELLS[k].coords, claim_id) == bool(held)
                 waiting[k] = [c for c in waiting[k] if c.claim_id != claim_id]
             else:
-                _, point, k, units = op
-                ticket = _pool_ticket(n, point, units)
-                expected = centralized_fifo_allocate(waiting[k], [ticket])
-                assert _served(store.post_ticket(_POOL_CELLS[k], ticket)) == expected
-                served = {claim_id for _, claim_id, _ in expected}
-                waiting[k] = [c for c in waiting[k] if c.claim_id not in served]
+                _, point, k, units, repeats = op
+                for r in range(repeats):
+                    ticket = _pool_ticket(100 * n + r, point, units)
+                    expected = centralized_fifo_allocate(waiting[k], [ticket])
+                    assert _served(store.post_ticket(_POOL_CELLS[k], ticket)) == expected
+                    served = {claim_id for _, claim_id, _ in expected}
+                    waiting[k] = [c for c in waiting[k] if c.claim_id not in served]
         for k, cell in enumerate(_POOL_CELLS):
             assert store.snapshot(cell) == sorted(
                 waiting[k], key=lambda c: (c.arrival_time, c.claim_id)

@@ -10,7 +10,9 @@ import argparse
 import logging
 import os
 import sys
+from functools import partial
 from pathlib import Path
+from typing import Callable
 
 from .errors import FedmeshError
 from .experiments import run_scenario, run_sweep
@@ -91,19 +93,19 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
-def cmd_run(args) -> int:
+def _simulate(args, simulate: Callable, write: Callable) -> int:
+    """Load the scenario, simulate it, write the outputs and report any
+    stranded claims: the shared body of ``run`` and ``sweep``."""
     scenario, code = _load(args.file)
     if scenario is None:
         return code
-    if args.seed is not None:
-        scenario = scenario.with_seed(args.seed)
     try:
-        result = run_scenario(scenario)
+        result = simulate(scenario)
     except FedmeshError as exc:
         print(f"simulation aborted: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     try:
-        written = write_run_outputs(result, _out_dir(args.out), fmt=args.format)
+        written = write(result, _out_dir(args.out), fmt=args.format)
     except OSError as exc:
         print(f"cannot write outputs: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -117,29 +119,15 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
+def cmd_run(args) -> int:
+    def simulate(scenario):
+        return run_scenario(scenario if args.seed is None else scenario.with_seed(args.seed))
+
+    return _simulate(args, simulate, write_run_outputs)
+
+
 def cmd_sweep(args) -> int:
-    scenario, code = _load(args.file)
-    if scenario is None:
-        return code
-    try:
-        sweep = run_sweep(scenario, models=(args.model,))
-    except FedmeshError as exc:
-        print(f"simulation aborted: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
-    try:
-        written = write_sweep_outputs(sweep, _out_dir(args.out), fmt=args.format)
-    except OSError as exc:
-        print(f"cannot write outputs: {exc}", file=sys.stderr)
-        return EXIT_IO
-    for path in written:
-        print(path)
-    stranded = sorted({cid for run in sweep.runs.values() for cid in run.stranded})
-    if stranded:
-        print(f"stranded claims ({len(stranded)}):", file=sys.stderr)
-        for claim_id in stranded:
-            print(f"  {claim_id}", file=sys.stderr)
-        return EXIT_STRANDED
-    return EXIT_OK
+    return _simulate(args, partial(run_sweep, models=(args.model,)), write_sweep_outputs)
 
 
 def cmd_oracle(args) -> int:

@@ -82,6 +82,3 @@ class Scenario:
 
     def with_seed(self, seed: int) -> "Scenario":
         return replace(self, seed=seed)
-
-    def with_workloads(self, workloads: tuple[WorkloadSpec, ...]) -> "Scenario":
-        return replace(self, workloads=workloads)

@@ -141,7 +141,7 @@ class ClaimStore:
                 matching = queue.by_point[ticket.point] = [
                     bucket
                     for constraints, bucket in queue.buckets.items()
-                    if matches(ResourceClaim("", constraints, 1, "", 0, ""), ticket)
+                    if matches(ResourceClaim("", constraints, 1, "", 0), ticket)
                 ]
             classes = [bucket for bucket in matching if bucket]
         # One class is already in order; only several need merging.

@@ -1,19 +1,20 @@
 """Deterministic discrete-event core.
 
-Virtual time is integer milliseconds. Events fire in (fire_at, seq) order,
-where seq is assigned at schedule time, so the delivery order is a pure
-function of the scenario and its seed. Each entity has one inbox: its handler,
-which receives the scheduled payload itself (the engine keeps the time,
-``now``), and a bounded count of undelivered events. Overflowing an inbox is
-an explicit error, never a silent drop, and scheduling to a target that never
-registered a handler is rejected at once, not when the event would fire.
+Virtual time is integer milliseconds. Events fire in (fire_at, schedule
+order): by time, and within one millisecond in the order they were
+scheduled, so the delivery order is a pure function of the scenario and its
+seed. Each entity has one inbox: its handler, which receives the scheduled
+payload itself (the engine keeps the time, ``now``), and a bounded count of
+undelivered events. Overflowing an inbox is an explicit error, never a silent
+drop, and scheduling to a target that never registered a handler is rejected
+at once, not when the event would fire.
 
 The queue is a calendar of slots (R. Brown, "Calendar queues", CACM 1988):
-one list of (inbox, payload) per fire time, kept in schedule order, which is
-seq order, plus a heap of the distinct fire times. Events that share a
-millisecond, such as the replicas of one claim, are appended to one list
-instead of each being pushed on a heap. A zero-delay event scheduled while a
-slot is delivered joins the end of that slot, after its earlier-seq siblings.
+one list of (inbox, payload) per fire time, kept in schedule order, plus a
+heap of the distinct fire times. Events that share a millisecond, such as the
+replicas of one claim, are appended to one list instead of each being pushed
+on a heap. A zero-delay event scheduled while a slot is delivered joins the
+end of that slot, after its earlier-scheduled siblings.
 """
 
 from __future__ import annotations
@@ -67,11 +68,10 @@ class RngStream:
 
 
 class SimulationEngine:
-    """Single-threaded event loop over a global (fire_at, seq) order."""
+    """Single-threaded event loop in global (fire_at, schedule order)."""
 
     def __init__(self, *, default_inbox_capacity: int = DEFAULT_INBOX_CAPACITY) -> None:
         self._now = 0
-        self._seq = 0
         self._slots: dict[int, list[tuple[Inbox, Any]]] = {}
         self._times: list[int] = []  # heap of the fire times that have a slot
         self._inboxes: dict[str, Inbox] = {}
@@ -98,8 +98,9 @@ class SimulationEngine:
         """The inbox of a registered target (KeyError for any other)."""
         return self._inboxes[target]
 
-    def schedule(self, delay_ms: int, target: str, payload: Any) -> int:
-        """Enqueue an event at now + delay_ms; returns its sequence number.
+    def schedule(self, delay_ms: int, target: str, payload: Any) -> None:
+        """Enqueue an event at now + delay_ms, after every event already
+        queued for that millisecond.
 
         The delay is a whole, finite, non-negative number of milliseconds; any
         other value is rejected before anything is queued or counted.
@@ -129,9 +130,6 @@ class SimulationEngine:
             heapq.heappush(self._times, fire_at)
         else:
             slot.append((box, payload))
-        seq = self._seq
-        self._seq += 1
-        return seq
 
     def run(self, until_ms: int | None = None) -> int:
         """Process events in order until the queue empties or time runs out.

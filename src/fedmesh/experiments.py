@@ -40,7 +40,7 @@ def scale_workloads(scenario: Scenario, models: tuple[str, ...], size: int) -> S
         replace(spec, rows=size, cols=size) if spec.model in models else spec
         for spec in scenario.workloads
     )
-    return scenario.with_workloads(scaled)
+    return replace(scenario, workloads=scaled)
 
 
 @dataclass
@@ -51,6 +51,11 @@ class SweepResult:
     runs: dict[int, RunResult]
     # (submit_cloud, model, granularity) -> response seconds
     response: dict[tuple[str, str, int], float]
+
+    @property
+    def stranded(self) -> tuple[str, ...]:
+        """Distinct ids of the claims stranded in any run, sorted."""
+        return tuple(sorted({cid for run in self.runs.values() for cid in run.stranded}))
 
 
 def run_sweep(

@@ -25,9 +25,7 @@ WorkUnit (result) and a node's TimerTick. Each entity kind (scheduler, peer,
 node) dispatches on the payload's type through one table; any other payload
 is a named error.
 
-A dispatch re-checks that the node's point satisfies the claim, remembering
-each (constraints, point) pair that fits; a pair that fails is refused every
-time.
+A dispatch re-checks that the node's point satisfies the claim.
 
 Waiting claims live in one ClaimStore keyed by cell. Which peer owns a cell
 decides who handles the cell's messages and what latency they pay, not where
@@ -95,7 +93,6 @@ class ExecutionNode:
     node_id: str
     cloud_id: str
     speed_ghz: float
-    cpu_type: str
     busy: bool = False
     committed: bool = False
     target: str = field(init=False)  # the node's engine address, built once
@@ -205,11 +202,10 @@ class FederationState:
         self.pending_submits = 0
         self.submitted_total = 0
         self.completed_total = 0
+        # Every node of a cloud shares the cloud's speed and CPU type, so a
+        # (cloud, label) pair fixes the point, hence the cell, of a ticket.
         self.node_points: dict[tuple[str, str], tuple[object, ...]] = {}
-        # A node's tickets for one label share its point, hence its cell.
         self.ticket_cells: dict[tuple[str, str], IndexCell] = {}
-        # (claim constraints, node point) pairs a dispatch has found to fit.
-        self.fitting_pairs: set[tuple[tuple[object, ...], tuple[object, ...]]] = set()
         # Keyed by (model, cpu_type, speed), the inputs of a cloud's claims, so
         # clouds submitting equal claims share one record. Satisfiability is
         # valid for the whole run because the node set is fixed.
@@ -225,15 +221,17 @@ class FederationState:
             and self.completed_total + len(self.stranded_ids) >= self.submitted_total
         )
 
-    def node_point(self, node: ExecutionNode, service_label: str) -> tuple[object, ...]:
-        key = (node.node_id, service_label)
+    def node_point(self, cloud_id: str, service_label: str) -> tuple[object, ...]:
+        """The attribute point of any node of the cloud hosting the label."""
+        key = (cloud_id, service_label)
         point = self.node_points.get(key)
         if point is None:
+            cloud = self.clouds[cloud_id]
             values = {
                 DIM_SERVICE: service_label,
                 DIM_PROCESSORS: 1,
-                DIM_CPU: node.cpu_type,
-                DIM_SPEED: node.speed_ghz,
+                DIM_CPU: cloud.cpu_type,
+                DIM_SPEED: cloud.node_speed_ghz,
             }
             point = tuple(values[d.name] for d in self.space.dims)
             self.node_points[key] = point
@@ -295,12 +293,7 @@ def deploy_federation(scenario: Scenario) -> FederationState:
             peer_cloud[cloud.cloud_id] = cloud.cloud_id
         for i in range(cloud.node_count):
             node_id = f"{cloud.cloud_id}/n{i}"
-            nodes[node_id] = ExecutionNode(
-                node_id=node_id,
-                cloud_id=cloud.cloud_id,
-                speed_ghz=cloud.node_speed_ghz,
-                cpu_type=cloud.cpu_type,
-            )
+            nodes[node_id] = ExecutionNode(node_id, cloud.cloud_id, cloud.node_speed_ghz)
             if cloud.topology == FULL_P2P:
                 membership.join(node_id)
                 peer_cloud[node_id] = cloud.cloud_id
@@ -393,7 +386,6 @@ def submit_application(
             requested_units=1,
             origin=cloud_id,
             arrival_time=now,
-            job_ref=unit.unit_id,
         )
         if not claim_class.satisfiable:
             handle.stranded.add(unit.unit_id)
@@ -423,15 +415,14 @@ def publish_ticket(state: FederationState, node: ExecutionNode) -> None:
         return
     now = state.engine.now
     for label in state.service_labels[node.cloud_id]:
-        point = state.node_point(node, label)
         ticket = ResourceTicket(
             ticket_id=f"{node.node_id}@{now}/{label}",
-            point=point,
+            point=state.node_point(node.cloud_id, label),
             available_units=1,
             origin=node.node_id,
             issue_time=now,
         )
-        key = (node.node_id, label)
+        key = (node.cloud_id, label)
         cell = state.ticket_cells.get(key)
         if cell is None:
             cell = state.ticket_cells[key] = map_ticket(state.space, state.cells, ticket)
@@ -574,15 +565,12 @@ def _on_tick(state: FederationState, node: ExecutionNode, tick: TimerTick) -> No
 def _on_dispatch(state: FederationState, node: ExecutionNode, dispatch: Dispatch) -> None:
     if node.busy:
         raise ConsistencyError(f"node {node.node_id} dispatched while busy")
-    label = SERVICE_LABELS[dispatch.unit.model]
-    pair = (dispatch.claim.constraints, state.node_point(node, label))
-    if pair not in state.fitting_pairs:
-        if not point_satisfies(dispatch.claim, pair[1]):
-            raise ConsistencyError(
-                f"unit {dispatch.unit.unit_id} dispatched to node {node.node_id} "
-                "that fails its claim constraints"
-            )
-        state.fitting_pairs.add(pair)
+    point = state.node_point(node.cloud_id, SERVICE_LABELS[dispatch.unit.model])
+    if not point_satisfies(dispatch.claim, point):
+        raise ConsistencyError(
+            f"unit {dispatch.unit.unit_id} dispatched to node {node.node_id} "
+            "that fails its claim constraints"
+        )
     node.busy = True
     exec_ms = max(1, round(dispatch.unit.demand_ghz_s / node.speed_ghz * 1000))
     state.engine.schedule(exec_ms, node.target, ExecDone(dispatch.claim, dispatch.unit))
@@ -624,11 +612,13 @@ def _claim_class(state: FederationState, cloud: CloudConfig, model: str) -> _Cla
                 f"claims need exactly the dimensions {sorted(values)}; the space has {names}"
             )
         constraints = ClaimClass(values[name] for name in names)
-        probe = ResourceClaim("", constraints, 1, cloud.cloud_id, 0, "")  # read for its constraints
+        probe = ResourceClaim("", constraints, 1, cloud.cloud_id, 0)  # read for its constraints
+        # Every cloud has at least one node, and its nodes share one point
+        # per label, so checking clouds x labels checks every node.
         satisfiable = any(
-            point_satisfies(probe, state.node_point(node, label))
-            for node in state.nodes.values()
-            for label in state.clouds[node.cloud_id].service_types
+            point_satisfies(probe, state.node_point(cid, label))
+            for cid, other in state.clouds.items()
+            for label in other.service_types
         )
         record = state.claim_classes[key] = _ClaimClassRecord(constraints, satisfiable)
     return record

@@ -192,7 +192,6 @@ def random_claim(
         requested_units=units,
         origin=f"origin/{ident}",
         arrival_time=arrival_time,
-        job_ref=ident,
     )
 
 

@@ -95,13 +95,12 @@ class RoutingState:
     """One peer's deterministic view: prefix table and split leaf set.
 
     ``prefix_table[(i, d)]`` shares exactly the first ``i`` hex digits with
-    ``owner`` and has digit ``d`` at position ``i``. The leaf set holds up to
+    the peer whose view this is and has digit ``d`` at position ``i``. The leaf set holds up to
     ``LEAF_SET_SIZE`` ring neighbors, half clockwise and half counterclockwise
     (nearest first), so the immediate successor and predecessor are always
     present; that is what makes greedy routing land on the true owner.
     """
 
-    owner: NodeId
     prefix_table: dict[tuple[int, str], NodeId]
     leaf_predecessors: tuple[NodeId, ...]
     leaf_successors: tuple[NodeId, ...]
@@ -296,7 +295,6 @@ class OverlayMembership:
             lo, hi = starts[own], starts[own + 1]
             depth += 1
         return RoutingState(
-            owner=owner,
             prefix_table=table,
             leaf_predecessors=tuple(preds),
             leaf_successors=tuple(succs),

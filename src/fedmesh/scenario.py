@@ -43,14 +43,17 @@ Grammar (hand-editable, diff-friendly):
 
 Scenarios that declare clouds must define the four dimensions the scheduling
 services build claims from: service_type and cpu_type (categorical),
-processors and speed_ghz (numeric).
+processors and speed_ghz (numeric). Every number must be finite: a nan or inf
+bound, speed or demand is diagnosed like any other bad value.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
+from typing import Callable
 
 from .config import (
     DIM_CPU,
@@ -64,12 +67,21 @@ from .config import (
     LatencyModel,
     Scenario,
 )
-from .errors import FedmeshError
+from .errors import FedmeshError, InvalidArgumentError
 from .spatial import CATEGORICAL, NUMERIC, DimensionSpec
 from .workloads import MODELS, SERVICE_LABELS, DemandDistribution, WorkloadSpec
 
 SCHEMA_VERSION = 1
 MAX_CELLS = 100_000
+
+
+def _bool(raw: str) -> bool:
+    if raw not in ("true", "false"):
+        raise ValueError(raw)
+    return raw == "true"
+
+
+_EXPECTED = {int: "an integer", float: "a number", _bool: "true or false"}
 
 
 @dataclass(frozen=True)
@@ -167,46 +179,19 @@ class _Builder:
     def error(self, line: int, field: str, message: str) -> None:
         self.diags.append(Diagnostic(line, field, message))
 
-    def get_int(self, section: _Section, key: str, default: int | None = None) -> int | None:
+    def get(self, section: _Section, key: str, convert: Callable = str, default=None):
+        """Pop and convert one key; a missing key without a default and an
+        unconvertible value are diagnosed, and both give the default."""
         if key not in section.entries:
             if default is None:
                 self.error(section.line, key, "required key missing")
             return default
         line, raw = section.entries.pop(key)
         try:
-            return int(raw)
+            return convert(raw)
         except ValueError:
-            self.error(line, key, f"expected an integer, got {raw!r}")
+            self.error(line, key, f"expected {_EXPECTED[convert]}, got {raw!r}")
             return default
-
-    def get_float(self, section: _Section, key: str, default: float | None = None) -> float | None:
-        if key not in section.entries:
-            if default is None:
-                self.error(section.line, key, "required key missing")
-            return default
-        line, raw = section.entries.pop(key)
-        try:
-            return float(raw)
-        except ValueError:
-            self.error(line, key, f"expected a number, got {raw!r}")
-            return default
-
-    def get_str(self, section: _Section, key: str, default: str | None = None) -> str | None:
-        if key not in section.entries:
-            if default is None:
-                self.error(section.line, key, "required key missing")
-            return default
-        _, raw = section.entries.pop(key)
-        return raw
-
-    def get_bool(self, section: _Section, key: str, default: bool) -> bool:
-        if key not in section.entries:
-            return default
-        line, raw = section.entries.pop(key)
-        if raw in ("true", "false"):
-            return raw == "true"
-        self.error(line, key, f"expected true or false, got {raw!r}")
-        return default
 
     def get_list(self, section: _Section, key: str) -> tuple[int, list[str]] | None:
         if key not in section.entries:
@@ -224,11 +209,11 @@ class _Builder:
             self.error(line, key, "unknown key for this section")
 
     def build(self, top: _Section, sections: list[_Section]) -> Scenario | None:
-        version = self.get_int(top, "schema_version")
-        seed = self.get_int(top, "seed")
-        eager = self.get_bool(top, "eager_tickets", True)
-        inbox = self.get_int(top, "inbox_capacity", 1000)
-        horizon = self.get_int(top, "max_virtual_ms", DEFAULT_MAX_VIRTUAL_MS)
+        version = self.get(top, "schema_version", int)
+        seed = self.get(top, "seed", int)
+        eager = self.get(top, "eager_tickets", _bool, True)
+        inbox = self.get(top, "inbox_capacity", int, 1000)
+        horizon = self.get(top, "max_virtual_ms", int, DEFAULT_MAX_VIRTUAL_MS)
         self.leftover(top)
         if version is not None and version != SCHEMA_VERSION:
             self.error(top.line, "schema_version", f"unsupported version {version}")
@@ -245,9 +230,9 @@ class _Builder:
             if len(space_sections) > 1:
                 self.error(space_sections[1].line, "space", "duplicate [space] section")
             sec = space_sections[0]
-            f_min = self.get_int(sec, "f_min") or 0
+            f_min = self.get(sec, "f_min", int) or 0
             has_f_max = "f_max" in sec.entries
-            f_max = self.get_int(sec, "f_max", f_min)
+            f_max = self.get(sec, "f_max", int, f_min)
             if f_min >= 1 and (not has_f_max or f_max != f_min):
                 self.error(
                     sec.line,
@@ -303,23 +288,20 @@ class _Builder:
                 self.error(sec.line, "dimension", f"duplicate dimension {sec.name!r}")
                 continue
             seen.add(sec.name)
-            kind = self.get_str(sec, "kind")
+            kind = self.get(sec, "kind")
             if kind == NUMERIC:
                 got = self.get_list(sec, "bounds")
                 self.leftover(sec)
                 if got is None:
                     continue
                 line, items = got
-                if len(items) != 2:
-                    self.error(line, "bounds", "expected 'lo, hi'")
-                    continue
                 try:
-                    lo, hi = float(items[0]), float(items[1])
+                    lo, hi = map(float, items)
                 except ValueError:
-                    self.error(line, "bounds", f"expected numbers, got {items}")
+                    self.error(line, "bounds", f"expected 'lo, hi' numbers, got {items}")
                     continue
-                if not lo < hi:
-                    self.error(line, "bounds", f"need lo < hi, got {lo}, {hi}")
+                if not -math.inf < lo < hi < math.inf:
+                    self.error(line, "bounds", f"need finite lo < hi, got {lo}, {hi}")
                     continue
                 dims.append(DimensionSpec(name=sec.name, kind=NUMERIC, bounds=(lo, hi)))
             elif kind == CATEGORICAL:
@@ -343,8 +325,8 @@ class _Builder:
         if len(sections) > 1:
             self.error(sections[1].line, "latency", "duplicate [latency] section")
         sec = sections[0]
-        intra = self.get_int(sec, "intra_cloud_ms", 1)
-        inter = self.get_int(sec, "inter_cloud_ms", 5)
+        intra = self.get(sec, "intra_cloud_ms", int, 1)
+        inter = self.get(sec, "inter_cloud_ms", int, 5)
         self.leftover(sec)
         if intra is not None and intra < 0 or inter is not None and inter < 0:
             self.error(sec.line, "latency", "latencies must be >= 0")
@@ -369,12 +351,12 @@ class _Builder:
                 self.error(sec.line, "cloud", f"duplicate cloud id {sec.name!r}")
                 continue
             seen.add(sec.name)
-            nodes = self.get_int(sec, "nodes")
-            speed = self.get_float(sec, "speed_ghz")
-            cpu = self.get_str(sec, "cpu_type")
+            nodes = self.get(sec, "nodes", int)
+            speed = self.get(sec, "speed_ghz", float)
+            cpu = self.get(sec, "cpu_type")
             services = self.get_list(sec, "service_types")
             interval = self.get_list(sec, "status_update_interval_ms")
-            topology = self.get_str(sec, "topology", "hub")
+            topology = self.get(sec, "topology", default="hub")
             self.leftover(sec)
             if None in (nodes, speed, cpu) or services is None or interval is None:
                 continue
@@ -386,8 +368,8 @@ class _Builder:
                 continue
             iline, iitems = interval
             try:
-                lo, hi = int(iitems[0]), int(iitems[1])
-            except (ValueError, IndexError):
+                lo, hi = map(int, iitems)
+            except ValueError:
                 self.error(iline, "status_update_interval_ms", "expected 'lo, hi' integers")
                 continue
             if lo < 1 or hi < lo:
@@ -435,12 +417,12 @@ class _Builder:
                 self.error(sec.line, "workload", f"duplicate workload id {sec.name!r}")
                 continue
             seen.add(sec.name)
-            model = self.get_str(sec, "model")
-            rows = self.get_int(sec, "rows")
-            cols = self.get_int(sec, "cols")
+            model = self.get(sec, "model")
+            rows = self.get(sec, "rows", int)
+            cols = self.get(sec, "cols", int)
             demand = self.get_list(sec, "unit_demand")
-            submit_cloud = self.get_str(sec, "submit_cloud")
-            submit_time = self.get_int(sec, "submit_time_ms", 0)
+            submit_cloud = self.get(sec, "submit_cloud")
+            submit_time = self.get(sec, "submit_time_ms", int, 0)
             self.leftover(sec)
             if None in (model, rows, cols, submit_cloud) or demand is None:
                 continue
@@ -485,11 +467,10 @@ class _Builder:
             if items[0] == "constant" and len(items) == 2:
                 return DemandDistribution.constant(float(items[1]))
             if items[0] == "uniform" and len(items) == 3:
-                lo, hi = float(items[1]), float(items[2])
-                if not 0 < lo <= hi:
-                    self.error(line, "unit_demand", f"need 0 < lo <= hi, got {lo}, {hi}")
-                    return None
-                return DemandDistribution.uniform(lo, hi)
+                return DemandDistribution.uniform(float(items[1]), float(items[2]))
+        except InvalidArgumentError as exc:
+            self.error(line, "unit_demand", f"{exc}, got {', '.join(items[1:])}")
+            return None
         except ValueError:
             pass
         self.error(line, "unit_demand", "expected 'constant, X' or 'uniform, LO, HI'")

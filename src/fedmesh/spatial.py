@@ -15,6 +15,7 @@ matches is guaranteed to meet there.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -42,8 +43,8 @@ class DimensionSpec:
         if self.kind == NUMERIC:
             if self.labels is not None:
                 raise InvalidArgumentError(f"{self.name}: numeric dimension takes no labels")
-            if self.bounds is None or not self.bounds[0] < self.bounds[1]:
-                raise InvalidArgumentError(f"{self.name}: numeric bounds must satisfy lo < hi")
+            if self.bounds is None or not -math.inf < self.bounds[0] < self.bounds[1] < math.inf:
+                raise InvalidArgumentError(f"{self.name}: numeric bounds need finite lo < hi")
         elif self.kind == CATEGORICAL:
             if self.bounds is not None:
                 raise InvalidArgumentError(f"{self.name}: categorical dimension takes no bounds")
@@ -125,7 +126,6 @@ class ResourceClaim:
     requested_units: int
     origin: str
     arrival_time: int
-    job_ref: str
 
     def __post_init__(self) -> None:
         if self.requested_units < 1:

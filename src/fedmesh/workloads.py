@@ -7,6 +7,7 @@ simulator except for the execution-service label their claims request.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .coordination import AllocationDecision
@@ -33,8 +34,8 @@ class DemandDistribution:
     def __post_init__(self) -> None:
         if self.kind not in ("constant", "uniform"):
             raise InvalidArgumentError(f"unknown demand distribution {self.kind!r}")
-        if self.lo <= 0 or self.hi < self.lo:
-            raise InvalidArgumentError("demand bounds must satisfy 0 < lo <= hi")
+        if not 0 < self.lo <= self.hi < math.inf:
+            raise InvalidArgumentError("demand bounds must satisfy 0 < lo <= hi < inf")
 
     @classmethod
     def constant(cls, value: float) -> "DemandDistribution":

@@ -67,7 +67,6 @@ def stored_claims(times=(300, 400, 500)) -> list[ResourceClaim]:
         requested_units=1,
         origin="cloud-1",
         arrival_time=times[0],
-        job_ref="job-1",
     )
     c2 = ResourceClaim(
         claim_id="claim-2",
@@ -75,7 +74,6 @@ def stored_claims(times=(300, 400, 500)) -> list[ResourceClaim]:
         requested_units=1,
         origin="cloud-3",
         arrival_time=times[1],
-        job_ref="job-2",
     )
     c3 = ResourceClaim(
         claim_id="claim-3",
@@ -83,7 +81,6 @@ def stored_claims(times=(300, 400, 500)) -> list[ResourceClaim]:
         requested_units=1,
         origin="cloud-4",
         arrival_time=times[2],
-        job_ref="job-3",
     )
     return [c1, c2, c3]
 

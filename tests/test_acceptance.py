@@ -150,7 +150,7 @@ def test_criterion_4_rendezvous_oracle(grid2x2_space):
             cons_y = [Eq(y), Ge(y), Le(y), Range(bounds[1][0], y), Range(y, bounds[1][1])]
             for cx in cons_x:
                 for cy in cons_y:
-                    claim = ResourceClaim("c", (cx, cy), 1, "o", 0, "j")
+                    claim = ResourceClaim("c", (cx, cy), 1, "o", 0)
                     assert matches(claim, ticket)
                     assert tcell in map_claim(grid2x2_space, cells, claim)
                     pairs += 1

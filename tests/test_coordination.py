@@ -241,7 +241,6 @@ def _thread_claim(claim_id: str, min_speed: float, arrival_time: int, units: int
         requested_units=units,
         origin=f"origin/{claim_id}",
         arrival_time=arrival_time,
-        job_ref=claim_id,
     )
 
 
@@ -358,7 +357,6 @@ class TestClaimClasses:
                 requested_units=rnd.randint(1, 3),
                 origin=f"origin/c{j:02d}",
                 arrival_time=rnd.randrange(4) * 10,
-                job_ref=f"c{j:02d}",
             )
             for j in range(rnd.randint(2, 16))
         ]
@@ -381,7 +379,7 @@ _POOL_CELLS = tuple(IndexCell((k,), ((0.0, 1.0),), (0.5,)) for k in range(2))
 
 
 def _pool_claim(n: int, constraints, arrival_time: int, units: int = 1) -> ResourceClaim:
-    return ResourceClaim(f"c{n:03d}", constraints, units, f"origin/{n}", arrival_time, f"c{n:03d}")
+    return ResourceClaim(f"c{n:03d}", constraints, units, f"origin/{n}", arrival_time)
 
 
 def _pool_ticket(n: int, point, units: int) -> ResourceTicket:

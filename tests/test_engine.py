@@ -37,14 +37,16 @@ class TestSchedule:
         assert engine.now == 30
 
     def test_equal_timestamps_fire_in_seq_order(self):
+        # Within one millisecond, events fire in the order schedule was called.
         engine = SimulationEngine()
         log = []
         engine.register("a", collector(engine, log))
-        first = engine.schedule(5, "a", "one")
-        second = engine.schedule(5, "a", "two")
-        assert first < second
+        engine.register("b", collector(engine, log))
+        payloads = ["one", "two", "three", "four"]
+        for i, payload in enumerate(payloads):
+            assert engine.schedule(5, "ab"[i % 2], payload) is None
         engine.run()
-        assert [p for _, p in log] == ["one", "two"]
+        assert log == [(5, p) for p in payloads]
 
     def test_zero_delay_fires_before_later_seq(self):
         engine = SimulationEngine()
@@ -212,15 +214,15 @@ class TestCalendarSlots:
     def test_property_delivery_in_fire_at_then_seq_order(self, initial, chained, stops):
         # Handlers schedule the `chained` delays (zero delays included) one
         # per delivery, and `stops` splits the run with run(until_ms), each
-        # followed by one more event scheduled from outside.
+        # followed by one more event scheduled from outside. Each event is
+        # keyed by (fire_at, the index of its schedule call).
         engine = SimulationEngine()
         scheduled, delivered = [], []
         chained = list(chained)
 
         def send(delay):
-            key = []
-            seq = engine.schedule(delay, "ab"[len(scheduled) % 2], key)
-            key.append((engine.now + delay, seq))
+            key = [(engine.now + delay, len(scheduled))]
+            engine.schedule(delay, "ab"[len(scheduled) % 2], key)
             scheduled.append(key[0])
 
         def handler(key):

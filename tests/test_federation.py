@@ -343,7 +343,7 @@ class TestPublishTicket:
     def test_ticket_point_mirrors_node_attributes(self):
         state = deploy_federation(scenario([cloud("cloud-2", 2.7, nodes=1)]))
         node = state.nodes["cloud-2/n0"]
-        point = state.node_point(node, THREAD_LABEL)
+        point = state.node_point(node.cloud_id, THREAD_LABEL)
         assert point == (THREAD_LABEL, 1, "Intel", 2.7)
 
 

@@ -168,6 +168,29 @@ class TestValidateCommand:
     def test_missing_file_exit_three(self, tmp_path):
         assert main(["validate", str(tmp_path / "absent.scenario")]) == 3
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("unit_demand", "constant, nan"),
+            ("unit_demand", "constant, inf"),
+            ("unit_demand", "uniform, 1, inf"),
+            ("bounds", "-inf, 4"),
+            ("status_update_interval_ms", "5000, 40000, 7"),
+        ],
+    )
+    def test_hostile_value_is_diagnosed_on_its_field(self, tmp_path, capsys, key, value):
+        # Non-finite numbers and surplus list items, each set on the first
+        # line of its key in the built-in scenario.
+        lines = builtin_scenario_path().read_text(encoding="utf-8").splitlines()
+        at = next(i for i, line in enumerate(lines) if line.startswith(f"{key} ="))
+        lines[at] = f"{key} = {value}"
+        text = "\n".join(lines) + "\n"
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(text)
+        assert any(d.field == key and d.line == at + 1 for d in exc.value.diagnostics)
+        assert main(["validate", str(write(tmp_path, text))]) == 2
+        assert f"line {at + 1}: {key}: " in capsys.readouterr().err
+
 
 class TestRunCommand:
     def test_outputs_written_with_exact_headers(self, tmp_path):
@@ -289,7 +312,7 @@ BUILTIN_LINES = [
 MUTANT_VALUES = (
     "", "0", "-1", "1", "3.5", "1e9", "nan", "inf", "x", ",", "a, b", "0, 0", "5, 1",
     "true", "numeric", "categorical", "full_p2p", "constant, 0", "uniform, 1", "cloud-1",
-    "P2PTaskExecution",
+    "P2PTaskExecution", "constant, nan", "uniform, 1, inf", "-inf, 4", "1, 2, 3",
 )
 MUTANT_NAMES = ("", "x", "cloud-1", "speed_ghz", "two words")
 MUTANT_LINES = (
@@ -364,21 +387,39 @@ def imported_modules(module) -> set[str]:
 def test_library_defines_nothing_that_only_tests_use():
     """Code only tests use lives in oracles.py or under tests/: every
     top-level function or class and every non-dunder method of the other
-    modules is referenced from src/ or bench/ (re-exports do not count)."""
+    modules is referenced from src/ or bench/ (re-exports do not count), and
+    every annotated field of a dataclass or NamedTuple is read there as an
+    attribute (a name-based check: a read of any object's attribute of the
+    same name counts)."""
     package = Path(fedmesh.config.__file__).parent
     sources = [p for p in package.glob("*.py") if p.name != "__init__.py"]
     referenced: set[str] = set()
+    read: set[str] = set()
     for path in sources + list((package.parents[1] / "bench").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Name):
                 referenced.add(node.id)
             elif isinstance(node, ast.Attribute):
                 referenced.add(node.attr)
+                if isinstance(node.ctx, ast.Load):
+                    read.add(node.attr)
             elif isinstance(node, (ast.Import, ast.ImportFrom)):
                 referenced.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
-    # The churn driver: mid-run leaves are exercised by tests until the
-    # simulator schedules them itself.
-    allowed = {"overlay.OverlayMembership.leave"}
+
+    def is_record(cls: ast.ClassDef) -> bool:
+        decorators = [d.func if isinstance(d, ast.Call) else d for d in cls.decorator_list]
+        return any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators) or any(
+            isinstance(b, ast.Name) and b.id == "NamedTuple" for b in cls.bases
+        )
+
+    allowed = {
+        # Churn: mid-run leaves are exercised by tests until the simulator
+        # schedules them itself.
+        "overlay.OverlayMembership.leave",
+        # When a claim was served: tests read it, and the planned per-run
+        # telemetry (claim wait from post to match) will.
+        "coordination.AllocationDecision.decided_at",
+    }
     unused = []
     for path in sorted(sources):
         if path.name == "oracles.py":
@@ -399,6 +440,14 @@ def test_library_defines_nothing_that_only_tests_use():
                 for name in names
                 if name.rsplit(".", 1)[-1] not in referenced
             ]
+            if isinstance(node, ast.ClassDef) and is_record(node):
+                unused += [
+                    f"{path.stem}.{node.name}.{field.target.id}"
+                    for field in node.body
+                    if isinstance(field, ast.AnnAssign)
+                    and isinstance(field.target, ast.Name)
+                    and field.target.id not in read
+                ]
     assert sorted(set(unused) - allowed) == []
 
 

@@ -181,25 +181,25 @@ class TestClaimRegion:
     def test_all_eq_collapses_to_point(self, testbed_space):
         region = claim_region(
             testbed_space,
-            ResourceClaim("p", (Eq(THREAD_LABEL), Eq(1), Eq("Intel"), Eq(2.0)), 1, "o", 0, "j"),
+            ResourceClaim("p", (Eq(THREAD_LABEL), Eq(1), Eq("Intel"), Eq(2.0)), 1, "o", 0),
         )
         for lo, hi in region:
             assert lo == hi
 
     def test_ge_fills_to_upper_bound(self, testbed_space):
-        claim = ResourceClaim("g", (Eq(THREAD_LABEL), Eq(1), Eq("Intel"), Ge(1.5)), 1, "o", 0, "j")
+        claim = ResourceClaim("g", (Eq(THREAD_LABEL), Eq(1), Eq("Intel"), Ge(1.5)), 1, "o", 0)
         assert claim_region(testbed_space, claim)[3] == (0.375, 1.0)
 
     def test_le_and_range(self, testbed_space):
-        claim = ResourceClaim("l", (Eq(THREAD_LABEL), Eq(1), Eq("Intel"), Le(1.0)), 1, "o", 0, "j")
+        claim = ResourceClaim("l", (Eq(THREAD_LABEL), Eq(1), Eq("Intel"), Le(1.0)), 1, "o", 0)
         assert claim_region(testbed_space, claim)[3] == (0.0, 0.25)
         claim = ResourceClaim(
-            "r", (Eq(THREAD_LABEL), Eq(1), Eq("Intel"), Range(1.0, 3.0)), 1, "o", 0, "j"
+            "r", (Eq(THREAD_LABEL), Eq(1), Eq("Intel"), Range(1.0, 3.0)), 1, "o", 0
         )
         assert claim_region(testbed_space, claim)[3] == (0.25, 0.75)
 
     def test_categorical_rejects_inequalities(self, testbed_space):
-        claim = ResourceClaim("bad", (Ge(0.5), Eq(1), Eq("Intel"), Ge(1.5)), 1, "o", 0, "j")
+        claim = ResourceClaim("bad", (Ge(0.5), Eq(1), Eq("Intel"), Ge(1.5)), 1, "o", 0)
         with pytest.raises(InvalidArgumentError):
             claim_region(testbed_space, claim)
 
@@ -224,14 +224,14 @@ class TestClaimRegion:
 class TestMapClaim:
     def test_point_region_single_cell(self, testbed_space, testbed_cells):
         claim = ResourceClaim(
-            "pt", (Eq(THREAD_LABEL), Eq(2.0), Eq("Intel"), Eq(2.0)), 1, "o", 0, "j"
+            "pt", (Eq(THREAD_LABEL), Eq(2.0), Eq("Intel"), Eq(2.0)), 1, "o", 0
         )
         cells = map_claim(testbed_space, testbed_cells, claim)
         assert len(cells) == 1
 
     def test_ge_spans_two_of_two_slices(self, grid2x2_space):
         cells = build_base_cells(grid2x2_space)
-        claim = ResourceClaim("span", (Ge(1.5), Eq(0.2)), 1, "o", 0, "j")
+        claim = ResourceClaim("span", (Ge(1.5), Eq(0.2)), 1, "o", 0)
         selected = map_claim(grid2x2_space, cells, claim)
         # normalized speed interval [0.375, 1] meets both slices of dim x.
         assert sorted(c.coords for c in selected) == [(0, 0), (1, 0)]
@@ -294,7 +294,7 @@ class TestMatches:
     def test_identity_claim_matches_own_values(self):
         ticket = published_ticket()
         claim = ResourceClaim(
-            "self", tuple(Eq(v) for v in ticket.point), 1, "o", 0, "j"
+            "self", tuple(Eq(v) for v in ticket.point), 1, "o", 0
         )
         assert matches(claim, ticket) is True
 
@@ -329,7 +329,7 @@ class TestRendezvous:
             per_dim = constraints_for(ticket.point)
             for cx in per_dim[0]:
                 for cy in per_dim[1]:
-                    claim = ResourceClaim("c", (cx, cy), 1, "o", 0, "j")
+                    claim = ResourceClaim("c", (cx, cy), 1, "o", 0)
                     assert matches(claim, ticket)
                     assert tcell in map_claim(grid2x2_space, cells, claim)
                     checked += 1
@@ -373,7 +373,7 @@ class TestSliceBoundaries:
                 tcell = map_ticket(space, cells, ticket)
                 for cu in (Eq(u), Ge(u), Le(u)):
                     for cv in (Eq(v), Ge(v), Le(v)):
-                        claim = ResourceClaim("c", (cu, cv), 1, "o", 0, "j")
+                        claim = ResourceClaim("c", (cu, cv), 1, "o", 0)
                         assert matches(claim, ticket)
                         assert tcell in map_claim(space, cells, claim), (f, u, v, cu, cv)
 
@@ -393,7 +393,7 @@ class TestSliceBoundaries:
             f_min=3,
         )
         cells = build_base_cells(space)
-        claim = ResourceClaim("c", (Eq(1 / 3),), 1, "o", 0, "j")
+        claim = ResourceClaim("c", (Eq(1 / 3),), 1, "o", 0)
         assert sorted(c.coords for c in map_claim(space, cells, claim)) == [(0,), (1,)]
 
 

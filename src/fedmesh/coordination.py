@@ -100,16 +100,16 @@ class _CellQueue:
 
 
 class ClaimStore:
-    """Claim-class buckets keyed by index-cell coordinates."""
+    """Claim-class buckets keyed by index cell."""
 
     def __init__(self) -> None:
-        self._cells: dict[tuple[int, ...], _CellQueue] = {}
+        self._cells: dict[IndexCell, _CellQueue] = {}
 
     def post_claim(self, cell: IndexCell, claim: ResourceClaim) -> None:
         """Insert in (arrival_time, claim_id) order; duplicates are ignored."""
-        queue = self._cells.get(cell.coords)
+        queue = self._cells.get(cell)
         if queue is None:
-            queue = self._cells[cell.coords] = _CellQueue()
+            queue = self._cells[cell] = _CellQueue()
         if claim.claim_id not in queue.index:
             queue.insert(claim)
 
@@ -125,7 +125,7 @@ class ClaimStore:
         zero. Leftover capacity is discarded rather than parked.
         """
         decided_at = ticket.issue_time if now_ms is None else now_ms
-        queue = self._cells.get(cell.coords)
+        queue = self._cells.get(cell)
         remaining = ticket.available_units
         if queue is None or remaining <= 0 or not queue.index:
             return []
@@ -172,14 +172,14 @@ class ClaimStore:
             )
         return decisions
 
-    def discard(self, cell_coords: tuple[int, ...], claim_id: str) -> bool:
+    def discard(self, cell: IndexCell, claim_id: str) -> bool:
         """Drop one replica of a claim from one cell; False if it was not there."""
-        queue = self._cells.get(cell_coords)
+        queue = self._cells.get(cell)
         return queue.remove_id(claim_id) if queue is not None else False
 
     def snapshot(self, cell: IndexCell) -> list[ResourceClaim]:
         """Read-only copy of one cell's claims, in (arrival_time, claim_id) order."""
-        queue = self._cells.get(cell.coords)
+        queue = self._cells.get(cell)
         return [] if queue is None else [e[2] for e in sorted(chain(*queue.buckets.values()))]
 
     def waiting_claim_ids(self) -> tuple[str, ...]:

@@ -76,7 +76,7 @@ def run_sweep(
         runs[size] = result
         for handle in result.state.apps.values():
             if handle.model in models and handle.complete:
-                key = (handle.submit_cloud, handle.model, handle.granularity)
+                key = (handle.submit_cloud, handle.model, handle.unit_count)
                 response[key] = result.state.metrics.response_times[handle.app_id]
     return SweepResult(
         scenario=scenario, models=models, sizes=sizes, runs=runs, response=response

@@ -92,7 +92,6 @@ class ExecutionNode:
 
     node_id: str
     cloud_id: str
-    speed_ghz: float
     busy: bool = False
     committed: bool = False
     target: str = field(init=False)  # the node's engine address, built once
@@ -147,11 +146,9 @@ class ApplicationHandle:
     app_id: str
     model: str
     submit_cloud: str
-    granularity: int
     submit_time_ms: int
     unit_count: int
     completions: dict[str, int] = field(default_factory=dict)
-    stranded: set[str] = field(default_factory=set)
 
     @property
     def complete(self) -> bool:
@@ -189,7 +186,7 @@ class FederationState:
         self.max_virtual_ms = max_virtual_ms
         self.metrics = MetricsSink()
         self.store = ClaimStore()
-        self.cell_owner: dict[tuple[int, ...], str] = {}
+        self.cell_owner: dict[IndexCell, str] = {}
         # Engine addresses and sorted service labels, built once at deploy.
         self.peer_targets = {peer: f"peer/{peer}" for peer in peer_cloud}
         self.scheduler_targets = {cid: f"scheduler/{cid}" for cid in clouds}
@@ -254,9 +251,9 @@ def recompute_cell_assignment(state: FederationState) -> None:
     Every new owner must be a deployed peer; otherwise this raises
     ConsistencyError naming the peer and leaves the map as it was.
     """
-    membership = state.membership
+    membership, f_min = state.membership, state.space.f_min
     owners = {
-        cell.coords: membership.name_of(membership.owner_of(spatial_hash(cell)))
+        cell: membership.name_of(membership.owner_of(spatial_hash(cell, f_min)))
         for cell in state.cells
     }
     for peer, count in sorted(Counter(owners.values()).items()):
@@ -293,7 +290,7 @@ def deploy_federation(scenario: Scenario) -> FederationState:
             peer_cloud[cloud.cloud_id] = cloud.cloud_id
         for i in range(cloud.node_count):
             node_id = f"{cloud.cloud_id}/n{i}"
-            nodes[node_id] = ExecutionNode(node_id, cloud.cloud_id, cloud.node_speed_ghz)
+            nodes[node_id] = ExecutionNode(node_id, cloud.cloud_id)
             if cloud.topology == FULL_P2P:
                 membership.join(node_id)
                 peer_cloud[node_id] = cloud.cloud_id
@@ -366,7 +363,6 @@ def submit_application(
         app_id=app_id,
         model=spec.model,
         submit_cloud=cloud_id,
-        granularity=spec.unit_count,
         submit_time_ms=now,
         unit_count=len(units),
     )
@@ -377,7 +373,7 @@ def submit_application(
     claim_class = _claim_class(state, cloud, spec.model)
     # (delay, owner's target) per cell, for this call only: ownership cannot
     # change before it returns, but a later leave may move any cell.
-    routes: dict[tuple[int, ...], tuple[int, str]] = {}
+    routes: dict[IndexCell, tuple[int, str]] = {}
     schedule = state.engine.schedule
     for unit in units:
         claim = ResourceClaim(
@@ -388,16 +384,15 @@ def submit_application(
             arrival_time=now,
         )
         if not claim_class.satisfiable:
-            handle.stranded.add(unit.unit_id)
             state.stranded_ids.add(claim.claim_id)
         cells = map_claim(state.space, state.cells, claim)
         state.pending[claim.claim_id] = _PendingUnit(claim, unit, cells)
         for cell in cells:
-            route = routes.get(cell.coords)
+            route = routes.get(cell)
             if route is None:
-                owner = state.cell_owner[cell.coords]
+                owner = state.cell_owner[cell]
                 delay = state.latency.between(cloud_id, state.peer_cloud[owner])
-                route = routes[cell.coords] = (delay, state.peer_targets[owner])
+                route = routes[cell] = (delay, state.peer_targets[owner])
             schedule(route[0], route[1], ClaimPost(claim, cell))
     return handle
 
@@ -426,7 +421,7 @@ def publish_ticket(state: FederationState, node: ExecutionNode) -> None:
         cell = state.ticket_cells.get(key)
         if cell is None:
             cell = state.ticket_cells[key] = map_ticket(state.space, state.cells, ticket)
-        owner = state.cell_owner[cell.coords]
+        owner = state.cell_owner[cell]
         delay = state.latency.between(node.cloud_id, state.peer_cloud[owner])
         state.engine.schedule(delay, state.peer_targets[owner], TicketPost(ticket, cell))
         state.metrics.tickets_published += 1
@@ -516,7 +511,7 @@ def _on_result(state: FederationState, cloud_id: str, unit: WorkUnit) -> None:
 def _forwarded(state: FederationState, peer: str, post: ClaimPost | TicketPost) -> bool:
     """Pass a post for a cell this peer no longer owns on to the cell's
     current owner, as Pastry routes a key on to its new root."""
-    owner = state.cell_owner[post.cell.coords]
+    owner = state.cell_owner[post.cell]
     if owner == peer:
         return False
     delay = state.latency.between(state.peer_cloud[peer], state.peer_cloud[owner])
@@ -546,8 +541,8 @@ def _on_ticket(state: FederationState, peer: str, post: TicketPost) -> None:
         node.committed = True
         # Retire every replica before any further event can observe it.
         for other in state.pending[decision.claim_id].cells:
-            if other.coords != cell.coords:  # the matched copy is already gone
-                state.store.discard(other.coords, decision.claim_id)
+            if other != cell:  # the matched copy is already gone
+                state.store.discard(other, decision.claim_id)
         state.metrics.record_decision(decision)
         delay = state.latency.between(state.peer_cloud[peer], decision.notify)
         state.engine.schedule(delay, state.scheduler_targets[decision.notify], decision)
@@ -572,15 +567,15 @@ def _on_dispatch(state: FederationState, node: ExecutionNode, dispatch: Dispatch
             "that fails its claim constraints"
         )
     node.busy = True
-    exec_ms = max(1, round(dispatch.unit.demand_ghz_s / node.speed_ghz * 1000))
+    speed = state.clouds[node.cloud_id].node_speed_ghz
+    exec_ms = max(1, round(dispatch.unit.demand_ghz_s / speed * 1000))
     state.engine.schedule(exec_ms, node.target, ExecDone(dispatch.claim, dispatch.unit))
 
 
 def _on_done(state: FederationState, node: ExecutionNode, done: ExecDone) -> None:
     node.busy = False
     node.committed = False
-    label = SERVICE_LABELS[done.unit.model]
-    state.metrics.record_completion(node.cloud_id, label, done.unit.model)
+    state.metrics.record_completion(node.cloud_id, done.unit.model)
     delay = state.latency.between(node.cloud_id, done.claim.origin)
     state.engine.schedule(delay, state.scheduler_targets[done.claim.origin], done.unit)
     if state.eager_tickets:

@@ -234,7 +234,7 @@ def distributed_fifo_allocate(
         decisions = store.post_ticket(cell, ticket)
         for d in decisions:
             for replica in replicas[d.claim_id]:
-                store.discard(replica.coords, d.claim_id)
+                store.discard(replica, d.claim_id)
             allocations.append((d.ticket_id, d.claim_id, d.units_granted))
     return allocations
 

@@ -144,13 +144,12 @@ class OverlayMembership:
     """
 
     def __init__(self) -> None:
-        self._peers: dict[str, NodeId] = {}
         self._by_value: dict[int, tuple[str, NodeId]] = {}
         self._ring: list[int] | None = None
         self._states: dict[int, RoutingState] = {}
 
     def __len__(self) -> int:
-        return len(self._peers)
+        return len(self._by_value)
 
     def members(self) -> tuple[NodeId, ...]:
         """All peer ids, sorted ascending."""
@@ -164,22 +163,19 @@ class OverlayMembership:
 
     def join(self, name: str) -> NodeId:
         """Add a named peer; its id is the hash of the name."""
-        if name in self._peers:
-            raise AlreadyMemberError(f"peer {name!r} already joined")
         nid = hash_name(name)
         if nid.value in self._by_value:
             other = self._by_value[nid.value][0]
+            if other == name:
+                raise AlreadyMemberError(f"peer {name!r} already joined")
             raise IdCollisionError(f"{name!r} collides with {other!r} at {nid.hex}")
-        self._peers[name] = nid
         self._by_value[nid.value] = (name, nid)
         self._invalidate()
         return nid
 
     def leave(self, node_id: NodeId) -> None:
-        if node_id.value not in self._by_value:
+        if self._by_value.pop(node_id.value, None) is None:
             raise NotAMemberError(f"no peer with id {node_id.hex}")
-        name, _ = self._by_value.pop(node_id.value)
-        del self._peers[name]
         self._invalidate()
 
     def owner_of(self, key: NodeId) -> NodeId:
@@ -210,7 +206,7 @@ class OverlayMembership:
         leaf set; the walk ends at the peer with minimal circular distance,
         which is independent of the source.
         """
-        if not self._peers:
+        if not self._by_value:
             raise NoRouteError("cannot route in an empty membership")
         if source.value not in self._by_value:
             raise InvalidSourceError(f"source {source.hex} is not a member")

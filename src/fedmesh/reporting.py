@@ -10,7 +10,7 @@ import json
 from pathlib import Path
 
 from .experiments import RunResult, SweepResult
-from .workloads import MODELS, JobShare, MetricsSink, job_share_percent
+from .workloads import MODELS, SERVICE_LABELS, JobShare, MetricsSink, job_share_percent
 
 RESPONSE_HEADER = "cloud_id,model,granularity,response_time_s"
 JOBS_HEADER = "cloud_id,service_type,jobs_completed"
@@ -20,6 +20,8 @@ RESPONSE_CSV = "response_times.csv"
 JOBS_CSV = "jobs_by_cloud.csv"
 SHARE_CSV = "job_share.csv"
 SUMMARY_JSON = "summary.json"
+
+_MODEL_OF_LABEL = {label: model for model, label in SERVICE_LABELS.items()}
 
 
 def _f3(x: float) -> str:
@@ -43,19 +45,18 @@ def _response_rows(result: RunResult) -> list[tuple[str, str, int, float]]:
     for handle in result.state.apps.values():
         if handle.complete:
             rt = result.state.metrics.response_times[handle.app_id]
-            rows.append((handle.submit_cloud, handle.model, handle.granularity, rt))
+            rows.append((handle.submit_cloud, handle.model, handle.unit_count, rt))
     rows.sort(key=lambda r: (r[0], r[1], r[2]))
     return rows
 
 
 def _jobs_rows(result: RunResult) -> list[tuple[str, str, int]]:
-    sink = result.state.metrics
-    rows = []
-    for cloud in result.scenario.clouds:
-        for label in sorted(cloud.service_types):
-            rows.append((cloud.cloud_id, label, sink.completed_jobs.get((cloud.cloud_id, label), 0)))
-    rows.sort(key=lambda r: (r[0], r[1]))
-    return rows
+    done = result.state.metrics.completed_by_model
+    return sorted(
+        (cloud.cloud_id, label, done.get((cloud.cloud_id, _MODEL_OF_LABEL.get(label)), 0))
+        for cloud in result.scenario.clouds
+        for label in cloud.service_types
+    )
 
 
 def _write(path: Path, text: str) -> Path:
@@ -107,7 +108,7 @@ def write_run_outputs(result: RunResult, out_dir: str | Path, fmt: str = "csv") 
         ("tickets_published", "engine", 0, float(sink.tickets_published), "tickets"),
         ("stale_tickets_dropped", "engine", 0, float(sink.stale_tickets), "tickets"),
         *(("units_submitted", m, 0, float(sink.submitted_units.get(m, 0)), "units") for m in MODELS),
-        *(("units_completed", m, 0, float(sink.completed_units.get(m, 0)), "units") for m in MODELS),
+        *(("units_completed", m, 0, float(n), "units") for m, n in sink.completed_per_model().items()),
     ]
     cloud_ids = tuple(sorted(c.cloud_id for c in result.scenario.clouds))
     share = job_share_percent(sink, cloud_ids)
@@ -129,8 +130,6 @@ def write_sweep_outputs(sweep: SweepResult, out_dir: str | Path, fmt: str = "csv
     merged = MetricsSink()
     for size in sweep.sizes:
         result = sweep.runs[size]
-        for key, count in result.state.metrics.completed_jobs.items():
-            merged.completed_jobs[key] = merged.completed_jobs.get(key, 0) + count
         for key, count in result.state.metrics.completed_by_model.items():
             merged.completed_by_model[key] = merged.completed_by_model.get(key, 0) + count
         events = float(result.report.events_processed)
@@ -146,5 +145,5 @@ def write_sweep_outputs(sweep: SweepResult, out_dir: str | Path, fmt: str = "csv
         "stranded_claims": list(sweep.stranded),
     }
     responses = [(c, m, g, rt) for (c, m, g), rt in sorted(sweep.response.items())]
-    job_rows = [(c, s, n) for (c, s), n in sorted(merged.completed_jobs.items())]
+    job_rows = sorted((c, SERVICE_LABELS[m], n) for (c, m), n in merged.completed_by_model.items())
     return _write_outputs(out_dir, fmt, rows, meta, responses, job_rows, share)

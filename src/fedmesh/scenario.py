@@ -73,6 +73,7 @@ from .workloads import MODELS, SERVICE_LABELS, DemandDistribution, WorkloadSpec
 
 SCHEMA_VERSION = 1
 MAX_CELLS = 100_000
+MAX_UNITS = 1_000_000  # over all workloads: submit builds every unit of an app at once
 
 
 def _bool(raw: str) -> bool:
@@ -412,6 +413,7 @@ class _Builder:
     ) -> list[WorkloadSpec]:
         workloads: list[WorkloadSpec] = []
         seen: set[str] = set()
+        units = 0
         for sec in sections:
             if sec.name in seen:
                 self.error(sec.line, "workload", f"duplicate workload id {sec.name!r}")
@@ -438,6 +440,10 @@ class _Builder:
                 continue
             if rows < 1 or cols < 1:
                 self.error(sec.line, "rows", "rows and cols must be >= 1")
+                continue
+            units += rows * cols
+            if units > MAX_UNITS >= units - rows * cols:
+                self.error(sec.line, "rows", f"{units} units exceed the {MAX_UNITS} unit guard")
                 continue
             if submit_cloud not in cloud_ids:
                 self.error(sec.line, "submit_cloud", f"unknown cloud {submit_cloud!r}")

@@ -2,9 +2,11 @@
 
 Every resource attribute is one dimension of a normalized unit cube. The cube
 is divided into ``f_min`` equal slices per dimension, giving ``f_min ** dim``
-base index cells. Cells are never subdivided. This module is pure geometry:
-the federation places each cell on a peer by hashing its midpoint (its control
-point) into the overlay key space through :func:`spatial_hash`.
+base index cells. Cells are never subdivided. A cell is its coordinates: the
+tuple of its slice index per dimension. Its bounds and its midpoint (its
+control point) follow from those and ``f_min``, so neither is stored; the
+control point is derived only where the federation hashes it onto the overlay
+key space, through :func:`spatial_hash`. This module is pure geometry.
 
 Claims are range objects: they are replicated to every base cell their region
 intersects. Tickets are point objects: they map to exactly one cell. Matching
@@ -108,13 +110,8 @@ class Range:
 Constraint = Union[Eq, Ge, Le, Range]
 
 
-@dataclass(frozen=True)
-class IndexCell:
-    """One base cell of the grid: its coordinates, bounds and control point."""
-
-    coords: tuple[int, ...]
-    bounds: tuple[tuple[float, float], ...]
-    control_point: tuple[float, ...]
+# One base cell of the grid: its slice index per dimension.
+IndexCell = tuple[int, ...]
 
 
 @dataclass(frozen=True, slots=True)
@@ -154,18 +151,18 @@ def serialize_control_point(point: tuple[float, ...]) -> str:
 
 def build_base_cells(space: AttributeSpace) -> tuple[IndexCell, ...]:
     """All f_min**dim base cells in row-major order of their coordinates."""
-    f = space.f_min
-    cells = []
-    for coords in itertools.product(range(f), repeat=space.dim):
-        bounds = tuple((c / f, (c + 1) / f) for c in coords)
-        control = tuple((lo + hi) / 2 for lo, hi in bounds)
-        cells.append(IndexCell(coords=coords, bounds=bounds, control_point=control))
-    return tuple(cells)
+    return tuple(itertools.product(range(space.f_min), repeat=space.dim))
 
 
-def spatial_hash(cell: IndexCell) -> NodeId:
+def control_point(cell: IndexCell, f_min: int) -> tuple[float, ...]:
+    """A cell's midpoint in normalized space: per dimension, the mean of the
+    slice bounds ``c / f_min`` and ``(c + 1) / f_min``."""
+    return tuple((c / f_min + (c + 1) / f_min) / 2 for c in cell)
+
+
+def spatial_hash(cell: IndexCell, f_min: int) -> NodeId:
     """Overlay key of a cell: hash of its canonical control-point text."""
-    return hash_name(serialize_control_point(cell.control_point))
+    return hash_name(serialize_control_point(control_point(cell, f_min)))
 
 
 def normalize(space: AttributeSpace, dim_index: int, value: object) -> float:
@@ -204,15 +201,6 @@ def validate_claim(space: AttributeSpace, claim: ResourceClaim) -> None:
             )
 
 
-def validate_ticket(space: AttributeSpace, ticket: ResourceTicket) -> None:
-    if len(ticket.point) != space.dim:
-        raise InvalidArgumentError(
-            f"ticket {ticket.ticket_id}: {len(ticket.point)} coordinates for {space.dim} dims"
-        )
-    for i in range(space.dim):
-        normalize(space, i, ticket.point[i])
-
-
 def claim_region(space: AttributeSpace, claim: ResourceClaim) -> tuple[tuple[float, float], ...]:
     """The claim's closed per-dimension interval in normalized space."""
     validate_claim(space, claim)
@@ -246,10 +234,7 @@ def map_claim(
         indices = [a for a in range(f) if lo <= (a + 1) / f and a / f <= hi]
         assert indices, "a region inside the unit cube always meets at least one slice"
         per_dim.append(indices)
-    selected = []
-    for coords in itertools.product(*per_dim):
-        selected.append(cells[_flat_index(coords, f)])
-    return tuple(selected)
+    return tuple(cells[_flat_index(coords, f)] for coords in itertools.product(*per_dim))
 
 
 def map_ticket(
@@ -260,7 +245,10 @@ def map_ticket(
     Slices are half-open below the top of the space; the upper boundary of
     the whole space belongs to the last slice.
     """
-    validate_ticket(space, ticket)
+    if len(ticket.point) != space.dim:
+        raise InvalidArgumentError(
+            f"ticket {ticket.ticket_id}: {len(ticket.point)} coordinates for {space.dim} dims"
+        )
     f = space.f_min
     coords = []
     for i in range(space.dim):

@@ -104,14 +104,14 @@ class MetricsSink:
     """Aggregates emitted by one simulation run.
 
     Everything here is a pure aggregation of the event trace; counters only
-    ever grow while the run is in flight.
+    ever grow while the run is in flight. Completions are counted once, per
+    (cloud, model): per-label and per-model totals are derived from that
+    counter where they are reported.
     """
 
     response_times: dict[str, float] = field(default_factory=dict)
-    completed_jobs: dict[tuple[str, str], int] = field(default_factory=dict)
     completed_by_model: dict[tuple[str, str], int] = field(default_factory=dict)
     submitted_units: dict[str, int] = field(default_factory=dict)
-    completed_units: dict[str, int] = field(default_factory=dict)
     decisions: list[AllocationDecision] = field(default_factory=list)
     stale_tickets: int = 0
     tickets_published: int = 0
@@ -122,15 +122,19 @@ class MetricsSink:
     def record_decision(self, decision: AllocationDecision) -> None:
         self.decisions.append(decision)
 
-    def record_completion(self, cloud_id: str, service_label: str, model: str) -> None:
-        key = (cloud_id, service_label)
-        self.completed_jobs[key] = self.completed_jobs.get(key, 0) + 1
-        mkey = (cloud_id, model)
-        self.completed_by_model[mkey] = self.completed_by_model.get(mkey, 0) + 1
-        self.completed_units[model] = self.completed_units.get(model, 0) + 1
+    def record_completion(self, cloud_id: str, model: str) -> None:
+        key = (cloud_id, model)
+        self.completed_by_model[key] = self.completed_by_model.get(key, 0) + 1
 
     def record_response(self, app_id: str, seconds: float) -> None:
         self.response_times[app_id] = seconds
+
+    def completed_per_model(self) -> dict[str, int]:
+        """Completed units per model, summed over clouds."""
+        totals = dict.fromkeys(MODELS, 0)
+        for (_, model), count in self.completed_by_model.items():
+            totals[model] += count
+        return totals
 
 
 @dataclass(frozen=True)
@@ -147,9 +151,7 @@ def job_share_percent(sink: MetricsSink, cloud_ids: tuple[str, ...]) -> JobShare
     A model that ran no jobs at all reports 0 for every cloud and is flagged
     instead of dividing by zero.
     """
-    totals = {model: sum(
-        count for (cloud, m), count in sink.completed_by_model.items() if m == model
-    ) for model in MODELS}
+    totals = sink.completed_per_model()
     zero_models = tuple(m for m in MODELS if totals[m] == 0)
     shares: dict[str, tuple[float, float]] = {}
     for cloud in cloud_ids:

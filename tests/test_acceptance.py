@@ -86,7 +86,7 @@ def test_criterion_2_cell_distribution(testbed_cells):
             membership.join(name)
         counts: dict[str, int] = {}
         for cell in testbed_cells:
-            owner = membership.name_of(membership.owner_of(spatial_hash(cell)))
+            owner = membership.name_of(membership.owner_of(spatial_hash(cell, 3)))
             counts[owner] = counts.get(owner, 0) + 1
         return counts
 
@@ -240,7 +240,7 @@ def test_criterion_9_exactly_once(sweep, testbed_space, testbed_cells):
     tcell = map_ticket(testbed_space, testbed_cells, ticket)
     first = store.post_ticket(tcell, ticket)
     for cell in map_claim(testbed_space, testbed_cells, claims[0]):  # retire claim-1
-        store.discard(cell.coords, "claim-1")
+        store.discard(cell, "claim-1")
     second = store.post_ticket(tcell, published_ticket(issue_time=800))
     granted = [d.claim_id for d in first + second]
     assert granted.count("claim-1") == 1

@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import dataclasses
 import os
+import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 
 from fedmesh import (
     AllocationDecision,
+    BufferOverflowError,
     CloudConfig,
     ConsistencyError,
     DemandDistribution,
@@ -133,8 +136,8 @@ class TestDeploy:
         assert len(state.cell_owner) == 81
         assert "cloud-3" not in set(state.cell_owner.values())
         for cell in state.cells:
-            expected = state.membership.name_of(state.membership.owner_of(spatial_hash(cell)))
-            assert state.cell_owner[cell.coords] == expected
+            owner = state.membership.owner_of(spatial_hash(cell, state.space.f_min))
+            assert state.cell_owner[cell] == state.membership.name_of(owner)
 
     def test_builtin_deploy_passes_the_handoff_check(self, melbourne_scenario):
         state = deploy_federation(melbourne_scenario)
@@ -181,8 +184,7 @@ class TestDeploy:
         # new owners serve them.
         state = deploy_federation(melbourne_scenario)
         state.engine.run(until_ms=2_000)
-        cells = {cell.coords: cell for cell in state.cells}
-        lost = [cells[c] for c, o in state.cell_owner.items() if o == "cloud-1"]
+        lost = [cell for cell, o in state.cell_owner.items() if o == "cloud-1"]
         waiting = {claim.claim_id for cell in lost for claim in state.store.snapshot(cell)}
         assert (len(lost), len(waiting)) == (18, 175)
         state.membership.leave(hash_name("cloud-1"))
@@ -214,7 +216,7 @@ class TestDeploy:
         sent_at = state.engine.now
         submit_application(state, "cloud-1", workload("cloud-1", rows=2, cols=3, app_id="late"))
         replicas = sorted(
-            (claim_id, cell.coords)
+            (claim_id, cell)
             for claim_id, pending in state.pending.items()
             if claim_id not in earlier
             for cell in pending.cells
@@ -222,10 +224,10 @@ class TestDeploy:
         state.engine.run(until_ms=sent_at + state.latency.inter_cloud_ms)
         late = [(peer, t, post) for peer, t, post in arrivals if post.claim.claim_id not in earlier]
         assert len(replicas) > 6
-        assert sorted((post.claim.claim_id, post.cell.coords) for _, _, post in late) == replicas
+        assert sorted((post.claim.claim_id, post.cell) for _, _, post in late) == replicas
         assert not [peer for peer, _, _ in late if peer == "cloud-1"]
         for peer, t, post in late:
-            assert peer == state.cell_owner[post.cell.coords]
+            assert peer == state.cell_owner[post.cell]
             assert t == sent_at + state.latency.between("cloud-1", state.peer_cloud[peer])
 
     @settings(max_examples=25, deadline=None, derandomize=True)
@@ -419,7 +421,8 @@ class TestExecutionFlow:
         result = run_scenario(sc)
         for decision in result.state.metrics.decisions:
             node = result.state.nodes[decision.target]
-            assert node.speed_ghz >= 3.5  # cloud-2 claims demand >= 3.5 GHz
+            speed = result.state.clouds[node.cloud_id].node_speed_ghz
+            assert speed >= 3.5  # cloud-2 claims demand >= 3.5 GHz
 
     def test_node_exclusivity_overlapping_workloads(self):
         sc = scenario(
@@ -490,6 +493,11 @@ class TestResponseTime:
         assert rt_large >= rt_small
 
 
+def stranded_units(state, app_id):
+    """The ids of one application's stranded units."""
+    return {unit_id for unit_id in state.stranded_ids if unit_id.startswith(f"{app_id}#")}
+
+
 class TestStranded:
     def test_unservable_model_strands_claims(self):
         sc = scenario(
@@ -501,7 +509,7 @@ class TestStranded:
         assert result.state.completed_total == 0
         handle = result.state.apps["cloud-1/thread-2x2"]
         assert not handle.complete
-        assert len(handle.stranded) == 4
+        assert stranded_units(result.state, handle.app_id) == set(result.stranded)
 
     def test_class_no_node_can_satisfy_strands_all_its_units(self):
         # cloud-1 offers only task execution at 3.0 GHz; cloud-2's thread
@@ -515,9 +523,9 @@ class TestStranded:
             ],
         )
         result = run_scenario(sc)
-        stranded_handle = result.state.apps["cloud-1/thread-2x3"]
-        assert sorted(result.stranded) == sorted(stranded_handle.stranded)
-        assert len(stranded_handle.stranded) == 6
+        stranded = stranded_units(result.state, "cloud-1/thread-2x3")
+        assert sorted(result.stranded) == sorted(stranded)
+        assert len(stranded) == 6
         assert result.state.completed_total == 6
         assert [r.satisfiable for r in result.state.claim_classes.values()].count(False) == 1
 
@@ -557,7 +565,7 @@ class TestProtocolGuards:
         claim = state.pending[claim_id].claim
         state.served.add(claim_id)  # as the decision-taking peer would
         cell = state.pending[claim_id].cells[0]
-        target_peer = state.cell_owner[cell.coords]
+        target_peer = state.cell_owner[cell]
         state.engine.schedule(1, f"peer/{target_peer}", ClaimPost(claim, cell))
         state.engine.run(until_ms=20)
         assert replica_count(state.store, state.cells, claim_id) == 0
@@ -700,11 +708,10 @@ def federations(draw):
     return sc, churn
 
 
-def run_with_churn(sc, churn):
-    """Deploy and run to quiescence; a churn (peer index, leave at, re-join
-    after) makes one peer leave and maybe re-join. With a single peer there is
-    no one to leave to, so nothing leaves."""
-    state = deploy_federation(sc)
+def run_with_churn(state, churn):
+    """Run a deployed federation to quiescence; a churn (peer index, leave
+    at, re-join after) makes one peer leave and maybe re-join. With a single
+    peer there is no one to leave to, so nothing leaves."""
     deployed = dict(state.cell_owner)
     peers = sorted(state.peer_cloud)
     if churn is not None and len(peers) > 1:
@@ -719,7 +726,7 @@ def run_with_churn(sc, churn):
             state.membership.join(peer)
             recompute_cell_assignment(state)
             assert state.cell_owner == deployed
-    return state, run_to_quiescence(state)
+    return run_to_quiescence(state)
 
 
 def fixed_run_outputs(out_dir) -> str:
@@ -739,11 +746,61 @@ def fixed_run_outputs(out_dir) -> str:
         workload("cloud-3", model="thread", rows=2, cols=2, at=70),
     ]
     sc = scenario(clouds, workloads, eager=False)
-    state, report = run_with_churn(sc, (1, 300, 500))
+    state = deploy_federation(sc)
+    report = run_with_churn(state, (1, 300, 500))
     write_run_outputs(RunResult(scenario=sc, state=state, report=report), out_dir)
     return "\n".join(
         f"{d.ticket_id} {d.claim_id} {d.decided_at} {d.target}" for d in state.metrics.decisions
     )
+
+
+def assert_served_once_or_stranded(sc, state, report):
+    """A whole run ended quiescent, served each unit some node can serve
+    exactly once, and stranded every unit of the rest."""
+    # Quiescence: nothing queued, nothing outstanding.
+    assert not state.engine.has_pending_events and state.finished
+    # Exactly once, and never more than a ticket's one unit.
+    claim_ids = [d.claim_id for d in state.metrics.decisions]
+    assert len(claim_ids) == len(set(claim_ids))
+    assert state.served == state.dispatched == set(claim_ids)
+    completed = {u for handle in state.apps.values() for u in handle.completions}
+    assert completed == state.dispatched and state.completed_total == len(completed)
+    granted: dict[str, int] = {}
+    for d in state.metrics.decisions:
+        granted[d.ticket_id] = granted.get(d.ticket_id, 0) + d.units_granted
+    assert all(units <= 1 for units in granted.values())
+    # Stranded exactly when no node hosts the model on a fast enough CPU
+    # of the submitting cloud's type.
+    clouds = {c.cloud_id: c for c in sc.clouds}
+    unservable: set[str] = set()
+    for spec in sc.workloads:
+        handle = state.apps[spec.app_id]
+        own = clouds[spec.submit_cloud]
+        servable = any(
+            SERVICE_LABELS[spec.model] in c.service_types
+            and c.cpu_type == own.cpu_type
+            and c.node_speed_ghz >= own.node_speed_ghz
+            for c in sc.clouds
+        )
+        if servable:
+            assert handle.complete and not stranded_units(state, spec.app_id)
+        else:
+            assert not handle.completions
+            unservable.update(f"{spec.app_id}#{k}" for k in range(spec.unit_count))
+    assert set(report.stranded_claim_ids) == state.stranded_ids == unservable
+    assert set(state.pending) == unservable
+
+
+def engine_targets(state):
+    """Every engine address the federation registered."""
+    nodes = (node.target for node in state.nodes.values())
+    return [*state.scheduler_targets.values(), *state.peer_targets.values(), *nodes]
+
+
+def assert_overflow_names_an_inbox(exc, targets, capacity):
+    assert isinstance(exc, BufferOverflowError), repr(exc)
+    named = re.fullmatch(rf"inbox of '(.+)' at capacity {capacity}; refusing to enqueue", str(exc))
+    assert named is not None and named.group(1) in targets, str(exc)
 
 
 class TestWholeRuns:
@@ -751,39 +808,35 @@ class TestWholeRuns:
     @given(federations())
     def test_property_random_federation_serves_each_satisfiable_unit_once(self, federation):
         sc, churn = federation
-        state, report = run_with_churn(sc, churn)
+        state = deploy_federation(sc)
+        report = run_with_churn(state, churn)
+        assert_served_once_or_stranded(sc, state, report)
 
-        # Quiescence: nothing queued, nothing outstanding.
-        assert not state.engine.has_pending_events and state.finished
-        # Exactly once, and never more than a ticket's one unit.
-        claim_ids = [d.claim_id for d in state.metrics.decisions]
-        assert len(claim_ids) == len(set(claim_ids))
-        assert state.served == state.dispatched == set(claim_ids)
-        completed = {u for handle in state.apps.values() for u in handle.completions}
-        assert completed == state.dispatched and state.completed_total == len(completed)
-        granted: dict[str, int] = {}
-        for d in state.metrics.decisions:
-            granted[d.ticket_id] = granted.get(d.ticket_id, 0) + d.units_granted
-        assert all(units <= 1 for units in granted.values())
-        # Stranded exactly when no node hosts the model on a fast enough CPU
-        # of the submitting cloud's type.
-        clouds = {c.cloud_id: c for c in sc.clouds}
-        for spec in sc.workloads:
-            handle = state.apps[spec.app_id]
-            own = clouds[spec.submit_cloud]
-            servable = any(
-                SERVICE_LABELS[spec.model] in c.service_types
-                and c.cpu_type == own.cpu_type
-                and c.node_speed_ghz >= own.node_speed_ghz
-                for c in sc.clouds
-            )
-            if servable:
-                assert handle.complete and not handle.stranded
-            else:
-                assert not handle.completions and len(handle.stranded) == handle.unit_count
-        stranded = {u for handle in state.apps.values() for u in handle.stranded}
-        assert set(report.stranded_claim_ids) == state.stranded_ids == stranded
-        assert set(state.pending) == stranded
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(federations(), st.integers(1, 40))
+    def test_property_small_inboxes_complete_or_overflow_by_name(self, federation, capacity):
+        # Under inbox pressure a run either completes exactly once or fails
+        # naming the full inbox; it never runs on to the virtual-time horizon
+        # and never leaves an inbox's count out of step with its queue.
+        sc, churn = federation
+        sc = dataclasses.replace(sc, inbox_capacity=capacity)
+        try:
+            state = deploy_federation(sc)
+        except BufferOverflowError as exc:
+            # Only submissions share an inbox at deploy: one timer per node.
+            schedulers = {f"scheduler/{c.cloud_id}" for c in sc.clouds}
+            assert_overflow_names_an_inbox(exc, schedulers, capacity)
+            return
+        try:
+            report = run_with_churn(state, churn)
+        except SimulationError as exc:
+            assert_overflow_names_an_inbox(exc.__cause__, engine_targets(state), capacity)
+        else:
+            assert_served_once_or_stranded(sc, state, report)
+        # The engine's queue is private; this reads it only to count.
+        queued = Counter(box.target for slot in state.engine._slots.values() for box, _ in slot)
+        for target in engine_targets(state):
+            assert state.engine.inbox(target).pending == queued[target], target
 
     def test_fixed_federation_is_identical_under_two_hash_seeds(self, tmp_path):
         here = Path(__file__).resolve().parent

@@ -136,6 +136,34 @@ class TestParse:
             parse_scenario(bad)
         assert any("guard" in d.message for d in exc.value.diagnostics)
 
+    def test_unit_guard_names_the_workload_that_crosses_it(self, tmp_path, capsys):
+        # Parsing builds no units, so the guard is checked on the text alone.
+        def section_line(text, header):
+            return text.splitlines().index(header) + 1
+
+        def app(name, rows):
+            return (
+                f"\n[workload {name}]\nmodel = task\nrows = {rows}\ncols = 1\n"
+                "unit_demand = constant, 4.8\nsubmit_cloud = cloud-1\n"
+            )
+
+        big = MINIMAL.replace("rows = 2\ncols = 2", "rows = 100000\ncols = 100000")
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(big)
+        (diag,) = exc.value.diagnostics
+        assert (diag.line, diag.field) == (section_line(big, "[workload app-1]"), "rows")
+        assert "10000000000 units" in diag.message and "1000000 unit guard" in diag.message
+        assert main(["validate", str(write(tmp_path, big))]) == 2
+        assert "rows" in capsys.readouterr().err
+
+        at_guard = MINIMAL + app("app-2", fedmesh.scenario.MAX_UNITS - 4)
+        assert sum(w.unit_count for w in parse_scenario(at_guard).workloads) == 10**6
+        past = at_guard + app("app-3", 1) + app("app-4", 1)
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(past)
+        (diag,) = exc.value.diagnostics
+        assert (diag.line, diag.field) == (section_line(past, "[workload app-3]"), "rows")
+
     @pytest.mark.parametrize(
         "body", ["kind = numeric\nbounds = 0, 1", "kind = categorical\nlabels = a, b"]
     )

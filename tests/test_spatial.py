@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -30,7 +31,7 @@ from fedmesh import (
     spatial_hash,
 )
 from fedmesh.oracles import random_claim, random_space, random_ticket
-from fedmesh.spatial import point_satisfies
+from fedmesh.spatial import control_point, point_satisfies
 
 from conftest import TASK_LABEL, THREAD_LABEL, published_ticket, stored_claims
 
@@ -41,6 +42,11 @@ def one_dim_space(f=1):
     )
 
 
+def cell_bounds(cell, f):
+    """A cell's closed slice bounds per dimension, from its coordinates."""
+    return tuple((c / f, (c + 1) / f) for c in cell)
+
+
 class TestBuildBaseCells:
     def test_testbed_produces_81_cells(self, testbed_space, testbed_cells):
         assert testbed_space.dim == 4
@@ -49,7 +55,7 @@ class TestBuildBaseCells:
     def test_two_dim_twice_divided_produces_4_cells(self, grid2x2_space):
         cells = build_base_cells(grid2x2_space)
         assert len(cells) == 4
-        assert {c.control_point for c in cells} == {
+        assert {control_point(c, grid2x2_space.f_min) for c in cells} == {
             (0.25, 0.25),
             (0.25, 0.75),
             (0.75, 0.25),
@@ -59,21 +65,42 @@ class TestBuildBaseCells:
     def test_single_cell_space(self):
         cells = build_base_cells(one_dim_space())
         assert len(cells) == 1
-        assert cells[0].bounds == ((0.0, 1.0),)
-        assert cells[0].control_point == (0.5,)
+        assert cells[0] == (0,)
+        assert cell_bounds(cells[0], 1) == ((0.0, 1.0),)
+        assert control_point(cells[0], 1) == (0.5,)
 
     def test_row_major_order(self, testbed_cells):
-        assert testbed_cells[0].coords == (0, 0, 0, 0)
-        assert testbed_cells[1].coords == (0, 0, 0, 1)
-        assert testbed_cells[3].coords == (0, 0, 1, 0)
-        assert testbed_cells[-1].coords == (2, 2, 2, 2)
+        assert testbed_cells[0] == (0, 0, 0, 0)
+        assert testbed_cells[1] == (0, 0, 0, 1)
+        assert testbed_cells[3] == (0, 0, 1, 0)
+        assert testbed_cells[-1] == (2, 2, 2, 2)
 
     def test_bounds_are_exact_fractions(self, testbed_cells):
         for cell in testbed_cells:
-            for j, c in enumerate(cell.coords):
-                assert cell.bounds[j] == (c / 3, (c + 1) / 3)
-                lo, hi = cell.bounds[j]
-                assert cell.control_point[j] == (lo + hi) / 2
+            bounds, point = cell_bounds(cell, 3), control_point(cell, 3)
+            for j, c in enumerate(cell):
+                assert bounds[j] == (c / 3, (c + 1) / 3)
+                lo, hi = bounds[j]
+                assert point[j] == (lo + hi) / 2
+
+    def test_cells_hold_only_their_coordinates(self):
+        # 4,096 cells over 4 dimensions, as in a full_p2p federation with
+        # f_min = 8: each cell is one tuple of four small ints, about 0.3 MB
+        # in all; stored bounds and control points would cost 3 MB more.
+        space = AttributeSpace(
+            dims=tuple(
+                DimensionSpec(name=f"d{i}", kind="numeric", bounds=(0.0, 1.0)) for i in range(4)
+            ),
+            f_min=8,
+        )
+        tracemalloc.start()
+        try:
+            cells = build_base_cells(space)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(cells) == 8**4
+        assert peak < 1_000_000
 
     def test_tiling_disjoint_and_covering(self, grid2x2_space):
         cells = build_base_cells(grid2x2_space)
@@ -85,7 +112,7 @@ class TestBuildBaseCells:
                 for c in cells
                 if all(
                     lo <= v < hi or (hi == 1.0 and v == 1.0)
-                    for v, (lo, hi) in zip(x, c.bounds)
+                    for v, (lo, hi) in zip(x, cell_bounds(c, grid2x2_space.f_min))
                 )
             ]
             assert len(containing) == 1
@@ -93,25 +120,25 @@ class TestBuildBaseCells:
 
 class TestControlPointSerialization:
     def test_canonical_format(self, testbed_cells):
-        cell = next(c for c in testbed_cells if c.coords == (0, 1, 0, 2))
-        assert serialize_control_point(cell.control_point) == (
+        cell = next(c for c in testbed_cells if c == (0, 1, 0, 2))
+        assert serialize_control_point(control_point(cell, 3)) == (
             "cp|0.166667,0.500000,0.166667,0.833333"
         )
 
     def test_fig_style_2d(self, grid2x2_space):
         cells = build_base_cells(grid2x2_space)
-        assert serialize_control_point(cells[0].control_point) == "cp|0.250000,0.250000"
+        assert serialize_control_point(control_point(cells[0], 2)) == "cp|0.250000,0.250000"
 
 
 class TestSpatialHash:
     def test_stable_across_calls(self, testbed_cells):
         for cell in testbed_cells[:5]:
-            assert spatial_hash(cell) == spatial_hash(cell) == hash_name(
-                serialize_control_point(cell.control_point)
+            assert spatial_hash(cell, 3) == spatial_hash(cell, 3) == hash_name(
+                serialize_control_point(control_point(cell, 3))
             )
 
     def test_all_81_keys_distinct(self, testbed_cells):
-        assert len({spatial_hash(c) for c in testbed_cells}) == 81
+        assert len({spatial_hash(c, 3) for c in testbed_cells}) == 81
 
     def test_only_deploy_hashes_cells(self, monkeypatch, testbed_space, melbourne_scenario):
         calls: list[str] = []
@@ -132,7 +159,7 @@ class TestSpatialHash:
             membership.join(f"cloud-{i}")
         counts: dict[str, int] = {}
         for cell in testbed_cells:
-            owner = membership.name_of(membership.owner_of(spatial_hash(cell)))
+            owner = membership.name_of(membership.owner_of(spatial_hash(cell, 3)))
             counts[owner] = counts.get(owner, 0) + 1
         assert sum(counts.values()) == 81
         assert sum(counts.values()) / 5 == pytest.approx(16.2)
@@ -234,7 +261,9 @@ class TestMapClaim:
         claim = ResourceClaim("span", (Ge(1.5), Eq(0.2)), 1, "o", 0)
         selected = map_claim(grid2x2_space, cells, claim)
         # normalized speed interval [0.375, 1] meets both slices of dim x.
-        assert sorted(c.coords for c in selected) == [(0, 0), (1, 0)]
+        assert sorted(selected) == [(0, 0), (1, 0)]
+        # Replicas share the grid's own cell objects.
+        assert all(cells[cells.index(c)] is c for c in selected)
 
     def test_union_of_cells_covers_region(self):
         rng = random.Random(37)
@@ -247,7 +276,8 @@ class TestMapClaim:
             for _ in range(10):
                 x = tuple(rng.uniform(lo, hi) for lo, hi in region)
                 assert any(
-                    all(lo <= v <= hi for v, (lo, hi) in zip(x, c.bounds)) for c in selected
+                    all(lo <= v <= hi for v, (lo, hi) in zip(x, cell_bounds(c, space.f_min)))
+                    for c in selected
                 )
 
 
@@ -256,12 +286,17 @@ class TestMapTicket:
         ticket = ResourceTicket("t0", (TASK_LABEL, 1.0, "Intel", 0.0), 1, "n", 0)
         # first categorical label sits at 1/6 -> slice 0; numeric zeros -> slice 0
         cell = map_ticket(testbed_space, testbed_cells, ticket)
-        assert cell.coords[1] == 0 and cell.coords[3] == 0
+        assert cell[1] == 0 and cell[3] == 0
 
     def test_upper_boundary_belongs_to_last_slice(self, testbed_space, testbed_cells):
         ticket = ResourceTicket("t1", (TASK_LABEL, 8.0, "Intel", 4.0), 1, "n", 0)
         cell = map_ticket(testbed_space, testbed_cells, ticket)
-        assert cell.coords[1] == 2 and cell.coords[3] == 2
+        assert cell[1] == 2 and cell[3] == 2
+
+    def test_point_of_wrong_length_rejected(self, testbed_space, testbed_cells):
+        ticket = ResourceTicket("t3", (TASK_LABEL, 1.0, "Intel"), 1, "n", 0)
+        with pytest.raises(InvalidArgumentError, match="ticket t3: 3 coordinates for 4 dims"):
+            map_ticket(testbed_space, testbed_cells, ticket)
 
     def test_out_of_bounds_point_rejected(self, testbed_space, testbed_cells):
         ticket = ResourceTicket("t2", (TASK_LABEL, 1.0, "Intel", 9.9), 1, "n", 0)
@@ -277,7 +312,7 @@ class TestMapTicket:
             cell = map_ticket(space, cells, ticket)
             for i in range(space.dim):
                 x = normalize(space, i, ticket.point[i])
-                lo, hi = cell.bounds[i]
+                lo, hi = cell_bounds(cell, space.f_min)[i]
                 assert lo <= x <= hi
 
 
@@ -385,7 +420,7 @@ class TestSliceBoundaries:
         )
         cells = build_base_cells(space)
         ticket = ResourceTicket("t", (1 / 3,), 1, "n", 0)
-        assert map_ticket(space, cells, ticket).coords == (1,)
+        assert map_ticket(space, cells, ticket) is cells[1] == (1,)
 
     def test_eq_claim_on_boundary_replicates_to_both_neighbors(self):
         space = AttributeSpace(
@@ -394,7 +429,7 @@ class TestSliceBoundaries:
         )
         cells = build_base_cells(space)
         claim = ResourceClaim("c", (Eq(1 / 3),), 1, "o", 0)
-        assert sorted(c.coords for c in map_claim(space, cells, claim)) == [(0,), (1,)]
+        assert sorted(map_claim(space, cells, claim)) == [(0,), (1,)]
 
 
 def test_build_is_pure(testbed_space):

@@ -87,7 +87,7 @@ class TestJobShare:
         sink = MetricsSink()
         for (cloud, model), n in counts.items():
             for _ in range(n):
-                sink.record_completion(cloud, f"svc-{model}", model)
+                sink.record_completion(cloud, model)
         return sink
 
     def test_single_cloud_takes_everything(self):
@@ -117,8 +117,10 @@ class TestConservation:
         result = run_scenario(melbourne_scenario)
         sink = result.state.metrics
         for model in ("task", "thread"):
-            assert sink.completed_units[model] == sink.submitted_units[model] == 125
-        by_cloud = sum(sink.completed_jobs.values())
+            done = sum(n for (_, m), n in sink.completed_by_model.items() if m == model)
+            assert done == sink.submitted_units[model] == 125
+        assert sink.completed_per_model() == {"task": 125, "thread": 125}
+        by_cloud = sum(sink.completed_by_model.values())
         assert by_cloud == 250
 
     def test_response_metric_single_source_of_truth(self, melbourne_scenario):

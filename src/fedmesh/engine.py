@@ -98,6 +98,10 @@ class SimulationEngine:
         """The inbox of a registered target (KeyError for any other)."""
         return self._inboxes[target]
 
+    def pending_by_target(self) -> dict[str, int]:
+        """Undelivered event count of every target that has any."""
+        return {target: box.pending for target, box in self._inboxes.items() if box.pending}
+
     def schedule(self, delay_ms: int, target: str, payload: Any) -> None:
         """Enqueue an event at now + delay_ms, after every event already
         queued for that millisecond.

@@ -68,8 +68,17 @@ def pure_sha1(data: bytes) -> bytes:
 
 
 def brute_force_owner(members: tuple[NodeId, ...], key: NodeId) -> NodeId:
-    """Global-view nearest peer by plain linear scan."""
-    return min(members, key=lambda m: (circular_distance(m.value, key.value), m.value))
+    """Global-view nearest peer by plain linear scan; exact ties go to the
+    smaller id."""
+    if not members:
+        raise ValueError("no members to scan")
+    k = key.value
+    best, best_d = members[0], circular_distance(members[0].value, k)
+    for m in members:
+        d = circular_distance(m.value, k)
+        if d < best_d or (d == best_d and m.value < best.value):
+            best, best_d = m, d
+    return best
 
 
 def brute_force_prefix_table(

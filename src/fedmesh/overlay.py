@@ -179,14 +179,20 @@ class OverlayMembership:
         self._invalidate()
 
     def owner_of(self, key: NodeId) -> NodeId:
-        """Peer circularly nearest to key; exact ties go to the smaller id."""
+        """Peer circularly nearest to key; exact ties go to the smaller id.
+
+        The nearest peer is one of the key's two ring neighbours: the first
+        member at or after the key and the one before it, wrapping past either
+        end of the ring (a single member is both). Only those two are compared.
+        """
         ring = self._ring_values()
         if not ring:
             raise NoRouteError("empty membership owns no keys")
-        i = bisect_left(ring, key.value)
-        n = len(ring)
-        candidates = {ring[i % n], ring[(i - 1) % n]}
-        best = min(candidates, key=lambda v: (circular_distance(v, key.value), v))
+        k = key.value
+        i = bisect_left(ring, k)
+        succ, pred = ring[i % len(ring)], ring[i - 1]
+        d_succ, d_pred = circular_distance(succ, k), circular_distance(pred, k)
+        best = succ if d_succ < d_pred or (d_succ == d_pred and succ < pred) else pred
         return self._by_value[best][1]
 
     def routing_state(self, node_id: NodeId) -> RoutingState:

@@ -74,6 +74,7 @@ from .workloads import MODELS, SERVICE_LABELS, DemandDistribution, WorkloadSpec
 SCHEMA_VERSION = 1
 MAX_CELLS = 100_000
 MAX_UNITS = 1_000_000  # over all workloads: submit builds every unit of an app at once
+MAX_NODES = 100_000  # over all clouds: deploy builds every node, its stream and timer at once
 
 
 def _bool(raw: str) -> bool:
@@ -347,6 +348,7 @@ class _Builder:
                     self.error(0, "dimension", f"dimension {name!r} must be {kind}")
         clouds: list[CloudConfig] = []
         seen: set[str] = set()
+        total_nodes = 0
         for sec in sections:
             if sec.name in seen:
                 self.error(sec.line, "cloud", f"duplicate cloud id {sec.name!r}")
@@ -364,6 +366,11 @@ class _Builder:
             if nodes < 1:
                 self.error(sec.line, "nodes", f"must be >= 1, got {nodes}")
                 continue
+            total_nodes += nodes
+            if total_nodes > MAX_NODES >= total_nodes - nodes:
+                # Kept as a cloud, so workloads that submit to it are not
+                # also diagnosed; the error alone stops the scenario.
+                self.error(sec.line, "nodes", f"{total_nodes} nodes exceed the {MAX_NODES} node guard")
             if topology not in TOPOLOGIES:
                 self.error(sec.line, "topology", f"expected hub or full_p2p, got {topology!r}")
                 continue

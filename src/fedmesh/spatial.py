@@ -16,6 +16,7 @@ matches is guaranteed to meet there.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -162,7 +163,19 @@ def control_point(cell: IndexCell, f_min: int) -> tuple[float, ...]:
 
 def spatial_hash(cell: IndexCell, f_min: int) -> NodeId:
     """Overlay key of a cell: hash of its canonical control-point text."""
-    return hash_name(serialize_control_point(control_point(cell, f_min)))
+    texts = _midpoint_texts(f_min)
+    return hash_name(CONTROL_POINT_PREFIX + ",".join([texts[c] for c in cell]))
+
+
+@functools.lru_cache(maxsize=8)
+def _midpoint_texts(f_min: int) -> tuple[str, ...]:
+    """The control-point text of each slice index at this division level.
+
+    A coordinate's text depends only on its slice index and ``f_min``, so
+    the ``f_min`` texts are formatted once, not once per cell.
+    """
+    line = serialize_control_point(control_point(tuple(range(f_min)), f_min))
+    return tuple(line[len(CONTROL_POINT_PREFIX):].split(","))
 
 
 def normalize(space: AttributeSpace, dim_index: int, value: object) -> float:

@@ -588,6 +588,18 @@ class TestProtocolGuards:
         assert isinstance(caught.value.__cause__, ConsistencyError)
         assert f"{target}: unexpected {kind}" in str(caught.value.__cause__)
 
+    def test_horizon_failure_names_pending_targets_and_waiting_claims(self, melbourne_scenario):
+        state = deploy_federation(dataclasses.replace(melbourne_scenario, max_virtual_ms=100))
+        with pytest.raises(SimulationError, match="virtual-time horizon 100 ms") as caught:
+            run_to_quiescence(state)
+        message = str(caught.value)
+        named = re.findall(r"((?:node|peer)/\S+) \((\d+) pending\)", message)
+        assert 1 <= len(named) <= 5
+        for target, count in named:
+            assert state.engine.inbox(target).pending == int(count)
+        assert f"for {len(state.engine.pending_by_target())} targets" in message
+        assert f"; {len(state.store.waiting_claim_ids())} claims still waiting" in message
+
     def test_rapid_tickets_interleaving_with_claim_posts(self):
         # Status intervals of a few ms overlap ticket arrivals with claim-post
         # deliveries; exactly-once accounting must survive the interleaving.

@@ -154,6 +154,23 @@ class TestOwnerOf:
         # Key exactly between the two: both distances are 2**158.
         assert m.owner_of(NodeId(1 << 158)) == NodeId(0)
 
+    @pytest.mark.parametrize(
+        "members, key, owner",
+        [
+            ((5 << 150,), 0, 5 << 150),
+            # Below the smallest member: 2**158 away from each wrap neighbour.
+            ((1 << 158, 3 << 158), 0, 1 << 158),
+            # Above the largest member: 5 * 2**156 away from each.
+            ((1 << 157, 1 << 159), (1 << 159) + (1 << 158) + (1 << 156), 1 << 157),
+        ],
+        ids=["singleton", "tie-below-smallest", "tie-above-largest"],
+    )
+    def test_wrap_neighbours_match_brute_force(self, monkeypatch, members, key, owner):
+        ids = {f"m{v}": NodeId(v) for v in members}
+        monkeypatch.setattr("fedmesh.overlay.hash_name", lambda name: ids[name])
+        m = fill(ids)
+        assert m.owner_of(NodeId(key)) == brute_force_owner(m.members(), NodeId(key)) == NodeId(owner)
+
     def test_matches_brute_force(self):
         rng = random.Random(11)
         m = fill(f"peer-{i}" for i in range(17))

@@ -164,6 +164,34 @@ class TestParse:
         (diag,) = exc.value.diagnostics
         assert (diag.line, diag.field) == (section_line(past, "[workload app-3]"), "rows")
 
+    def test_node_guard_names_the_cloud_that_crosses_it(self, tmp_path, capsys):
+        # Parsing deploys nothing, so the guard is checked on the text alone.
+        def section_line(text, header):
+            return text.splitlines().index(header) + 1
+
+        def cloud(name, nodes):
+            return (
+                f"\n[cloud {name}]\nnodes = {nodes}\nspeed_ghz = 2.4\ncpu_type = Intel\n"
+                "service_types = P2PTaskExecution\nstatus_update_interval_ms = 1000, 2000\n"
+            )
+
+        big = MINIMAL.replace("nodes = 2", "nodes = 1000000000")
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(big)
+        (diag,) = exc.value.diagnostics
+        assert (diag.line, diag.field) == (section_line(big, "[cloud cloud-1]"), "nodes")
+        assert "1000000000 nodes" in diag.message and "100000 node guard" in diag.message
+        assert main(["validate", str(write(tmp_path, big))]) == 2
+        assert "nodes" in capsys.readouterr().err
+
+        at_guard = MINIMAL + cloud("cloud-2", fedmesh.scenario.MAX_NODES - 2)
+        assert sum(c.node_count for c in parse_scenario(at_guard).clouds) == 100_000
+        past = at_guard + cloud("cloud-3", 1) + cloud("cloud-4", 1)
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(past)
+        (diag,) = exc.value.diagnostics
+        assert (diag.line, diag.field) == (section_line(past, "[cloud cloud-3]"), "nodes")
+
     @pytest.mark.parametrize(
         "body", ["kind = numeric\nbounds = 0, 1", "kind = categorical\nlabels = a, b"]
     )

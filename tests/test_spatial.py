@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 import tracemalloc
 
@@ -136,6 +137,15 @@ class TestSpatialHash:
             assert spatial_hash(cell, 3) == spatial_hash(cell, 3) == hash_name(
                 serialize_control_point(control_point(cell, 3))
             )
+
+    def test_equals_hash_of_serialized_control_point(self):
+        # Every cell up to f_min 12 at 1-3 dims, and up to 100 at one dim.
+        levels = [(f, dim) for f in range(1, 13) for dim in (1, 2, 3)]
+        for f, dim in levels + [(f, 1) for f in range(13, 101)]:
+            for cell in itertools.product(range(f), repeat=dim):
+                assert spatial_hash(cell, f) == hash_name(
+                    serialize_control_point(control_point(cell, f))
+                ), (cell, f)
 
     def test_all_81_keys_distinct(self, testbed_cells):
         assert len({spatial_hash(c, 3) for c in testbed_cells}) == 81

@@ -456,18 +456,22 @@ def run_to_quiescence(state: FederationState) -> RunReport:
     Periodic timers stop rescheduling once every unit is completed or
     stranded, so the queue drains naturally; hitting the virtual-time horizon
     with events still pending is reported as an error that names up to five
-    targets with the most undelivered events and counts the claims still
-    waiting. Any claim left waiting must be one that was marked unsatisfiable
-    at submission.
+    targets with the most undelivered events, counts the claims still waiting
+    and names up to five unserved claims, oldest first. Any claim left waiting
+    must be one that was marked unsatisfiable at submission.
     """
     processed = state.engine.run(until_ms=state.max_virtual_ms)
     if state.engine.has_pending_events:
         pending = sorted(state.engine.pending_by_target().items(), key=lambda tp: (-tp[1], tp[0]))
         named = ", ".join(f"{target} ({count} pending)" for target, count in pending[:5])
+        oldest = sorted(
+            (p.claim for p in state.pending.values()), key=lambda c: (c.arrival_time, c.claim_id)
+        )[:5]
         raise SimulationError(
             f"virtual-time horizon {state.max_virtual_ms} ms reached with events still pending "
             f"for {len(pending)} targets: {named}; "
-            f"{len(state.store.waiting_claim_ids())} claims still waiting"
+            f"{len(state.store.waiting_claim_ids())} claims still waiting, oldest unserved: "
+            + (", ".join(c.claim_id for c in oldest) or "none")
         )
     leftover = state.store.waiting_claim_ids()
     unexpected = set(leftover) - state.stranded_ids

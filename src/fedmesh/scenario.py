@@ -254,14 +254,15 @@ class _Builder:
             )
 
         latency = self.build_latency([s for s in sections if s.kind == "latency"])
-        clouds = self.build_clouds([s for s in sections if s.kind == "cloud"], dims)
+        cloud_sections = [s for s in sections if s.kind == "cloud"]
+        clouds = self.build_clouds(cloud_sections, dims)
         service_labels: tuple[str, ...] = ()
         for spec in dims:
             if spec.name == DIM_SERVICE and spec.labels is not None:
                 service_labels = spec.labels
         workloads = self.build_workloads(
             [s for s in sections if s.kind == "workload"],
-            {c.cloud_id for c in clouds},
+            {s.name for s in cloud_sections},  # a cloud with its own error is still declared
             service_labels,
         )
 
@@ -368,8 +369,6 @@ class _Builder:
                 continue
             total_nodes += nodes
             if total_nodes > MAX_NODES >= total_nodes - nodes:
-                # Kept as a cloud, so workloads that submit to it are not
-                # also diagnosed; the error alone stops the scenario.
                 self.error(sec.line, "nodes", f"{total_nodes} nodes exceed the {MAX_NODES} node guard")
             if topology not in TOPOLOGIES:
                 self.error(sec.line, "topology", f"expected hub or full_p2p, got {topology!r}")

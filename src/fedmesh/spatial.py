@@ -190,7 +190,7 @@ def normalize(space: AttributeSpace, dim_index: int, value: object) -> float:
         lo, hi = spec.bounds  # type: ignore[misc]
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise DomainError(f"{spec.name}: expected a number, got {value!r}")
-        if value < lo or value > hi:
+        if not lo <= value <= hi:  # also rejects NaN
             raise DomainError(f"{spec.name}: {value} outside bounds [{lo}, {hi}]")
         return (value - lo) / (hi - lo)
     labels = spec.labels  # type: ignore[assignment]
@@ -238,16 +238,29 @@ def map_claim(
 
     Closed-interval intersection per dimension, so a region touching a slice
     boundary lands in both adjacent cells; the matching ticket's single cell
-    is always among them.
+    is always among them. Every call validates the claim; only the grid walk
+    from its region is memoised.
     """
-    region = claim_region(space, claim)
-    f = space.f_min
+    offsets = _region_offsets(space.f_min, claim_region(space, claim))
+    return tuple([cells[i] for i in offsets])
+
+
+@functools.lru_cache(maxsize=256)
+def _region_offsets(f_min: int, region: tuple[tuple[float, float], ...]) -> tuple[int, ...]:
+    """Row-major flat indices of the cells a validated region meets.
+
+    Keyed on the region's floats, not on the claim's constraints: ``Eq(1)``
+    and ``Eq(True)`` are equal, but only the first passes ``normalize``. All
+    units of one claim class share a region, so the walk runs once per class;
+    the bound caps what random regions (the oracle suites) retain.
+    """
+    f = f_min
     per_dim: list[list[int]] = []
     for lo, hi in region:
         indices = [a for a in range(f) if lo <= (a + 1) / f and a / f <= hi]
         assert indices, "a region inside the unit cube always meets at least one slice"
         per_dim.append(indices)
-    return tuple(cells[_flat_index(coords, f)] for coords in itertools.product(*per_dim))
+    return tuple(_flat_index(coords, f) for coords in itertools.product(*per_dim))
 
 
 def map_ticket(

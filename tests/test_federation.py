@@ -599,6 +599,12 @@ class TestProtocolGuards:
             assert state.engine.inbox(target).pending == int(count)
         assert f"for {len(state.engine.pending_by_target())} targets" in message
         assert f"; {len(state.store.waiting_claim_ids())} claims still waiting" in message
+        unserved = sorted(
+            (p.claim for p in state.pending.values()), key=lambda c: (c.arrival_time, c.claim_id)
+        )
+        assert len(unserved) > 5
+        oldest = message.split("oldest unserved: ")[1].split(", ")
+        assert oldest == [c.claim_id for c in unserved[:5]]
 
     def test_rapid_tickets_interleaving_with_claim_posts(self):
         # Status intervals of a few ms overlap ticket arrivals with claim-post

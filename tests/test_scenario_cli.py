@@ -96,6 +96,23 @@ class TestParse:
             parse_scenario(bad)
         assert any(d.field == "submit_cloud" for d in exc.value.diagnostics)
 
+    @pytest.mark.parametrize(
+        "line, fault, field",
+        [
+            ("nodes = 2", "nodes = 0", "nodes"),
+            ("nodes = 2", "nodes = 2\ntopology = ring", "topology"),
+            ("status_update_interval_ms = 1000, 2000", "status_update_interval_ms = 0, 5",
+             "status_update_interval_ms"),
+        ],
+        ids=["nodes", "topology", "interval"],
+    )
+    def test_faulty_cloud_gets_one_diagnostic(self, line, fault, field):
+        # The cloud is still declared, so its workload is not diagnosed too.
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(MINIMAL.replace(line, fault))
+        (diag,) = exc.value.diagnostics
+        assert diag.field == field
+
     def test_diagnostics_carry_line_numbers(self):
         bad = MINIMAL.replace("nodes = 2", "nodes = zero")
         with pytest.raises(ScenarioError) as exc:

@@ -32,7 +32,7 @@ from fedmesh import (
     spatial_hash,
 )
 from fedmesh.oracles import random_claim, random_space, random_ticket
-from fedmesh.spatial import control_point, point_satisfies
+from fedmesh.spatial import _region_offsets, control_point, point_satisfies
 
 from conftest import TASK_LABEL, THREAD_LABEL, published_ticket, stored_claims
 
@@ -276,19 +276,57 @@ class TestMapClaim:
         assert all(cells[cells.index(c)] is c for c in selected)
 
     def test_union_of_cells_covers_region(self):
+        # Brute force over the whole grid, in grid order. Each claim is mapped
+        # twice, so the region memo is checked on a miss and then on a hit;
+        # spaces of one f_min but different dimension counts share the memo.
         rng = random.Random(37)
-        for t in range(300):
-            space = random_space(rng, rng.randint(1, 3))
+        spaces = [random_space(rng, rng.randint(1, 3)) for _ in range(60)]
+        spaces += [random_space(rng, dim, f_min=f) for f in (1, 2, 3) for dim in (1, 2, 3)]
+        for s, space in enumerate(spaces):
             cells = build_base_cells(space)
-            claim = random_claim(rng, space, f"c{t}")
-            selected = map_claim(space, cells, claim)
-            region = claim_region(space, claim)
-            for _ in range(10):
-                x = tuple(rng.uniform(lo, hi) for lo, hi in region)
-                assert any(
-                    all(lo <= v <= hi for v, (lo, hi) in zip(x, cell_bounds(c, space.f_min)))
-                    for c in selected
+            for t in range(5):
+                claim = random_claim(rng, space, f"c{s}.{t}")
+                region = claim_region(space, claim)
+                expected = tuple(
+                    c for c in cells
+                    if all(lo <= chi and clo <= hi
+                           for (lo, hi), (clo, chi) in zip(region, cell_bounds(c, space.f_min)))
                 )
+                first = map_claim(space, cells, claim)
+                assert first == expected
+                again = map_claim(space, cells, claim)
+                assert again == expected
+                assert all(a is b for a, b in zip(again, first))
+
+    def test_region_memo_serves_repeated_class(self, testbed_space, testbed_cells):
+        constraints = (Eq(THREAD_LABEL), Ge(1), Eq("Intel"), Ge(1.5))
+        map_claim(testbed_space, testbed_cells, ResourceClaim("u0", constraints, 1, "o", 0))
+        hits = _region_offsets.cache_info().hits
+        map_claim(testbed_space, testbed_cells, ResourceClaim("u1", constraints, 1, "o", 0))
+        assert _region_offsets.cache_info().hits == hits + 1
+
+    def test_bool_still_rejected_after_equal_number_was_mapped(self, testbed_space, testbed_cells):
+        # Eq(True) == Eq(1) and both hash alike; the memo must not let it pass.
+        one = ResourceClaim("one", (Eq(THREAD_LABEL), Eq(1), Eq("Intel"), Eq(2.0)), 1, "o", 0)
+        true = ResourceClaim("true", (Eq(THREAD_LABEL), Eq(True), Eq("Intel"), Eq(2.0)), 1, "o", 0)
+        assert one.constraints == true.constraints
+        assert len(map_claim(testbed_space, testbed_cells, one)) == 1
+        with pytest.raises(DomainError, match="expected a number, got True"):
+            map_claim(testbed_space, testbed_cells, true)
+
+    def test_wrong_arity_names_its_own_claim_each_call(self, testbed_space, testbed_cells):
+        constraints = (Eq(THREAD_LABEL), Eq(1), Eq("Intel"))
+        for ident in ("short-a", "short-b", "short-a"):
+            claim = ResourceClaim(ident, constraints, 1, "o", 0)
+            with pytest.raises(InvalidArgumentError, match=f"claim {ident}: 3 constraints for 4 dims"):
+                map_claim(testbed_space, testbed_cells, claim)
+
+    def test_nan_bound_rejected_with_dimension_named(self, testbed_space, testbed_cells):
+        claim = ResourceClaim(
+            "nan", (Eq(THREAD_LABEL), Eq(1), Eq("Intel"), Ge(float("nan"))), 1, "o", 0
+        )
+        with pytest.raises(DomainError, match="speed_ghz: nan outside bounds"):
+            map_claim(testbed_space, testbed_cells, claim)
 
 
 class TestMapTicket:
@@ -311,6 +349,11 @@ class TestMapTicket:
     def test_out_of_bounds_point_rejected(self, testbed_space, testbed_cells):
         ticket = ResourceTicket("t2", (TASK_LABEL, 1.0, "Intel", 9.9), 1, "n", 0)
         with pytest.raises(DomainError):
+            map_ticket(testbed_space, testbed_cells, ticket)
+
+    def test_nan_coordinate_rejected_with_dimension_named(self, testbed_space, testbed_cells):
+        ticket = ResourceTicket("tn", (TASK_LABEL, 1.0, "Intel", float("nan")), 1, "n", 0)
+        with pytest.raises(DomainError, match="speed_ghz: nan outside bounds"):
             map_ticket(testbed_space, testbed_cells, ticket)
 
     def test_point_lands_within_reported_cell_bounds(self):

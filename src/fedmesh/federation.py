@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import logging
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import NamedTuple
 
 from .config import (
@@ -48,8 +48,8 @@ from .config import (
     DIM_SPEED,
     FULL_P2P,
     HUB,
+    REQUIRED_DIMS,
     CloudConfig,
-    LatencyModel,
     Scenario,
 )
 from .coordination import AllocationDecision, ClaimClass, ClaimStore
@@ -62,7 +62,6 @@ from .errors import (
 )
 from .overlay import OverlayMembership
 from .spatial import (
-    AttributeSpace,
     Eq,
     Ge,
     IndexCell,
@@ -92,12 +91,15 @@ class ExecutionNode:
 
     node_id: str
     cloud_id: str
+    seed: InitVar[int]
     busy: bool = False
     committed: bool = False
     target: str = field(init=False)  # the node's engine address, built once
+    ticket_stream: RngStream = field(init=False)  # draws its status-timer intervals
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, seed: int) -> None:
         self.target = f"node/{self.node_id}"
+        self.ticket_stream = RngStream(seed, f"ticket/{self.node_id}")
 
 
 # Message payloads that are not domain objects themselves.
@@ -156,41 +158,54 @@ class ApplicationHandle:
 
 
 class FederationState:
-    """All simulation state owned by one engine's event loop."""
+    """All simulation state owned by one engine's event loop, built from one
+    scenario.
 
-    def __init__(
-        self,
-        *,
-        engine: SimulationEngine,
-        space: AttributeSpace,
-        cells: tuple[IndexCell, ...],
-        membership: OverlayMembership,
-        peer_cloud: dict[str, str],
-        clouds: dict[str, CloudConfig],
-        nodes: dict[str, ExecutionNode],
-        latency: LatencyModel,
-        eager_tickets: bool,
-        seed: int,
-        max_virtual_ms: int,
-    ) -> None:
-        self.engine = engine
-        self.space = space
-        self.cells = cells
-        self.membership = membership
-        self.peer_cloud = peer_cloud
-        self.clouds = clouds
-        self.nodes = nodes
-        self.latency = latency
-        self.eager_tickets = eager_tickets
-        self.seed = seed
-        self.max_virtual_ms = max_virtual_ms
+    Under the hub model one coordinator peer joins per cloud; under full_p2p
+    every node joins as an autonomous coordinator. Scheduling services stay
+    one per cloud (they are the submission entry points), and the cell-owner
+    map is derived deterministically from the membership.
+    """
+
+    def __init__(self, scenario: Scenario) -> None:
+        clouds: dict[str, CloudConfig] = {}
+        for cloud in scenario.clouds:
+            if cloud.cloud_id in clouds:
+                raise InvalidArgumentError(f"duplicate cloud id {cloud.cloud_id!r}")
+            clouds[cloud.cloud_id] = cloud
+        self.clouds = {cid: clouds[cid] for cid in sorted(clouds)}
+        self.space = scenario.space()
+        names = [d.name for d in self.space.dims]
+        if clouds and set(names) != REQUIRED_DIMS.keys():
+            raise InvalidArgumentError(
+                f"claims need exactly the dimensions {sorted(REQUIRED_DIMS)}; the space has {names}"
+            )
+        self.engine = SimulationEngine(default_inbox_capacity=scenario.inbox_capacity)
+        self.cells = build_base_cells(self.space)
+        self.membership = OverlayMembership()
+        self.peer_cloud: dict[str, str] = {}
+        self.nodes: dict[str, ExecutionNode] = {}
+        for cloud in self.clouds.values():
+            if cloud.topology == HUB:
+                self.membership.join(cloud.cloud_id)
+                self.peer_cloud[cloud.cloud_id] = cloud.cloud_id
+            for i in range(cloud.node_count):
+                node = ExecutionNode(f"{cloud.cloud_id}/n{i}", cloud.cloud_id, scenario.seed)
+                self.nodes[node.node_id] = node
+                if cloud.topology == FULL_P2P:
+                    self.membership.join(node.node_id)
+                    self.peer_cloud[node.node_id] = cloud.cloud_id
+        self.latency = scenario.latency
+        self.eager_tickets = scenario.eager_tickets
+        self.seed = scenario.seed
+        self.max_virtual_ms = scenario.max_virtual_ms
         self.metrics = MetricsSink()
         self.store = ClaimStore()
         self.cell_owner: dict[IndexCell, str] = {}
         # Engine addresses and sorted service labels, built once at deploy.
-        self.peer_targets = {peer: f"peer/{peer}" for peer in peer_cloud}
-        self.scheduler_targets = {cid: f"scheduler/{cid}" for cid in clouds}
-        self.service_labels = {cid: tuple(sorted(c.service_types)) for cid, c in clouds.items()}
+        self.peer_targets = {peer: f"peer/{peer}" for peer in self.peer_cloud}
+        self.scheduler_targets = {cid: f"scheduler/{cid}" for cid in self.clouds}
+        self.service_labels = {cid: tuple(sorted(c.service_types)) for cid, c in self.clouds.items()}
         self.apps: dict[str, ApplicationHandle] = {}
         self.pending: dict[str, _PendingUnit] = {}
         self.served: set[str] = set()
@@ -207,7 +222,6 @@ class FederationState:
         # clouds submitting equal claims share one record. Satisfiability is
         # valid for the whole run because the node set is fixed.
         self.claim_classes: dict[tuple[str, str, float], _ClaimClassRecord] = {}
-        self.ticket_streams: dict[str, RngStream] = {}
         recompute_cell_assignment(self)
 
     @property
@@ -263,75 +277,26 @@ def recompute_cell_assignment(state: FederationState) -> None:
 
 
 def deploy_federation(scenario: Scenario) -> FederationState:
-    """Instantiate coordinators, build the index, and arm the timers.
-
-    Under the hub model one coordinator peer joins per cloud; under full_p2p
-    every node joins as an autonomous coordinator. Scheduling services stay
-    one per cloud (they are the submission entry points), and the cell-owner
-    map is derived deterministically from the membership.
-    """
-    clouds: dict[str, CloudConfig] = {}
-    for cloud in scenario.clouds:
-        if cloud.cloud_id in clouds:
-            raise InvalidArgumentError(f"duplicate cloud id {cloud.cloud_id!r}")
-        clouds[cloud.cloud_id] = cloud
-    clouds = {cid: clouds[cid] for cid in sorted(clouds)}
-
-    engine = SimulationEngine(default_inbox_capacity=scenario.inbox_capacity)
-    space = scenario.space()
-    cells = build_base_cells(space)
-
-    membership = OverlayMembership()
-    peer_cloud: dict[str, str] = {}
-    nodes: dict[str, ExecutionNode] = {}
-    for cloud in clouds.values():
-        if cloud.topology == HUB:
-            membership.join(cloud.cloud_id)
-            peer_cloud[cloud.cloud_id] = cloud.cloud_id
-        for i in range(cloud.node_count):
-            node_id = f"{cloud.cloud_id}/n{i}"
-            nodes[node_id] = ExecutionNode(node_id, cloud.cloud_id)
-            if cloud.topology == FULL_P2P:
-                membership.join(node_id)
-                peer_cloud[node_id] = cloud.cloud_id
-
-    state = FederationState(
-        engine=engine,
-        space=space,
-        cells=cells,
-        membership=membership,
-        peer_cloud=peer_cloud,
-        clouds=clouds,
-        nodes=nodes,
-        latency=scenario.latency,
-        eager_tickets=scenario.eager_tickets,
-        seed=scenario.seed,
-        max_virtual_ms=scenario.max_virtual_ms,
-    )
-
+    """Build the federation's state, then wire it up: register every entity's
+    handler, arm each node's status timer and schedule the submissions."""
+    state = FederationState(scenario)
     for cloud_id, target in state.scheduler_targets.items():
         _register(state, _SCHEDULER, target, cloud_id)
     for peer_name, target in state.peer_targets.items():
         _register(state, _PEER, target, peer_name)
-    for node in nodes.values():
+    for node in state.nodes.values():
         _register(state, _NODE, node.target, node)
-
-    for node_id, node in nodes.items():
-        stream = RngStream(scenario.seed, f"ticket/{node_id}")
-        state.ticket_streams[node_id] = stream
-        lo, hi = clouds[node.cloud_id].status_update_interval_ms
-        delay = int(round(stream.uniform(lo, hi)))
-        engine.schedule(delay, node.target, TimerTick())
+        _arm_timer(state, node, TimerTick())
 
     for spec in scenario.workloads:
-        if spec.submit_cloud not in clouds:
+        if spec.submit_cloud not in state.clouds:
             raise InvalidArgumentError(f"workload targets unknown cloud {spec.submit_cloud!r}")
         state.pending_submits += 1
-        engine.schedule(spec.submit_time_ms, state.scheduler_targets[spec.submit_cloud], spec)
+        state.engine.schedule(spec.submit_time_ms, state.scheduler_targets[spec.submit_cloud], spec)
 
     log.info(
         "deployed federation: %d clouds, %d nodes, %d peers, %d cells",
-        len(clouds), len(nodes), len(peer_cloud), len(cells),
+        len(state.clouds), len(state.nodes), len(state.peer_cloud), len(state.cells),
     )
     return state
 
@@ -562,9 +527,13 @@ def _on_tick(state: FederationState, node: ExecutionNode, tick: TimerTick) -> No
     if state.finished:
         return
     publish_ticket(state, node)
+    _arm_timer(state, node, tick)
+
+
+def _arm_timer(state: FederationState, node: ExecutionNode, tick: TimerTick) -> None:
+    """Fire the node's status timer after a draw from its cloud's interval."""
     lo, hi = state.clouds[node.cloud_id].status_update_interval_ms
-    delay = int(round(state.ticket_streams[node.node_id].uniform(lo, hi)))
-    state.engine.schedule(delay, node.target, tick)
+    state.engine.schedule(int(round(node.ticket_stream.uniform(lo, hi))), node.target, tick)
 
 
 def _on_dispatch(state: FederationState, node: ExecutionNode, dispatch: Dispatch) -> None:
@@ -611,12 +580,7 @@ def _claim_class(state: FederationState, cloud: CloudConfig, model: str) -> _Cla
             DIM_CPU: Eq(cloud.cpu_type),
             DIM_SPEED: Ge(cloud.node_speed_ghz),
         }
-        names = [d.name for d in state.space.dims]
-        if set(names) != values.keys():
-            raise InvalidArgumentError(
-                f"claims need exactly the dimensions {sorted(values)}; the space has {names}"
-            )
-        constraints = ClaimClass(values[name] for name in names)
+        constraints = ClaimClass(values[d.name] for d in state.space.dims)
         probe = ResourceClaim("", constraints, 1, cloud.cloud_id, 0)  # read for its constraints
         # Every cloud has at least one node, and its nodes share one point
         # per label, so checking clouds x labels checks every node.

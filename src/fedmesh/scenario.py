@@ -1,9 +1,11 @@
 """Scenario files: a line-oriented format describing one federation setup.
 
-Grammar (hand-editable, diff-friendly):
+Grammar (hand-editable, diff-friendly). A comment takes a line of its own:
+a ``#`` after a value is part of the value, since a label may contain one.
 
     # comment lines and blank lines are ignored
-    schema_version = 1            # top-level keys come before any section
+    # top-level keys come before any section
+    schema_version = 1
     seed = 42
     eager_tickets = true
     inbox_capacity = 1000
@@ -11,15 +13,25 @@ Grammar (hand-editable, diff-friendly):
 
     [space]
     f_min = 3
-    f_max = 3                     # must equal f_min: cells are never subdivided
+    # must equal f_min: cells are never subdivided
+    f_max = 3
 
-    [dimension speed_ghz]         # order of dimension sections is the
-    kind = numeric                # dimension order of the attribute space
-    bounds = 0, 4
-
+    # the order of dimension sections is the dimension order of the space
     [dimension service_type]
     kind = categorical
     labels = P2PTaskExecution, P2PThreadExecution
+
+    [dimension processors]
+    kind = numeric
+    bounds = 1, 8
+
+    [dimension cpu_type]
+    kind = categorical
+    labels = Intel, AMD
+
+    [dimension speed_ghz]
+    kind = numeric
+    bounds = 0, 4
 
     [latency]
     intra_cloud_ms = 1
@@ -31,20 +43,25 @@ Grammar (hand-editable, diff-friendly):
     cpu_type = Intel
     service_types = P2PTaskExecution, P2PThreadExecution
     status_update_interval_ms = 5000, 40000
-    topology = hub                # or full_p2p
+    # or full_p2p
+    topology = hub
 
-    [workload cloud-1-task]       # the section id is the application id
-    model = task                  # or thread
+    # the section id is the application id
+    [workload cloud-1-task]
+    # or thread
+    model = task
     rows = 5
     cols = 5
-    unit_demand = uniform, 3.0, 6.0   # or: constant, 4.8
+    # or: constant, 4.8
+    unit_demand = uniform, 3.0, 6.0
     submit_cloud = cloud-1
     submit_time_ms = 0
 
-Scenarios that declare clouds must define the four dimensions the scheduling
-services build claims from: service_type and cpu_type (categorical),
-processors and speed_ghz (numeric). Every number must be finite: a nan or inf
-bound, speed or demand is diagnosed like any other bad value.
+Scenarios that declare clouds must define exactly the four dimensions the
+scheduling services build claims from, and no others: service_type and
+cpu_type (categorical), processors and speed_ghz (numeric). Every number must
+be finite: a nan or inf bound, speed or demand is diagnosed like any other
+bad value.
 """
 
 from __future__ import annotations
@@ -245,7 +262,8 @@ class _Builder:
             if f_min < 1:
                 self.error(sec.line, "f_min", f"must be >= 1, got {f_min}")
 
-        dims = self.build_dims([s for s in sections if s.kind == "dimension"])
+        dim_sections = [s for s in sections if s.kind == "dimension"]
+        dims = self.build_dims(dim_sections)
         if dims and f_min >= 1 and f_min ** len(dims) > MAX_CELLS:
             self.error(
                 space_sections[0].line if space_sections else 0,
@@ -255,7 +273,7 @@ class _Builder:
 
         latency = self.build_latency([s for s in sections if s.kind == "latency"])
         cloud_sections = [s for s in sections if s.kind == "cloud"]
-        clouds = self.build_clouds(cloud_sections, dims)
+        clouds = self.build_clouds(cloud_sections, dims, dim_sections)
         service_labels: tuple[str, ...] = ()
         for spec in dims:
             if spec.name == DIM_SERVICE and spec.labels is not None:
@@ -337,7 +355,7 @@ class _Builder:
         return LatencyModel(intra_cloud_ms=intra, inter_cloud_ms=inter)
 
     def build_clouds(
-        self, sections: list[_Section], dims: list[DimensionSpec]
+        self, sections: list[_Section], dims: list[DimensionSpec], dim_sections: list[_Section]
     ) -> list[CloudConfig]:
         by_name = {d.name: d for d in dims}
         if sections:
@@ -347,6 +365,11 @@ class _Builder:
                     self.error(0, "dimension", f"clouds require a {kind} dimension {name!r}")
                 elif spec.kind != kind:
                     self.error(0, "dimension", f"dimension {name!r} must be {kind}")
+            for sec in dim_sections:
+                if sec.name and sec.name not in REQUIRED_DIMS:
+                    self.error(
+                        sec.line, "dimension", f"{sec.name!r} is not one of {sorted(REQUIRED_DIMS)}"
+                    )
         clouds: list[CloudConfig] = []
         seen: set[str] = set()
         total_nodes = 0

@@ -215,19 +215,23 @@ def validate_claim(space: AttributeSpace, claim: ResourceClaim) -> None:
 
 
 def claim_region(space: AttributeSpace, claim: ResourceClaim) -> tuple[tuple[float, float], ...]:
-    """The claim's closed per-dimension interval in normalized space."""
+    """The claim's closed per-dimension interval in normalized space; a value
+    outside its dimension's domain is a DomainError naming the claim."""
     validate_claim(space, claim)
     region = []
-    for i, constraint in enumerate(claim.constraints):
-        if isinstance(constraint, Eq):
-            x = normalize(space, i, constraint.value)
-            region.append((x, x))
-        elif isinstance(constraint, Ge):
-            region.append((normalize(space, i, constraint.value), 1.0))
-        elif isinstance(constraint, Le):
-            region.append((0.0, normalize(space, i, constraint.value)))
-        else:
-            region.append((normalize(space, i, constraint.lo), normalize(space, i, constraint.hi)))
+    try:
+        for i, constraint in enumerate(claim.constraints):
+            if isinstance(constraint, Eq):
+                x = normalize(space, i, constraint.value)
+                region.append((x, x))
+            elif isinstance(constraint, Ge):
+                region.append((normalize(space, i, constraint.value), 1.0))
+            elif isinstance(constraint, Le):
+                region.append((0.0, normalize(space, i, constraint.value)))
+            else:
+                region.append((normalize(space, i, constraint.lo), normalize(space, i, constraint.hi)))
+    except DomainError as exc:
+        raise DomainError(f"claim {claim.claim_id}: {exc}") from None
     return tuple(region)
 
 
@@ -269,7 +273,8 @@ def map_ticket(
     """The unique cell containing the ticket's normalized point.
 
     Slices are half-open below the top of the space; the upper boundary of
-    the whole space belongs to the last slice.
+    the whole space belongs to the last slice. A coordinate outside its
+    dimension's domain is a DomainError naming the ticket.
     """
     if len(ticket.point) != space.dim:
         raise InvalidArgumentError(
@@ -278,7 +283,10 @@ def map_ticket(
     f = space.f_min
     coords = []
     for i in range(space.dim):
-        x = normalize(space, i, ticket.point[i])
+        try:
+            x = normalize(space, i, ticket.point[i])
+        except DomainError as exc:
+            raise DomainError(f"ticket {ticket.ticket_id}: {exc}") from None
         a = min(int(x * f), f - 1)
         # Guard against multiplication rounding right at slice boundaries:
         # keep the index consistent with the bounds arithmetic used by cells.

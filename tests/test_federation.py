@@ -125,7 +125,7 @@ class TestDeploy:
         assert deploy_federation(sc).cell_owner == deploy_federation(sc).cell_owner
 
     def test_duplicate_cloud_rejected(self):
-        with pytest.raises(Exception):
+        with pytest.raises(InvalidArgumentError, match="duplicate cloud id 'a'"):
             deploy_federation(scenario([cloud("a", 2.4), cloud("a", 3.0)]))
 
     def test_recompute_after_membership_change(self):
@@ -297,13 +297,13 @@ class TestSubmit:
             space_dims = tuple(d for d in dims() if d.name != "speed_ghz")
         else:
             space_dims = dims() + (DimensionSpec(name="memory_gb", kind="numeric", bounds=(0.0, 64.0)),)
-        state = deploy_federation(dataclasses.replace(scenario([cloud("cloud-1", 2.4)]), dims=space_dims))
+        bad = dataclasses.replace(scenario([cloud("cloud-1", 2.4)], [workload("cloud-1")]), dims=space_dims)
         with pytest.raises(InvalidArgumentError, match="claims need exactly the dimensions"):
-            submit_application(state, "cloud-1", workload("cloud-1", rows=1, cols=1))
+            deploy_federation(bad)
 
     def test_unknown_cloud_rejected(self):
         state = deploy_federation(scenario([cloud("cloud-1", 2.4)]))
-        with pytest.raises(Exception):
+        with pytest.raises(InvalidArgumentError, match="unknown cloud 'nowhere'"):
             submit_application(state, "nowhere", workload("cloud-1"))
 
     def test_claims_posted_to_owning_peers(self):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import ast
 import json
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -62,6 +63,16 @@ submit_cloud = cloud-1
 """
 
 
+def documented_example(where: str) -> str:
+    """The example scenario of the README's ``ini`` block or of the grammar
+    in the scenario module's docstring."""
+    if where == "readme":
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        return readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    grammar = fedmesh.scenario.__doc__.split("\n\n    ", 1)[1]
+    return textwrap.dedent("    " + grammar.split("\n\nScenarios that declare", 1)[0])
+
+
 def write(tmp_path: Path, text: str, name="case.scenario") -> Path:
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
@@ -82,6 +93,13 @@ class TestParse:
         assert sc.latency.intra_cloud_ms == 1  # defaults apply
         assert sc.workloads[0].app_id == "app-1"
         assert sc.eager_tickets is True
+
+    @pytest.mark.parametrize("where", ["readme", "docstring"])
+    def test_documented_example_parses(self, where):
+        sc = parse_scenario(documented_example(where), source=where)
+        assert [d.name for d in sc.dims] == ["service_type", "processors", "cpu_type", "speed_ghz"]
+        assert sc.eager_tickets is True and sc.clouds[0].topology == "hub"
+        assert [w.app_id for w in sc.workloads] == ["cloud-1-task"]
 
     def test_zero_division_level_is_diagnosed_by_field(self):
         bad = MINIMAL.replace("f_min = 2", "f_min = 0")
@@ -237,6 +255,19 @@ class TestValidateCommand:
         path = write(tmp_path, MINIMAL.replace("f_min = 2", "f_min = 0"))
         assert main(["validate", str(path)]) == 2
         assert "f_min" in capsys.readouterr().err
+
+    def test_dimension_no_claim_constrains_exits_two(self, tmp_path, capsys):
+        # Every claim constrains exactly the four claim dimensions, so a fifth
+        # is diagnosed at its own section rather than aborting a run.
+        text = builtin_scenario_path().read_text(encoding="utf-8")
+        text += "\n[dimension memory_gb]\nkind = numeric\nbounds = 0, 64\n"
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(text)
+        (diag,) = exc.value.diagnostics
+        assert (diag.line, diag.field) == (text.splitlines().index("[dimension memory_gb]") + 1, "dimension")
+        assert "'memory_gb'" in diag.message
+        assert main(["validate", str(write(tmp_path, text))]) == 2
+        assert "memory_gb" in capsys.readouterr().err
 
     def test_missing_file_exit_three(self, tmp_path):
         assert main(["validate", str(tmp_path / "absent.scenario")]) == 3

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -367,6 +368,27 @@ class TestMapTicket:
                 x = normalize(space, i, ticket.point[i])
                 lo, hi = cell_bounds(cell, space.f_min)[i]
                 assert lo <= x <= hi
+
+
+class TestDomainErrorsNameTheirQuery:
+    @pytest.mark.parametrize("query", ["claim", "ticket"])
+    @pytest.mark.parametrize(
+        "dim, value, message",
+        [
+            pytest.param(3, float("nan"), "speed_ghz: nan outside bounds [0.0, 4.0]", id="nan"),
+            pytest.param(3, 9.9, "speed_ghz: 9.9 outside bounds [0.0, 4.0]", id="out-of-bounds"),
+            pytest.param(2, "Sparc", "cpu_type: unknown label 'Sparc'", id="unknown-label"),
+        ],
+    )
+    def test_prefixed_with_the_query_id(self, testbed_space, testbed_cells, query, dim, value, message):
+        point = [THREAD_LABEL, 1, "Intel", 2.0]
+        point[dim] = value
+        if query == "claim":
+            mapper, obj = map_claim, ResourceClaim("bad-7", tuple(Eq(v) for v in point), 1, "o", 0)
+        else:
+            mapper, obj = map_ticket, ResourceTicket("bad-7", tuple(point), 1, "n", 0)
+        with pytest.raises(DomainError, match=f"^{query} bad-7: {re.escape(message)}$"):
+            mapper(testbed_space, testbed_cells, obj)
 
 
 class TestMatches:

@@ -14,7 +14,7 @@ from functools import partial
 from pathlib import Path
 from typing import Callable
 
-from .errors import FedmeshError
+from .errors import FedmeshError, InvalidArgumentError
 from .experiments import run_scenario, run_sweep
 from .oracles import run_oracle_suites
 from .reporting import write_run_outputs, write_sweep_outputs
@@ -137,7 +137,11 @@ def cmd_oracle(args) -> int:
     if args.dims < 2:
         print("--dims must be >= 2", file=sys.stderr)
         return EXIT_INVALID_SCENARIO
-    reports = run_oracle_suites(args.trials, args.dims, args.seed)
+    try:
+        reports = run_oracle_suites(args.trials, args.dims, args.seed)
+    except InvalidArgumentError as exc:
+        print(f"--dims: {exc}", file=sys.stderr)
+        return EXIT_INVALID_SCENARIO
     all_passed = True
     for report in reports:
         status = "pass" if report.passed else "FAIL"

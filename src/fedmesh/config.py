@@ -18,6 +18,9 @@ TOPOLOGIES = (HUB, FULL_P2P)
 
 DEFAULT_MAX_VIRTUAL_MS = 1_000_000_000
 
+# The one scenario file format version; summary.json records it.
+SCHEMA_VERSION = 1
+
 # Dimension names the scheduling services rely on when building claims and
 # tickets; scenario validation guarantees they exist with the right kinds.
 DIM_SERVICE = "service_type"
@@ -55,6 +58,10 @@ class CloudConfig:
     def __post_init__(self) -> None:
         if self.node_count < 1:
             raise InvalidArgumentError(f"{self.cloud_id}: node_count must be >= 1")
+        if self.node_speed_ghz <= 0:
+            raise InvalidArgumentError(
+                f"{self.cloud_id}: node_speed_ghz must be > 0, got {self.node_speed_ghz}"
+            )
         if self.topology not in TOPOLOGIES:
             raise InvalidArgumentError(f"{self.cloud_id}: unknown topology {self.topology!r}")
         lo, hi = self.status_update_interval_ms
@@ -66,7 +73,6 @@ class CloudConfig:
 
 @dataclass(frozen=True)
 class Scenario:
-    schema_version: int
     seed: int
     eager_tickets: bool
     inbox_capacity: int

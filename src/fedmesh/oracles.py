@@ -9,6 +9,7 @@ the acceptance suite both drive these.
 
 from __future__ import annotations
 
+import math
 import random
 import struct
 from dataclasses import dataclass
@@ -16,6 +17,7 @@ from dataclasses import dataclass
 from .coordination import ClaimStore
 from .errors import InvalidArgumentError
 from .overlay import NodeId, OverlayMembership, circular_distance, shared_prefix_len
+from .scenario import MAX_CELLS
 from .spatial import (
     CATEGORICAL,
     NUMERIC,
@@ -131,6 +133,10 @@ def measure_routing(n: int, num_keys: int, seed: int) -> RoutingStats:
 # Random spatial instances.
 
 
+# The largest division level random_space draws.
+RANDOM_F_MAX = 4
+
+
 def random_space(rng: random.Random, dim: int, f_min: int | None = None) -> AttributeSpace:
     dims = []
     for i in range(dim):
@@ -141,7 +147,7 @@ def random_space(rng: random.Random, dim: int, f_min: int | None = None) -> Attr
             lo = rng.uniform(-5.0, 5.0)
             hi = lo + rng.uniform(0.5, 10.0)
             dims.append(DimensionSpec(name=f"d{i}", kind=NUMERIC, bounds=(lo, hi)))
-    f = f_min if f_min is not None else rng.randint(1, 4)
+    f = f_min if f_min is not None else rng.randint(1, RANDOM_F_MAX)
     return AttributeSpace(dims=tuple(dims), f_min=f)
 
 
@@ -354,6 +360,13 @@ def routing_suite(checks: int, seed: int) -> SuiteReport:
 def run_oracle_suites(trials: int, max_dims: int, seed: int) -> list[SuiteReport]:
     if max_dims < 2:
         raise InvalidArgumentError(f"oracle suites need max_dims >= 2, got {max_dims}")
+    # A random space of max_dims dimensions has up to RANDOM_F_MAX**max_dims
+    # cells. Logarithms are compared: that power of a huge max_dims is too big.
+    if max_dims > math.log(MAX_CELLS, RANDOM_F_MAX):
+        raise InvalidArgumentError(
+            f"oracle suites need {RANDOM_F_MAX}**max_dims <= {MAX_CELLS} cells, the scenario "
+            f"cell guard, got max_dims {max_dims}"
+        )
     dims = tuple(range(2, max_dims + 1))
     per_dim = max(1, trials // len(dims))
     return [

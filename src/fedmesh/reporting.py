@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+from .config import SCHEMA_VERSION
 from .experiments import RunResult, SweepResult
 from .workloads import MODELS, SERVICE_LABELS, JobShare, MetricsSink, job_share_percent
 
@@ -113,7 +114,7 @@ def write_run_outputs(result: RunResult, out_dir: str | Path, fmt: str = "csv") 
     cloud_ids = tuple(sorted(c.cloud_id for c in result.scenario.clouds))
     share = job_share_percent(sink, cloud_ids)
     meta = {
-        "schema_version": result.scenario.schema_version,
+        "schema_version": SCHEMA_VERSION,
         "seed": result.scenario.seed,
         "zero_job_models": list(share.zero_models),
         "stranded_claims": list(result.stranded),
@@ -137,7 +138,7 @@ def write_sweep_outputs(sweep: SweepResult, out_dir: str | Path, fmt: str = "csv
     cloud_ids = tuple(sorted(c.cloud_id for c in sweep.scenario.clouds))
     share = job_share_percent(merged, cloud_ids)
     meta = {
-        "schema_version": sweep.scenario.schema_version,
+        "schema_version": SCHEMA_VERSION,
         "seed": sweep.scenario.seed,
         "models": list(sweep.models),
         "sizes": list(sweep.sizes),

@@ -62,6 +62,13 @@ scheduling services build claims from, and no others: service_type and
 cpu_type (categorical), processors and speed_ghz (numeric). Every number must
 be finite: a nan or inf bound, speed or demand is diagnosed like any other
 bad value.
+
+``_KEYS`` is the single declaration of the format: every key of every
+section with its converter and its default, or None where the key is
+required. One reader converts a section against it, so a key is added,
+renamed or given a default there and nowhere else. The rules that relate
+values (f_max equal to f_min, the guards, a cloud's point inside the space)
+follow the table in ``_Builder``.
 """
 
 from __future__ import annotations
@@ -70,25 +77,24 @@ import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Callable
 
 from .config import (
+    DEFAULT_MAX_VIRTUAL_MS,
     DIM_CPU,
     DIM_PROCESSORS,
     DIM_SERVICE,
     DIM_SPEED,
-    DEFAULT_MAX_VIRTUAL_MS,
     REQUIRED_DIMS,
+    SCHEMA_VERSION,
     TOPOLOGIES,
     CloudConfig,
     LatencyModel,
     Scenario,
 )
-from .errors import FedmeshError, InvalidArgumentError
-from .spatial import CATEGORICAL, NUMERIC, DimensionSpec
+from .errors import DomainError, FedmeshError, InvalidArgumentError
+from .spatial import CATEGORICAL, NUMERIC, AttributeSpace, DimensionSpec, normalize
 from .workloads import MODELS, SERVICE_LABELS, DemandDistribution, WorkloadSpec
 
-SCHEMA_VERSION = 1
 MAX_CELLS = 100_000
 MAX_UNITS = 1_000_000  # over all workloads: submit builds every unit of an app at once
 MAX_NODES = 100_000  # over all clouds: deploy builds every node, its stream and timer at once
@@ -100,7 +106,86 @@ def _bool(raw: str) -> bool:
     return raw == "true"
 
 
-_EXPECTED = {int: "an integer", float: "a number", _bool: "true or false"}
+def _items(raw: str) -> tuple[str, ...]:
+    items = tuple(map(str.strip, raw.split(",")))
+    if not all(items):
+        raise ValueError(raw)
+    return items
+
+
+def _bounds(raw: str) -> tuple[float, float]:
+    lo, hi = map(float, _items(raw))
+    return lo, hi
+
+
+def _interval(raw: str) -> tuple[int, int]:
+    lo, hi = map(int, _items(raw))
+    return lo, hi
+
+
+def _demand(raw: str) -> DemandDistribution:
+    items = _items(raw)
+    if items[0] == "constant" and len(items) == 2:
+        return DemandDistribution.constant(float(items[1]))
+    if items[0] == "uniform" and len(items) == 3:
+        return DemandDistribution.uniform(float(items[1]), float(items[2]))
+    raise ValueError(raw)
+
+
+_EXPECTED = {
+    int: "an integer",
+    float: "a number",
+    _bool: "true or false",
+    _items: "a list without empty items",
+    _bounds: "'lo, hi' numbers",
+    _interval: "'lo, hi' integers",
+    _demand: "'constant, X' or 'uniform, LO, HI'",
+}
+
+# The file format: section kind -> key -> (converter, default), where a
+# default of None marks a required key. A dimension's keys depend on its
+# kind; "dimension" holds those of a section whose kind is missing or wrong.
+# f_max has to equal f_min, and its absence is diagnosed as f_max != f_min.
+_KEYS = {
+    "top": {
+        "schema_version": (int, None),
+        "seed": (int, None),
+        "eager_tickets": (_bool, True),
+        "inbox_capacity": (int, 1000),
+        "max_virtual_ms": (int, DEFAULT_MAX_VIRTUAL_MS),
+    },
+    "space": {"f_min": (int, None), "f_max": (int, 0)},
+    "dimension": {"kind": (str, None)},
+    NUMERIC: {"kind": (str, None), "bounds": (_bounds, None)},
+    CATEGORICAL: {"kind": (str, None), "labels": (_items, None)},
+    "latency": {
+        "intra_cloud_ms": (int, LatencyModel.intra_cloud_ms),
+        "inter_cloud_ms": (int, LatencyModel.inter_cloud_ms),
+    },
+    "cloud": {
+        "nodes": (int, None),
+        "speed_ghz": (float, None),
+        "cpu_type": (str, None),
+        "service_types": (_items, None),
+        "status_update_interval_ms": (_interval, None),
+        "topology": (str, CloudConfig.topology),
+    },
+    "workload": {
+        "model": (str, None),
+        "rows": (int, None),
+        "cols": (int, None),
+        "unit_demand": (_demand, None),
+        "submit_cloud": (str, None),
+        "submit_time_ms": (int, WorkloadSpec.submit_time_ms),
+    },
+}
+
+# Section types and what a section's name is; None marks a section that
+# takes no name and may appear once.
+_NAMES = {
+    "space": None, "dimension": "dimension", "latency": None,
+    "cloud": "cloud id", "workload": "workload id",
+}
 
 
 @dataclass(frozen=True)
@@ -125,9 +210,8 @@ class ScenarioError(FedmeshError):
 
 
 class _Section:
-    def __init__(self, line: int, kind: str, name: str) -> None:
+    def __init__(self, line: int, name: str) -> None:
         self.line = line
-        self.kind = kind
         self.name = name
         self.entries: dict[str, tuple[int, str]] = {}
 
@@ -135,8 +219,9 @@ class _Section:
 def parse_scenario(text: str, source: str = "<string>") -> Scenario:
     """Parse and fully validate scenario text; raises ScenarioError."""
     diags: list[Diagnostic] = []
-    top = _Section(0, "top", "")
-    sections: list[_Section] = []
+    top = _Section(0, "")
+    sections: dict[str, list[_Section]] = {kind: [] for kind in _NAMES}
+    seen: set[tuple[str, str]] = set()
     current = top
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -147,31 +232,34 @@ def parse_scenario(text: str, source: str = "<string>") -> Scenario:
             if not line.endswith("]"):
                 diags.append(Diagnostic(lineno, "section", "missing closing ']'"))
                 continue
-            header = line[1:-1].strip()
-            parts = header.split(None, 1)
+            parts = line[1:-1].split(None, 1)
             kind = parts[0] if parts else ""
             name = parts[1].strip() if len(parts) > 1 else ""
-            if kind not in ("space", "dimension", "latency", "cloud", "workload"):
+            # A section that is diagnosed here is not built: its keys are dropped.
+            current = _Section(lineno, name)
+            named = _NAMES.get(kind)
+            ident = (kind, name if named else "")  # a header's name is ignored where none is taken
+            if kind not in _NAMES:
                 diags.append(Diagnostic(lineno, "section", f"unknown section type {kind!r}"))
-                current = _Section(lineno, "ignored", name)
-                continue
-            if kind in ("dimension", "cloud", "workload") and not name:
+            elif named and not name:
                 diags.append(Diagnostic(lineno, "section", f"[{kind}] needs a name"))
-            current = _Section(lineno, kind, name)
-            sections.append(current)
+            elif ident in seen:
+                what = f"{named} {name!r}" if named else f"[{kind}] section"
+                diags.append(Diagnostic(lineno, kind, f"duplicate {what}"))
+            else:
+                seen.add(ident)
+                sections[kind].append(current)
             continue
         if "=" not in line:
             diags.append(Diagnostic(lineno, "syntax", f"expected 'key = value', got {line!r}"))
             continue
         key, _, value = line.partition("=")
         key = key.strip()
-        value = value.strip()
         if key in current.entries:
             diags.append(Diagnostic(lineno, key, "duplicate key in this section"))
-        current.entries[key] = (lineno, value)
+        current.entries[key] = (lineno, value.strip())
 
-    builder = _Builder(diags)
-    scenario = builder.build(top, sections)
+    scenario = _Builder(diags).build(top, sections)
     if diags:
         raise ScenarioError(source, diags)
     assert scenario is not None
@@ -198,269 +286,194 @@ class _Builder:
     def error(self, line: int, field: str, message: str) -> None:
         self.diags.append(Diagnostic(line, field, message))
 
-    def get(self, section: _Section, key: str, convert: Callable = str, default=None):
-        """Pop and convert one key; a missing key without a default and an
-        unconvertible value are diagnosed, and both give the default."""
-        if key not in section.entries:
-            if default is None:
-                self.error(section.line, key, "required key missing")
-            return default
-        line, raw = section.entries.pop(key)
-        try:
-            return convert(raw)
-        except ValueError:
-            self.error(line, key, f"expected {_EXPECTED[convert]}, got {raw!r}")
-            return default
+    def read(self, section: _Section, kind: str) -> dict:
+        """The section's values converted against ``_KEYS[kind]``, by key.
 
-    def get_list(self, section: _Section, key: str) -> tuple[int, list[str]] | None:
-        if key not in section.entries:
-            self.error(section.line, key, "required key missing")
-            return None
-        line, raw = section.entries.pop(key)
-        items = [item.strip() for item in raw.split(",")]
-        if any(not item for item in items):
-            self.error(line, key, "empty list item")
-            return None
-        return line, items
+        A missing required key is diagnosed at the section line, a value
+        that does not convert at its key's line; both read as the key's
+        default. Each key the table does not list is diagnosed too.
+        """
+        entries = section.entries
+        table = _KEYS[kind]
+        values = {}
+        for key, (convert, default) in table.items():
+            got = entries.get(key)
+            values[key] = default
+            if got is None:
+                if default is None:
+                    self.error(section.line, key, "required key missing")
+                continue
+            line, raw = got
+            try:
+                values[key] = convert(raw)
+            except InvalidArgumentError as exc:
+                self.error(line, key, f"{exc}, got {raw}")
+            except ValueError:
+                self.error(line, key, f"expected {_EXPECTED[convert]}, got {raw!r}")
+        if not entries.keys() <= table.keys():
+            for key, (line, _) in entries.items():
+                if key not in table:
+                    self.error(line, key, "unknown key for this section")
+        return values
 
-    def leftover(self, section: _Section) -> None:
-        for key, (line, _) in section.entries.items():
-            self.error(line, key, "unknown key for this section")
-
-    def build(self, top: _Section, sections: list[_Section]) -> Scenario | None:
-        version = self.get(top, "schema_version", int)
-        seed = self.get(top, "seed", int)
-        eager = self.get(top, "eager_tickets", _bool, True)
-        inbox = self.get(top, "inbox_capacity", int, 1000)
-        horizon = self.get(top, "max_virtual_ms", int, DEFAULT_MAX_VIRTUAL_MS)
-        self.leftover(top)
+    def build(self, top: _Section, sections: dict[str, list[_Section]]) -> Scenario | None:
+        settings = self.read(top, "top")
+        version = settings.pop("schema_version")
         if version is not None and version != SCHEMA_VERSION:
             self.error(top.line, "schema_version", f"unsupported version {version}")
-        if inbox is not None and inbox < 1:
-            self.error(top.line, "inbox_capacity", "must be >= 1")
-        if horizon is not None and horizon < 1:
-            self.error(top.line, "max_virtual_ms", "must be >= 1")
+        for key in ("inbox_capacity", "max_virtual_ms"):
+            if settings[key] < 1:
+                self.error(top.line, key, "must be >= 1")
 
         f_min = 0
-        space_sections = [s for s in sections if s.kind == "space"]
-        if not space_sections:
+        if not sections["space"]:
             self.error(0, "space", "missing [space] section")
         else:
-            if len(space_sections) > 1:
-                self.error(space_sections[1].line, "space", "duplicate [space] section")
-            sec = space_sections[0]
-            f_min = self.get(sec, "f_min", int) or 0
-            has_f_max = "f_max" in sec.entries
-            f_max = self.get(sec, "f_max", int, f_min)
-            if f_min >= 1 and (not has_f_max or f_max != f_min):
-                self.error(
-                    sec.line,
-                    "f_max",
-                    f"must be present and equal f_min = {f_min}: cells are never subdivided",
-                )
-            self.leftover(sec)
+            sec = sections["space"][0]
+            values = self.read(sec, "space")
+            f_min = values["f_min"] or 0
             if f_min < 1:
                 self.error(sec.line, "f_min", f"must be >= 1, got {f_min}")
+            elif values["f_max"] != f_min:
+                message = f"must be present and equal f_min = {f_min}: cells are never subdivided"
+                self.error(sec.line, "f_max", message)
 
-        dim_sections = [s for s in sections if s.kind == "dimension"]
-        dims = self.build_dims(dim_sections)
+        dims = self.build_dims(sections["dimension"])
         if dims and f_min >= 1 and f_min ** len(dims) > MAX_CELLS:
-            self.error(
-                space_sections[0].line if space_sections else 0,
-                "f_min",
-                f"f_min**dim = {f_min ** len(dims)} exceeds the {MAX_CELLS} cell guard",
-            )
+            message = f"f_min**dim = {f_min ** len(dims)} exceeds the {MAX_CELLS} cell guard"
+            self.error(sections["space"][0].line, "f_min", message)
 
-        latency = self.build_latency([s for s in sections if s.kind == "latency"])
-        cloud_sections = [s for s in sections if s.kind == "cloud"]
-        clouds = self.build_clouds(cloud_sections, dims, dim_sections)
-        service_labels: tuple[str, ...] = ()
-        for spec in dims:
-            if spec.name == DIM_SERVICE and spec.labels is not None:
-                service_labels = spec.labels
-        workloads = self.build_workloads(
-            [s for s in sections if s.kind == "workload"],
-            {s.name for s in cloud_sections},  # a cloud with its own error is still declared
-            service_labels,
-        )
+        latency = LatencyModel()
+        for sec in sections["latency"]:  # at most one: a repeat is diagnosed and dropped
+            values = self.read(sec, "latency")
+            if min(values.values()) < 0:
+                self.error(sec.line, "latency", "latencies must be >= 0")
+            else:
+                latency = LatencyModel(**values)
+        clouds = self.build_clouds(sections["cloud"], sections["dimension"], dims)
+        workloads = self.build_workloads(sections["workload"], sections["cloud"], clouds, dims)
 
         if self.diags:
             return None
         return Scenario(
-            schema_version=version or SCHEMA_VERSION,
-            seed=seed if seed is not None else 0,
-            eager_tickets=eager,
-            inbox_capacity=inbox or 1000,
-            max_virtual_ms=horizon,
-            f_min=f_min,
-            dims=tuple(dims),
-            latency=latency,
-            clouds=tuple(clouds),
-            workloads=tuple(workloads),
+            **settings, f_min=f_min, dims=tuple(dims), latency=latency,
+            clouds=tuple(clouds), workloads=tuple(workloads),
         )
 
     def build_dims(self, sections: list[_Section]) -> list[DimensionSpec]:
         dims: list[DimensionSpec] = []
-        seen: set[str] = set()
         for sec in sections:
-            if not sec.name:
-                continue  # "needs a name" is already diagnosed
-            if sec.name in seen:
-                self.error(sec.line, "dimension", f"duplicate dimension {sec.name!r}")
+            kind = sec.entries.get("kind", (0, None))[1]
+            if kind not in (NUMERIC, CATEGORICAL):
+                if self.read(sec, "dimension")["kind"] is not None:
+                    self.error(sec.line, "kind", f"expected numeric or categorical, got {kind!r}")
                 continue
-            seen.add(sec.name)
-            kind = self.get(sec, "kind")
-            if kind == NUMERIC:
-                got = self.get_list(sec, "bounds")
-                self.leftover(sec)
-                if got is None:
-                    continue
-                line, items = got
-                try:
-                    lo, hi = map(float, items)
-                except ValueError:
-                    self.error(line, "bounds", f"expected 'lo, hi' numbers, got {items}")
-                    continue
-                if not -math.inf < lo < hi < math.inf:
-                    self.error(line, "bounds", f"need finite lo < hi, got {lo}, {hi}")
-                    continue
-                dims.append(DimensionSpec(name=sec.name, kind=NUMERIC, bounds=(lo, hi)))
-            elif kind == CATEGORICAL:
-                got = self.get_list(sec, "labels")
-                self.leftover(sec)
-                if got is None:
-                    continue
-                line, items = got
-                if len(set(items)) != len(items):
-                    self.error(line, "labels", "labels must be unique")
-                    continue
-                dims.append(DimensionSpec(name=sec.name, kind=CATEGORICAL, labels=tuple(items)))
-            elif kind is not None:
-                self.error(sec.line, "kind", f"expected numeric or categorical, got {kind!r}")
-                self.leftover(sec)
+            values = self.read(sec, kind)
+            if None in values.values():
+                continue
+            try:
+                dims.append(DimensionSpec(sec.name, **values))
+            except InvalidArgumentError as exc:
+                key = "bounds" if kind == NUMERIC else "labels"
+                line, raw = sec.entries[key]
+                self.error(line, key, f"{exc}, got {raw}")
         return dims
 
-    def build_latency(self, sections: list[_Section]) -> LatencyModel:
-        if not sections:
-            return LatencyModel()
-        if len(sections) > 1:
-            self.error(sections[1].line, "latency", "duplicate [latency] section")
-        sec = sections[0]
-        intra = self.get(sec, "intra_cloud_ms", int, 1)
-        inter = self.get(sec, "inter_cloud_ms", int, 5)
-        self.leftover(sec)
-        if intra is not None and intra < 0 or inter is not None and inter < 0:
-            self.error(sec.line, "latency", "latencies must be >= 0")
-            return LatencyModel()
-        return LatencyModel(intra_cloud_ms=intra, inter_cloud_ms=inter)
-
     def build_clouds(
-        self, sections: list[_Section], dims: list[DimensionSpec], dim_sections: list[_Section]
+        self, sections: list[_Section], dim_sections: list[_Section], dims: list[DimensionSpec]
     ) -> list[CloudConfig]:
-        by_name = {d.name: d for d in dims}
+        # The claim dimensions that are declared with the right kind.
+        index = {d.name: i for i, d in enumerate(dims) if REQUIRED_DIMS.get(d.name) == d.kind}
         if sections:
             for name, kind in REQUIRED_DIMS.items():
-                spec = by_name.get(name)
-                if spec is None:
+                if name not in index:
                     self.error(0, "dimension", f"clouds require a {kind} dimension {name!r}")
-                elif spec.kind != kind:
-                    self.error(0, "dimension", f"dimension {name!r} must be {kind}")
             for sec in dim_sections:
-                if sec.name and sec.name not in REQUIRED_DIMS:
+                if sec.name not in REQUIRED_DIMS:
                     self.error(
                         sec.line, "dimension", f"{sec.name!r} is not one of {sorted(REQUIRED_DIMS)}"
                     )
+        # normalize reads only the dimensions of the space, not its f_min.
+        space = AttributeSpace(tuple(dims), 1) if len(index) == len(REQUIRED_DIMS) else None
         clouds: list[CloudConfig] = []
-        seen: set[str] = set()
         total_nodes = 0
         for sec in sections:
-            if sec.name in seen:
-                self.error(sec.line, "cloud", f"duplicate cloud id {sec.name!r}")
+            values = self.read(sec, "cloud")
+            if None in values.values():
                 continue
-            seen.add(sec.name)
-            nodes = self.get(sec, "nodes", int)
-            speed = self.get(sec, "speed_ghz", float)
-            cpu = self.get(sec, "cpu_type")
-            services = self.get_list(sec, "service_types")
-            interval = self.get_list(sec, "status_update_interval_ms")
-            topology = self.get(sec, "topology", default="hub")
-            self.leftover(sec)
-            if None in (nodes, speed, cpu) or services is None or interval is None:
-                continue
+            nodes = values["nodes"]
             if nodes < 1:
                 self.error(sec.line, "nodes", f"must be >= 1, got {nodes}")
                 continue
             total_nodes += nodes
             if total_nodes > MAX_NODES >= total_nodes - nodes:
                 self.error(sec.line, "nodes", f"{total_nodes} nodes exceed the {MAX_NODES} node guard")
+            topology = values["topology"]
             if topology not in TOPOLOGIES:
                 self.error(sec.line, "topology", f"expected hub or full_p2p, got {topology!r}")
                 continue
-            iline, iitems = interval
-            try:
-                lo, hi = map(int, iitems)
-            except ValueError:
-                self.error(iline, "status_update_interval_ms", "expected 'lo, hi' integers")
-                continue
+            lo, hi = values["status_update_interval_ms"]
             if lo < 1 or hi < lo:
-                self.error(iline, "status_update_interval_ms", f"need 1 <= lo <= hi, got {lo}, {hi}")
+                line = sec.entries["status_update_interval_ms"][0]
+                self.error(line, "status_update_interval_ms", f"need 1 <= lo <= hi, got {lo}, {hi}")
                 continue
-            sline, slabels = services
-            sdim = by_name.get(DIM_SERVICE)
-            if sdim is not None and sdim.labels is not None:
-                for label in slabels:
-                    if label not in sdim.labels:
-                        self.error(sline, "service_types", f"{label!r} not a {DIM_SERVICE} label")
-            cdim = by_name.get(DIM_CPU)
-            if cdim is not None and cdim.labels is not None and cpu not in cdim.labels:
-                self.error(sec.line, "cpu_type", f"{cpu!r} not a {DIM_CPU} label")
-            vdim = by_name.get(DIM_SPEED)
-            if vdim is not None and vdim.bounds is not None:
-                lo_b, hi_b = vdim.bounds
-                if not lo_b <= speed <= hi_b:
-                    self.error(sec.line, "speed_ghz", f"{speed} outside {DIM_SPEED} bounds")
-            pdim = by_name.get(DIM_PROCESSORS)
-            if pdim is not None and pdim.bounds is not None:
-                lo_b, hi_b = pdim.bounds
-                if not lo_b <= 1 <= hi_b:
-                    self.error(sec.line, "nodes", f"{DIM_PROCESSORS} bounds must include 1")
-            clouds.append(
-                CloudConfig(
-                    cloud_id=sec.name,
-                    node_count=nodes,
-                    node_speed_ghz=speed,
-                    cpu_type=cpu,
-                    service_types=tuple(slabels),
-                    status_update_interval_ms=(lo, hi),
-                    topology=topology,
+            before = len(self.diags)
+            if space is not None:
+                # The point of each node and label, as map_ticket checks it at
+                # run time; a node has one processor.
+                line = sec.entries["service_types"][0]
+                point = [
+                    (DIM_SERVICE, label, line, "service_types") for label in values["service_types"]
+                ]
+                point += [
+                    (DIM_CPU, values["cpu_type"], sec.line, "cpu_type"),
+                    (DIM_SPEED, values["speed_ghz"], sec.line, "speed_ghz"),
+                    (DIM_PROCESSORS, 1, sec.line, "nodes"),
+                ]
+                for dim, value, line, field in point:
+                    try:
+                        normalize(space, index[dim], value)
+                    except DomainError as exc:
+                        self.error(line, field, str(exc))
+            if len(self.diags) > before:
+                continue
+            try:
+                clouds.append(
+                    CloudConfig(
+                        cloud_id=sec.name,
+                        node_count=nodes,
+                        node_speed_ghz=values["speed_ghz"],
+                        cpu_type=values["cpu_type"],
+                        service_types=values["service_types"],
+                        status_update_interval_ms=(lo, hi),
+                        topology=topology,
+                    )
                 )
-            )
+            except InvalidArgumentError as exc:  # the speed: every other field is checked above
+                self.error(sec.entries["speed_ghz"][0], "speed_ghz", str(exc))
         return clouds
 
     def build_workloads(
-        self, sections: list[_Section], cloud_ids: set[str], service_labels: tuple[str, ...]
+        self,
+        sections: list[_Section],
+        cloud_sections: list[_Section],
+        clouds: list[CloudConfig],
+        dims: list[DimensionSpec],
     ) -> list[WorkloadSpec]:
+        labels = next((d.labels for d in dims if d.name == DIM_SERVICE and d.labels), ())
+        cloud_ids = {s.name for s in cloud_sections}  # a cloud with its own error is still declared
+        speeds = {c.cloud_id: c.node_speed_ghz for c in clouds}
         workloads: list[WorkloadSpec] = []
-        seen: set[str] = set()
         units = 0
         for sec in sections:
-            if sec.name in seen:
-                self.error(sec.line, "workload", f"duplicate workload id {sec.name!r}")
+            values = self.read(sec, "workload")
+            if None in values.values():
                 continue
-            seen.add(sec.name)
-            model = self.get(sec, "model")
-            rows = self.get(sec, "rows", int)
-            cols = self.get(sec, "cols", int)
-            demand = self.get_list(sec, "unit_demand")
-            submit_cloud = self.get(sec, "submit_cloud")
-            submit_time = self.get(sec, "submit_time_ms", int, 0)
-            self.leftover(sec)
-            if None in (model, rows, cols, submit_cloud) or demand is None:
-                continue
+            model, rows, cols = values["model"], values["rows"], values["cols"]
             if model not in MODELS:
                 self.error(sec.line, "model", f"expected one of {MODELS}, got {model!r}")
                 continue
-            if service_labels and SERVICE_LABELS[model] not in service_labels:
+            if labels and SERVICE_LABELS[model] not in labels:
                 self.error(
                     sec.line, "model",
                     f"{SERVICE_LABELS[model]!r} is not a {DIM_SERVICE} label, "
@@ -474,39 +487,22 @@ class _Builder:
             if units > MAX_UNITS >= units - rows * cols:
                 self.error(sec.line, "rows", f"{units} units exceed the {MAX_UNITS} unit guard")
                 continue
+            submit_cloud = values["submit_cloud"]
             if submit_cloud not in cloud_ids:
                 self.error(sec.line, "submit_cloud", f"unknown cloud {submit_cloud!r}")
                 continue
-            if submit_time < 0:
+            if values["submit_time_ms"] < 0:
                 self.error(sec.line, "submit_time_ms", "must be >= 0")
                 continue
-            dline, ditems = demand
-            dist = self.parse_demand(dline, ditems)
-            if dist is None:
-                continue
-            workloads.append(
-                WorkloadSpec(
-                    model=model,
-                    rows=rows,
-                    cols=cols,
-                    unit_demand=dist,
-                    submit_cloud=submit_cloud,
-                    submit_time_ms=submit_time,
-                    app_id=sec.name,
+            # Claims ask for at least the submitting cloud's speed, so no unit
+            # runs longer than its largest demand takes there. A cloud with an
+            # error of its own has no speed to check.
+            hi, speed = values["unit_demand"].hi, speeds.get(submit_cloud)
+            if speed is not None and not math.isfinite(hi / speed * 1000):
+                line = sec.entries["unit_demand"][0]
+                self.error(
+                    line, "unit_demand", f"{hi} GHz-s at {speed} GHz has no finite run time in ms"
                 )
-            )
+                continue
+            workloads.append(WorkloadSpec(**values, app_id=sec.name))
         return workloads
-
-    def parse_demand(self, line: int, items: list[str]) -> DemandDistribution | None:
-        try:
-            if items[0] == "constant" and len(items) == 2:
-                return DemandDistribution.constant(float(items[1]))
-            if items[0] == "uniform" and len(items) == 3:
-                return DemandDistribution.uniform(float(items[1]), float(items[2]))
-        except InvalidArgumentError as exc:
-            self.error(line, "unit_demand", f"{exc}, got {', '.join(items[1:])}")
-            return None
-        except ValueError:
-            pass
-        self.error(line, "unit_demand", "expected 'constant, X' or 'uniform, LO, HI'")
-        return None

@@ -90,7 +90,6 @@ def workload(cloud_id, model="task", rows=5, cols=5, demand=None, at=0, app_id=N
 
 def scenario(clouds, workloads=(), seed=42, eager=True):
     return Scenario(
-        schema_version=1,
         seed=seed,
         eager_tickets=eager,
         inbox_capacity=1000,

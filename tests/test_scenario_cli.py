@@ -73,6 +73,33 @@ def documented_example(where: str) -> str:
     return textwrap.dedent("    " + grammar.split("\n\nScenarios that declare", 1)[0])
 
 
+def documented_keys() -> list[tuple[str, str, str]]:
+    """(section, key, required or default) of each row of the README's key
+    reference, without backquotes around the key and the default."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Scenario format\n", 1)[1].split("\n## ", 1)[0]
+    rows = []
+    for line in section.splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if line.startswith("|") and len(cells) == 4 and cells[1].startswith("`"):
+            rows.append((cells[0], cells[1].strip("`"), cells[3].strip("`")))
+    return rows
+
+
+# Where each README section's keys sit in MINIMAL (None: before any section),
+# and the parsed object that carries a key's value.
+MINIMAL_SECTIONS = {
+    "top level": (None, lambda sc: sc),
+    "`[space]`": ("[space]", None),
+    "`[dimension NAME]`": ("[dimension processors]", None),
+    "`[dimension NAME]`, numeric": ("[dimension processors]", None),
+    "`[dimension NAME]`, categorical": ("[dimension service_type]", None),
+    "`[latency]`": ("[latency]", lambda sc: sc.latency),
+    "`[cloud ID]`": ("[cloud cloud-1]", lambda sc: sc.clouds[0]),
+    "`[workload ID]`": ("[workload app-1]", lambda sc: sc.workloads[0]),
+}
+
+
 def write(tmp_path: Path, text: str, name="case.scenario") -> Path:
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
@@ -237,6 +264,41 @@ class TestParse:
         (diag,) = [d for d in exc.value.diagnostics if "needs a name" in d.message]
         assert diag.line == len(MINIMAL.splitlines()) + 2
 
+    def test_key_reference_lists_every_key(self):
+        documented = {key for _, key, _ in documented_keys()}
+        assert documented == {key for table in fedmesh.scenario._KEYS.values() for key in table}
+
+    @pytest.mark.parametrize(
+        "section, key, default", documented_keys(), ids=lambda v: v.strip("`[]").split(" ")[0]
+    )
+    def test_documented_key_left_out(self, section, key, default):
+        # Leaving a key out of MINIMAL gives its documented default, or one
+        # diagnostic at its section's line when it is required.
+        header, owner = MINIMAL_SECTIONS[section]
+        lines = MINIMAL.splitlines()
+        if header is None:
+            at = 0  # top-level keys come first and are diagnosed at line 0
+        elif header in lines:
+            at = lines.index(header) + 1  # the header's line number: its first key's index
+        else:
+            at = len(lines)  # MINIMAL has no such section, so nothing is left out
+        end = next((i for i in range(at, len(lines)) if lines[i].startswith("[")), len(lines))
+        lines = [
+            line for i, line in enumerate(lines) if not (at <= i < end and line.startswith(f"{key} ="))
+        ]
+        text = "\n".join(lines) + "\n"
+        if default != "required":
+            assert str(getattr(owner(parse_scenario(text)), key)).lower() == default
+            return
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(text)
+        diags = exc.value.diagnostics
+        if key == "f_max":  # an absent f_max breaks the one rule it exists for
+            missing = [d for d in diags if d.field == key and "must be present" in d.message]
+        else:
+            missing = [d for d in diags if d.message == "required key missing"]
+        assert [(d.line, d.field) for d in missing] == [(at, key)]
+
     @pytest.mark.parametrize("horizon", ["0", "-5"])
     def test_horizon_below_one_is_diagnosed(self, horizon):
         bad = MINIMAL.replace("seed = 7", f"seed = 7\nmax_virtual_ms = {horizon}")
@@ -280,11 +342,15 @@ class TestValidateCommand:
             ("unit_demand", "uniform, 1, inf"),
             ("bounds", "-inf, 4"),
             ("status_update_interval_ms", "5000, 40000, 7"),
+            ("speed_ghz", "0"),
+            ("speed_ghz", "-0"),
+            ("unit_demand", "constant, 1e308"),
         ],
     )
     def test_hostile_value_is_diagnosed_on_its_field(self, tmp_path, capsys, key, value):
-        # Non-finite numbers and surplus list items, each set on the first
-        # line of its key in the built-in scenario.
+        # Non-finite numbers, surplus list items, a speed no unit could run
+        # at and a demand no unit could finish, each set on the first line
+        # of its key in the built-in scenario.
         lines = builtin_scenario_path().read_text(encoding="utf-8").splitlines()
         at = next(i for i, line in enumerate(lines) if line.startswith(f"{key} ="))
         lines[at] = f"{key} = {value}"
@@ -294,6 +360,28 @@ class TestValidateCommand:
         assert any(d.field == key and d.line == at + 1 for d in exc.value.diagnostics)
         assert main(["validate", str(write(tmp_path, text))]) == 2
         assert f"line {at + 1}: {key}: " in capsys.readouterr().err
+
+    def test_speed_too_small_for_its_demands_is_diagnosed_on_each_demand(self, tmp_path, capsys):
+        # 5e-324 GHz is a positive speed inside the bounds, but a unit of a
+        # workload submitted there would run for an infinite time.
+        lines = builtin_scenario_path().read_text(encoding="utf-8").splitlines()
+        cloud = lines.index("[cloud cloud-1]")
+        speed = next(i for i in range(cloud, len(lines)) if lines[i].startswith("speed_ghz ="))
+        lines[speed] = "speed_ghz = 5e-324"
+        text = "\n".join(lines) + "\n"
+        demands = [
+            i + 1
+            for i, line in enumerate(lines)
+            if line.startswith("unit_demand =") and lines[i + 1] == "submit_cloud = cloud-1"
+        ]
+        assert len(demands) == 2
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(text)
+        assert [(d.line, d.field) for d in exc.value.diagnostics] == [
+            (line, "unit_demand") for line in demands
+        ]
+        assert main(["validate", str(write(tmp_path, text))]) == 2
+        assert "no finite run time" in capsys.readouterr().err
 
 
 class TestRunCommand:
@@ -407,6 +495,16 @@ class TestOracleCommand:
         with pytest.raises(InvalidArgumentError, match="max_dims >= 2"):
             run_oracle_suites(10, int(dims), 5)
 
+    def test_dims_past_the_cell_guard_rejected(self, capsys):
+        # A random space has up to 4 slices per dimension, and 4**9 cells
+        # exceed the scenario cell guard of 100,000: nothing is built.
+        assert main(["oracle", "--trials", "10", "--dims", "9"]) == 2
+        captured = capsys.readouterr()
+        assert "100000 cells" in captured.err
+        assert "[pass]" not in captured.out
+        with pytest.raises(InvalidArgumentError, match="4\\*\\*max_dims"):
+            run_oracle_suites(10, 9, 5)
+
 
 BUILTIN_LINES = [
     line
@@ -468,6 +566,16 @@ def test_property_mutated_builtin_scenario_parses_or_is_diagnosed(mutations):
         result = parse_scenario("\n".join(lines))
     except ScenarioError as exc:
         assert exc.diagnostics
+        # Each diagnostic points at the whole file, a section header, a line
+        # of its own key, or is a syntax error.
+        for diag in exc.diagnostics:
+            text = lines[diag.line - 1].strip() if diag.line else ""
+            assert (
+                diag.line == 0
+                or text.startswith("[")
+                or text.partition("=")[0].strip() == diag.field
+                or diag.field == "syntax"
+            ), diag
     else:
         assert isinstance(result, Scenario)
 

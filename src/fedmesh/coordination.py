@@ -23,8 +23,11 @@ lists. The lists are refreshed only when a new class first appears in the
 cell; buckets are never deleted, so nothing else makes a list stale. A
 ticket walks the matching non-empty buckets, merged back into global
 (arrival_time, claim_id) order, and serves them first fit, exactly as one
-scan of a single sorted cell queue would serve them. Tickets are transient:
-any leftover capacity is discarded, since a fresh status ticket will follow.
+scan of a single sorted cell queue would serve them. The least bucket head
+comes first in that order, so when it requests exactly the ticket's capacity
+(a one-unit claim meeting a one-unit node ticket, the common case) it is
+served alone and nothing is merged. Tickets are transient: any leftover
+capacity is discarded, since a fresh status ticket will follow.
 """
 
 from __future__ import annotations
@@ -144,8 +147,15 @@ class ClaimStore:
                     if matches(ResourceClaim("", constraints, 1, "", 0), ticket)
                 ]
             classes = [bucket for bucket in matching if bucket]
-        # One class is already in order; only several need merging.
-        walk = classes[0] if len(classes) == 1 else merge(*classes)
+        if len(classes) == 1:
+            walk = classes[0]  # one class is already in order
+        elif not classes:
+            return []
+        else:
+            # The least head comes first in merged order: when it takes the
+            # whole capacity, it is the only claim served.
+            head = min([bucket[0] for bucket in classes])
+            walk = (head,) if head[2].requested_units == remaining else merge(*classes)
         decisions: list[AllocationDecision] = []
         for _, _, claim in walk:
             if claim.requested_units > remaining:
@@ -165,7 +175,7 @@ class ClaimStore:
                 break
         for decision in decisions:
             queue.remove_id(decision.claim_id)
-        granted = sum(d.units_granted for d in decisions)
+        granted = ticket.available_units - remaining
         if granted > ticket.available_units:
             raise InvalidArgumentError(
                 f"over-provisioned ticket {ticket.ticket_id}: {granted} > {ticket.available_units}"

@@ -23,7 +23,12 @@ Messages: the WorkloadSpec (submission), ClaimPost, TicketPost, the
 AllocationDecision (match notification), Dispatch, ExecDone, the finished
 WorkUnit (result) and a node's TimerTick. Each entity kind (scheduler, peer,
 node) dispatches on the payload's type through one table; any other payload
-is a named error.
+is a named error. A TicketPost carries (node, label, issue time, cell), not
+a ticket: the cell's owner builds the ResourceTicket on arrival, after the
+stale check, so a stale post never builds one; a one-unit ticket then takes
+the least matching bucket head with no merge (see coordination). Each
+(cloud, label) keeps one ticket route (delay, owner's target, cell), built on
+its first publish and re-pointed by recompute_cell_assignment.
 
 A dispatch re-checks that the node's point satisfies the claim.
 
@@ -111,7 +116,12 @@ class ClaimPost(NamedTuple):
 
 
 class TicketPost(NamedTuple):
-    ticket: ResourceTicket
+    """A node's status ticket for one label: the owning peer builds the
+    ResourceTicket from these, so a stale post never builds one."""
+
+    node: ExecutionNode
+    label: str
+    issue_time: int
     cell: IndexCell
 
 
@@ -215,9 +225,11 @@ class FederationState:
         self.submitted_total = 0
         self.completed_total = 0
         # Every node of a cloud shares the cloud's speed and CPU type, so a
-        # (cloud, label) pair fixes the point, hence the cell, of a ticket.
+        # (cloud, label) pair fixes the point, hence the cell, of a ticket:
+        # its route is (delay, owner's target, cell), built on first publish
+        # and refreshed by recompute_cell_assignment.
         self.node_points: dict[tuple[str, str], tuple[object, ...]] = {}
-        self.ticket_cells: dict[tuple[str, str], IndexCell] = {}
+        self.ticket_routes: dict[tuple[str, str], tuple[int, str, IndexCell]] = {}
         # Keyed by (model, cpu_type, speed), the inputs of a cloud's claims, so
         # clouds submitting equal claims share one record. Satisfiability is
         # valid for the whole run because the node set is fixed.
@@ -259,11 +271,13 @@ class RunReport:
 def recompute_cell_assignment(state: FederationState) -> None:
     """Re-derive the cell-to-peer map from the current overlay membership.
 
-    The only place cells are hashed onto the overlay, once per cell. Waiting
-    claims stay with their cell, so a new owner serves them with no handoff,
-    and a post still in flight to a cell's old owner is forwarded on arrival.
-    Every new owner must be a deployed peer; otherwise this raises
-    ConsistencyError naming the peer and leaves the map as it was.
+    The only place cells are hashed onto the overlay, once per cell, and so
+    the one place owners change: every kept ticket route is re-pointed at its
+    cell's new owner. Waiting claims stay with their cell, so a new owner
+    serves them with no handoff, and a post still in flight to a cell's old
+    owner is forwarded on arrival. Every new owner must be a deployed peer;
+    otherwise this raises ConsistencyError naming the peer and leaves the map
+    and the routes as they were.
     """
     membership, f_min = state.membership, state.space.f_min
     owners = {
@@ -274,6 +288,8 @@ def recompute_cell_assignment(state: FederationState) -> None:
         if peer not in state.peer_cloud:
             raise ConsistencyError(f"peer {peer!r} would own {count} cells but was never deployed")
     state.cell_owner = owners
+    for key, (_, _, cell) in state.ticket_routes.items():
+        state.ticket_routes[key] = _route(state, key[0], owners[cell], cell)
 
 
 def deploy_federation(scenario: Scenario) -> FederationState:
@@ -367,28 +383,26 @@ def publish_ticket(state: FederationState, node: ExecutionNode) -> None:
 
     A busy or committed node publishes nothing. Each ticket carries one free
     processor and routes to the single cell containing the node's attribute
-    point.
+    point. The post carries the node and label; the owning peer builds the
+    ResourceTicket (see _on_ticket).
     """
     if state.finished:
         return
     if node.busy or node.committed:
         return
     now = state.engine.now
-    for label in state.service_labels[node.cloud_id]:
-        ticket = ResourceTicket(
-            ticket_id=f"{node.node_id}@{now}/{label}",
-            point=state.node_point(node.cloud_id, label),
-            available_units=1,
-            origin=node.node_id,
-            issue_time=now,
-        )
-        key = (node.cloud_id, label)
-        cell = state.ticket_cells.get(key)
-        if cell is None:
-            cell = state.ticket_cells[key] = map_ticket(state.space, state.cells, ticket)
-        owner = state.cell_owner[cell]
-        delay = state.latency.between(node.cloud_id, state.peer_cloud[owner])
-        state.engine.schedule(delay, state.peer_targets[owner], TicketPost(ticket, cell))
+    cloud_id = node.cloud_id
+    routes = state.ticket_routes
+    schedule = state.engine.schedule
+    for label in state.service_labels[cloud_id]:
+        route = routes.get((cloud_id, label))
+        if route is None:
+            # The first publish for the key maps a real ticket, so a point
+            # outside the space is a DomainError naming that ticket.
+            cell = map_ticket(state.space, state.cells, _ticket(state, node, label, now))
+            route = routes[cloud_id, label] = _route(state, cloud_id, state.cell_owner[cell], cell)
+        delay, target, cell = route
+        schedule(delay, target, TicketPost(node, label, now, cell))
         state.metrics.tickets_published += 1
 
 
@@ -504,12 +518,13 @@ def _on_claim(state: FederationState, peer: str, post: ClaimPost) -> None:
 def _on_ticket(state: FederationState, peer: str, post: TicketPost) -> None:
     if state.finished or _forwarded(state, peer, post):
         return
-    node = state.nodes[post.ticket.origin]
+    node = post.node
     if node.busy or node.committed:
         state.metrics.stale_tickets += 1
         return
     cell = post.cell
-    for decision in state.store.post_ticket(cell, post.ticket, now_ms=state.engine.now):
+    ticket = _ticket(state, node, post.label, post.issue_time)
+    for decision in state.store.post_ticket(cell, ticket, now_ms=state.engine.now):
         if decision.claim_id in state.served:
             raise ConsistencyError(f"claim {decision.claim_id} served twice")
         state.served.add(decision.claim_id)
@@ -559,6 +574,21 @@ def _on_done(state: FederationState, node: ExecutionNode, done: ExecDone) -> Non
     state.engine.schedule(delay, state.scheduler_targets[done.claim.origin], done.unit)
     if state.eager_tickets:
         publish_ticket(state, node)
+
+
+def _ticket(
+    state: FederationState, node: ExecutionNode, label: str, issue_time: int
+) -> ResourceTicket:
+    """The node's status ticket for one label: one free processor."""
+    point = state.node_point(node.cloud_id, label)
+    return ResourceTicket(f"{node.node_id}@{issue_time}/{label}", point, 1, node.node_id, issue_time)
+
+
+def _route(
+    state: FederationState, cloud_id: str, owner: str, cell: IndexCell
+) -> tuple[int, str, IndexCell]:
+    """(delay, owner's target, cell) of a cloud's posts to a cell owned by owner."""
+    return state.latency.between(cloud_id, state.peer_cloud[owner]), state.peer_targets[owner], cell
 
 
 _SCHEDULER = {WorkloadSpec: _on_submit, AllocationDecision: _on_match, WorkUnit: _on_result}

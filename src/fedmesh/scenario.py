@@ -395,6 +395,7 @@ class _Builder:
                     )
         # normalize reads only the dimensions of the space, not its f_min.
         space = AttributeSpace(tuple(dims), 1) if len(index) == len(REQUIRED_DIMS) else None
+        passed: set[tuple[str, object]] = set()  # (dimension, value) pairs normalize accepted
         clouds: list[CloudConfig] = []
         total_nodes = 0
         for sec in sections:
@@ -431,10 +432,14 @@ class _Builder:
                     (DIM_PROCESSORS, 1, sec.line, "nodes"),
                 ]
                 for dim, value, line, field in point:
+                    if (dim, value) in passed:
+                        continue  # clouds share values; a rejected one is diagnosed per cloud
                     try:
                         normalize(space, index[dim], value)
                     except DomainError as exc:
                         self.error(line, field, str(exc))
+                    else:
+                        passed.add((dim, value))
             if len(self.diags) > before:
                 continue
             try:

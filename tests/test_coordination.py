@@ -489,3 +489,78 @@ class TestMatchLists:
             assert store.snapshot(cell) == sorted(
                 waiting[k], key=lambda c: (c.arrival_time, c.claim_id)
             )
+
+
+class TestWalks:
+    """A ticket meeting several classes takes the least bucket head alone
+    when that claim requests exactly the ticket's capacity, and merges the
+    buckets otherwise; both serve as one scan of the merged queue would."""
+
+    POINT = ("x", 2.0)  # satisfies _POOL_CLASSES[0] and _POOL_CLASSES[1]
+
+    @pytest.fixture()
+    def merges(self, monkeypatch):
+        calls = []
+        real = coordination.merge
+        monkeypatch.setattr(coordination, "merge", lambda *b: calls.append(len(b)) or real(*b))
+        return calls
+
+    def serve(self, claims, units):
+        cell = _POOL_CELLS[0]
+        store = ClaimStore()
+        for claim in claims:
+            store.post_claim(cell, claim)
+        ticket = _pool_ticket(1, self.POINT, units)
+        served = _served(store.post_ticket(cell, ticket))
+        assert served == centralized_fifo_allocate(claims, [ticket])
+        return [claim_id for _, claim_id, _ in served]
+
+    def test_a_head_too_large_for_the_ticket_falls_back_to_the_merge(self, merges):
+        a1 = _pool_claim(1, _POOL_CLASSES[0], 10, units=2)
+        b1 = _pool_claim(2, _POOL_CLASSES[1], 20)
+        a2 = _pool_claim(3, _POOL_CLASSES[0], 30)
+        assert self.serve([a1, b1, a2], units=1) == [b1.claim_id]
+        assert merges == [2]
+
+    def test_a_head_that_takes_the_whole_ticket_is_served_alone(self, merges):
+        a1 = _pool_claim(1, _POOL_CLASSES[0], 10)
+        b1 = _pool_claim(2, _POOL_CLASSES[1], 5)
+        a2 = _pool_claim(3, _POOL_CLASSES[0], 30)
+        assert self.serve([a1, b1, a2], units=1) == [b1.claim_id]
+        assert merges == []
+
+    def test_a_ticket_larger_than_the_head_merges(self, merges):
+        a1 = _pool_claim(1, _POOL_CLASSES[0], 10)
+        b1 = _pool_claim(2, _POOL_CLASSES[1], 20)
+        a2 = _pool_claim(3, _POOL_CLASSES[0], 30)
+        assert self.serve([a1, b1, a2], units=2) == [a1.claim_id, b1.claim_id]
+        assert merges == [2]
+
+    def test_property_both_walks_match_centralized_allocator(self, merges):
+        heads = []
+        cell = _POOL_CELLS[0]
+
+        @settings(max_examples=100, deadline=None, derandomize=True)
+        @given(st.randoms(use_true_random=False))
+        def check(rnd):
+            classes = rnd.sample(_POOL_CLASSES, rnd.randint(2, len(_POOL_CLASSES)))
+            waiting = [
+                _pool_claim(n, rnd.choice(classes), rnd.randrange(6) * 10, rnd.randint(1, 3))
+                for n in range(rnd.randint(2, 12))
+            ]
+            store = ClaimStore()
+            for claim in waiting:
+                store.post_claim(cell, claim)
+            for n in range(rnd.randint(1, 6)):
+                ticket = _pool_ticket(n, rnd.choice(_POOL_POINTS), rnd.randint(0, 4))
+                expected = centralized_fifo_allocate(waiting, [ticket])
+                met = {c.constraints for c in waiting if coordination.matches(c, ticket)}
+                before = len(merges)
+                assert _served(store.post_ticket(cell, ticket)) == expected
+                if len(met) > 1 and ticket.available_units and len(merges) == before:
+                    heads.append(ticket.ticket_id)
+                served = {claim_id for _, claim_id, _ in expected}
+                waiting = [c for c in waiting if c.claim_id not in served]
+
+        check()
+        assert merges and heads

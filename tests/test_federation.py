@@ -19,6 +19,7 @@ from fedmesh import (
     ConsistencyError,
     DemandDistribution,
     DimensionSpec,
+    DomainError,
     Eq,
     Ge,
     InvalidArgumentError,
@@ -43,7 +44,7 @@ from fedmesh import (
     submit_application,
 )
 from fedmesh import RunResult
-from fedmesh.federation import ClaimPost, Dispatch, TimerTick, on_allocation
+from fedmesh.federation import ClaimPost, Dispatch, TicketPost, TimerTick, on_allocation
 from fedmesh.oracles import replica_count
 from fedmesh.reporting import write_run_outputs
 from fedmesh.workloads import SERVICE_LABELS
@@ -229,6 +230,43 @@ class TestDeploy:
             assert peer == state.cell_owner[post.cell]
             assert t == sent_at + state.latency.between("cloud-1", state.peer_cloud[peer])
 
+    def test_tickets_after_a_leave_go_straight_to_their_cells_new_owner(
+        self, melbourne_scenario
+    ):
+        # By t=20 s tickets of three (cloud, label) keys route to cloud-1;
+        # recompute_cell_assignment re-points each kept route, so no ticket
+        # published after the leave goes to the departed peer or needs
+        # forwarding, and each pays the latency to its new owner's cloud.
+        state = deploy_federation(melbourne_scenario)
+        state.engine.run(until_ms=20_000)
+        assert [t for _, t, _ in state.ticket_routes.values()].count("peer/cloud-1") == 3
+        state.membership.leave(hash_name("cloud-1"))
+        recompute_cell_assignment(state)
+        arrivals = []
+        for peer, target in state.peer_targets.items():
+
+            def watched(payload, peer=peer, handler=state.engine.inbox(target).handler):
+                if isinstance(payload, TicketPost):
+                    arrivals.append((peer, state.engine.now, payload))
+                handler(payload)
+
+            state.engine.register(target, watched)
+        sent_at = state.engine.now
+        idle = [n for n in state.nodes.values() if not (n.busy or n.committed)]
+        for node in idle:
+            publish_ticket(state, node)
+        state.engine.run(until_ms=sent_at + state.latency.inter_cloud_ms)
+        published = {(n.node_id, label) for n in idle for label in state.service_labels[n.cloud_id]}
+        assert len(published) > 10
+        fresh = {(p.node.node_id, p.label) for _, _, p in arrivals if p.issue_time == sent_at}
+        assert published <= fresh
+        for peer, t, post in arrivals:
+            assert peer != "cloud-1"
+            assert peer == state.cell_owner[post.cell]
+            assert t == post.issue_time + state.latency.between(
+                post.node.cloud_id, state.peer_cloud[peer]
+            )
+
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(peer=st.sampled_from(BUILTIN_PEERS), until_ms=st.integers(0, 80_000))
     def test_property_any_leave_completes(self, melbourne_scenario, peer, until_ms):
@@ -336,10 +374,19 @@ class TestPublishTicket:
         state = deploy_federation(scenario([cloud("cloud-1", 2.7, nodes=1, services=(THREAD_LABEL, TASK_LABEL))]))
         state.submitted_total = 1
         received = []
-        state.engine.register("peer/cloud-1", lambda post: received.append(post.ticket.point[0]))
+        state.engine.register("peer/cloud-1", received.append)
         publish_ticket(state, state.nodes["cloud-1/n0"])
         state.engine.run(until_ms=10)
-        assert received == [TASK_LABEL, THREAD_LABEL] == sorted(BOTH)
+        assert [post.label for post in received] == [TASK_LABEL, THREAD_LABEL] == sorted(BOTH)
+        for post in received:
+            assert state.node_point("cloud-1", post.label)[0] == post.label
+
+    def test_a_ticket_outside_the_space_is_named_on_its_first_publish(self):
+        state = deploy_federation(scenario([cloud("cloud-1", 5.0, nodes=1)]))
+        state.submitted_total = 1
+        with pytest.raises(DomainError, match=re.escape(f"ticket cloud-1/n0@0/{TASK_LABEL}: speed")):
+            publish_ticket(state, state.nodes["cloud-1/n0"])
+        assert not state.ticket_routes
 
     def test_ticket_point_mirrors_node_attributes(self):
         state = deploy_federation(scenario([cloud("cloud-2", 2.7, nodes=1)]))

@@ -254,6 +254,23 @@ class TestParse:
         (diag,) = exc.value.diagnostics
         assert (diag.line, diag.field) == (section_line(past, "[cloud cloud-3]"), "nodes")
 
+    def test_a_shared_invalid_value_is_diagnosed_at_each_cloud(self):
+        # The parser checks each valid (dimension, value) pair once across
+        # clouds; an invalid one is never taken as checked.
+        second = (
+            "\n[cloud cloud-2]\nnodes = 1\nspeed_ghz = 2.4\ncpu_type = AMD\n"
+            "service_types = P2PTaskExecution\nstatus_update_interval_ms = 1000, 2000\n"
+        )
+        bad = MINIMAL.replace("cpu_type = Intel", "cpu_type = AMD") + second
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(bad)
+        lines = bad.splitlines()
+        assert sorted((d.line, d.field) for d in exc.value.diagnostics) == [
+            (lines.index("[cloud cloud-1]") + 1, "cpu_type"),
+            (lines.index("[cloud cloud-2]") + 1, "cpu_type"),
+        ]
+        assert all("AMD" in d.message for d in exc.value.diagnostics)
+
     @pytest.mark.parametrize(
         "body", ["kind = numeric\nbounds = 0, 1", "kind = categorical\nlabels = a, b"]
     )

@@ -5,12 +5,15 @@ Message flow for one work unit (all delays are per-link scenario constants):
   1. a client submission reaches the cloud's scheduling service directly;
   2. the scheduler wraps each unit in a resource claim and posts it to every
      index cell the claim's region intersects (one message per cell, even
-     when one peer owns several of them);
+     when one peer owns several of them); the owner stores the replica only
+     if its cell is a ticket cell, one holding some node's point, since no
+     ticket ever reaches any other cell;
   3. idle execution nodes periodically advertise themselves with resource
      tickets, one per hosted service type, routed to their single cell owner;
   4. the owning peer allocates the ticket against the cell's waiting claims;
-     replicas of a served claim are retired from every other cell before any
-     further event fires, which makes service exactly-once by construction;
+     replicas of a served claim are retired from every other ticket cell
+     before any further event fires, which makes service exactly-once by
+     construction;
   5. the peer notifies the claim's scheduler, the scheduler dispatches the
      unit to the granted node, the node executes for demand/speed seconds and
      returns the result; on completion the node (optionally) re-advertises.
@@ -32,11 +35,15 @@ its first publish and re-pointed by recompute_cell_assignment.
 
 A dispatch re-checks that the node's point satisfies the claim.
 
-Waiting claims live in one ClaimStore keyed by cell. Which peer owns a cell
-decides who handles the cell's messages and what latency they pay, not where
-its claims are kept, so a cell that changes owner keeps its queue. A claim or
-ticket post that reaches a peer no longer owning its cell is forwarded to the
-current owner, as Pastry routes a message on to a key's new root.
+Waiting claims live in one ClaimStore keyed by cell, and only in ticket
+cells: the node set is fixed for the run, so the ticket cells are too, built
+on the first submission (state.ticket_cells). A replica posted to any other
+cell is delivered and forwarded like any post, but stored nowhere, so it is
+never discarded either. Which peer owns a cell decides who handles the
+cell's messages and what latency they pay, not where its claims are kept,
+so a cell that changes owner keeps its queue. A claim or ticket post that
+reaches a peer no longer owning its cell is forwarded to the current owner,
+as Pastry routes a message on to a key's new root.
 """
 
 from __future__ import annotations
@@ -61,6 +68,7 @@ from .coordination import AllocationDecision, ClaimClass, ClaimStore
 from .engine import RngStream, SimulationEngine
 from .errors import (
     ConsistencyError,
+    DomainError,
     InvalidArgumentError,
     NotReadyError,
     SimulationError,
@@ -150,7 +158,9 @@ class _ClaimClassRecord(NamedTuple):
 class _PendingUnit(NamedTuple):
     claim: ResourceClaim
     unit: WorkUnit
-    cells: tuple[IndexCell, ...]  # each replica's cell, as map_claim returned them
+    # The ticket cells among map_claim's: where a replica is stored, so
+    # where it is retired. One tuple shared by every unit of a submission.
+    cells: tuple[IndexCell, ...]
 
 
 @dataclass
@@ -230,6 +240,10 @@ class FederationState:
         # and refreshed by recompute_cell_assignment.
         self.node_points: dict[tuple[str, str], tuple[object, ...]] = {}
         self.ticket_routes: dict[tuple[str, str], tuple[int, str, IndexCell]] = {}
+        # The cell of each distinct node point, the only cells a ticket can
+        # reach: built on the first submission, not at set-up, and set here
+        # so that no attribute is first set after __init__.
+        self.ticket_cells: frozenset[IndexCell] | None = None
         # Keyed by (model, cpu_type, speed), the inputs of a cloud's claims, so
         # clouds submitting equal claims share one record. Satisfiability is
         # valid for the whole run because the node set is fixed.
@@ -327,7 +341,8 @@ def submit_application(
     local nodes; every claim of one (cloud, model) shares one interned
     ClaimClass. Units no node in the federation can ever satisfy are marked
     stranded up front (their claims are still posted and reported at the
-    end of the run).
+    end of the run). Every replica is posted; a unit's pending cells are
+    the ticket cells among them, the only ones that store it.
     """
     cloud = state.clouds.get(cloud_id)
     if cloud is None:
@@ -352,6 +367,10 @@ def submit_application(
     state.submitted_total += len(units)
 
     claim_class = _claim_class(state, cloud, spec.model)
+    ticket_cells = state.ticket_cells
+    if ticket_cells is None:
+        ticket_cells = state.ticket_cells = _ticket_cells(state)
+    stored = None  # one claim class, so one region: the same cells for every unit
     # (delay, owner's target) per cell, for this call only: ownership cannot
     # change before it returns, but a later leave may move any cell.
     routes: dict[IndexCell, tuple[int, str]] = {}
@@ -367,7 +386,9 @@ def submit_application(
         if not claim_class.satisfiable:
             state.stranded_ids.add(claim.claim_id)
         cells = map_claim(state.space, state.cells, claim)
-        state.pending[claim.claim_id] = _PendingUnit(claim, unit, cells)
+        if stored is None:
+            stored = tuple([cell for cell in cells if cell in ticket_cells])
+        state.pending[claim.claim_id] = _PendingUnit(claim, unit, stored)
         for cell in cells:
             route = routes.get(cell)
             if route is None:
@@ -437,7 +458,8 @@ def run_to_quiescence(state: FederationState) -> RunReport:
     with events still pending is reported as an error that names up to five
     targets with the most undelivered events, counts the claims still waiting
     and names up to five unserved claims, oldest first. Any claim left waiting
-    must be one that was marked unsatisfiable at submission.
+    must be one that was marked unsatisfiable at submission; the report
+    names every stranded claim, stored in some cell or in none.
     """
     processed = state.engine.run(until_ms=state.max_virtual_ms)
     if state.engine.has_pending_events:
@@ -452,8 +474,7 @@ def run_to_quiescence(state: FederationState) -> RunReport:
             f"{len(state.store.waiting_claim_ids())} claims still waiting, oldest unserved: "
             + (", ".join(c.claim_id for c in oldest) or "none")
         )
-    leftover = state.store.waiting_claim_ids()
-    unexpected = set(leftover) - state.stranded_ids
+    unexpected = set(state.store.waiting_claim_ids()) - state.stranded_ids
     if unexpected:
         raise ConsistencyError(
             f"satisfiable claims left waiting at quiescence: {sorted(unexpected)[:5]}"
@@ -461,7 +482,7 @@ def run_to_quiescence(state: FederationState) -> RunReport:
     return RunReport(
         events_processed=processed,
         virtual_time_ms=state.engine.now,
-        stranded_claim_ids=leftover,
+        stranded_claim_ids=tuple(sorted(state.stranded_ids)),
     )
 
 
@@ -511,7 +532,7 @@ def _forwarded(state: FederationState, peer: str, post: ClaimPost | TicketPost) 
 def _on_claim(state: FederationState, peer: str, post: ClaimPost) -> None:
     if post.claim.claim_id in state.served:
         return  # replica still in flight when the claim was served
-    if not _forwarded(state, peer, post):
+    if not _forwarded(state, peer, post) and post.cell in state.ticket_cells:
         state.store.post_claim(post.cell, post.claim)
 
 
@@ -582,6 +603,24 @@ def _ticket(
     """The node's status ticket for one label: one free processor."""
     point = state.node_point(node.cloud_id, label)
     return ResourceTicket(f"{node.node_id}@{issue_time}/{label}", point, 1, node.node_id, issue_time)
+
+
+def _ticket_cells(state: FederationState) -> frozenset[IndexCell]:
+    """The cell of each distinct node point, one map_ticket per point. A
+    point outside the space adds no cell: its first publish names the
+    ticket in a DomainError (see publish_ticket)."""
+    points = {
+        state.node_point(cloud_id, label)
+        for cloud_id, labels in state.service_labels.items()
+        for label in labels
+    }
+    cells = set()
+    for point in points:
+        try:
+            cells.add(map_ticket(state.space, state.cells, ResourceTicket("", point, 1, "", 0)))
+        except DomainError:
+            pass
+    return frozenset(cells)
 
 
 def _route(

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import os
 import re
 import subprocess
@@ -47,6 +48,7 @@ from fedmesh import RunResult
 from fedmesh.federation import ClaimPost, Dispatch, TicketPost, TimerTick, on_allocation
 from fedmesh.oracles import replica_count
 from fedmesh.reporting import write_run_outputs
+from fedmesh.spatial import map_claim, map_ticket
 from fedmesh.workloads import SERVICE_LABELS
 
 from conftest import TASK_LABEL, THREAD_LABEL, published_ticket
@@ -556,6 +558,9 @@ class TestStranded:
         handle = result.state.apps["cloud-1/thread-2x2"]
         assert not handle.complete
         assert stranded_units(result.state, handle.app_id) == set(result.stranded)
+        # No node hosts the thread label, so the claims' region meets no
+        # ticket cell and no cell stores them; the report still names them.
+        assert not set(result.state.store.waiting_claim_ids()) & set(result.stranded)
 
     def test_class_no_node_can_satisfy_strands_all_its_units(self):
         # cloud-1 offers only task execution at 3.0 GHz; cloud-2's thread
@@ -586,6 +591,93 @@ class TestStranded:
         result = run_scenario(sc)
         assert result.state.completed_total == 4
         assert len(result.stranded) == 1
+
+
+def fanned_p2p_scenario():
+    """Six full_p2p peers on a 4,096-cell grid: every claim meets 11 or 14
+    more cells than the 4 that hold a node point."""
+    sc = scenario(
+        [
+            cloud("cloud-1", 2.4, nodes=3, topology="full_p2p"),
+            cloud("cloud-2", 3.0, nodes=3, topology="full_p2p"),
+        ],
+        [
+            workload("cloud-1", rows=3, cols=4),
+            workload("cloud-2", model="thread", rows=2, cols=5, at=500),
+            workload("cloud-1", model="thread", rows=2, cols=2, at=1000),
+        ],
+    )
+    return dataclasses.replace(sc, f_min=8)
+
+
+def decision_digest(state):
+    decisions = [(d.ticket_id, d.claim_id, d.decided_at) for d in state.metrics.decisions]
+    return hashlib.sha256(repr(decisions).encode()).hexdigest()
+
+
+class TestTicketCells:
+    """A replica is stored only in a cell holding some node's point; every
+    post is still delivered, so events and decisions keep their figures."""
+
+    # Recorded at commit 560b0d1, which stored every replica.
+    EVENTS, DECISIONS = 563, "37e469680e5dc1d256dc4ad3e9dda7dccc6be725f15011ba9c31d14a4e6ecbce"
+    LEAVE_EVENTS = 591
+    LEAVE_DECISIONS = "fa49044c92d1cf587962ed115a987f620e5bd1239d1092d0933ddbfeff96d040"
+
+    def test_events_and_decisions_match_a_store_of_every_replica(self):
+        state = deploy_federation(fanned_p2p_scenario())
+        report = run_to_quiescence(state)
+        assert report.events_processed == self.EVENTS
+        assert decision_digest(state) == self.DECISIONS
+        assert_served_exactly_once(state, units=26)
+
+    def test_claims_are_stored_only_in_ticket_cells(self):
+        state = deploy_federation(fanned_p2p_scenario())
+        state.engine.run(until_ms=1_000)
+        assert len(state.ticket_cells) == 4
+        holding = {cell for cell in state.cells if state.store.snapshot(cell)}
+        assert holding and holding <= state.ticket_cells
+        for pending in state.pending.values():
+            cells = map_claim(state.space, state.cells, pending.claim)
+            assert pending.cells == tuple(c for c in cells if c in state.ticket_cells)
+            assert len(cells) > len(pending.cells)
+
+    def test_a_leave_mid_run_keeps_events_and_serves_each_unit_once(self):
+        # At t=1 s cloud-2/n0 owns every ticket cell, holds 22 claims and has
+        # 28 posts in flight; the posts are forwarded and the cells move.
+        state = deploy_federation(fanned_p2p_scenario())
+        state.engine.run(until_ms=1_000)
+        assert set(map(state.cell_owner.get, state.ticket_cells)) == {"cloud-2/n0"}
+        state.membership.leave(hash_name("cloud-2/n0"))
+        recompute_cell_assignment(state)
+        run_to_quiescence(state)
+        assert "cloud-2/n0" not in state.cell_owner.values()
+        assert state.engine.events_processed == self.LEAVE_EVENTS
+        assert decision_digest(state) == self.LEAVE_DECISIONS
+        assert_served_exactly_once(state, units=26)
+
+    def test_a_node_point_outside_the_space_adds_no_cell(self):
+        state = deploy_federation(scenario([cloud("cloud-1", 2.4, nodes=1), cloud("cloud-2", 5.0, nodes=1)]))
+        submit_application(state, "cloud-1", workload("cloud-1", rows=1, cols=1))
+        assert len(state.ticket_cells) == 2  # cloud-1's two labels
+        with pytest.raises(DomainError, match=re.escape(f"ticket cloud-2/n0@0/{TASK_LABEL}: speed")):
+            publish_ticket(state, state.nodes["cloud-2/n0"])
+
+    def test_deploy_maps_no_ticket(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            "fedmesh.federation.map_ticket", lambda *args: calls.append(args) or map_ticket(*args)
+        )
+        state = deploy_federation(fanned_p2p_scenario())
+        assert calls == [] and state.ticket_cells is None
+        run_to_quiescence(state)
+        assert len(calls) == 4 + len(state.ticket_routes)  # one per point, one per route
+
+    def test_no_attribute_is_first_set_after_deploy(self, melbourne_scenario):
+        state = deploy_federation(melbourne_scenario)
+        attributes = set(vars(state))
+        run_to_quiescence(state)
+        assert set(vars(state)) == attributes
 
 
 class TestRecords:

@@ -30,16 +30,16 @@ is a named error. A TicketPost carries (node, label, issue time, cell), not
 a ticket: the cell's owner builds the ResourceTicket on arrival, after the
 stale check, so a stale post never builds one; a one-unit ticket then takes
 the least matching bucket head with no merge (see coordination). Each
-(cloud, label) keeps one ticket route (delay, owner's target, cell), built on
-its first publish and re-pointed by recompute_cell_assignment.
+(cloud, label) keeps one ticket route (delay, owner's target, cell), built at
+deploy and re-pointed by recompute_cell_assignment.
 
 A dispatch re-checks that the node's point satisfies the claim.
 
 Waiting claims live in one ClaimStore keyed by cell, and only in ticket
 cells: the node set is fixed for the run, so the ticket cells are too, built
-on the first submission (state.ticket_cells). A replica posted to any other
-cell is delivered and forwarded like any post, but stored nowhere, so it is
-never discarded either. Which peer owns a cell decides who handles the
+at deploy (state.ticket_cells). A replica posted to any other cell is
+delivered and forwarded like any post, but stored nowhere, so it is never
+discarded either. Which peer owns a cell decides who handles the
 cell's messages and what latency they pay, not where its claims are kept,
 so a cell that changes owner keeps its queue. A claim or ticket post that
 reaches a peer no longer owning its cell is forwarded to the current owner,
@@ -68,7 +68,6 @@ from .coordination import AllocationDecision, ClaimClass, ClaimStore
 from .engine import RngStream, SimulationEngine
 from .errors import (
     ConsistencyError,
-    DomainError,
     InvalidArgumentError,
     NotReadyError,
     SimulationError,
@@ -234,21 +233,33 @@ class FederationState:
         self.pending_submits = 0
         self.submitted_total = 0
         self.completed_total = 0
-        # Every node of a cloud shares the cloud's speed and CPU type, so a
-        # (cloud, label) pair fixes the point, hence the cell, of a ticket:
-        # its route is (delay, owner's target, cell), built on first publish
-        # and refreshed by recompute_cell_assignment.
-        self.node_points: dict[tuple[str, str], tuple[object, ...]] = {}
-        self.ticket_routes: dict[tuple[str, str], tuple[int, str, IndexCell]] = {}
-        # The cell of each distinct node point, the only cells a ticket can
-        # reach: built on the first submission, not at set-up, and set here
-        # so that no attribute is first set after __init__.
-        self.ticket_cells: frozenset[IndexCell] | None = None
         # Keyed by (model, cpu_type, speed), the inputs of a cloud's claims, so
         # clouds submitting equal claims share one record. Satisfiability is
         # valid for the whole run because the node set is fixed.
         self.claim_classes: dict[tuple[str, str, float], _ClaimClassRecord] = {}
+        # Filled below: a route needs the cell_owner map built here.
+        self.ticket_routes: dict[tuple[str, str], tuple[int, str, IndexCell]] = {}
         recompute_cell_assignment(self)
+        # Every node of a cloud shares the cloud's speed and CPU type, so a
+        # (cloud, label) pair fixes the point and the cell of its tickets,
+        # and its route: (delay, owner's target, cell). map_ticket runs once
+        # per distinct point; a point outside the space is a DomainError
+        # naming the cloud and the label.
+        self.node_points: dict[tuple[str, str], tuple[object, ...]] = {}
+        point_cells: dict[tuple[object, ...], IndexCell] = {}
+        for cid, labels in self.service_labels.items():
+            cloud = self.clouds[cid]
+            values = {DIM_PROCESSORS: 1, DIM_CPU: cloud.cpu_type, DIM_SPEED: cloud.node_speed_ghz}
+            for label in labels:
+                values[DIM_SERVICE] = label
+                point = self.node_points[cid, label] = tuple(values[d.name] for d in self.space.dims)
+                cell = point_cells.get(point)
+                if cell is None:
+                    ticket = ResourceTicket(f"{cid}/{label}", point, 1, cid, 0)
+                    cell = point_cells[point] = map_ticket(self.space, self.cells, ticket)
+                self.ticket_routes[cid, label] = _route(self, cid, self.cell_owner[cell], cell)
+        # The only cells a ticket can reach, so the only ones that store a claim.
+        self.ticket_cells = frozenset(point_cells.values())
 
     @property
     def finished(self) -> bool:
@@ -257,22 +268,6 @@ class FederationState:
             self.pending_submits == 0
             and self.completed_total + len(self.stranded_ids) >= self.submitted_total
         )
-
-    def node_point(self, cloud_id: str, service_label: str) -> tuple[object, ...]:
-        """The attribute point of any node of the cloud hosting the label."""
-        key = (cloud_id, service_label)
-        point = self.node_points.get(key)
-        if point is None:
-            cloud = self.clouds[cloud_id]
-            values = {
-                DIM_SERVICE: service_label,
-                DIM_PROCESSORS: 1,
-                DIM_CPU: cloud.cpu_type,
-                DIM_SPEED: cloud.node_speed_ghz,
-            }
-            point = tuple(values[d.name] for d in self.space.dims)
-            self.node_points[key] = point
-        return point
 
 
 @dataclass(frozen=True)
@@ -286,7 +281,7 @@ def recompute_cell_assignment(state: FederationState) -> None:
     """Re-derive the cell-to-peer map from the current overlay membership.
 
     The only place cells are hashed onto the overlay, once per cell, and so
-    the one place owners change: every kept ticket route is re-pointed at its
+    the one place owners change: every ticket route is re-pointed at its
     cell's new owner. Waiting claims stay with their cell, so a new owner
     serves them with no handoff, and a post still in flight to a cell's old
     owner is forwarded on arrival. Every new owner must be a deployed peer;
@@ -367,9 +362,6 @@ def submit_application(
     state.submitted_total += len(units)
 
     claim_class = _claim_class(state, cloud, spec.model)
-    ticket_cells = state.ticket_cells
-    if ticket_cells is None:
-        ticket_cells = state.ticket_cells = _ticket_cells(state)
     stored = None  # one claim class, so one region: the same cells for every unit
     # (delay, owner's target) per cell, for this call only: ownership cannot
     # change before it returns, but a later leave may move any cell.
@@ -387,7 +379,7 @@ def submit_application(
             state.stranded_ids.add(claim.claim_id)
         cells = map_claim(state.space, state.cells, claim)
         if stored is None:
-            stored = tuple([cell for cell in cells if cell in ticket_cells])
+            stored = tuple([cell for cell in cells if cell in state.ticket_cells])
         state.pending[claim.claim_id] = _PendingUnit(claim, unit, stored)
         for cell in cells:
             route = routes.get(cell)
@@ -416,13 +408,7 @@ def publish_ticket(state: FederationState, node: ExecutionNode) -> None:
     routes = state.ticket_routes
     schedule = state.engine.schedule
     for label in state.service_labels[cloud_id]:
-        route = routes.get((cloud_id, label))
-        if route is None:
-            # The first publish for the key maps a real ticket, so a point
-            # outside the space is a DomainError naming that ticket.
-            cell = map_ticket(state.space, state.cells, _ticket(state, node, label, now))
-            route = routes[cloud_id, label] = _route(state, cloud_id, state.cell_owner[cell], cell)
-        delay, target, cell = route
+        delay, target, cell = routes[cloud_id, label]
         schedule(delay, target, TicketPost(node, label, now, cell))
         state.metrics.tickets_published += 1
 
@@ -456,8 +442,9 @@ def run_to_quiescence(state: FederationState) -> RunReport:
     Periodic timers stop rescheduling once every unit is completed or
     stranded, so the queue drains naturally; hitting the virtual-time horizon
     with events still pending is reported as an error that names up to five
-    targets with the most undelivered events, counts the claims still waiting
-    and names up to five unserved claims, oldest first. Any claim left waiting
+    targets with the most undelivered events, then counts the claims still
+    waiting (submitted and not yet served, stored in some cell or in none)
+    and names the five oldest of them. Any claim left waiting
     must be one that was marked unsatisfiable at submission; the report
     names every stranded claim, stored in some cell or in none.
     """
@@ -465,14 +452,15 @@ def run_to_quiescence(state: FederationState) -> RunReport:
     if state.engine.has_pending_events:
         pending = sorted(state.engine.pending_by_target().items(), key=lambda tp: (-tp[1], tp[0]))
         named = ", ".join(f"{target} ({count} pending)" for target, count in pending[:5])
-        oldest = sorted(
-            (p.claim for p in state.pending.values()), key=lambda c: (c.arrival_time, c.claim_id)
-        )[:5]
+        waiting = sorted(
+            (p.claim for p in state.pending.values() if p.claim.claim_id not in state.served),
+            key=lambda c: (c.arrival_time, c.claim_id),
+        )
         raise SimulationError(
             f"virtual-time horizon {state.max_virtual_ms} ms reached with events still pending "
             f"for {len(pending)} targets: {named}; "
-            f"{len(state.store.waiting_claim_ids())} claims still waiting, oldest unserved: "
-            + (", ".join(c.claim_id for c in oldest) or "none")
+            f"{len(waiting)} claims still waiting, oldest unserved: "
+            + (", ".join(c.claim_id for c in waiting[:5]) or "none")
         )
     unexpected = set(state.store.waiting_claim_ids()) - state.stranded_ids
     if unexpected:
@@ -575,7 +563,7 @@ def _arm_timer(state: FederationState, node: ExecutionNode, tick: TimerTick) -> 
 def _on_dispatch(state: FederationState, node: ExecutionNode, dispatch: Dispatch) -> None:
     if node.busy:
         raise ConsistencyError(f"node {node.node_id} dispatched while busy")
-    point = state.node_point(node.cloud_id, SERVICE_LABELS[dispatch.unit.model])
+    point = state.node_points[node.cloud_id, SERVICE_LABELS[dispatch.unit.model]]
     if not point_satisfies(dispatch.claim, point):
         raise ConsistencyError(
             f"unit {dispatch.unit.unit_id} dispatched to node {node.node_id} "
@@ -601,26 +589,8 @@ def _ticket(
     state: FederationState, node: ExecutionNode, label: str, issue_time: int
 ) -> ResourceTicket:
     """The node's status ticket for one label: one free processor."""
-    point = state.node_point(node.cloud_id, label)
+    point = state.node_points[node.cloud_id, label]
     return ResourceTicket(f"{node.node_id}@{issue_time}/{label}", point, 1, node.node_id, issue_time)
-
-
-def _ticket_cells(state: FederationState) -> frozenset[IndexCell]:
-    """The cell of each distinct node point, one map_ticket per point. A
-    point outside the space adds no cell: its first publish names the
-    ticket in a DomainError (see publish_ticket)."""
-    points = {
-        state.node_point(cloud_id, label)
-        for cloud_id, labels in state.service_labels.items()
-        for label in labels
-    }
-    cells = set()
-    for point in points:
-        try:
-            cells.add(map_ticket(state.space, state.cells, ResourceTicket("", point, 1, "", 0)))
-        except DomainError:
-            pass
-    return frozenset(cells)
 
 
 def _route(
@@ -654,7 +624,7 @@ def _claim_class(state: FederationState, cloud: CloudConfig, model: str) -> _Cla
         # Every cloud has at least one node, and its nodes share one point
         # per label, so checking clouds x labels checks every node.
         satisfiable = any(
-            point_satisfies(probe, state.node_point(cid, label))
+            point_satisfies(probe, state.node_points[cid, label])
             for cid, other in state.clouds.items()
             for label in other.service_types
         )

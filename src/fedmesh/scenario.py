@@ -73,7 +73,6 @@ follow the table in ``_Builder``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -351,7 +350,9 @@ class _Builder:
             else:
                 latency = LatencyModel(**values)
         clouds = self.build_clouds(sections["cloud"], sections["dimension"], dims)
-        workloads = self.build_workloads(sections["workload"], sections["cloud"], clouds, dims)
+        workloads = self.build_workloads(
+            sections["workload"], sections["cloud"], clouds, dims, settings["max_virtual_ms"]
+        )
 
         if self.diags:
             return None
@@ -464,6 +465,7 @@ class _Builder:
         cloud_sections: list[_Section],
         clouds: list[CloudConfig],
         dims: list[DimensionSpec],
+        horizon: int,
     ) -> list[WorkloadSpec]:
         labels = next((d.labels for d in dims if d.name == DIM_SERVICE and d.labels), ())
         cloud_ids = {s.name for s in cloud_sections}  # a cloud with its own error is still declared
@@ -499,15 +501,16 @@ class _Builder:
             if values["submit_time_ms"] < 0:
                 self.error(sec.line, "submit_time_ms", "must be >= 0")
                 continue
-            # Claims ask for at least the submitting cloud's speed, so no unit
-            # runs longer than its largest demand takes there. A cloud with an
-            # error of its own has no speed to check.
+            # Claims ask for at least the submitting cloud's speed, and accept
+            # its own nodes, so a unit may run as long as its largest demand
+            # takes there; past the horizon (or at an infinite run time) it
+            # never completes. A cloud with an error of its own has no speed
+            # to check, and a horizon below 1 (diagnosed) nothing to check against.
             hi, speed = values["unit_demand"].hi, speeds.get(submit_cloud)
-            if speed is not None and not math.isfinite(hi / speed * 1000):
+            if speed is not None and horizon >= 1 and not hi / speed * 1000 <= horizon:
                 line = sec.entries["unit_demand"][0]
-                self.error(
-                    line, "unit_demand", f"{hi} GHz-s at {speed} GHz has no finite run time in ms"
-                )
+                message = f"{hi} GHz-s at {speed} GHz takes {hi / speed * 1000:g} ms"
+                self.error(line, "unit_demand", f"{message}, past max_virtual_ms = {horizon}")
                 continue
             workloads.append(WorkloadSpec(**values, app_id=sec.name))
         return workloads

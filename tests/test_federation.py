@@ -235,15 +235,19 @@ class TestDeploy:
     def test_tickets_after_a_leave_go_straight_to_their_cells_new_owner(
         self, melbourne_scenario
     ):
-        # By t=20 s tickets of three (cloud, label) keys route to cloud-1;
-        # recompute_cell_assignment re-points each kept route, so no ticket
+        # Every (cloud, label) has a route from deploy on, five of them to
+        # cloud-1; recompute_cell_assignment re-points each, so no ticket
         # published after the leave goes to the departed peer or needs
         # forwarding, and each pays the latency to its new owner's cloud.
         state = deploy_federation(melbourne_scenario)
+        keys = {(cid, label) for cid, labels in state.service_labels.items() for label in labels}
+        assert state.ticket_routes.keys() == state.node_points.keys() == keys
+        assert [t for _, t, _ in state.ticket_routes.values()].count("peer/cloud-1") == 5
         state.engine.run(until_ms=20_000)
-        assert [t for _, t, _ in state.ticket_routes.values()].count("peer/cloud-1") == 3
         state.membership.leave(hash_name("cloud-1"))
         recompute_cell_assignment(state)
+        assert state.ticket_routes.keys() == keys
+        assert "peer/cloud-1" not in [t for _, t, _ in state.ticket_routes.values()]
         arrivals = []
         for peer, target in state.peer_targets.items():
 
@@ -381,19 +385,12 @@ class TestPublishTicket:
         state.engine.run(until_ms=10)
         assert [post.label for post in received] == [TASK_LABEL, THREAD_LABEL] == sorted(BOTH)
         for post in received:
-            assert state.node_point("cloud-1", post.label)[0] == post.label
-
-    def test_a_ticket_outside_the_space_is_named_on_its_first_publish(self):
-        state = deploy_federation(scenario([cloud("cloud-1", 5.0, nodes=1)]))
-        state.submitted_total = 1
-        with pytest.raises(DomainError, match=re.escape(f"ticket cloud-1/n0@0/{TASK_LABEL}: speed")):
-            publish_ticket(state, state.nodes["cloud-1/n0"])
-        assert not state.ticket_routes
+            assert state.node_points["cloud-1", post.label][0] == post.label
 
     def test_ticket_point_mirrors_node_attributes(self):
         state = deploy_federation(scenario([cloud("cloud-2", 2.7, nodes=1)]))
         node = state.nodes["cloud-2/n0"]
-        point = state.node_point(node.cloud_id, THREAD_LABEL)
+        point = state.node_points[node.cloud_id, THREAD_LABEL]
         assert point == (THREAD_LABEL, 1, "Intel", 2.7)
 
 
@@ -656,22 +653,26 @@ class TestTicketCells:
         assert decision_digest(state) == self.LEAVE_DECISIONS
         assert_served_exactly_once(state, units=26)
 
-    def test_a_node_point_outside_the_space_adds_no_cell(self):
-        state = deploy_federation(scenario([cloud("cloud-1", 2.4, nodes=1), cloud("cloud-2", 5.0, nodes=1)]))
-        submit_application(state, "cloud-1", workload("cloud-1", rows=1, cols=1))
-        assert len(state.ticket_cells) == 2  # cloud-1's two labels
-        with pytest.raises(DomainError, match=re.escape(f"ticket cloud-2/n0@0/{TASK_LABEL}: speed")):
-            publish_ticket(state, state.nodes["cloud-2/n0"])
+    def test_a_node_point_outside_the_space_is_named_at_deploy(self):
+        # The parser rejects such a point; a Scenario built in code meets
+        # the same check when its federation is deployed.
+        sc = scenario([cloud("cloud-1", 2.4, nodes=1), cloud("cloud-2", 5.0, nodes=1)])
+        with pytest.raises(DomainError, match=re.escape(f"ticket cloud-2/{TASK_LABEL}: speed")):
+            deploy_federation(sc)
 
-    def test_deploy_maps_no_ticket(self, monkeypatch):
+    def test_deploy_maps_each_node_point_once_and_a_run_maps_none(self, monkeypatch):
         calls = []
         monkeypatch.setattr(
             "fedmesh.federation.map_ticket", lambda *args: calls.append(args) or map_ticket(*args)
         )
         state = deploy_federation(fanned_p2p_scenario())
-        assert calls == [] and state.ticket_cells is None
-        run_to_quiescence(state)
-        assert len(calls) == 4 + len(state.ticket_routes)  # one per point, one per route
+        points = set(state.node_points.values())
+        assert len(calls) == len(points) == len(state.ticket_cells) == 4
+        assert type(state.ticket_cells) is frozenset
+        assert sorted(ticket.point for _, _, ticket in calls) == sorted(points)
+        assert len(state.ticket_routes) == 4  # two clouds, two labels each
+        run_to_quiescence(state)  # every submission and publish
+        assert len(calls) == 4 and state.metrics.tickets_published > 0
 
     def test_no_attribute_is_first_set_after_deploy(self, melbourne_scenario):
         state = deploy_federation(melbourne_scenario)
@@ -726,23 +727,44 @@ class TestProtocolGuards:
         assert isinstance(caught.value.__cause__, ConsistencyError)
         assert f"{target}: unexpected {kind}" in str(caught.value.__cause__)
 
-    def test_horizon_failure_names_pending_targets_and_waiting_claims(self, melbourne_scenario):
-        state = deploy_federation(dataclasses.replace(melbourne_scenario, max_virtual_ms=100))
-        with pytest.raises(SimulationError, match="virtual-time horizon 100 ms") as caught:
+    @pytest.mark.parametrize("stranded", [False, True], ids=["builtin", "stranded-unstored"])
+    def test_horizon_failure_names_pending_targets_and_waiting_claims(
+        self, melbourne_scenario, stranded
+    ):
+        if stranded:
+            # Thread claims on a cloud hosting only tasks are stranded, and
+            # their cells hold no node point, so no cell stores them.
+            sc = scenario(
+                [cloud("cloud-1", 2.4, services=(TASK_LABEL,))],
+                [workload("cloud-1", model="thread", rows=2, cols=2), workload("cloud-1", rows=1, cols=1, at=5)],
+            )
+            sc = dataclasses.replace(sc, max_virtual_ms=3)
+        else:
+            sc = dataclasses.replace(melbourne_scenario, max_virtual_ms=100)
+        state = deploy_federation(sc)
+        with pytest.raises(SimulationError, match=f"virtual-time horizon {sc.max_virtual_ms} ms") as caught:
             run_to_quiescence(state)
         message = str(caught.value)
-        named = re.findall(r"((?:node|peer)/\S+) \((\d+) pending\)", message)
+        named = re.findall(r"((?:node|peer|scheduler)/\S+) \((\d+) pending\)", message)
         assert 1 <= len(named) <= 5
         for target, count in named:
             assert state.engine.inbox(target).pending == int(count)
         assert f"for {len(state.engine.pending_by_target())} targets" in message
-        assert f"; {len(state.store.waiting_claim_ids())} claims still waiting" in message
         unserved = sorted(
-            (p.claim for p in state.pending.values()), key=lambda c: (c.arrival_time, c.claim_id)
+            (p.claim for p in state.pending.values() if p.claim.claim_id not in state.served),
+            key=lambda c: (c.arrival_time, c.claim_id),
         )
-        assert len(unserved) > 5
+        assert f"; {len(unserved)} claims still waiting" in message
         oldest = message.split("oldest unserved: ")[1].split(", ")
         assert oldest == [c.claim_id for c in unserved[:5]]
+        if stranded:
+            assert not state.store.waiting_claim_ids()
+            assert message.endswith(
+                "; 4 claims still waiting, oldest unserved: "
+                + ", ".join(f"cloud-1/thread-2x2#{k}" for k in range(4))
+            )
+        else:
+            assert len(unserved) > 5
 
     def test_rapid_tickets_interleaving_with_claim_posts(self):
         # Status intervals of a few ms overlap ticket arrivals with claim-post

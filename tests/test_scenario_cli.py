@@ -321,8 +321,9 @@ class TestParse:
         bad = MINIMAL.replace("seed = 7", f"seed = 7\nmax_virtual_ms = {horizon}")
         with pytest.raises(ScenarioError) as exc:
             parse_scenario(bad)
-        (diag,) = [d for d in exc.value.diagnostics if d.field == "max_virtual_ms"]
-        assert diag.message == "must be >= 1"
+        # The only diagnostic: no workload's run time is checked against it.
+        (diag,) = exc.value.diagnostics
+        assert (diag.field, diag.message) == ("max_virtual_ms", "must be >= 1")
 
 
 class TestValidateCommand:
@@ -378,13 +379,18 @@ class TestValidateCommand:
         assert main(["validate", str(write(tmp_path, text))]) == 2
         assert f"line {at + 1}: {key}: " in capsys.readouterr().err
 
-    def test_speed_too_small_for_its_demands_is_diagnosed_on_each_demand(self, tmp_path, capsys):
-        # 5e-324 GHz is a positive speed inside the bounds, but a unit of a
-        # workload submitted there would run for an infinite time.
+    @pytest.mark.parametrize("ghz", ["5e-324", "1e-300"])
+    def test_speed_too_small_for_its_demands_is_diagnosed_on_each_demand(
+        self, tmp_path, capsys, ghz
+    ):
+        # Both are positive speeds inside the bounds, but a unit of a workload
+        # submitted there would run for an infinite time (5e-324) or for
+        # longer than the run's horizon (1e-300), and a claim accepts the
+        # submitting cloud's own nodes.
         lines = builtin_scenario_path().read_text(encoding="utf-8").splitlines()
         cloud = lines.index("[cloud cloud-1]")
         speed = next(i for i in range(cloud, len(lines)) if lines[i].startswith("speed_ghz ="))
-        lines[speed] = "speed_ghz = 5e-324"
+        lines[speed] = f"speed_ghz = {ghz}"
         text = "\n".join(lines) + "\n"
         demands = [
             i + 1
@@ -398,7 +404,7 @@ class TestValidateCommand:
             (line, "unit_demand") for line in demands
         ]
         assert main(["validate", str(write(tmp_path, text))]) == 2
-        assert "no finite run time" in capsys.readouterr().err
+        assert f"GHz-s at {float(ghz)} GHz takes" in capsys.readouterr().err
 
 
 class TestRunCommand:
@@ -595,6 +601,8 @@ def test_property_mutated_builtin_scenario_parses_or_is_diagnosed(mutations):
             ), diag
     else:
         assert isinstance(result, Scenario)
+        # The parser's point check and the deploy-time map_ticket agree.
+        fedmesh.federation.FederationState(result)
 
 
 def imported_modules(module) -> set[str]:

@@ -14,14 +14,13 @@ compares as the plain tuple it holds, so claims built with fresh tuples (as
 the oracles and tests build them) still meet an interned class in one bucket.
 
 Whether a claim matches a ticket depends on its constraints and the ticket's
-point alone, and both are fixed for a whole run. So each cell keeps a match
-list per ticket point that recurs: the buckets whose class that point
-satisfies, filled by testing each class once on the second ticket at that
-point. A point's first ticket tests the head claim of each non-empty bucket
-and keeps no list, so points that never repeat cost no more than without
-lists. The lists are refreshed only when a new class first appears in the
-cell; buckets are never deleted, so nothing else makes a list stale. A
-ticket walks the matching non-empty buckets, merged back into global
+point alone, and both are fixed for a whole run. So the store decides each
+(ticket point, claim class) pair once, on the first ticket at that point that
+meets the class waiting, and keeps the answer in one memo for every cell. A
+ticket tests only the classes waiting in its cell that the memo has not seen
+at its point, so a point that never repeats (as the oracles' random ones)
+costs one test per waiting class, as it would with no memo. A ticket walks
+the matching non-empty buckets, merged back into global
 (arrival_time, claim_id) order, and serves them first fit, exactly as one
 scan of a single sorted cell queue would serve them. The least bucket head
 comes first in that order, so when it requests exactly the ticket's capacity
@@ -43,8 +42,6 @@ from .spatial import Constraint, IndexCell, ResourceClaim, ResourceTicket, match
 
 # (arrival_time, claim_id, claim): unique on the first two within a cell.
 _Entry = tuple[int, str, ResourceClaim]
-# The match-list value of a ticket point seen once in a cell: no list yet.
-_SEEN_ONCE: list[list[_Entry]] = []
 
 
 class ClaimClass(tuple):
@@ -73,23 +70,20 @@ class AllocationDecision:
 
 
 class _CellQueue:
-    """One cell's claims: a FIFO bucket per claim class, an index from claim
-    id to (bucket, arrival_time), so removal never rehashes a class, and the
-    match list per ticket point. Emptied buckets stay in place for the
-    class's next claim."""
+    """One cell's claims: a FIFO bucket per claim class, and an index from
+    claim id to (bucket, arrival_time), so removal never rehashes a class.
+    Emptied buckets stay in place for the class's next claim."""
 
-    __slots__ = ("buckets", "index", "by_point")
+    __slots__ = ("buckets", "index")
 
     def __init__(self) -> None:
         self.buckets: dict[tuple[Constraint, ...], list[_Entry]] = {}
         self.index: dict[str, tuple[list[_Entry], int]] = {}
-        self.by_point: dict[tuple[object, ...], list[list[_Entry]]] = {}
 
     def insert(self, claim: ResourceClaim) -> None:
         bucket = self.buckets.get(claim.constraints)
         if bucket is None:
             bucket = self.buckets[claim.constraints] = []
-            self.by_point.clear()  # every list may lack the new class
         insort(bucket, (claim.arrival_time, claim.claim_id, claim))
         self.index[claim.claim_id] = (bucket, claim.arrival_time)
 
@@ -103,10 +97,12 @@ class _CellQueue:
 
 
 class ClaimStore:
-    """Claim-class buckets keyed by index cell."""
+    """Claim-class buckets keyed by index cell, and the memo of which class
+    each ticket point satisfies."""
 
     def __init__(self) -> None:
         self._cells: dict[IndexCell, _CellQueue] = {}
+        self._fits: dict[tuple[object, ...], dict[tuple[Constraint, ...], bool]] = {}
 
     def post_claim(self, cell: IndexCell, claim: ResourceClaim) -> None:
         """Insert in (arrival_time, claim_id) order; duplicates are ignored."""
@@ -132,30 +128,22 @@ class ClaimStore:
         remaining = ticket.available_units
         if queue is None or remaining <= 0 or not queue.index:
             return []
-        matching = queue.by_point.get(ticket.point)
-        if matching is None:
-            # A point's first ticket only marks the point, so a point that
-            # never repeats (as the oracles' random ones) builds no list.
-            queue.by_point[ticket.point] = _SEEN_ONCE
-            classes = [b for b in queue.buckets.values() if b and matches(b[0][2], ticket)]
-        else:
-            if matching is _SEEN_ONCE:
-                # Each probe claim is read for its constraints alone.
-                matching = queue.by_point[ticket.point] = [
-                    bucket
-                    for constraints, bucket in queue.buckets.items()
-                    if matches(ResourceClaim("", constraints, 1, "", 0), ticket)
-                ]
-            classes = [bucket for bucket in matching if bucket]
-        if len(classes) == 1:
-            walk = classes[0]  # one class is already in order
-        elif not classes:
+        fits = self._fits.setdefault(ticket.point, {})
+        classes = []
+        for constraints, bucket in queue.buckets.items():
+            if bucket:
+                fit = fits.get(constraints)
+                if fit is None:
+                    fit = fits[constraints] = matches(bucket[0][2], ticket)
+                if fit:
+                    classes.append(bucket)
+        if not classes:
             return []
-        else:
-            # The least head comes first in merged order: when it takes the
-            # whole capacity, it is the only claim served.
-            head = min([bucket[0] for bucket in classes])
-            walk = (head,) if head[2].requested_units == remaining else merge(*classes)
+        # The least head comes first in merged order: when it takes the
+        # whole capacity, it is the only claim served. Buckets compare by
+        # their heads, since no two entries of a cell are equal.
+        head = min(classes)[0]
+        walk = (head,) if head[2].requested_units == remaining else merge(*classes)
         decisions: list[AllocationDecision] = []
         for _, _, claim in walk:
             if claim.requested_units > remaining:

@@ -257,7 +257,7 @@ class FederationState:
                 if cell is None:
                     ticket = ResourceTicket(f"{cid}/{label}", point, 1, cid, 0)
                     cell = point_cells[point] = map_ticket(self.space, self.cells, ticket)
-                self.ticket_routes[cid, label] = _route(self, cid, self.cell_owner[cell], cell)
+                self.ticket_routes[cid, label] = _route(self, cid, cell)
         # The only cells a ticket can reach, so the only ones that store a claim.
         self.ticket_cells = frozenset(point_cells.values())
 
@@ -298,7 +298,7 @@ def recompute_cell_assignment(state: FederationState) -> None:
             raise ConsistencyError(f"peer {peer!r} would own {count} cells but was never deployed")
     state.cell_owner = owners
     for key, (_, _, cell) in state.ticket_routes.items():
-        state.ticket_routes[key] = _route(state, key[0], owners[cell], cell)
+        state.ticket_routes[key] = _route(state, key[0], cell)
 
 
 def deploy_federation(scenario: Scenario) -> FederationState:
@@ -362,10 +362,9 @@ def submit_application(
     state.submitted_total += len(units)
 
     claim_class = _claim_class(state, cloud, spec.model)
-    stored = None  # one claim class, so one region: the same cells for every unit
-    # (delay, owner's target) per cell, for this call only: ownership cannot
-    # change before it returns, but a later leave may move any cell.
-    routes: dict[IndexCell, tuple[int, str]] = {}
+    # One claim class, so one region: the same cells for every unit, and the
+    # same routes, since ownership cannot change before this call returns.
+    stored = routes = None
     schedule = state.engine.schedule
     for unit in units:
         claim = ResourceClaim(
@@ -378,16 +377,12 @@ def submit_application(
         if not claim_class.satisfiable:
             state.stranded_ids.add(claim.claim_id)
         cells = map_claim(state.space, state.cells, claim)
-        if stored is None:
+        if routes is None:
             stored = tuple([cell for cell in cells if cell in state.ticket_cells])
+            routes = [_route(state, cloud_id, cell) for cell in cells]
         state.pending[claim.claim_id] = _PendingUnit(claim, unit, stored)
-        for cell in cells:
-            route = routes.get(cell)
-            if route is None:
-                owner = state.cell_owner[cell]
-                delay = state.latency.between(cloud_id, state.peer_cloud[owner])
-                route = routes[cell] = (delay, state.peer_targets[owner])
-            schedule(route[0], route[1], ClaimPost(claim, cell))
+        for delay, target, cell in routes:
+            schedule(delay, target, ClaimPost(claim, cell))
     return handle
 
 
@@ -509,11 +504,10 @@ def _on_result(state: FederationState, cloud_id: str, unit: WorkUnit) -> None:
 def _forwarded(state: FederationState, peer: str, post: ClaimPost | TicketPost) -> bool:
     """Pass a post for a cell this peer no longer owns on to the cell's
     current owner, as Pastry routes a key on to its new root."""
-    owner = state.cell_owner[post.cell]
-    if owner == peer:
+    if state.cell_owner[post.cell] == peer:
         return False
-    delay = state.latency.between(state.peer_cloud[peer], state.peer_cloud[owner])
-    state.engine.schedule(delay, state.peer_targets[owner], post)
+    delay, target, _ = _route(state, state.peer_cloud[peer], post.cell)
+    state.engine.schedule(delay, target, post)
     return True
 
 
@@ -564,7 +558,7 @@ def _on_dispatch(state: FederationState, node: ExecutionNode, dispatch: Dispatch
     if node.busy:
         raise ConsistencyError(f"node {node.node_id} dispatched while busy")
     point = state.node_points[node.cloud_id, SERVICE_LABELS[dispatch.unit.model]]
-    if not point_satisfies(dispatch.claim, point):
+    if not point_satisfies(dispatch.claim.constraints, point):
         raise ConsistencyError(
             f"unit {dispatch.unit.unit_id} dispatched to node {node.node_id} "
             "that fails its claim constraints"
@@ -593,10 +587,9 @@ def _ticket(
     return ResourceTicket(f"{node.node_id}@{issue_time}/{label}", point, 1, node.node_id, issue_time)
 
 
-def _route(
-    state: FederationState, cloud_id: str, owner: str, cell: IndexCell
-) -> tuple[int, str, IndexCell]:
-    """(delay, owner's target, cell) of a cloud's posts to a cell owned by owner."""
+def _route(state: FederationState, cloud_id: str, cell: IndexCell) -> tuple[int, str, IndexCell]:
+    """(delay, owner's target, cell) of a cloud's posts to a cell's current owner."""
+    owner = state.cell_owner[cell]
     return state.latency.between(cloud_id, state.peer_cloud[owner]), state.peer_targets[owner], cell
 
 
@@ -620,11 +613,10 @@ def _claim_class(state: FederationState, cloud: CloudConfig, model: str) -> _Cla
             DIM_SPEED: Ge(cloud.node_speed_ghz),
         }
         constraints = ClaimClass(values[d.name] for d in state.space.dims)
-        probe = ResourceClaim("", constraints, 1, cloud.cloud_id, 0)  # read for its constraints
         # Every cloud has at least one node, and its nodes share one point
         # per label, so checking clouds x labels checks every node.
         satisfiable = any(
-            point_satisfies(probe, state.node_points[cid, label])
+            point_satisfies(constraints, state.node_points[cid, label])
             for cid, other in state.clouds.items()
             for label in other.service_types
         )

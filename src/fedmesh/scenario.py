@@ -396,7 +396,6 @@ class _Builder:
                     )
         # normalize reads only the dimensions of the space, not its f_min.
         space = AttributeSpace(tuple(dims), 1) if len(index) == len(REQUIRED_DIMS) else None
-        passed: set[tuple[str, object]] = set()  # (dimension, value) pairs normalize accepted
         clouds: list[CloudConfig] = []
         total_nodes = 0
         for sec in sections:
@@ -433,14 +432,10 @@ class _Builder:
                     (DIM_PROCESSORS, 1, sec.line, "nodes"),
                 ]
                 for dim, value, line, field in point:
-                    if (dim, value) in passed:
-                        continue  # clouds share values; a rejected one is diagnosed per cloud
                     try:
                         normalize(space, index[dim], value)
                     except DomainError as exc:
                         self.error(line, field, str(exc))
-                    else:
-                        passed.add((dim, value))
             if len(self.diags) > before:
                 continue
             try:
@@ -503,13 +498,15 @@ class _Builder:
                 continue
             # Claims ask for at least the submitting cloud's speed, and accept
             # its own nodes, so a unit may run as long as its largest demand
-            # takes there; past the horizon (or at an infinite run time) it
-            # never completes. A cloud with an error of its own has no speed
-            # to check, and a horizon below 1 (diagnosed) nothing to check against.
+            # takes there, from its submit time on; ending past the horizon
+            # (or at an infinite run time) it never completes. A cloud with an
+            # error of its own has no speed to check, and a horizon below 1
+            # (diagnosed) nothing to check against.
             hi, speed = values["unit_demand"].hi, speeds.get(submit_cloud)
-            if speed is not None and horizon >= 1 and not hi / speed * 1000 <= horizon:
+            at = values["submit_time_ms"]
+            if speed is not None and horizon >= 1 and not at + hi / speed * 1000 <= horizon:
                 line = sec.entries["unit_demand"][0]
-                message = f"{hi} GHz-s at {speed} GHz takes {hi / speed * 1000:g} ms"
+                message = f"submitted at {at} ms, {hi} GHz-s at {speed} GHz takes {hi / speed * 1000:g} ms"
                 self.error(line, "unit_demand", f"{message}, past max_virtual_ms = {horizon}")
                 continue
             workloads.append(WorkloadSpec(**values, app_id=sec.name))

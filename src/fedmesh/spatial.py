@@ -309,12 +309,11 @@ def constraint_satisfied(constraint: Constraint, value: object) -> bool:
     return constraint.lo <= value <= constraint.hi
 
 
-def point_satisfies(claim: ResourceClaim, point: tuple[object, ...]) -> bool:
-    if len(claim.constraints) != len(point):
+def point_satisfies(constraints: tuple[Constraint, ...], point: tuple[object, ...]) -> bool:
+    """True iff every constraint holds for the point's native values."""
+    if len(constraints) != len(point):
         raise InvalidArgumentError("constraint/point dimensionality mismatch")
-    return all(
-        constraint_satisfied(c, v) for c, v in zip(claim.constraints, point)
-    )
+    return all(constraint_satisfied(c, v) for c, v in zip(constraints, point))
 
 
 def matches(claim: ResourceClaim, ticket: ResourceTicket) -> bool:
@@ -323,7 +322,7 @@ def matches(claim: ResourceClaim, ticket: ResourceTicket) -> bool:
     Capacity is deliberately not checked here; the coordination layer owns
     capacity accounting.
     """
-    return point_satisfies(claim, ticket.point)
+    return point_satisfies(claim.constraints, ticket.point)
 
 
 def _flat_index(coords: tuple[int, ...], f: int) -> int:

@@ -365,7 +365,7 @@ class TestClaimClasses:
         )
 
 
-# Two-dimensional classes and points for the match-list tests: no geometry is
+# Two-dimensional classes and points for the match-memo tests: no geometry is
 # involved, since a cell's store never re-checks which cell a point maps to.
 _POOL_CLASSES = (
     (Eq("x"), Ge(1.0)),
@@ -408,30 +408,40 @@ _OPS = st.lists(
             st.integers(1, 3),  # tickets in a row at this point
         ),
     ),
-    # Long enough that a point often recurs (its second ticket caches a
-    # list) before every class has reached the cell.
+    # Long enough that a point often recurs, in either cell, before every
+    # class has reached the store, so memo entries are both filled and read.
     min_size=15,
     max_size=40,
 )
 
 
 class TestMatchLists:
-    """A cell caches, per ticket point seen twice, the classes that point
-    satisfies; a class new to the cell must reach every cached list."""
+    """The store decides each (ticket point, claim class) pair once, for every
+    cell: a pair is tested on the first ticket at that point that meets the
+    class waiting, and a class new to the store is still tested at a point
+    already seen."""
 
-    def test_new_class_reaches_a_cached_point(self):
+    @pytest.fixture()
+    def tested(self, monkeypatch):
+        calls = []
+        real = coordination.matches
+        monkeypatch.setattr(coordination, "matches", lambda c, t: calls.append(c) or real(c, t))
+        return calls
+
+    def test_new_class_reaches_a_cached_point(self, tested):
         cell = _POOL_CELLS[0]
         point = ("x", 2.0)
         store = ClaimStore()
         a1, a2, a3 = (_pool_claim(n, _POOL_CLASSES[0], 100 * n) for n in (1, 2, 3))
         for claim in (a1, a2, a3):
             store.post_claim(cell, claim)
-        # The point's second ticket caches its list.
+        # The point's first ticket decides class A there; the second reuses it.
         for n, claim in ((1, a1), (2, a2)):
             ticket = _pool_ticket(n, point, 1)
             assert _served(store.post_ticket(cell, ticket)) == [(ticket.ticket_id, claim.claim_id, 1)]
+        assert tested == [a1]
 
-        # Class B is new to the cell, matches the cached point and arrived first.
+        # Class B is new to the store, matches the seen point and arrived first.
         b = _pool_claim(4, _POOL_CLASSES[1], 50)
         store.post_claim(cell, b)
         third = _pool_ticket(3, point, 1)
@@ -439,22 +449,34 @@ class TestMatchLists:
         assert expected == [("t003", "c004", 1)]
         assert _served(store.post_ticket(cell, third)) == expected
         assert store.snapshot(cell) == [a3]
+        assert tested == [a1, b]
 
-    def test_a_point_seen_once_tests_only_waiting_classes(self, monkeypatch):
-        # Points that never repeat (random floats) must not pay for a list:
-        # the first ticket at a point tests each non-empty bucket once.
-        calls = []
-        real = coordination.matches
-        monkeypatch.setattr(coordination, "matches", lambda c, t: calls.append(c) or real(c, t))
+    def test_a_point_seen_once_tests_only_waiting_classes(self, tested):
+        # Points that never repeat (random floats) must not pay for a memo:
+        # the first ticket at a point tests each non-empty bucket once, and
+        # a second ticket there tests nothing.
         cell = _POOL_CELLS[0]
         store = ClaimStore()
         claims = [_pool_claim(n, constraints, n) for n, constraints in enumerate(_POOL_CLASSES)]
-        for claim in claims:
+        later = _pool_claim(len(claims), _POOL_CLASSES[0], len(claims))
+        for claim in (*claims, later):
             store.post_claim(cell, claim)
         for claim in claims[1:]:
             store.discard(cell, claim.claim_id)
-        store.post_ticket(cell, _pool_ticket(1, ("x", 2.0), 1))
-        assert calls == [claims[0]]
+        for n, claim in enumerate((claims[0], later)):
+            ticket = _pool_ticket(n, ("x", 2.0), 1)
+            assert _served(store.post_ticket(cell, ticket)) == [(ticket.ticket_id, claim.claim_id, 1)]
+            assert tested == [claims[0]]
+
+    def test_a_pair_decided_in_one_cell_is_not_tested_in_another(self, tested):
+        store = ClaimStore()
+        claims = [_pool_claim(n, _POOL_CLASSES[0], n) for n in (1, 2)]
+        for cell, claim in zip(_POOL_CELLS, claims):
+            store.post_claim(cell, claim)
+        for n, (cell, claim) in enumerate(zip(_POOL_CELLS, claims)):
+            ticket = _pool_ticket(n, ("x", 2.0), 1)
+            assert _served(store.post_ticket(cell, ticket)) == [(ticket.ticket_id, claim.claim_id, 1)]
+        assert tested == claims[:1]
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(_OPS)
@@ -492,9 +514,10 @@ class TestMatchLists:
 
 
 class TestWalks:
-    """A ticket meeting several classes takes the least bucket head alone
-    when that claim requests exactly the ticket's capacity, and merges the
-    buckets otherwise; both serve as one scan of the merged queue would."""
+    """A ticket takes the least head of the buckets it meets alone when that
+    claim requests exactly the ticket's capacity, and merges the buckets
+    otherwise, one bucket included; both serve as one scan of the merged
+    queue would."""
 
     POINT = ("x", 2.0)  # satisfies _POOL_CLASSES[0] and _POOL_CLASSES[1]
 

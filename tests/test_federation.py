@@ -46,7 +46,7 @@ from fedmesh import (
 )
 from fedmesh import RunResult
 from fedmesh.federation import ClaimPost, Dispatch, TicketPost, TimerTick, on_allocation
-from fedmesh.oracles import replica_count
+from fedmesh.oracles import centralized_fifo_allocate, replica_count
 from fedmesh.reporting import write_run_outputs
 from fedmesh.spatial import map_claim, map_ticket
 from fedmesh.workloads import SERVICE_LABELS
@@ -932,6 +932,58 @@ def fixed_run_outputs(out_dir) -> str:
     )
 
 
+class FifoReplay:
+    """The paper's allocation rule, replayed beside a whole run.
+
+    Wraps each peer's handler and the store's post_ticket from outside, as
+    bench/tracing.py wraps its spans. Every claim delivered at its cell's
+    current owner joins that cell's plain list (every cell, not only ticket
+    cells), unless the replay has already served it; every ticket handed to
+    the store must then serve exactly what centralized_fifo_allocate serves
+    from its cell's list, and the run's recorded decisions must be the
+    replay's, in order."""
+
+    def __init__(self, state):
+        self.state = state
+        self.waiting: dict[object, list[ResourceClaim]] = {}
+        self.served: set[str] = set()
+        self.decisions: list[tuple[str, str, int]] = []  # (ticket, claim, decided_at)
+        for peer, target in state.peer_targets.items():
+            state.engine.register(target, self.delivery(peer, state.engine.inbox(target).handler))
+        state.store.post_ticket = self.ticket(state.store.post_ticket)
+
+    def delivery(self, peer, handler):
+        def deliver(payload):
+            if isinstance(payload, ClaimPost) and self.state.cell_owner[payload.cell] == peer:
+                if payload.claim.claim_id not in self.served:
+                    self.waiting.setdefault(payload.cell, []).append(payload.claim)
+            handler(payload)
+
+        return deliver
+
+    def ticket(self, post_ticket):
+        def posted(cell, ticket, now_ms):
+            waiting = [c for c in self.waiting.get(cell, []) if c.claim_id not in self.served]
+            expected = centralized_fifo_allocate(waiting, [ticket])
+            decisions = post_ticket(cell, ticket, now_ms=now_ms)
+            got = [(d.ticket_id, d.claim_id, d.units_granted) for d in decisions]
+            assert got == expected, (
+                f"ticket {ticket.ticket_id} at t={now_ms} served claims "
+                f"{[c for _, c, _ in got]}; first-fit FIFO at its cell serves "
+                f"{[c for _, c, _ in expected]}"
+            )
+            self.served.update(claim_id for _, claim_id, _ in expected)
+            self.waiting[cell] = waiting
+            self.decisions += [(t, c, now_ms) for t, c, _ in expected]
+            return decisions
+
+        return posted
+
+    def check(self):
+        recorded = [(d.ticket_id, d.claim_id, d.decided_at) for d in self.state.metrics.decisions]
+        assert recorded == self.decisions
+
+
 def assert_served_once_or_stranded(sc, state, report):
     """A whole run ended quiescent, served each unit some node can serve
     exactly once, and stranded every unit of the rest."""
@@ -987,8 +1039,10 @@ class TestWholeRuns:
     def test_property_random_federation_serves_each_satisfiable_unit_once(self, federation):
         sc, churn = federation
         state = deploy_federation(sc)
+        replay = FifoReplay(state)
         report = run_with_churn(state, churn)
         assert_served_once_or_stranded(sc, state, report)
+        replay.check()
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(federations(), st.integers(1, 40))
@@ -1005,16 +1059,26 @@ class TestWholeRuns:
             schedulers = {f"scheduler/{c.cloud_id}" for c in sc.clouds}
             assert_overflow_names_an_inbox(exc, schedulers, capacity)
             return
+        replay = FifoReplay(state)
         try:
             report = run_with_churn(state, churn)
         except SimulationError as exc:
             assert_overflow_names_an_inbox(exc.__cause__, engine_targets(state), capacity)
         else:
             assert_served_once_or_stranded(sc, state, report)
+        replay.check()
         # The engine's queue is private; this reads it only to count.
         queued = Counter(box.target for slot in state.engine._slots.values() for box, _ in slot)
         for target in engine_targets(state):
             assert state.engine.inbox(target).pending == queued[target], target
+
+    def test_builtin_run_serves_first_fit_fifo_at_each_cell(self, melbourne_scenario):
+        state = deploy_federation(melbourne_scenario)
+        replay = FifoReplay(state)
+        run_to_quiescence(state)
+        assert_served_exactly_once(state)
+        replay.check()
+        assert len(replay.decisions) == BUILTIN_UNITS
 
     def test_fixed_federation_is_identical_under_two_hash_seeds(self, tmp_path):
         here = Path(__file__).resolve().parent

@@ -406,6 +406,31 @@ class TestValidateCommand:
         assert main(["validate", str(write(tmp_path, text))]) == 2
         assert f"GHz-s at {float(ghz)} GHz takes" in capsys.readouterr().err
 
+    def test_demand_ending_past_the_horizon_from_its_submit_time_is_diagnosed(
+        self, tmp_path, capsys
+    ):
+        # Every unit's run time fits in max_virtual_ms, but none fits after
+        # a submission at 99000 ms, so a run could never complete.
+        lines = builtin_scenario_path().read_text(encoding="utf-8").splitlines()
+        lines = [
+            "submit_time_ms = 99000" if line.startswith("submit_time_ms =") else line
+            for line in lines
+        ]
+        lines.insert(lines.index("inbox_capacity = 1000") + 1, "max_virtual_ms = 100000")
+        text = "\n".join(lines) + "\n"
+        demands = [i + 1 for i, line in enumerate(lines) if line.startswith("unit_demand =")]
+        assert len(demands) == 10
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(text)
+        assert [(d.line, d.field) for d in exc.value.diagnostics] == [
+            (line, "unit_demand") for line in demands
+        ]
+        assert main(["validate", str(write(tmp_path, text))]) == 2
+        err = capsys.readouterr().err
+        assert "submitted at 99000 ms, 6.0 GHz-s at 2.4 GHz takes 2500 ms" in err
+        # At 97000 ms every unit still ends inside the horizon.
+        assert parse_scenario(text.replace("submit_time_ms = 99000", "submit_time_ms = 97000"))
+
 
 class TestRunCommand:
     def test_outputs_written_with_exact_headers(self, tmp_path):

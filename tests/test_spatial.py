@@ -515,5 +515,5 @@ def test_build_is_pure(testbed_space):
 
 def test_point_satisfies_matches_constraint_table():
     claim = stored_claims()[2]
-    assert point_satisfies(claim, (THREAD_LABEL, 1, "Intel", 2.4)) is True
-    assert point_satisfies(claim, (THREAD_LABEL, 1, "Intel", 2.35)) is False
+    assert point_satisfies(claim.constraints, (THREAD_LABEL, 1, "Intel", 2.4)) is True
+    assert point_satisfies(claim.constraints, (THREAD_LABEL, 1, "Intel", 2.35)) is False

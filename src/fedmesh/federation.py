@@ -10,7 +10,8 @@ Message flow for one work unit (all delays are per-link scenario constants):
      ticket ever reaches any other cell;
   3. idle execution nodes periodically advertise themselves with resource
      tickets, one per hosted service type, routed to their single cell owner;
-  4. the owning peer allocates the ticket against the cell's waiting claims;
+  4. the owning peer builds the ticket only if a claim waits in its cell,
+     and allocates it against the cell's waiting claims;
      replicas of a served claim are retired from every other ticket cell
      before any further event fires, which makes service exactly-once by
      construction;
@@ -24,14 +25,18 @@ executes two units at once even though status tickets are periodic.
 
 Messages: the WorkloadSpec (submission), ClaimPost, TicketPost, the
 AllocationDecision (match notification), Dispatch, ExecDone, the finished
-WorkUnit (result) and a node's TimerTick. Each entity kind (scheduler, peer,
-node) dispatches on the payload's type through one table; any other payload
-is a named error. A TicketPost carries (node, label, issue time, cell), not
-a ticket: the cell's owner builds the ResourceTicket on arrival, after the
-stale check, so a stale post never builds one; a one-unit ticket then takes
-the least matching bucket head with no merge (see coordination). Each
-(cloud, label) keeps one ticket route (delay, owner's target, cell), built at
-deploy and re-pointed by recompute_cell_assignment.
+WorkUnit (result) and a node's TimerTick. All but the submission are
+NamedTuples. Those sent per unit or per ticket are built in C with
+tuple.__new__ (new_record); a TimerTick is built once per node, at deploy.
+Each entity kind (scheduler, peer, node) dispatches on the payload's type
+through one table; any other payload is a named error. A TicketPost carries
+(node, label, issue time, cell), not a ticket: the cell's owner builds the
+ResourceTicket on arrival, after the stale check, and only for a cell
+holding a waiting claim, so neither a stale post nor one reaching an empty
+cell builds one; a one-unit ticket then takes the least matching bucket
+head with no merge (see coordination). Each (cloud, label) keeps one ticket
+route (delay, owner's target, cell), built at deploy and re-pointed by
+recompute_cell_assignment.
 
 A dispatch re-checks that the node's point satisfies the claim.
 
@@ -64,7 +69,7 @@ from .config import (
     CloudConfig,
     Scenario,
 )
-from .coordination import AllocationDecision, ClaimClass, ClaimStore
+from .coordination import AllocationDecision, ClaimClass, ClaimStore, new_record
 from .engine import RngStream, SimulationEngine
 from .errors import (
     ConsistencyError,
@@ -380,9 +385,9 @@ def submit_application(
         if routes is None:
             stored = tuple([cell for cell in cells if cell in state.ticket_cells])
             routes = [_route(state, cloud_id, cell) for cell in cells]
-        state.pending[claim.claim_id] = _PendingUnit(claim, unit, stored)
+        state.pending[claim.claim_id] = new_record(_PendingUnit, (claim, unit, stored))
         for delay, target, cell in routes:
-            schedule(delay, target, ClaimPost(claim, cell))
+            schedule(delay, target, new_record(ClaimPost, (claim, cell)))
     return handle
 
 
@@ -404,7 +409,7 @@ def publish_ticket(state: FederationState, node: ExecutionNode) -> None:
     schedule = state.engine.schedule
     for label in state.service_labels[cloud_id]:
         delay, target, cell = routes[cloud_id, label]
-        schedule(delay, target, TicketPost(node, label, now, cell))
+        schedule(delay, target, new_record(TicketPost, (node, label, now, cell)))
         state.metrics.tickets_published += 1
 
 
@@ -418,7 +423,7 @@ def on_allocation(state: FederationState, decision: AllocationDecision) -> None:
         raise ConsistencyError(f"allocation for unknown claim {decision.claim_id}")
     node = state.nodes[decision.target]
     delay = state.latency.between(pending.claim.origin, node.cloud_id)
-    state.engine.schedule(delay, node.target, Dispatch(pending.claim, pending.unit))
+    state.engine.schedule(delay, node.target, new_record(Dispatch, (pending.claim, pending.unit)))
 
 
 def response_time(handle: ApplicationHandle) -> float:
@@ -501,31 +506,36 @@ def _on_result(state: FederationState, cloud_id: str, unit: WorkUnit) -> None:
         state.metrics.record_response(handle.app_id, response_time(handle))
 
 
-def _forwarded(state: FederationState, peer: str, post: ClaimPost | TicketPost) -> bool:
+def _forward(state: FederationState, peer: str, post: ClaimPost | TicketPost) -> None:
     """Pass a post for a cell this peer no longer owns on to the cell's
     current owner, as Pastry routes a key on to its new root."""
-    if state.cell_owner[post.cell] == peer:
-        return False
     delay, target, _ = _route(state, state.peer_cloud[peer], post.cell)
     state.engine.schedule(delay, target, post)
-    return True
 
 
 def _on_claim(state: FederationState, peer: str, post: ClaimPost) -> None:
-    if post.claim.claim_id in state.served:
+    claim, cell = post
+    if claim.claim_id in state.served:
         return  # replica still in flight when the claim was served
-    if not _forwarded(state, peer, post) and post.cell in state.ticket_cells:
-        state.store.post_claim(post.cell, post.claim)
+    if state.cell_owner[cell] != peer:
+        _forward(state, peer, post)
+    elif cell in state.ticket_cells:
+        state.store.post_claim(cell, claim)
 
 
 def _on_ticket(state: FederationState, peer: str, post: TicketPost) -> None:
-    if state.finished or _forwarded(state, peer, post):
+    if state.finished:
+        return
+    cell = post.cell
+    if state.cell_owner[cell] != peer:
+        _forward(state, peer, post)
         return
     node = post.node
     if node.busy or node.committed:
         state.metrics.stale_tickets += 1
         return
-    cell = post.cell
+    if not state.store.has_waiting(cell):
+        return  # no claim waits here, so no ticket is built
     ticket = _ticket(state, node, post.label, post.issue_time)
     for decision in state.store.post_ticket(cell, ticket, now_ms=state.engine.now):
         if decision.claim_id in state.served:
@@ -566,7 +576,8 @@ def _on_dispatch(state: FederationState, node: ExecutionNode, dispatch: Dispatch
     node.busy = True
     speed = state.clouds[node.cloud_id].node_speed_ghz
     exec_ms = max(1, round(dispatch.unit.demand_ghz_s / speed * 1000))
-    state.engine.schedule(exec_ms, node.target, ExecDone(dispatch.claim, dispatch.unit))
+    # The same (claim, unit) pair, now as the node's completion.
+    state.engine.schedule(exec_ms, node.target, new_record(ExecDone, dispatch))
 
 
 def _on_done(state: FederationState, node: ExecutionNode, done: ExecDone) -> None:

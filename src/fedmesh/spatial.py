@@ -313,7 +313,10 @@ def point_satisfies(constraints: tuple[Constraint, ...], point: tuple[object, ..
     """True iff every constraint holds for the point's native values."""
     if len(constraints) != len(point):
         raise InvalidArgumentError("constraint/point dimensionality mismatch")
-    return all(constraint_satisfied(c, v) for c, v in zip(constraints, point))
+    for constraint, value in zip(constraints, point):
+        if not constraint_satisfied(constraint, value):
+            return False
+    return True
 
 
 def matches(claim: ResourceClaim, ticket: ResourceTicket) -> bool:

@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
-from .coordination import AllocationDecision
+from .coordination import AllocationDecision, new_record
 from .engine import RngStream
 from .errors import InvalidArgumentError
 
@@ -75,8 +76,7 @@ class WorkloadSpec:
         return f"{self.submit_cloud}/{self.model}-{self.rows}x{self.cols}"
 
 
-@dataclass(frozen=True, slots=True)
-class WorkUnit:
+class WorkUnit(NamedTuple):
     unit_id: str
     app_id: str
     model: str
@@ -93,9 +93,7 @@ def generate_units(spec: WorkloadSpec, seed: int) -> list[WorkUnit]:
             demand = spec.unit_demand.lo
         else:
             demand = stream.uniform(spec.unit_demand.lo, spec.unit_demand.hi)
-        units.append(
-            WorkUnit(unit_id=f"{app_id}#{k}", app_id=app_id, model=spec.model, demand_ghz_s=demand)
-        )
+        units.append(new_record(WorkUnit, (f"{app_id}#{k}", app_id, spec.model, demand)))
     return units
 
 

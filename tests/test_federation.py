@@ -44,7 +44,7 @@ from fedmesh import (
     spatial_hash,
     submit_application,
 )
-from fedmesh import RunResult
+from fedmesh import ClaimStore, RunResult, parse_scenario
 from fedmesh.federation import ClaimPost, Dispatch, TicketPost, TimerTick, on_allocation
 from fedmesh.oracles import centralized_fifo_allocate, replica_count
 from fedmesh.reporting import write_run_outputs
@@ -56,6 +56,7 @@ from conftest import TASK_LABEL, THREAD_LABEL, published_ticket
 BOTH = (TASK_LABEL, THREAD_LABEL)
 BUILTIN_PEERS = tuple(f"cloud-{i}" for i in range(1, 6))
 BUILTIN_UNITS = 250
+BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
 
 
 def dims():
@@ -941,30 +942,61 @@ class FifoReplay:
     cells), unless the replay has already served it; every ticket handed to
     the store must then serve exactly what centralized_fifo_allocate serves
     from its cell's list, and the run's recorded decisions must be the
-    replay's, in order."""
+    replay's, in order. A live ticket post (neither stale nor after the run
+    finished) delivered at its cell's owner that never reaches the store
+    must be one that list serves nothing: the replay builds that ticket
+    itself from the node's point."""
 
     def __init__(self, state):
         self.state = state
         self.waiting: dict[object, list[ResourceClaim]] = {}
         self.served: set[str] = set()
         self.decisions: list[tuple[str, str, int]] = []  # (ticket, claim, decided_at)
+        self.unposted = None  # the live TicketPost being delivered, until the store sees it
         for peer, target in state.peer_targets.items():
             state.engine.register(target, self.delivery(peer, state.engine.inbox(target).handler))
         state.store.post_ticket = self.ticket(state.store.post_ticket)
 
     def delivery(self, peer, handler):
+        state = self.state
+
         def deliver(payload):
-            if isinstance(payload, ClaimPost) and self.state.cell_owner[payload.cell] == peer:
-                if payload.claim.claim_id not in self.served:
-                    self.waiting.setdefault(payload.cell, []).append(payload.claim)
+            kind = type(payload)
+            owned = kind in (ClaimPost, TicketPost) and state.cell_owner[payload.cell] == peer
+            if owned and kind is ClaimPost and payload.claim.claim_id not in self.served:
+                self.waiting.setdefault(payload.cell, []).append(payload.claim)
+            live = (
+                owned
+                and kind is TicketPost
+                and not state.finished
+                and not (payload.node.busy or payload.node.committed)
+            )
+            self.unposted = payload if live else None
             handler(payload)
+            if self.unposted is not None:
+                self.check_unposted(self.unposted)
 
         return deliver
 
+    def fifo(self, cell, ticket):
+        """(cell's unserved claims, what first-fit FIFO serves of them)."""
+        waiting = [c for c in self.waiting.get(cell, []) if c.claim_id not in self.served]
+        return waiting, centralized_fifo_allocate(waiting, [ticket])
+
+    def check_unposted(self, post):
+        node, label, issue_time, cell = post
+        point = self.state.node_points[node.cloud_id, label]
+        ticket = ResourceTicket(f"{node.node_id}@{issue_time}/{label}", point, 1, node.node_id, issue_time)
+        _, expected = self.fifo(cell, ticket)
+        assert not expected, (
+            f"ticket {ticket.ticket_id} at t={self.state.engine.now} never reached the store "
+            f"at cell {cell}; first-fit FIFO at its cell serves {[c for _, c, _ in expected]}"
+        )
+
     def ticket(self, post_ticket):
         def posted(cell, ticket, now_ms):
-            waiting = [c for c in self.waiting.get(cell, []) if c.claim_id not in self.served]
-            expected = centralized_fifo_allocate(waiting, [ticket])
+            self.unposted = None
+            waiting, expected = self.fifo(cell, ticket)
             decisions = post_ticket(cell, ticket, now_ms=now_ms)
             got = [(d.ticket_id, d.claim_id, d.units_granted) for d in decisions]
             assert got == expected, (
@@ -1079,6 +1111,36 @@ class TestWholeRuns:
         assert_served_exactly_once(state)
         replay.check()
         assert len(replay.decisions) == BUILTIN_UNITS
+
+    def test_p2p_stream_serves_first_fit_fifo_at_each_cell(self, monkeypatch):
+        # The benchmark's open loop of 400 apps on 200 full_p2p peers, whose
+        # shallow queues leave about half its delivered tickets nothing to serve.
+        monkeypatch.syspath_prepend(str(BENCH_DIR))
+        from harness import P2P_STREAM
+        from scenario_text import render
+
+        state = deploy_federation(parse_scenario(render(P2P_STREAM, 42)))
+        replay = FifoReplay(state)
+        run_to_quiescence(state)
+        assert_served_exactly_once(state, units=10_000)
+        replay.check()
+
+    def test_every_ticket_the_store_sees_finds_a_waiting_claim(self, melbourne_scenario, monkeypatch):
+        # A ticket reaches ClaimStore.post_ticket only at a cell where some
+        # claim waits; over the built-in sweep, no call meets an empty cell.
+        calls, empty = [], []
+        post_ticket = ClaimStore.post_ticket
+
+        def wrapped(store, cell, ticket, now_ms=None):
+            calls.append(ticket.ticket_id)
+            if not store.snapshot(cell):
+                empty.append((ticket.ticket_id, cell))
+            return post_ticket(store, cell, ticket, now_ms=now_ms)
+
+        monkeypatch.setattr(ClaimStore, "post_ticket", wrapped)
+        run_sweep(melbourne_scenario, models=("task", "thread"))
+        assert calls
+        assert not empty, f"{len(empty)} of {len(calls)} tickets met an empty cell: {empty[:3]}"
 
     def test_fixed_federation_is_identical_under_two_hash_seeds(self, tmp_path):
         here = Path(__file__).resolve().parent

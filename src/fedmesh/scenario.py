@@ -57,18 +57,21 @@ a ``#`` after a value is part of the value, since a label may contain one.
     submit_cloud = cloud-1
     submit_time_ms = 0
 
-Scenarios that declare clouds must define exactly the four dimensions the
-scheduling services build claims from, and no others: service_type and
-cpu_type (categorical), processors and speed_ghz (numeric). Every number must
-be finite: a nan or inf bound, speed or demand is diagnosed like any other
-bad value.
+Scenarios that declare no cloud are diagnosed. Every scenario must define
+exactly the four dimensions the scheduling services build claims from, and
+no others: service_type and cpu_type (categorical), processors and speed_ghz
+(numeric). Every number must be finite: a nan or inf bound, speed or demand
+is diagnosed like any other bad value.
 
 ``_KEYS`` is the single declaration of the format: every key of every
 section with its converter and its default, or None where the key is
-required. One reader converts a section against it, so a key is added,
-renamed or given a default there and nowhere else. The rules that relate
-values (f_max equal to f_min, the guards, a cloud's point inside the space)
-follow the table in ``_Builder``.
+required. A key's converter is its domain: a value outside it is diagnosed
+at its own line as "expected ..., got ..." and reads as the key's default.
+One reader converts a section against the table, so a key is added, renamed,
+given a default or a domain there and nowhere else. ``_Builder`` holds only
+the rules that relate two keys or sections: f_max equal to f_min, the
+guards, the four dimensions, a cloud's point inside the space, a model's
+service label, a workload's submit cloud and run time, and unique peer ids.
 """
 
 from __future__ import annotations
@@ -83,6 +86,8 @@ from .config import (
     DIM_PROCESSORS,
     DIM_SERVICE,
     DIM_SPEED,
+    FULL_P2P,
+    HUB,
     REQUIRED_DIMS,
     SCHEMA_VERSION,
     TOPOLOGIES,
@@ -119,6 +124,8 @@ def _bounds(raw: str) -> tuple[float, float]:
 
 def _interval(raw: str) -> tuple[int, int]:
     lo, hi = map(int, _items(raw))
+    if not 1 <= lo <= hi:
+        raise ValueError(raw)
     return lo, hi
 
 
@@ -137,9 +144,33 @@ _EXPECTED = {
     _bool: "true or false",
     _items: "a list without empty items",
     _bounds: "'lo, hi' numbers",
-    _interval: "'lo, hi' integers",
+    _interval: "'lo, hi' integers, 1 <= lo <= hi",
     _demand: "'constant, X' or 'uniform, LO, HI'",
 }
+
+
+def _at_least(least: int):
+    def convert(raw: str) -> int:
+        if (value := int(raw)) < least:
+            raise ValueError(raw)
+        return value
+
+    _EXPECTED[convert] = f"an integer >= {least}"
+    return convert
+
+
+def _one_of(*options: str):
+    def convert(raw: str) -> str:
+        if raw not in options:
+            raise ValueError(raw)
+        return raw
+
+    _EXPECTED[convert] = " or ".join(options)
+    return convert
+
+
+_POSITIVE, _NON_NEGATIVE = _at_least(1), _at_least(0)
+_KIND = _one_of(NUMERIC, CATEGORICAL)
 
 # The file format: section kind -> key -> (converter, default), where a
 # default of None marks a required key. A dimension's keys depend on its
@@ -150,32 +181,32 @@ _KEYS = {
         "schema_version": (int, None),
         "seed": (int, None),
         "eager_tickets": (_bool, True),
-        "inbox_capacity": (int, 1000),
-        "max_virtual_ms": (int, DEFAULT_MAX_VIRTUAL_MS),
+        "inbox_capacity": (_POSITIVE, 1000),
+        "max_virtual_ms": (_POSITIVE, DEFAULT_MAX_VIRTUAL_MS),
     },
-    "space": {"f_min": (int, None), "f_max": (int, 0)},
-    "dimension": {"kind": (str, None)},
-    NUMERIC: {"kind": (str, None), "bounds": (_bounds, None)},
-    CATEGORICAL: {"kind": (str, None), "labels": (_items, None)},
+    "space": {"f_min": (_POSITIVE, None), "f_max": (int, 0)},
+    "dimension": {"kind": (_KIND, None)},
+    NUMERIC: {"kind": (_KIND, None), "bounds": (_bounds, None)},
+    CATEGORICAL: {"kind": (_KIND, None), "labels": (_items, None)},
     "latency": {
-        "intra_cloud_ms": (int, LatencyModel.intra_cloud_ms),
-        "inter_cloud_ms": (int, LatencyModel.inter_cloud_ms),
+        "intra_cloud_ms": (_NON_NEGATIVE, LatencyModel.intra_cloud_ms),
+        "inter_cloud_ms": (_NON_NEGATIVE, LatencyModel.inter_cloud_ms),
     },
     "cloud": {
-        "nodes": (int, None),
+        "nodes": (_POSITIVE, None),
         "speed_ghz": (float, None),
         "cpu_type": (str, None),
         "service_types": (_items, None),
         "status_update_interval_ms": (_interval, None),
-        "topology": (str, CloudConfig.topology),
+        "topology": (_one_of(*TOPOLOGIES), CloudConfig.topology),
     },
     "workload": {
-        "model": (str, None),
-        "rows": (int, None),
-        "cols": (int, None),
+        "model": (_one_of(*MODELS), None),
+        "rows": (_POSITIVE, None),
+        "cols": (_POSITIVE, None),
         "unit_demand": (_demand, None),
         "submit_cloud": (str, None),
-        "submit_time_ms": (int, WorkloadSpec.submit_time_ms),
+        "submit_time_ms": (_NON_NEGATIVE, WorkloadSpec.submit_time_ms),
     },
 }
 
@@ -320,9 +351,6 @@ class _Builder:
         version = settings.pop("schema_version")
         if version is not None and version != SCHEMA_VERSION:
             self.error(top.line, "schema_version", f"unsupported version {version}")
-        for key in ("inbox_capacity", "max_virtual_ms"):
-            if settings[key] < 1:
-                self.error(top.line, key, "must be >= 1")
 
         f_min = 0
         if not sections["space"]:
@@ -331,24 +359,18 @@ class _Builder:
             sec = sections["space"][0]
             values = self.read(sec, "space")
             f_min = values["f_min"] or 0
-            if f_min < 1:
-                self.error(sec.line, "f_min", f"must be >= 1, got {f_min}")
-            elif values["f_max"] != f_min:
+            if f_min and values["f_max"] != f_min:
                 message = f"must be present and equal f_min = {f_min}: cells are never subdivided"
                 self.error(sec.line, "f_max", message)
 
         dims = self.build_dims(sections["dimension"])
-        if dims and f_min >= 1 and f_min ** len(dims) > MAX_CELLS:
+        if f_min ** len(dims) > MAX_CELLS:
             message = f"f_min**dim = {f_min ** len(dims)} exceeds the {MAX_CELLS} cell guard"
             self.error(sections["space"][0].line, "f_min", message)
 
         latency = LatencyModel()
         for sec in sections["latency"]:  # at most one: a repeat is diagnosed and dropped
-            values = self.read(sec, "latency")
-            if min(values.values()) < 0:
-                self.error(sec.line, "latency", "latencies must be >= 0")
-            else:
-                latency = LatencyModel(**values)
+            latency = LatencyModel(**self.read(sec, "latency"))
         clouds = self.build_clouds(sections["cloud"], sections["dimension"], dims)
         workloads = self.build_workloads(
             sections["workload"], sections["cloud"], clouds, dims, settings["max_virtual_ms"]
@@ -365,11 +387,8 @@ class _Builder:
         dims: list[DimensionSpec] = []
         for sec in sections:
             kind = sec.entries.get("kind", (0, None))[1]
-            if kind not in (NUMERIC, CATEGORICAL):
-                if self.read(sec, "dimension")["kind"] is not None:
-                    self.error(sec.line, "kind", f"expected numeric or categorical, got {kind!r}")
-                continue
-            values = self.read(sec, kind)
+            # A missing or wrong kind is diagnosed against the kind alone.
+            values = self.read(sec, kind if kind in (NUMERIC, CATEGORICAL) else "dimension")
             if None in values.values():
                 continue
             try:
@@ -385,15 +404,14 @@ class _Builder:
     ) -> list[CloudConfig]:
         # The claim dimensions that are declared with the right kind.
         index = {d.name: i for i, d in enumerate(dims) if REQUIRED_DIMS.get(d.name) == d.kind}
-        if sections:
-            for name, kind in REQUIRED_DIMS.items():
-                if name not in index:
-                    self.error(0, "dimension", f"clouds require a {kind} dimension {name!r}")
-            for sec in dim_sections:
-                if sec.name not in REQUIRED_DIMS:
-                    self.error(
-                        sec.line, "dimension", f"{sec.name!r} is not one of {sorted(REQUIRED_DIMS)}"
-                    )
+        if not sections:
+            self.error(0, "cloud", "missing [cloud] section")
+        for name, kind in REQUIRED_DIMS.items():
+            if name not in index:
+                self.error(0, "dimension", f"clouds require a {kind} dimension {name!r}")
+        for sec in dim_sections:
+            if sec.name not in REQUIRED_DIMS:
+                self.error(sec.line, "dimension", f"{sec.name!r} is not one of {sorted(REQUIRED_DIMS)}")
         # normalize reads only the dimensions of the space, not its f_min.
         space = AttributeSpace(tuple(dims), 1) if len(index) == len(REQUIRED_DIMS) else None
         clouds: list[CloudConfig] = []
@@ -403,21 +421,9 @@ class _Builder:
             if None in values.values():
                 continue
             nodes = values["nodes"]
-            if nodes < 1:
-                self.error(sec.line, "nodes", f"must be >= 1, got {nodes}")
-                continue
             total_nodes += nodes
             if total_nodes > MAX_NODES >= total_nodes - nodes:
                 self.error(sec.line, "nodes", f"{total_nodes} nodes exceed the {MAX_NODES} node guard")
-            topology = values["topology"]
-            if topology not in TOPOLOGIES:
-                self.error(sec.line, "topology", f"expected hub or full_p2p, got {topology!r}")
-                continue
-            lo, hi = values["status_update_interval_ms"]
-            if lo < 1 or hi < lo:
-                line = sec.entries["status_update_interval_ms"][0]
-                self.error(line, "status_update_interval_ms", f"need 1 <= lo <= hi, got {lo}, {hi}")
-                continue
             before = len(self.diags)
             if space is not None:
                 # The point of each node and label, as map_ticket checks it at
@@ -446,12 +452,24 @@ class _Builder:
                         node_speed_ghz=values["speed_ghz"],
                         cpu_type=values["cpu_type"],
                         service_types=values["service_types"],
-                        status_update_interval_ms=(lo, hi),
-                        topology=topology,
+                        status_update_interval_ms=values["status_update_interval_ms"],
+                        topology=values["topology"],
                     )
                 )
-            except InvalidArgumentError as exc:  # the speed: every other field is checked above
+            except InvalidArgumentError as exc:  # the speed: converters and the code above check the rest
                 self.error(sec.entries["speed_ghz"][0], "speed_ghz", str(exc))
+        # A hub cloud joins the overlay under its own id and node i of a
+        # full_p2p cloud under "<cloud id>/n<i>", so no two may share one.
+        hubs = {c.cloud_id for c in clouds if c.topology == HUB}
+        peers = {
+            f"{c.cloud_id}/n{i}": c.cloud_id
+            for c in clouds if c.topology == FULL_P2P for i in range(c.node_count)
+        }
+        for sec in sections:
+            if sec.name in hubs and sec.name in peers:
+                owner = peers[sec.name]
+                message = f"hub cloud {sec.name!r} has the peer id of a node of full_p2p cloud {owner!r}"
+                self.error(sec.line, "cloud", message)
         return clouds
 
     def build_workloads(
@@ -472,18 +490,12 @@ class _Builder:
             if None in values.values():
                 continue
             model, rows, cols = values["model"], values["rows"], values["cols"]
-            if model not in MODELS:
-                self.error(sec.line, "model", f"expected one of {MODELS}, got {model!r}")
-                continue
             if labels and SERVICE_LABELS[model] not in labels:
                 self.error(
                     sec.line, "model",
                     f"{SERVICE_LABELS[model]!r} is not a {DIM_SERVICE} label, "
                     f"so {model} claims could never be expressed",
                 )
-                continue
-            if rows < 1 or cols < 1:
-                self.error(sec.line, "rows", "rows and cols must be >= 1")
                 continue
             units += rows * cols
             if units > MAX_UNITS >= units - rows * cols:
@@ -493,18 +505,14 @@ class _Builder:
             if submit_cloud not in cloud_ids:
                 self.error(sec.line, "submit_cloud", f"unknown cloud {submit_cloud!r}")
                 continue
-            if values["submit_time_ms"] < 0:
-                self.error(sec.line, "submit_time_ms", "must be >= 0")
-                continue
             # Claims ask for at least the submitting cloud's speed, and accept
             # its own nodes, so a unit may run as long as its largest demand
             # takes there, from its submit time on; ending past the horizon
             # (or at an infinite run time) it never completes. A cloud with an
-            # error of its own has no speed to check, and a horizon below 1
-            # (diagnosed) nothing to check against.
+            # error of its own has no speed to check.
             hi, speed = values["unit_demand"].hi, speeds.get(submit_cloud)
             at = values["submit_time_ms"]
-            if speed is not None and horizon >= 1 and not at + hi / speed * 1000 <= horizon:
+            if speed is not None and not at + hi / speed * 1000 <= horizon:
                 line = sec.entries["unit_demand"][0]
                 message = f"submitted at {at} ms, {hi} GHz-s at {speed} GHz takes {hi / speed * 1000:g} ms"
                 self.error(line, "unit_demand", f"{message}, past max_virtual_ms = {horizon}")

@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import ast
 import json
+import re
 import textwrap
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -16,12 +18,18 @@ from fedmesh import (
     InvalidArgumentError,
     Scenario,
     ScenarioError,
+    SimulationError,
     builtin_scenario_path,
+    deploy_federation,
     load_scenario,
     parse_scenario,
+    run_to_quiescence,
 )
 from fedmesh.cli import main
 from fedmesh.oracles import run_oracle_suites
+from fedmesh.workloads import MODELS, SERVICE_LABELS
+
+from test_federation import assert_served_once_or_stranded
 
 MINIMAL = """\
 schema_version = 1
@@ -100,6 +108,30 @@ MINIMAL_SECTIONS = {
 }
 
 
+# One value outside its key's domain each: (line of MINIMAL, what replaces it).
+DOMAIN_FAULTS = [
+    ("seed = 7", "seed = 7\ninbox_capacity = 0"),
+    ("seed = 7", "seed = 7\nmax_virtual_ms = 0"),
+    ("f_min = 2", "f_min = 0"),
+    ("[cloud cloud-1]", "[latency]\nintra_cloud_ms = -1\n\n[cloud cloud-1]"),
+    ("nodes = 2", "nodes = 0"),
+    ("nodes = 2", "nodes = 2\ntopology = ring"),
+    ("status_update_interval_ms = 1000, 2000", "status_update_interval_ms = 5, 1"),
+    ("status_update_interval_ms = 1000, 2000", "status_update_interval_ms = 0, 5"),
+    ("model = task", "model = x"),
+    ("rows = 2", "rows = 0"),
+    ("cols = 2", "cols = 0"),
+    ("submit_cloud = cloud-1", "submit_cloud = cloud-1\nsubmit_time_ms = -1"),
+    ("kind = numeric", "kind = x"),
+]
+
+
+def bad_line(line: str, fault: str) -> str:
+    """The one ``key = value`` line a domain fault adds."""
+    (added,) = [new for new in fault.splitlines() if " = " in new and new != line]
+    return added
+
+
 def write(tmp_path: Path, text: str, name="case.scenario") -> Path:
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
@@ -142,21 +174,20 @@ class TestParse:
         assert any(d.field == "submit_cloud" for d in exc.value.diagnostics)
 
     @pytest.mark.parametrize(
-        "line, fault, field",
-        [
-            ("nodes = 2", "nodes = 0", "nodes"),
-            ("nodes = 2", "nodes = 2\ntopology = ring", "topology"),
-            ("status_update_interval_ms = 1000, 2000", "status_update_interval_ms = 0, 5",
-             "status_update_interval_ms"),
-        ],
-        ids=["nodes", "topology", "interval"],
+        "line, fault", DOMAIN_FAULTS, ids=[bad_line(*case) for case in DOMAIN_FAULTS]
     )
-    def test_faulty_cloud_gets_one_diagnostic(self, line, fault, field):
-        # The cloud is still declared, so its workload is not diagnosed too.
+    def test_value_outside_its_domain_is_diagnosed_at_its_own_line(self, line, fault):
+        # Its section is still declared, so nothing that refers to it is
+        # diagnosed too.
+        bad = MINIMAL.replace(line, fault, 1)
+        key, _, value = bad_line(line, fault).partition(" = ")
         with pytest.raises(ScenarioError) as exc:
-            parse_scenario(MINIMAL.replace(line, fault))
-        (diag,) = exc.value.diagnostics
-        assert diag.field == field
+            parse_scenario(bad)
+        (diag,) = [d for d in exc.value.diagnostics if d.field == key]
+        assert diag.line == bad.splitlines().index(f"{key} = {value}") + 1
+        assert diag.message.startswith("expected ") and diag.message.endswith(f", got {value!r}")
+        if key != "kind":  # a dimension of no kind also leaves a claim dimension missing
+            assert exc.value.diagnostics == [diag]
 
     def test_diagnostics_carry_line_numbers(self):
         bad = MINIMAL.replace("nodes = 2", "nodes = zero")
@@ -321,9 +352,12 @@ class TestParse:
         bad = MINIMAL.replace("seed = 7", f"seed = 7\nmax_virtual_ms = {horizon}")
         with pytest.raises(ScenarioError) as exc:
             parse_scenario(bad)
-        # The only diagnostic: no workload's run time is checked against it.
+        # The only diagnostic, at its own line: the bad value reads as the
+        # default horizon, which every workload's run time fits in.
         (diag,) = exc.value.diagnostics
-        assert (diag.field, diag.message) == ("max_virtual_ms", "must be >= 1")
+        assert (diag.line, diag.field, diag.message) == (
+            3, "max_virtual_ms", f"expected an integer >= 1, got {horizon!r}"
+        )
 
 
 class TestValidateCommand:
@@ -348,6 +382,44 @@ class TestValidateCommand:
         assert "'memory_gb'" in diag.message
         assert main(["validate", str(write(tmp_path, text))]) == 2
         assert "memory_gb" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "dimensions", ["", "[dimension service_type]\nkind = categorical\nlabels = P2PTaskExecution\n"],
+        ids=["no dimension", "one dimension"],
+    )
+    def test_scenario_without_clouds_exits_two(self, tmp_path, capsys, dimensions):
+        # Deploy needs a peer to own the cells and every claim dimension, so
+        # both are diagnosed rather than aborting a run.
+        text = f"schema_version = 1\nseed = 7\n\n[space]\nf_min = 2\nf_max = 2\n\n{dimensions}"
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(text)
+        diags = [(d.line, d.field, d.message) for d in exc.value.diagnostics]
+        assert (0, "cloud", "missing [cloud] section") in diags
+        assert main(["validate", str(write(tmp_path, text))]) == 2
+        assert "missing [cloud] section" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("hub_first", [False, True], ids=["p2p first", "hub first"])
+    def test_hub_cloud_named_as_a_full_p2p_node_exits_two(self, tmp_path, capsys, hub_first):
+        # Node 0 of full_p2p cloud x joins the overlay as x/n0, the peer id
+        # hub cloud x/n0 would join under.
+        def cloud(name, topology):
+            return (
+                f"\n[cloud {name}]\nnodes = 1\nspeed_ghz = 2.4\ncpu_type = Intel\n"
+                "service_types = P2PTaskExecution\nstatus_update_interval_ms = 5000, 40000\n"
+                f"topology = {topology}\n"
+            )
+
+        clouds = [cloud("x", "full_p2p"), cloud("x/n0", "hub")]
+        text = builtin_scenario_path().read_text(encoding="utf-8")
+        text += "".join(clouds[::-1] if hub_first else clouds)
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(text)
+        (diag,) = exc.value.diagnostics
+        assert (diag.line, diag.field) == (text.splitlines().index("[cloud x/n0]") + 1, "cloud")
+        assert "'x/n0'" in diag.message and "'x'" in diag.message
+        assert main(["validate", str(write(tmp_path, text))]) == 2
+        # x has no node 1, so a hub cloud x/n1 joins under a peer id of its own.
+        fedmesh.federation.FederationState(parse_scenario(text.replace("[cloud x/n0]", "[cloud x/n1]")))
 
     def test_missing_file_exit_three(self, tmp_path):
         assert main(["validate", str(tmp_path / "absent.scenario")]) == 3
@@ -559,75 +631,174 @@ BUILTIN_LINES = [
     for line in builtin_scenario_path().read_text(encoding="utf-8").splitlines()
     if line.strip() and not line.startswith("#")
 ]
-MUTANT_VALUES = (
-    "", "0", "-1", "1", "3.5", "1e9", "nan", "inf", "x", ",", "a, b", "0, 0", "5, 1",
-    "true", "numeric", "categorical", "full_p2p", "constant, 0", "uniform, 1", "cloud-1",
-    "P2PTaskExecution", "constant, nan", "uniform, 1, inf", "-inf, 4", "1, 2, 3",
-)
-MUTANT_NAMES = ("", "x", "cloud-1", "speed_ghz", "two words")
-MUTANT_LINES = (
-    "[dimension]", "[cloud]", "[workload]", "[space]", "[latency]", "[bogus]", "[]", "[",
-    "[bogus name]", "key = value", "junk",
-)
 AT = st.integers(0, 10**6)
-MUTATIONS = st.one_of(
-    st.tuples(st.just("value"), AT, st.sampled_from(MUTANT_VALUES)),
-    st.tuples(st.just("rename"), AT, st.sampled_from(MUTANT_NAMES)),
-    st.tuples(st.just("drop"), AT, st.none()),
-    st.tuples(st.just("insert"), AT, st.sampled_from(MUTANT_LINES)),
-    st.tuples(st.just("duplicate"), AT, st.none()),
-)
+TOOLS_DIR = Path(__file__).resolve().parents[1] / "tools"
 
 
-def mutate(lines: list[str], op: str, at: int, arg: str | None) -> None:
-    """Apply one edit in place; value and rename pick among key lines and
-    section headers respectively."""
-    if op == "insert":
-        lines.insert(at % (len(lines) + 1), arg)
-        return
-    if op in ("value", "rename"):
-        header = op == "rename"
-        candidates = [i for i, line in enumerate(lines) if line.startswith("[") == header]
-        if not candidates:
-            return
-        i = candidates[at % len(candidates)]
-        if header:
-            lines[i] = f"[{lines[i].strip('[]').split(' ')[0]} {arg}]"
-        elif "=" in lines[i]:
-            lines[i] = f"{lines[i].partition('=')[0]}= {arg}"
-        return
-    if lines:
-        i = at % len(lines)
-        if op == "drop":
-            del lines[i]
+def test_property_mutated_builtin_scenario_parses_or_is_diagnosed(monkeypatch):
+    # The mutation operators live with the parser diff tool, which draws its
+    # cases from the same ones.
+    monkeypatch.syspath_prepend(str(TOOLS_DIR))
+    from scenario_diff import ARGS, mutate
+
+    mutations = st.one_of(
+        *(st.tuples(st.just(op), AT, st.sampled_from(args)) for op, args in ARGS.items())
+    )
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(st.lists(mutations, min_size=1, max_size=6))
+    def check(mutations):
+        lines = list(BUILTIN_LINES)
+        for mutation in mutations:
+            mutate(lines, *mutation)
+        try:
+            result = parse_scenario("\n".join(lines))
+        except ScenarioError as exc:
+            assert exc.diagnostics
+            # Each diagnostic points at the whole file, a section header, a
+            # line of its own key, or is a syntax error.
+            for diag in exc.diagnostics:
+                text = lines[diag.line - 1].strip() if diag.line else ""
+                assert (
+                    diag.line == 0
+                    or text.startswith("[")
+                    or text.partition("=")[0].strip() == diag.field
+                    or diag.field == "syntax"
+                ), diag
         else:
-            lines.insert(i, lines[i])
+            assert isinstance(result, Scenario)
+            # The parser's point check and the deploy-time map_ticket agree.
+            fedmesh.federation.FederationState(result)
+
+    check()
 
 
-@settings(max_examples=300, derandomize=True, deadline=None)
-@given(st.lists(MUTATIONS, min_size=1, max_size=6))
-def test_property_mutated_builtin_scenario_parses_or_is_diagnosed(mutations):
-    lines = list(BUILTIN_LINES)
-    for mutation in mutations:
-        mutate(lines, *mutation)
-    try:
-        result = parse_scenario("\n".join(lines))
-    except ScenarioError as exc:
-        assert exc.diagnostics
-        # Each diagnostic points at the whole file, a section header, a line
-        # of its own key, or is a syntax error.
-        for diag in exc.diagnostics:
-            text = lines[diag.line - 1].strip() if diag.line else ""
-            assert (
-                diag.line == 0
-                or text.startswith("[")
-                or text.partition("=")[0].strip() == diag.field
-                or diag.field == "syntax"
-            ), diag
-    else:
-        assert isinstance(result, Scenario)
-        # The parser's point check and the deploy-time map_ticket agree.
-        fedmesh.federation.FederationState(result)
+KEYS = fedmesh.scenario._KEYS
+CPU_LABELS = ("Intel", "AMD", "ARM")
+BOTH_SERVICES = tuple(SERVICE_LABELS.values())
+
+
+def integers(key, ctx):
+    return st.integers(*ctx[key]).map(str)
+
+
+def choose(key, ctx):
+    return st.sampled_from(ctx[key])
+
+
+def demands(key, ctx):
+    ghz_s = st.floats(0.1, 6.0)
+    constant = ghz_s.map(lambda x: f"constant, {x}")
+    uniform = st.tuples(ghz_s, ghz_s).map(lambda xy: f"uniform, {min(xy)}, {max(xy)}")
+    return st.one_of(constant, uniform)
+
+
+# Text each converter of _KEYS accepts, as a function of the key and of what
+# the scenario drawn so far allows (``ctx``): an integer key's (least, most),
+# or the choices of a key whose value names a label, a kind or a cloud.
+VALUES = {
+    int: integers,
+    fedmesh.scenario._POSITIVE: integers,
+    fedmesh.scenario._NON_NEGATIVE: integers,
+    float: lambda key, ctx: st.floats(0.5, 4.0).map(str),
+    str: choose,
+    fedmesh.scenario._KIND: choose,
+    KEYS["cloud"]["topology"][0]: choose,
+    KEYS["workload"]["model"][0]: choose,
+    fedmesh.scenario._bool: lambda key, ctx: st.sampled_from(("true", "false")),
+    fedmesh.scenario._items: lambda key, ctx: st.lists(
+        st.sampled_from(ctx[key]), min_size=1, unique=True
+    ).map(", ".join),
+    # Every bound pair holds a node's one processor and any drawn speed.
+    fedmesh.scenario._bounds: lambda key, ctx: st.sampled_from(("0, 4", "0.5, 8", "0, 16")),
+    fedmesh.scenario._interval: lambda key, ctx: st.integers(100, 1000).flatmap(
+        lambda lo: st.integers(lo, lo + 2000).map(lambda hi: f"{lo}, {hi}")
+    ),
+    fedmesh.scenario._demand: demands,
+}
+# The drawn part of each integer key's domain: small federations (at most 4
+# clouds x 3 nodes and 3x3 workloads) on a coarse grid, inboxes no such run
+# fills, and horizons that some units cannot finish within.
+SPANS = {
+    "schema_version": (1, 1), "seed": (0, 2**32 - 1), "inbox_capacity": (10**4, 10**6),
+    "max_virtual_ms": (1000, 10**6), "f_min": (1, 3), "intra_cloud_ms": (0, 20),
+    "inter_cloud_ms": (0, 20), "nodes": (1, 3), "rows": (1, 3), "cols": (1, 3),
+    "submit_time_ms": (0, 3000),
+}
+
+
+def test_every_scenario_converter_has_a_generator():
+    assert {convert for table in KEYS.values() for convert, _ in table.values()} <= VALUES.keys()
+
+
+@st.composite
+def scenario_texts(draw):
+    """Scenario text drawn key by key from ``_KEYS``: each value from its
+    converter's generator, and each key with a default sometimes left out.
+    It keeps every rule that relates keys but one: a unit need not be able
+    to finish within max_virtual_ms."""
+    ctx = dict(SPANS, topology=fedmesh.config.TOPOLOGIES)
+    sections = []
+
+    def section(kind, header=None):
+        values = {}
+        for key, (convert, default) in KEYS[kind].items():
+            if default is None or key == "f_max" or draw(st.booleans()):
+                values[key] = draw(VALUES[convert](key, ctx))
+                convert(values[key])  # the generator stays inside the domain
+            if key == "f_min":  # f_max has to equal it
+                ctx["f_max"] = (int(values[key]),) * 2
+        lines = [f"{key} = {value}" for key, value in values.items()]
+        sections.append("\n".join([header, *lines] if header else lines))
+        return values
+
+    section("top")
+    section("space", "[space]")
+    labels = {}
+    for name in draw(st.permutations(sorted(fedmesh.config.REQUIRED_DIMS))):
+        kind = fedmesh.config.REQUIRED_DIMS[name]
+        ctx["kind"] = (kind,)
+        ctx["labels"] = CPU_LABELS if name == "cpu_type" else BOTH_SERVICES
+        labels[name] = section(kind, f"[dimension {name}]").get("labels", "").split(", ")
+    if draw(st.booleans()):
+        section("latency", "[latency]")
+    ctx["cpu_type"], ctx["service_types"] = labels["cpu_type"], labels["service_type"]
+    ctx["submit_cloud"] = [f"cloud-{i}" for i in range(draw(st.integers(1, 4)))]
+    for cloud in ctx["submit_cloud"]:
+        section("cloud", f"[cloud {cloud}]")
+    ctx["model"] = [m for m in MODELS if SERVICE_LABELS[m] in labels["service_type"]]
+    for app in range(draw(st.integers(1, 3))):
+        section("workload", f"[workload app-{app}]")
+    return "\n\n".join(sections) + "\n"
+
+
+def test_property_drawn_scenario_runs_or_names_its_cause():
+    # An accepted scenario deploys, then serves each unit some node can serve
+    # exactly once, or stops at its horizon naming the targets with events
+    # still pending. A rejected one breaks only the run-time rule.
+    verdicts = Counter()
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(scenario_texts())
+    def check(text):
+        try:
+            sc = parse_scenario(text)
+        except ScenarioError as exc:
+            verdicts["rejected"] += 1
+            assert {d.field for d in exc.diagnostics} == {"unit_demand"}, exc.diagnostics
+            return
+        verdicts["accepted"] += 1
+        state = deploy_federation(sc)
+        try:
+            report = run_to_quiescence(state)
+        except SimulationError as exc:
+            verdicts["horizon"] += 1
+            assert re.search(r"events still pending for \d+ targets: \S+ \(\d+ pending\)", str(exc))
+        else:
+            assert_served_once_or_stranded(sc, state, report)
+
+    check()
+    assert verdicts["accepted"] >= verdicts["rejected"], verdicts
 
 
 def imported_modules(module) -> set[str]:

@@ -5,9 +5,10 @@ built-in scenario.
 
 BASE_SRC and HEAD_SRC are ``src`` directories that each hold a ``fedmesh``
 package; both are imported into this process under their own names. Each case
-applies one to six edits, drawn from the operators of the mutation property
-in tests/test_scenario_cli.py, to the non-comment lines of HEAD's built-in
-scenario, and parses the result with both parsers. It prints:
+applies one to six edits, drawn from the mutation operators defined here
+(``mutate`` and its arguments, ``ARGS``), to the non-comment lines of HEAD's
+built-in scenario, and parses the result with both parsers. The mutation
+property in tests/test_scenario_cli.py imports the same operators. It prints:
 
 - verdict flips: inputs one parser accepts and the other rejects;
 - unequal accepted inputs: both accept, but the scenarios differ in a field
@@ -53,8 +54,8 @@ ARGS = {
 
 
 def mutate(lines: list[str], op: str, at: int, arg: str | None) -> None:
-    """The mutation property's edit: value and rename pick among key lines
-    and section headers respectively."""
+    """Apply one edit in place; value and rename pick among key lines and
+    section headers respectively."""
     if op == "insert":
         lines.insert(at % (len(lines) + 1), arg)
         return

@@ -38,6 +38,11 @@ head with no merge (see coordination). Each (cloud, label) keeps one ticket
 route (delay, owner's target, cell), built at deploy and re-pointed by
 recompute_cell_assignment.
 
+A cell is placed on the overlay (hashed to its owning peer) the first time
+a post is routed to it, as a Pastry key's root is found by routing to it:
+state.cell_owner holds the cells routed so far, which are the only cells
+any post names, and a run places a few of the f_min ** dim cells.
+
 A dispatch re-checks that the node's point satisfies the claim.
 
 Waiting claims live in one ClaimStore keyed by cell, and only in ticket
@@ -54,7 +59,6 @@ as Pastry routes a message on to a key's new root.
 from __future__ import annotations
 
 import logging
-from collections import Counter
 from dataclasses import InitVar, dataclass, field
 from typing import NamedTuple
 
@@ -187,8 +191,8 @@ class FederationState:
 
     Under the hub model one coordinator peer joins per cloud; under full_p2p
     every node joins as an autonomous coordinator. Scheduling services stay
-    one per cloud (they are the submission entry points), and the cell-owner
-    map is derived deterministically from the membership.
+    one per cloud (they are the submission entry points), and each routed
+    cell's owner is derived deterministically from the membership.
     """
 
     def __init__(self, scenario: Scenario) -> None:
@@ -242,8 +246,9 @@ class FederationState:
         # clouds submitting equal claims share one record. Satisfiability is
         # valid for the whole run because the node set is fixed.
         self.claim_classes: dict[tuple[str, str, float], _ClaimClassRecord] = {}
-        # Filled below: a route needs the cell_owner map built here.
         self.ticket_routes: dict[tuple[str, str], tuple[int, str, IndexCell]] = {}
+        # No cell is placed yet: this checks the membership as every later
+        # change is checked, and the routes below place the ticket cells.
         recompute_cell_assignment(self)
         # Every node of a cloud shares the cloud's speed and CPU type, so a
         # (cloud, label) pair fixes the point and the cell of its tickets,
@@ -282,26 +287,33 @@ class RunReport:
     stranded_claim_ids: tuple[str, ...]
 
 
-def recompute_cell_assignment(state: FederationState) -> None:
-    """Re-derive the cell-to-peer map from the current overlay membership.
+def place_cell(state: FederationState, cell: IndexCell) -> str:
+    """The peer owning a cell under the current membership: the cell's
+    control point hashed onto the overlay. The one placement function."""
+    membership = state.membership
+    return membership.name_of(membership.owner_of(spatial_hash(cell, state.space.f_min)))
 
-    The only place cells are hashed onto the overlay, once per cell, and so
-    the one place owners change: every ticket route is re-pointed at its
-    cell's new owner. Waiting claims stay with their cell, so a new owner
-    serves them with no handoff, and a post still in flight to a cell's old
-    owner is forwarded on arrival. Every new owner must be a deployed peer;
-    otherwise this raises ConsistencyError naming the peer and leaves the map
-    and the routes as they were.
+
+def recompute_cell_assignment(state: FederationState) -> None:
+    """Re-derive the owner of each placed cell from the current overlay
+    membership.
+
+    The one place owners change: every cell routed so far is placed anew
+    and every ticket route is re-pointed at its cell's new owner, so a
+    membership change costs O(cells routed), not O(f_min ** dim); a cell
+    not yet routed is placed on its first route. Waiting claims stay with
+    their cell, so a new owner serves them with no handoff, and a post
+    still in flight to a cell's old owner is forwarded on arrival. Every
+    overlay member must be a deployed peer, so every cell, placed or not,
+    goes to one; otherwise this raises ConsistencyError naming the peer and
+    leaves the map and the routes as they were.
     """
-    membership, f_min = state.membership, state.space.f_min
-    owners = {
-        cell: membership.name_of(membership.owner_of(spatial_hash(cell, f_min)))
-        for cell in state.cells
-    }
-    for peer, count in sorted(Counter(owners.values()).items()):
+    membership = state.membership
+    for node_id in membership.members():
+        peer = membership.name_of(node_id)
         if peer not in state.peer_cloud:
-            raise ConsistencyError(f"peer {peer!r} would own {count} cells but was never deployed")
-    state.cell_owner = owners
+            raise ConsistencyError(f"peer {peer!r} is on the overlay but was never deployed")
+    state.cell_owner = {cell: place_cell(state, cell) for cell in state.cell_owner}
     for key, (_, _, cell) in state.ticket_routes.items():
         state.ticket_routes[key] = _route(state, key[0], cell)
 
@@ -347,8 +359,6 @@ def submit_application(
     cloud = state.clouds.get(cloud_id)
     if cloud is None:
         raise InvalidArgumentError(f"unknown cloud {cloud_id!r}")
-    if spec.unit_count < 1:
-        raise InvalidArgumentError("application must carry at least one unit")
     app_id = spec.resolved_app_id
     if app_id in state.apps:
         raise InvalidArgumentError(f"application {app_id!r} already submitted")
@@ -599,8 +609,11 @@ def _ticket(
 
 
 def _route(state: FederationState, cloud_id: str, cell: IndexCell) -> tuple[int, str, IndexCell]:
-    """(delay, owner's target, cell) of a cloud's posts to a cell's current owner."""
-    owner = state.cell_owner[cell]
+    """(delay, owner's target, cell) of a cloud's posts to a cell's current
+    owner; a cell's first route places it."""
+    owner = state.cell_owner.get(cell)
+    if owner is None:
+        owner = state.cell_owner[cell] = place_cell(state, cell)
     return state.latency.between(cloud_id, state.peer_cloud[owner]), state.peer_targets[owner], cell
 
 

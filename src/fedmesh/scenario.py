@@ -174,7 +174,8 @@ _KIND = _one_of(NUMERIC, CATEGORICAL)
 
 # The file format: section kind -> key -> (converter, default), where a
 # default of None marks a required key. A dimension's keys depend on its
-# kind; "dimension" holds those of a section whose kind is missing or wrong.
+# kind; "dimension" holds those of a section whose kind is missing or wrong,
+# whose bounds and labels are then left unchecked: only its kind is diagnosed.
 # f_max has to equal f_min, and its absence is diagnosed as f_max != f_min.
 _KEYS = {
     "top": {
@@ -185,7 +186,7 @@ _KEYS = {
         "max_virtual_ms": (_POSITIVE, DEFAULT_MAX_VIRTUAL_MS),
     },
     "space": {"f_min": (_POSITIVE, None), "f_max": (int, 0)},
-    "dimension": {"kind": (_KIND, None)},
+    "dimension": {"kind": (_KIND, None), "bounds": (str, ""), "labels": (str, "")},
     NUMERIC: {"kind": (_KIND, None), "bounds": (_bounds, None)},
     CATEGORICAL: {"kind": (_KIND, None), "labels": (_items, None)},
     "latency": {
@@ -406,8 +407,12 @@ class _Builder:
         index = {d.name: i for i, d in enumerate(dims) if REQUIRED_DIMS.get(d.name) == d.kind}
         if not sections:
             self.error(0, "cloud", "missing [cloud] section")
+        # A claim dimension is diagnosed here when it is missing or declared
+        # as the other kind; any other fault of one is, in its own section.
+        kinds = {sec.name: sec.entries.get("kind", (0, ""))[1] for sec in dim_sections}
         for name, kind in REQUIRED_DIMS.items():
-            if name not in index:
+            declared = kinds.get(name)
+            if declared is None or declared != kind and declared in (NUMERIC, CATEGORICAL):
                 self.error(0, "dimension", f"clouds require a {kind} dimension {name!r}")
         for sec in dim_sections:
             if sec.name not in REQUIRED_DIMS:

@@ -34,6 +34,7 @@ from fedmesh import (
     WorkUnit,
     deploy_federation,
     hash_name,
+    place_cell,
     publish_ticket,
     recompute_cell_assignment,
     response_time,
@@ -46,7 +47,7 @@ from fedmesh import (
 )
 from fedmesh import ClaimStore, RunResult, parse_scenario
 from fedmesh.federation import ClaimPost, Dispatch, TicketPost, TimerTick, on_allocation
-from fedmesh.oracles import centralized_fifo_allocate, replica_count
+from fedmesh.oracles import brute_force_owner, centralized_fifo_allocate, replica_count
 from fedmesh.reporting import write_run_outputs
 from fedmesh.spatial import map_claim, map_ticket
 from fedmesh.workloads import SERVICE_LABELS
@@ -111,11 +112,13 @@ class TestDeploy:
         state = deploy_federation(scenario([cloud(f"cloud-{i}", 2.4) for i in range(1, 6)]))
         assert len(state.membership) == 5
         assert len(state.nodes) == 20
-        assert len(state.cell_owner) == 81
-        per_peer = {}
-        for owner in state.cell_owner.values():
-            per_peer[owner] = per_peer.get(owner, 0) + 1
+        per_peer = Counter(place_cell(state, cell) for cell in state.cells)
+        assert sum(per_peer.values()) == 81
         assert sum(per_peer.values()) / 5 == pytest.approx(16.2)
+        assert set(per_peer) == set(state.peer_cloud)
+        # Deploy places the ticket cells only, each where every cell goes.
+        assert state.cell_owner.keys() == state.ticket_cells
+        assert all(state.cell_owner[cell] == place_cell(state, cell) for cell in state.ticket_cells)
 
     def test_full_p2p_one_peer_per_node(self):
         clouds = [cloud(f"cloud-{i}", 2.4, topology="full_p2p") for i in range(1, 6)]
@@ -136,11 +139,12 @@ class TestDeploy:
         state.membership.leave(hash_name("cloud-3"))
         state.peer_cloud.pop("cloud-3")
         recompute_cell_assignment(state)
-        assert len(state.cell_owner) == 81
-        assert "cloud-3" not in set(state.cell_owner.values())
+        owners = {cell: place_cell(state, cell) for cell in state.cells}
+        assert "cloud-3" not in set(owners.values())
         for cell in state.cells:
             owner = state.membership.owner_of(spatial_hash(cell, state.space.f_min))
-            assert state.cell_owner[cell] == state.membership.name_of(owner)
+            assert owners[cell] == state.membership.name_of(owner)
+        assert state.cell_owner.items() <= owners.items()
 
     def test_builtin_deploy_passes_the_handoff_check(self, melbourne_scenario):
         state = deploy_federation(melbourne_scenario)
@@ -150,12 +154,15 @@ class TestDeploy:
 
     def test_cells_never_go_to_an_undeployed_peer(self, melbourne_scenario):
         # A peer that joins the overlay mid-run has no handler and no cloud.
+        # Refused for being on the overlay, whether or not it owns a cell
+        # yet routed; of all cells it would own 10.
         state = deploy_federation(melbourne_scenario)
-        before = dict(state.cell_owner)
+        before, routes = dict(state.cell_owner), dict(state.ticket_routes)
         state.membership.join("cloud-9")
-        with pytest.raises(ConsistencyError, match=r"'cloud-9' would own 10 cells .*never deployed"):
+        assert Counter(place_cell(state, cell) for cell in state.cells)["cloud-9"] == 10
+        with pytest.raises(ConsistencyError, match=r"'cloud-9' is on the overlay but was never deployed"):
             recompute_cell_assignment(state)
-        assert state.cell_owner == before
+        assert state.cell_owner == before and state.ticket_routes == routes
 
     def test_leave_forwards_posts_in_flight(self, melbourne_scenario):
         # At t=0 cloud-1's first 25 claim posts are still in flight to it.
@@ -187,7 +194,7 @@ class TestDeploy:
         # new owners serve them.
         state = deploy_federation(melbourne_scenario)
         state.engine.run(until_ms=2_000)
-        lost = [cell for cell, o in state.cell_owner.items() if o == "cloud-1"]
+        lost = [cell for cell in state.cells if place_cell(state, cell) == "cloud-1"]
         waiting = {claim.claim_id for cell in lost for claim in state.store.snapshot(cell)}
         assert (len(lost), len(waiting)) == (18, 175)
         state.membership.leave(hash_name("cloud-1"))
@@ -640,6 +647,19 @@ class TestTicketCells:
             assert pending.cells == tuple(c for c in cells if c in state.ticket_cells)
             assert len(cells) > len(pending.cells)
 
+    def test_a_run_hashes_each_cell_it_routes_to_once(self, monkeypatch):
+        # Deploy places the ticket cells; the run's claims place the rest of
+        # the cells they reach, each on its first route.
+        hashed = []
+        monkeypatch.setattr(
+            "fedmesh.federation.spatial_hash",
+            lambda cell, f_min: hashed.append(cell) or spatial_hash(cell, f_min),
+        )
+        state = deploy_federation(fanned_p2p_scenario())
+        assert sorted(hashed) == sorted(state.ticket_cells)
+        run_to_quiescence(state)
+        assert len(hashed) == len(set(hashed)) == len(state.cell_owner) > len(state.ticket_cells)
+
     def test_a_leave_mid_run_keeps_events_and_serves_each_unit_once(self):
         # At t=1 s cloud-2/n0 owns every ticket cell, holds 22 claims and has
         # 28 posts in flight; the posts are forwarded and the cells move.
@@ -887,11 +907,27 @@ def federations(draw):
     return sc, churn
 
 
+def assert_placed_by_the_oracle(state):
+    """Every cell, placed or not, goes to the peer brute_force_owner finds
+    for its key, and each placed cell's cell_owner entry names that peer.
+    Returns every cell's owner."""
+    membership, f_min = state.membership, state.space.f_min
+    members = membership.members()
+    owners = {
+        cell: membership.name_of(brute_force_owner(members, spatial_hash(cell, f_min)))
+        for cell in state.cells
+    }
+    assert {cell: place_cell(state, cell) for cell in state.cells} == owners
+    assert state.cell_owner.items() <= owners.items()
+    return owners
+
+
 def run_with_churn(state, churn):
     """Run a deployed federation to quiescence; a churn (peer index, leave
     at, re-join after) makes one peer leave and maybe re-join. With a single
-    peer there is no one to leave to, so nothing leaves."""
-    deployed = dict(state.cell_owner)
+    peer there is no one to leave to, so nothing leaves. Cell placement is
+    checked against the oracle after each change and at quiescence."""
+    deployed = assert_placed_by_the_oracle(state)
     peers = sorted(state.peer_cloud)
     if churn is not None and len(peers) > 1:
         pick, leave_at, rejoin_after = churn
@@ -899,13 +935,15 @@ def run_with_churn(state, churn):
         state.engine.run(until_ms=leave_at)
         state.membership.leave(hash_name(peer))
         recompute_cell_assignment(state)
-        assert peer not in state.cell_owner.values()
+        assert peer not in assert_placed_by_the_oracle(state).values()
         if rejoin_after is not None:
             state.engine.run(until_ms=state.engine.now + rejoin_after)
             state.membership.join(peer)
             recompute_cell_assignment(state)
-            assert state.cell_owner == deployed
-    return run_to_quiescence(state)
+            assert assert_placed_by_the_oracle(state) == deployed
+    report = run_to_quiescence(state)
+    assert_placed_by_the_oracle(state)
+    return report
 
 
 def fixed_run_outputs(out_dir) -> str:
@@ -937,7 +975,8 @@ class FifoReplay:
     """The paper's allocation rule, replayed beside a whole run.
 
     Wraps each peer's handler and the store's post_ticket from outside, as
-    bench/tracing.py wraps its spans. Every claim delivered at its cell's
+    bench/tracing.py wraps its spans. Every post is delivered to a cell
+    already placed, since its route placed it. Every claim delivered at its cell's
     current owner joins that cell's plain list (every cell, not only ticket
     cells), unless the replay has already served it; every ticket handed to
     the store must then serve exactly what centralized_fifo_allocate serves
@@ -962,7 +1001,11 @@ class FifoReplay:
 
         def deliver(payload):
             kind = type(payload)
-            owned = kind in (ClaimPost, TicketPost) and state.cell_owner[payload.cell] == peer
+            posted = kind in (ClaimPost, TicketPost)
+            assert not posted or payload.cell in state.cell_owner, (
+                f"{kind.__name__} delivered to {peer} for the unplaced cell {payload.cell}"
+            )
+            owned = posted and state.cell_owner[payload.cell] == peer
             if owned and kind is ClaimPost and payload.claim.claim_id not in self.served:
                 self.waiting.setdefault(payload.cell, []).append(payload.claim)
             live = (

@@ -186,8 +186,41 @@ class TestParse:
         (diag,) = [d for d in exc.value.diagnostics if d.field == key]
         assert diag.line == bad.splitlines().index(f"{key} = {value}") + 1
         assert diag.message.startswith("expected ") and diag.message.endswith(f", got {value!r}")
-        if key != "kind":  # a dimension of no kind also leaves a claim dimension missing
-            assert exc.value.diagnostics == [diag]
+        assert exc.value.diagnostics == [diag]
+
+    @pytest.mark.parametrize(
+        "line, fault, at",
+        [
+            ("kind = numeric\n", "", "[dimension processors]"),
+            ("kind = categorical", "kind = x", "kind = x"),
+            ("kind = categorical\n", "", "[dimension service_type]"),
+            ("bounds = 1, 8", "bounds = 8, 1", "bounds = 8, 1"),
+            ("labels = Intel\n", "", "[dimension cpu_type]"),
+        ],
+        ids=["no numeric", "wrong categorical", "no categorical", "bounds", "labels"],
+    )
+    def test_faulty_claim_dimension_is_diagnosed_in_its_section_only(self, line, fault, at):
+        # Its bounds or labels are not unknown keys, and the claim dimension
+        # is declared, so it is not reported missing at line 0 either. A
+        # wrong numeric kind is one of the domain faults above.
+        bad = MINIMAL.replace(line, fault, 1)
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(bad)
+        (diag,) = exc.value.diagnostics
+        assert diag.field == line.split(" = ")[0]
+        assert diag.line == bad.splitlines().index(at) + 1
+
+    @pytest.mark.parametrize(
+        "fault", ["[dimension processors]\nkind = categorical\nlabels = 1, 8", ""],
+        ids=["other kind", "undeclared"],
+    )
+    def test_claim_dimension_of_the_other_kind_or_none_is_diagnosed_at_line_zero(self, fault):
+        bad = MINIMAL.replace("[dimension processors]\nkind = numeric\nbounds = 1, 8", fault, 1)
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(bad)
+        assert [str(d) for d in exc.value.diagnostics] == [
+            "line 0: dimension: clouds require a numeric dimension 'processors'"
+        ]
 
     def test_diagnostics_carry_line_numbers(self):
         bad = MINIMAL.replace("nodes = 2", "nodes = zero")

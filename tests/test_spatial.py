@@ -29,6 +29,7 @@ from fedmesh import (
     map_ticket,
     matches,
     normalize,
+    run_to_quiescence,
     serialize_control_point,
     spatial_hash,
 )
@@ -151,7 +152,9 @@ class TestSpatialHash:
     def test_all_81_keys_distinct(self, testbed_cells):
         assert len({spatial_hash(c, 3) for c in testbed_cells}) == 81
 
-    def test_only_deploy_hashes_cells(self, monkeypatch, testbed_space, melbourne_scenario):
+    def test_cells_are_hashed_when_first_routed(self, monkeypatch, testbed_space, melbourne_scenario):
+        # Building the grid hashes nothing, deploy hashes the ticket cells
+        # its routes place, and a run hashes each cell it routes to once.
         calls: list[str] = []
 
         def counting_hash(name: str):
@@ -161,8 +164,10 @@ class TestSpatialHash:
         monkeypatch.setattr("fedmesh.spatial.hash_name", counting_hash)
         build_base_cells(testbed_space)
         assert calls == []
-        deploy_federation(melbourne_scenario)
-        assert len(calls) == 81
+        state = deploy_federation(melbourne_scenario)
+        assert len(calls) == len(state.cell_owner) == len(state.ticket_cells) == 4
+        run_to_quiescence(state)
+        assert len(calls) == len(set(calls)) == len(state.cell_owner) < 81
 
     def test_five_peer_distribution_mean(self, testbed_cells):
         membership = OverlayMembership()

@@ -247,8 +247,8 @@ class FederationState:
         # valid for the whole run because the node set is fixed.
         self.claim_classes: dict[tuple[str, str, float], _ClaimClassRecord] = {}
         self.ticket_routes: dict[tuple[str, str], tuple[int, str, IndexCell]] = {}
-        # No cell is placed yet: this checks the membership as every later
-        # change is checked, and the routes below place the ticket cells.
+        # Places nothing yet (the routes below place the ticket cells); it
+        # checks the deployed membership as every later change is checked.
         recompute_cell_assignment(self)
         # Every node of a cloud shares the cloud's speed and CPU type, so a
         # (cloud, label) pair fixes the point and the cell of its tickets,
@@ -306,7 +306,9 @@ def recompute_cell_assignment(state: FederationState) -> None:
     still in flight to a cell's old owner is forwarded on arrival. Every
     overlay member must be a deployed peer, so every cell, placed or not,
     goes to one; otherwise this raises ConsistencyError naming the peer and
-    leaves the map and the routes as they were.
+    leaves the map and the routes as they were. The undeployed member stays
+    on the overlay, so the state must not route again until it leaves and
+    this succeeds: a first route to a cell that member owns has no cloud.
     """
     membership = state.membership
     for node_id in membership.members():

@@ -34,7 +34,6 @@ from fedmesh import (
     WorkUnit,
     deploy_federation,
     hash_name,
-    place_cell,
     publish_ticket,
     recompute_cell_assignment,
     response_time,
@@ -46,7 +45,14 @@ from fedmesh import (
     submit_application,
 )
 from fedmesh import ClaimStore, RunResult, parse_scenario
-from fedmesh.federation import ClaimPost, Dispatch, TicketPost, TimerTick, on_allocation
+from fedmesh.federation import (
+    ClaimPost,
+    Dispatch,
+    TicketPost,
+    TimerTick,
+    on_allocation,
+    place_cell,
+)
 from fedmesh.oracles import brute_force_owner, centralized_fifo_allocate, replica_count
 from fedmesh.reporting import write_run_outputs
 from fedmesh.spatial import map_claim, map_ticket
@@ -128,7 +134,11 @@ class TestDeploy:
 
     def test_cell_assignment_deterministic(self):
         sc = scenario([cloud(f"cloud-{i}", 2.4) for i in range(1, 6)])
-        assert deploy_federation(sc).cell_owner == deploy_federation(sc).cell_owner
+        first, second = deploy_federation(sc), deploy_federation(sc)
+        assert first.cell_owner == second.cell_owner
+        assert {c: place_cell(first, c) for c in first.cells} == {
+            c: place_cell(second, c) for c in second.cells
+        }
 
     def test_duplicate_cloud_rejected(self):
         with pytest.raises(InvalidArgumentError, match="duplicate cloud id 'a'"):
@@ -148,9 +158,10 @@ class TestDeploy:
 
     def test_builtin_deploy_passes_the_handoff_check(self, melbourne_scenario):
         state = deploy_federation(melbourne_scenario)
-        before = dict(state.cell_owner)
+        before, placed = assert_placed_by_the_oracle(state), dict(state.cell_owner)
         recompute_cell_assignment(state)
-        assert state.cell_owner == before
+        assert assert_placed_by_the_oracle(state) == before
+        assert state.cell_owner == placed
 
     def test_cells_never_go_to_an_undeployed_peer(self, melbourne_scenario):
         # A peer that joins the overlay mid-run has no handler and no cloud.
@@ -163,6 +174,25 @@ class TestDeploy:
         with pytest.raises(ConsistencyError, match=r"'cloud-9' is on the overlay but was never deployed"):
             recompute_cell_assignment(state)
         assert state.cell_owner == before and state.ticket_routes == routes
+
+    def test_a_refused_recompute_is_mended_by_the_undeployed_peer_leaving(
+        self, melbourne_scenario
+    ):
+        # After the refusal the undeployed peer is still on the overlay, so
+        # no post may be routed until it leaves and a recompute succeeds;
+        # then every cell goes where it went at deploy and the run completes.
+        state = deploy_federation(melbourne_scenario)
+        deployed = assert_placed_by_the_oracle(state)
+        state.engine.run(until_ms=2_000)
+        state.membership.join("cloud-9")
+        with pytest.raises(ConsistencyError):
+            recompute_cell_assignment(state)
+        state.membership.leave(hash_name("cloud-9"))
+        recompute_cell_assignment(state)
+        assert assert_placed_by_the_oracle(state) == deployed
+        run_to_quiescence(state)
+        assert "cloud-9" not in assert_placed_by_the_oracle(state).values()
+        assert_served_exactly_once(state)
 
     def test_leave_forwards_posts_in_flight(self, melbourne_scenario):
         # At t=0 cloud-1's first 25 claim posts are still in flight to it.
@@ -185,7 +215,7 @@ class TestDeploy:
         state.engine.register("peer/cloud-1", watched)
         run_to_quiescence(state)
         assert seen == [ClaimPost] * 25
-        assert "cloud-1" not in state.cell_owner.values()
+        assert "cloud-1" not in assert_placed_by_the_oracle(state).values()
         assert_served_exactly_once(state)
 
     def test_leave_hands_waiting_claims_to_new_owners(self, melbourne_scenario):
@@ -200,7 +230,7 @@ class TestDeploy:
         state.membership.leave(hash_name("cloud-1"))
         recompute_cell_assignment(state)
         run_to_quiescence(state)
-        assert "cloud-1" not in state.cell_owner.values()
+        assert "cloud-1" not in assert_placed_by_the_oracle(state).values()
         assert_served_exactly_once(state)
 
     def test_submission_after_a_leave_posts_each_replica_to_its_cells_new_owner(
@@ -289,7 +319,7 @@ class TestDeploy:
         state.membership.leave(hash_name(peer))
         recompute_cell_assignment(state)
         run_to_quiescence(state)
-        assert peer not in state.cell_owner.values()
+        assert peer not in assert_placed_by_the_oracle(state).values()
         assert_served_exactly_once(state)
 
 
@@ -669,7 +699,7 @@ class TestTicketCells:
         state.membership.leave(hash_name("cloud-2/n0"))
         recompute_cell_assignment(state)
         run_to_quiescence(state)
-        assert "cloud-2/n0" not in state.cell_owner.values()
+        assert "cloud-2/n0" not in assert_placed_by_the_oracle(state).values()
         assert state.engine.events_processed == self.LEAVE_EVENTS
         assert decision_digest(state) == self.LEAVE_DECISIONS
         assert_served_exactly_once(state, units=26)

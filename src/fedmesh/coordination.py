@@ -7,11 +7,13 @@ form one claim class. Every unit a cloud submits for one model shares its
 constraints, so a cell holding thousands of claims holds only a few classes.
 Each class is a FIFO bucket in (arrival_time, claim_id) order.
 
-The federation interns one ClaimClass per (cloud, model): a constraint tuple
-whose hash is computed once, at construction, so a cell insert pays one
-cached-hash call and finds its bucket by identity. A ClaimClass hashes and
-compares as the plain tuple it holds, so claims built with fresh tuples (as
-the oracles and tests build them) still meet an interned class in one bucket.
+The federation interns one ClaimClass per (cloud, model). It lives in
+spatial, beside the constraints, because map_claim keeps each class's cells
+on it. It is a constraint tuple whose hash is computed once, at
+construction, so a cell insert pays one cached-hash call and finds its
+bucket by identity. A ClaimClass hashes and compares as the plain tuple it
+holds, so claims built with fresh tuples (as the oracles and tests build
+them) still meet an interned class in one bucket.
 
 Whether a claim matches a ticket depends on its constraints and the ticket's
 point alone, and both are fixed for a whole run. So the store decides each
@@ -37,7 +39,6 @@ it checks nothing, and new_record (tuple.__new__) builds it in C.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from collections.abc import Iterable
 from heapq import merge
 from itertools import chain
 from typing import NamedTuple
@@ -51,19 +52,6 @@ _Entry = tuple[int, str, ResourceClaim]
 # Builds a NamedTuple message from a tuple of its fields in C, at about half
 # the cost of the generated Python __new__; the object is the same.
 new_record = tuple.__new__
-
-
-class ClaimClass(tuple):
-    """A constraint tuple with its hash cached: equal to, and hashing as, the
-    plain tuple of the same constraints."""
-
-    def __new__(cls, constraints: Iterable[Constraint]) -> ClaimClass:
-        self = super().__new__(cls, constraints)
-        self._hash = tuple.__hash__(self)
-        return self
-
-    def __hash__(self) -> int:
-        return self._hash
 
 
 class AllocationDecision(NamedTuple):

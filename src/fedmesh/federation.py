@@ -73,7 +73,7 @@ from .config import (
     CloudConfig,
     Scenario,
 )
-from .coordination import AllocationDecision, ClaimClass, ClaimStore, new_record
+from .coordination import AllocationDecision, ClaimStore, new_record
 from .engine import RngStream, SimulationEngine
 from .errors import (
     ConsistencyError,
@@ -83,6 +83,7 @@ from .errors import (
 )
 from .overlay import OverlayMembership
 from .spatial import (
+    ClaimClass,
     Eq,
     Ge,
     IndexCell,

@@ -174,8 +174,9 @@ _KIND = _one_of(NUMERIC, CATEGORICAL)
 
 # The file format: section kind -> key -> (converter, default), where a
 # default of None marks a required key. A dimension's keys depend on its
-# kind; "dimension" holds those of a section whose kind is missing or wrong,
-# whose bounds and labels are then left unchecked: only its kind is diagnosed.
+# kind; "dimension" holds those of a section whose kind is missing or wrong
+# (for a claim dimension, the other kind is wrong), whose bounds and labels
+# are then left unchecked: only its kind is diagnosed.
 # f_max has to equal f_min, and its absence is diagnosed as f_max != f_min.
 _KEYS = {
     "top": {
@@ -388,8 +389,15 @@ class _Builder:
         dims: list[DimensionSpec] = []
         for sec in sections:
             kind = sec.entries.get("kind", (0, None))[1]
-            # A missing or wrong kind is diagnosed against the kind alone.
-            values = self.read(sec, kind if kind in (NUMERIC, CATEGORICAL) else "dimension")
+            valid = kind in (NUMERIC, CATEGORICAL)
+            required = REQUIRED_DIMS.get(sec.name, kind)
+            # A missing or wrong kind, or a claim dimension declared as the
+            # other kind, is diagnosed against the kind alone.
+            values = self.read(sec, kind if valid and kind == required else "dimension")
+            if valid and kind != required:
+                message = f"expected {required} for claim dimension {sec.name!r}, got {kind!r}"
+                self.error(sec.entries["kind"][0], "kind", message)
+                continue
             if None in values.values():
                 continue
             try:
@@ -403,16 +411,15 @@ class _Builder:
     def build_clouds(
         self, sections: list[_Section], dim_sections: list[_Section], dims: list[DimensionSpec]
     ) -> list[CloudConfig]:
-        # The claim dimensions that are declared with the right kind.
-        index = {d.name: i for i, d in enumerate(dims) if REQUIRED_DIMS.get(d.name) == d.kind}
+        # The claim dimensions that are declared without fault.
+        index = {d.name: i for i, d in enumerate(dims) if d.name in REQUIRED_DIMS}
         if not sections:
             self.error(0, "cloud", "missing [cloud] section")
-        # A claim dimension is diagnosed here when it is missing or declared
-        # as the other kind; any other fault of one is, in its own section.
-        kinds = {sec.name: sec.entries.get("kind", (0, ""))[1] for sec in dim_sections}
+        # A claim dimension is diagnosed here when it is missing; any fault
+        # of one that is declared is, in its own section.
+        declared = {sec.name for sec in dim_sections}
         for name, kind in REQUIRED_DIMS.items():
-            declared = kinds.get(name)
-            if declared is None or declared != kind and declared in (NUMERIC, CATEGORICAL):
+            if name not in declared:
                 self.error(0, "dimension", f"clouds require a {kind} dimension {name!r}")
         for sec in dim_sections:
             if sec.name not in REQUIRED_DIMS:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import Union
 
@@ -113,6 +114,27 @@ Constraint = Union[Eq, Ge, Le, Range]
 
 # One base cell of the grid: its slice index per dimension.
 IndexCell = tuple[int, ...]
+
+
+class ClaimClass(tuple):
+    """An interned constraint tuple: equal to, and hashing as, the plain tuple
+    of the same constraints, with its hash computed once at construction.
+
+    It also keeps the cells of its last successful :func:`map_claim`, with
+    the space and grid they were mapped in, so every later claim of the class
+    in that space and grid reuses them without validating again. A class
+    that fails validation is never stored, so each of its claims is rejected
+    under its own id on every call.
+    """
+
+    def __new__(cls, constraints: Iterable[Constraint]) -> ClaimClass:
+        self = super().__new__(cls, constraints)
+        self._hash = tuple.__hash__(self)
+        self._mapped = None
+        return self
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 @dataclass(frozen=True, slots=True)
@@ -242,11 +264,23 @@ def map_claim(
 
     Closed-interval intersection per dimension, so a region touching a slice
     boundary lands in both adjacent cells; the matching ticket's single cell
-    is always among them. Every call validates the claim; only the grid walk
-    from its region is memoised.
+    is always among them. A claim whose constraints are a plain tuple is
+    validated on every call, and only the grid walk from its region is
+    memoised. An interned :class:`ClaimClass` keeps the cells of its last
+    successful call, which a later call with the same ``space`` and
+    ``cells`` objects returns without validating again.
     """
+    constraints = claim.constraints
+    interned = type(constraints) is ClaimClass
+    if interned:
+        mapped = constraints._mapped
+        if mapped is not None and mapped[0] is space and mapped[1] is cells:
+            return mapped[2]
     offsets = _region_offsets(space.f_min, claim_region(space, claim))
-    return tuple([cells[i] for i in offsets])
+    selected = tuple([cells[i] for i in offsets])
+    if interned:
+        constraints._mapped = (space, cells, selected)
+    return selected
 
 
 @functools.lru_cache(maxsize=256)

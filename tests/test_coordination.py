@@ -21,7 +21,6 @@ from fedmesh import (
     map_ticket,
 )
 from fedmesh import coordination
-from fedmesh.coordination import ClaimClass
 from fedmesh.oracles import (
     centralized_fifo_allocate,
     distributed_fifo_allocate,
@@ -30,6 +29,7 @@ from fedmesh.oracles import (
     random_ticket,
     replica_count,
 )
+from fedmesh.spatial import ClaimClass
 
 from conftest import THREAD_LABEL, published_ticket, stored_claims
 

@@ -55,7 +55,7 @@ from fedmesh.federation import (
 )
 from fedmesh.oracles import brute_force_owner, centralized_fifo_allocate, replica_count
 from fedmesh.reporting import write_run_outputs
-from fedmesh.spatial import map_claim, map_ticket
+from fedmesh.spatial import claim_region, map_claim, map_ticket
 from fedmesh.workloads import SERVICE_LABELS
 
 from conftest import TASK_LABEL, THREAD_LABEL, published_ticket
@@ -371,6 +371,25 @@ class TestSubmit:
         submit_application(state, "cloud-2", workload("cloud-2", rows=1, cols=2))
         assert len({id(p.claim.constraints) for p in state.pending.values()}) == 1
         assert len(state.claim_classes) == 1
+
+    def test_a_run_validates_each_claim_class_once_and_maps_every_unit(
+        self, melbourne_scenario, monkeypatch
+    ):
+        regions, mapped = [], []
+        monkeypatch.setattr(
+            "fedmesh.spatial.claim_region", lambda *args: regions.append(args) or claim_region(*args)
+        )
+        monkeypatch.setattr(
+            "fedmesh.federation.map_claim", lambda *args: mapped.append(args[2]) or map_claim(*args)
+        )
+        state = deploy_federation(melbourne_scenario)
+        run_to_quiescence(state)
+        # map_claim is still called once per unit; only each class's first
+        # call computes its region.
+        assert len({claim.claim_id for claim in mapped}) == len(mapped) == state.submitted_total
+        assert len(regions) == len(state.claim_classes) < state.submitted_total
+        classes = {id(record.constraints) for record in state.claim_classes.values()}
+        assert {id(claim.constraints) for _, claim in regions} == classes
 
     @pytest.mark.parametrize("change", ["missing", "extra"])
     def test_space_without_exactly_the_claim_dimensions_rejected(self, change):

@@ -211,16 +211,36 @@ class TestParse:
         assert diag.line == bad.splitlines().index(at) + 1
 
     @pytest.mark.parametrize(
-        "fault", ["[dimension processors]\nkind = categorical\nlabels = 1, 8", ""],
-        ids=["other kind", "undeclared"],
+        "section, fault, diagnostic",
+        [
+            (
+                "[dimension processors]\nkind = numeric\nbounds = 1, 8",
+                "[dimension processors]\nkind = categorical\nlabels = 1, 8",
+                "line {}: kind: expected numeric for claim dimension 'processors', got 'categorical'",
+            ),
+            (
+                "[dimension service_type]\nkind = categorical",
+                "[dimension service_type]\nkind = numeric",
+                "line {}: kind: expected categorical for claim dimension 'service_type', got 'numeric'",
+            ),
+            (
+                "[dimension processors]\nkind = numeric\nbounds = 1, 8",
+                "",
+                "line 0: dimension: clouds require a numeric dimension 'processors'",
+            ),
+        ],
+        ids=["other kind, numeric", "other kind, categorical", "undeclared"],
     )
-    def test_claim_dimension_of_the_other_kind_or_none_is_diagnosed_at_line_zero(self, fault):
-        bad = MINIMAL.replace("[dimension processors]\nkind = numeric\nbounds = 1, 8", fault, 1)
+    def test_claim_dimension_of_the_other_kind_or_none_is_diagnosed_once(
+        self, section, fault, diagnostic
+    ):
+        # The other kind is diagnosed at the kind line alone, the line after
+        # the header: the section's bounds or labels are left unchecked, and
+        # the dimension is declared.
+        kind_line = MINIMAL.splitlines().index(section.split("\n")[0]) + 2
         with pytest.raises(ScenarioError) as exc:
-            parse_scenario(bad)
-        assert [str(d) for d in exc.value.diagnostics] == [
-            "line 0: dimension: clouds require a numeric dimension 'processors'"
-        ]
+            parse_scenario(MINIMAL.replace(section, fault, 1))
+        assert [str(d) for d in exc.value.diagnostics] == [diagnostic.format(kind_line)]
 
     def test_diagnostics_carry_line_numbers(self):
         bad = MINIMAL.replace("nodes = 2", "nodes = zero")

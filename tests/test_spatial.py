@@ -34,7 +34,7 @@ from fedmesh import (
     spatial_hash,
 )
 from fedmesh.oracles import random_claim, random_space, random_ticket
-from fedmesh.spatial import _region_offsets, control_point, point_satisfies
+from fedmesh.spatial import ClaimClass, _region_offsets, control_point, point_satisfies
 
 from conftest import TASK_LABEL, THREAD_LABEL, published_ticket, stored_claims
 
@@ -333,6 +333,89 @@ class TestMapClaim:
         )
         with pytest.raises(DomainError, match="speed_ghz: nan outside bounds"):
             map_claim(testbed_space, testbed_cells, claim)
+
+
+class TestClaimClassMemo:
+    """An interned class keeps the cells of its last successful mapping,
+    with the space and grid they were mapped in."""
+
+    def test_interned_class_maps_as_its_plain_tuple(self):
+        # Each class is mapped on a miss, on a hit, and in an equal but
+        # distinct grid of the same space, which is a miss again.
+        rng = random.Random(41)
+        for s in range(60):
+            space = random_space(rng, rng.randint(1, 3))
+            cells = build_base_cells(space)
+            for t in range(4):
+                plain = random_claim(rng, space, f"p{s}.{t}")
+                expected = map_claim(space, cells, plain)
+                interned = ClaimClass(plain.constraints)
+                for j in range(2):
+                    claim = ResourceClaim(f"i{s}.{t}.{j}", interned, 1, "o", 0)
+                    assert map_claim(space, cells, claim) == expected
+                    assert interned._mapped[0] is space and interned._mapped[1] is cells
+                    assert interned._mapped[2] == expected
+                again = build_base_cells(space)
+                selected = map_claim(space, again, ResourceClaim(f"g{s}.{t}", interned, 1, "o", 0))
+                assert selected == expected
+                assert all(again[again.index(c)] is c for c in selected)
+                assert interned._mapped[1] is again
+
+    def test_hit_skips_validation_and_returns_the_stored_cells(
+        self, testbed_space, testbed_cells, monkeypatch
+    ):
+        interned = ClaimClass((Eq(THREAD_LABEL), Eq(1), Eq("Intel"), Ge(2.4)))
+        first = map_claim(testbed_space, testbed_cells, ResourceClaim("u0", interned, 1, "o", 0))
+        calls = []
+        monkeypatch.setattr(
+            "fedmesh.spatial.claim_region", lambda *args: calls.append(args) or claim_region(*args)
+        )
+        for j in range(1, 4):
+            claim = ResourceClaim(f"u{j}", interned, 1, "o", 0)
+            assert map_claim(testbed_space, testbed_cells, claim) is first
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "constraints, error, message",
+        [
+            (
+                (Eq(THREAD_LABEL), Eq(1), Eq("Intel")),
+                InvalidArgumentError, "3 constraints for 4 dims",
+            ),
+            (
+                (Eq(THREAD_LABEL), Eq(1), Eq("Intel"), Ge(float("nan"))),
+                DomainError, "speed_ghz: nan outside bounds",
+            ),
+            (
+                (Eq("NoSuchService"), Eq(1), Eq("Intel"), Ge(2.0)),
+                DomainError, "service_type: unknown label",
+            ),
+        ],
+        ids=["arity", "nan", "label"],
+    )
+    def test_failing_class_is_rejected_under_each_claim_id_and_never_stored(
+        self, testbed_space, testbed_cells, constraints, error, message
+    ):
+        interned = ClaimClass(constraints)
+        for ident in ("bad-a", "bad-b", "bad-a"):
+            claim = ResourceClaim(ident, interned, 1, "o", 0)
+            with pytest.raises(error, match=f"claim {ident}: {message}"):
+                map_claim(testbed_space, testbed_cells, claim)
+            assert interned._mapped is None
+
+    def test_class_is_validated_again_in_another_space(self, testbed_space, testbed_cells):
+        slower = AttributeSpace(
+            dims=testbed_space.dims[:3]
+            + (DimensionSpec(name="speed_ghz", kind="numeric", bounds=(0.0, 3.0)),),
+            f_min=testbed_space.f_min,
+        )
+        interned = ClaimClass((Eq(THREAD_LABEL), Eq(1), Eq("Intel"), Ge(3.5)))
+        stored = map_claim(testbed_space, testbed_cells, ResourceClaim("fast-1", interned, 1, "o", 0))
+        assert stored and interned._mapped[2] is stored
+        claim = ResourceClaim("fast-2", interned, 1, "o", 0)
+        with pytest.raises(DomainError, match=r"claim fast-2: speed_ghz: 3.5 outside bounds \[0.0, 3.0\]"):
+            map_claim(slower, build_base_cells(slower), claim)
+        assert interned._mapped[0] is testbed_space
 
 
 class TestMapTicket:

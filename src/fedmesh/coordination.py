@@ -32,8 +32,13 @@ capacity is discarded, since a fresh status ticket will follow. A ticket
 at a cell where no claim waits serves nothing, so the federation asks
 has_waiting first and builds no ticket there.
 
-An AllocationDecision is a NamedTuple message, like the federation's posts:
-it checks nothing, and new_record (tuple.__new__) builds it in C.
+Claims and tickets are tuple records (NamedTuple subclasses whose public
+constructors check their units), and an AllocationDecision is a NamedTuple
+message, like the federation's posts: it checks nothing. new_record
+(tuple.__new__) builds any of them in C, unchecked; the federation builds
+its per-unit claims, its tickets and every decision that way. A served
+claim leaves its bucket by id; it is almost always the bucket's head,
+which is dropped without a search.
 """
 
 from __future__ import annotations
@@ -49,8 +54,9 @@ from .spatial import Constraint, IndexCell, ResourceClaim, ResourceTicket, match
 # (arrival_time, claim_id, claim): unique on the first two within a cell.
 _Entry = tuple[int, str, ResourceClaim]
 
-# Builds a NamedTuple message from a tuple of its fields in C, at about half
-# the cost of the generated Python __new__; the object is the same.
+# Builds a NamedTuple message or record from a tuple of its fields in C, at
+# about half the cost of the generated Python __new__; the object is the
+# same. It skips a record's checking __new__, so callers pass checked fields.
 new_record = tuple.__new__
 
 
@@ -88,7 +94,11 @@ class _CellQueue:
         if found is None:
             return False
         bucket, arrival_time = found
-        del bucket[bisect_left(bucket, (arrival_time, claim_id))]
+        # A served claim is almost always its bucket's head: drop it unsearched.
+        if bucket[0][1] == claim_id:
+            del bucket[0]
+        else:
+            del bucket[bisect_left(bucket, (arrival_time, claim_id))]
         return True
 
 

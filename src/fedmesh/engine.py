@@ -106,11 +106,21 @@ class SimulationEngine:
         """Enqueue an event at now + delay_ms, after every event already
         queued for that millisecond.
 
-        The delay is a whole, finite, non-negative number of milliseconds; any
-        other value is rejected before anything is queued or counted.
+        The delay is a whole, finite, non-negative number of milliseconds, not
+        a bool; any other value is rejected before anything is queued or
+        counted.
         """
         if type(delay_ms) is not int:
-            if not (math.isfinite(delay_ms) and delay_ms == int(delay_ms)):
+            # A bool is not a delay, and a non-number has no isfinite.
+            try:
+                whole = (
+                    type(delay_ms) is not bool
+                    and math.isfinite(delay_ms)
+                    and delay_ms == int(delay_ms)
+                )
+            except TypeError:
+                whole = False
+            if not whole:
                 raise InvalidArgumentError(
                     f"delay to {target!r} must be a whole number of ms, got {delay_ms!r}"
                 )

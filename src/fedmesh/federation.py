@@ -28,6 +28,9 @@ AllocationDecision (match notification), Dispatch, ExecDone, the finished
 WorkUnit (result) and a node's TimerTick. All but the submission are
 NamedTuples. Those sent per unit or per ticket are built in C with
 tuple.__new__ (new_record); a TimerTick is built once per node, at deploy.
+So are each unit's ResourceClaim and each ResourceTicket a peer builds at
+its cell: tuple records whose public constructors check their units, which
+new_record skips, so both sites pass the literal 1 that holds the check.
 Each entity kind (scheduler, peer, node) dispatches on the payload's type
 through one table; any other payload is a named error. A TicketPost carries
 (node, label, issue time, cell), not a ticket: the cell's owner builds the
@@ -385,13 +388,9 @@ def submit_application(
     stored = routes = None
     schedule = state.engine.schedule
     for unit in units:
-        claim = ResourceClaim(
-            claim_id=unit.unit_id,
-            constraints=claim_class.constraints,
-            requested_units=1,
-            origin=cloud_id,
-            arrival_time=now,
-        )
+        # Built in C, unchecked: the literal 1 unit passes
+        # ResourceClaim's requested_units >= 1 check by construction.
+        claim = new_record(ResourceClaim, (unit.unit_id, claim_class.constraints, 1, cloud_id, now))
         if not claim_class.satisfiable:
             state.stranded_ids.add(claim.claim_id)
         cells = map_claim(state.space, state.cells, claim)
@@ -608,7 +607,10 @@ def _ticket(
 ) -> ResourceTicket:
     """The node's status ticket for one label: one free processor."""
     point = state.node_points[node.cloud_id, label]
-    return ResourceTicket(f"{node.node_id}@{issue_time}/{label}", point, 1, node.node_id, issue_time)
+    # Built in C, unchecked: the literal 1 unit passes ResourceTicket's
+    # available_units >= 0 check by construction.
+    fields = (f"{node.node_id}@{issue_time}/{label}", point, 1, node.node_id, issue_time)
+    return new_record(ResourceTicket, fields)
 
 
 def _route(state: FederationState, cloud_id: str, cell: IndexCell) -> tuple[int, str, IndexCell]:

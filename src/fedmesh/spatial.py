@@ -21,7 +21,7 @@ import itertools
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 from .errors import DomainError, InvalidArgumentError
 from .overlay import NodeId, hash_name
@@ -137,34 +137,64 @@ class ClaimClass(tuple):
         return self._hash
 
 
-@dataclass(frozen=True, slots=True)
-class ResourceClaim:
-    """A range look-up query: one constraint per dimension plus capacity."""
-
+class _ResourceClaimFields(NamedTuple):
     claim_id: str
     constraints: tuple[Constraint, ...]
     requested_units: int
     origin: str
     arrival_time: int
 
-    def __post_init__(self) -> None:
-        if self.requested_units < 1:
+
+class ResourceClaim(_ResourceClaimFields):
+    """A range look-up query: one constraint per dimension plus capacity.
+
+    A tuple record whose constructor checks ``requested_units >= 1``. The
+    federation builds its per-unit claims in C with ``tuple.__new__``
+    (coordination.new_record), which skips the check, so it passes only
+    fields that hold it by construction. NamedTuple's ``_replace`` and
+    ``_make`` build through ``tuple.__new__`` too, so the library calls
+    neither.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls, claim_id: str, constraints: tuple[Constraint, ...], requested_units: int,
+        origin: str, arrival_time: int,
+    ) -> ResourceClaim:
+        if requested_units < 1:
             raise InvalidArgumentError("requested_units must be >= 1")
+        return tuple.__new__(cls, (claim_id, constraints, requested_units, origin, arrival_time))
 
 
-@dataclass(frozen=True, slots=True)
-class ResourceTicket:
-    """A point update query: a node's attribute values plus free capacity."""
-
+class _ResourceTicketFields(NamedTuple):
     ticket_id: str
     point: tuple[object, ...]
     available_units: int
     origin: str
     issue_time: int
 
-    def __post_init__(self) -> None:
-        if self.available_units < 0:
+
+class ResourceTicket(_ResourceTicketFields):
+    """A point update query: a node's attribute values plus free capacity.
+
+    A tuple record whose constructor checks ``available_units >= 0``. The
+    federation builds each node ticket in C with ``tuple.__new__``
+    (coordination.new_record), which skips the check, so it passes only
+    fields that hold it by construction. NamedTuple's ``_replace`` and
+    ``_make`` build through ``tuple.__new__`` too, so the library calls
+    neither.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls, ticket_id: str, point: tuple[object, ...], available_units: int,
+        origin: str, issue_time: int,
+    ) -> ResourceTicket:
+        if available_units < 0:
             raise InvalidArgumentError("available_units must be >= 0")
+        return tuple.__new__(cls, (ticket_id, point, available_units, origin, issue_time))
 
 
 def serialize_control_point(point: tuple[float, ...]) -> str:

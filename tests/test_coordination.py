@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import random
 
 import pytest
@@ -32,6 +31,12 @@ from fedmesh.oracles import (
 from fedmesh.spatial import ClaimClass
 
 from conftest import THREAD_LABEL, published_ticket, stored_claims
+
+
+def _replaced(record, **changes):
+    """A copy of a claim or ticket with some fields changed, built by its
+    checking constructor (NamedTuple's _replace would skip the check)."""
+    return type(record)(**{**record._asdict(), **changes})
 
 
 @pytest.fixture()
@@ -81,10 +86,8 @@ class TestPostClaim:
     def test_equal_arrival_times_tie_break_on_id(self, testbed_space, testbed_cells):
         store = ClaimStore()
         base = stored_claims()[0]
-        import dataclasses
-
-        a = dataclasses.replace(base, claim_id="b-claim", arrival_time=100)
-        b = dataclasses.replace(base, claim_id="a-claim", arrival_time=100)
+        a = _replaced(base, claim_id="b-claim", arrival_time=100)
+        b = _replaced(base, claim_id="a-claim", arrival_time=100)
         cell = map_claim(testbed_space, testbed_cells, base)[0]
         store.post_claim(cell, a)
         store.post_claim(cell, b)
@@ -120,12 +123,10 @@ class TestPostTicket:
         assert [d.claim_id for d in decisions] == ["claim-1", "claim-3"]
 
     def test_large_claim_does_not_block_smaller(self, testbed_space, testbed_cells):
-        import dataclasses
-
         store = ClaimStore()
         base = stored_claims()[0]
-        hungry = dataclasses.replace(base, claim_id="hungry", requested_units=3, arrival_time=10)
-        modest = dataclasses.replace(base, claim_id="modest", requested_units=1, arrival_time=20)
+        hungry = _replaced(base, claim_id="hungry", requested_units=3, arrival_time=10)
+        modest = _replaced(base, claim_id="modest", requested_units=1, arrival_time=20)
         cell = map_ticket(testbed_space, testbed_cells, published_ticket())
         store.post_claim(cell, hungry)
         store.post_claim(cell, modest)
@@ -262,7 +263,7 @@ class TestClaimClasses:
             "b3": _thread_claim("b3", 2.4, 400),
         }
         base = published_ticket()
-        ticket = dataclasses.replace(base, available_units=5)
+        ticket = _replaced(base, available_units=5)
         cell = map_ticket(testbed_space, testbed_cells, ticket)
         store = ClaimStore()
         for claim_id in ("a3", "b3", "c1", "b2", "a1", "big", "a2", "b1"):
@@ -286,9 +287,43 @@ class TestClaimClasses:
         assert store.waiting_claim_ids() == ("b3", "big", "c1")
 
         # The class whose middle claim left still serves in order.
-        follow_up = dataclasses.replace(base, ticket_id="again", available_units=7)
+        follow_up = _replaced(base, ticket_id="again", available_units=7)
         assert [d.claim_id for d in store.post_ticket(cell, follow_up)] == ["big", "b3"]
         assert [c.claim_id for c in store.snapshot(cell)] == ["c1"]
+
+    def test_discard_from_the_middle_and_from_the_head(self, testbed_space, testbed_cells):
+        # One bucket, tied on arrival time: the middle claim is found by a
+        # search, a head claim is dropped without one.
+        cell = map_ticket(testbed_space, testbed_cells, published_ticket())
+        store = ClaimStore()
+        for claim_id in ("c", "a", "b"):
+            store.post_claim(cell, _thread_claim(claim_id, 2.4, 100))
+        assert len(store._cells[cell].buckets) == 1
+        for claim_id, left in (("b", ["a", "c"]), ("a", ["c"]), ("c", [])):
+            assert store.discard(cell, claim_id)
+            assert not store.discard(cell, claim_id)
+            assert [c.claim_id for c in store.snapshot(cell)] == left
+            assert store.has_waiting(cell) == bool(left)
+
+    def test_a_ticket_serves_claims_behind_an_unserved_head(self, testbed_space, testbed_cells):
+        # The head wants more than the ticket holds, so both claims served
+        # leave from behind it.
+        claims = [
+            _thread_claim("a", 2.4, 100, units=3),
+            _thread_claim("b", 2.4, 100),
+            _thread_claim("c", 2.4, 100),
+        ]
+        ticket = _replaced(published_ticket(), available_units=2)
+        cell = map_ticket(testbed_space, testbed_cells, ticket)
+        store = ClaimStore()
+        for claim in claims:
+            store.post_claim(cell, claim)
+        decisions = store.post_ticket(cell, ticket)
+        assert [(d.ticket_id, d.claim_id, d.units_granted) for d in decisions] == (
+            centralized_fifo_allocate(claims, [ticket])
+        ) == [(ticket.ticket_id, "b", 1), (ticket.ticket_id, "c", 1)]
+        assert store.snapshot(cell) == claims[:1]
+        assert store.waiting_claim_ids() == ("a",)
 
     def test_claim_class_hashes_and_compares_as_its_tuple(self):
         plain = (Eq(THREAD_LABEL), Eq(1), Eq("Intel"), Ge(2.4))
@@ -316,14 +351,14 @@ class TestClaimClasses:
     def test_interned_and_plain_claims_share_one_bucket(self, testbed_space, testbed_cells):
         interned = ClaimClass((Eq(THREAD_LABEL), Eq(1), Eq("Intel"), Ge(2.4)))
         claims = [
-            dataclasses.replace(
+            _replaced(
                 _thread_claim(f"u{j}", 2.4, arrival_time=(j * 7) % 5 * 10),
                 constraints=interned if j % 2 else tuple(interned),
             )
             for j in range(8)
         ]
         assert {type(c.constraints) for c in claims} == {tuple, ClaimClass}
-        ticket = dataclasses.replace(published_ticket(), available_units=5)
+        ticket = _replaced(published_ticket(), available_units=5)
         cell = map_ticket(testbed_space, testbed_cells, ticket)
         store = ClaimStore()
         for claim in claims:

@@ -70,7 +70,8 @@ class TestSchedule:
             engine.schedule(-1, "a", "x")
 
     @pytest.mark.parametrize(
-        "delay", [-1, -0.5, 0.9, 2.5, float("nan"), float("inf"), float("-inf")]
+        "delay",
+        [-1, -0.5, 0.9, 2.5, float("nan"), float("inf"), float("-inf"), True, False, "5", None],
     )
     def test_rejected_delay_takes_no_inbox_slot(self, delay):
         engine = SimulationEngine(default_inbox_capacity=1)

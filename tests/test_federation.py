@@ -44,7 +44,7 @@ from fedmesh import (
     spatial_hash,
     submit_application,
 )
-from fedmesh import ClaimStore, RunResult, parse_scenario
+from fedmesh import ClaimStore, RunResult, federation, parse_scenario
 from fedmesh.federation import (
     ClaimPost,
     Dispatch,
@@ -348,6 +348,29 @@ class TestSubmit:
         assert by_dim["processors"] == Eq(1)
         assert by_dim["cpu_type"] == Eq("Intel")
         assert by_dim["speed_ghz"] == Ge(2.4)
+
+    def test_records_built_in_c_pass_their_checks(self, melbourne_scenario, monkeypatch):
+        # Each unit's claim and each ticket skip their constructor's check;
+        # every one the built-in run makes must pass it all the same.
+        tickets, built = [], federation._ticket
+
+        def kept(*args):
+            tickets.append(built(*args))
+            return tickets[-1]
+
+        monkeypatch.setattr(federation, "_ticket", kept)
+        state = deploy_federation(melbourne_scenario)
+        state.engine.run(until_ms=2_000)
+        pending = [p.claim for p in state.pending.values()]
+        stored = [c for cell in state.ticket_cells for c in state.store.snapshot(cell)]
+        assert pending and stored
+        for claim in pending + stored:
+            assert type(claim) is ResourceClaim and claim == ResourceClaim(*claim)
+        run_to_quiescence(state)
+        assert_served_exactly_once(state)
+        assert tickets
+        for ticket in tickets:
+            assert type(ticket) is ResourceTicket and ticket == ResourceTicket(*ticket)
 
     def test_claims_of_one_cloud_and_model_share_one_interned_class(self):
         state = deploy_federation(scenario([cloud("cloud-1", 2.4), cloud("cloud-2", 3.0)]))

@@ -479,6 +479,43 @@ class TestDomainErrorsNameTheirQuery:
             mapper(testbed_space, testbed_cells, obj)
 
 
+class TestRecords:
+    """Claims and tickets are tuple records whose constructors check their units."""
+
+    def test_claim_of_no_units_is_rejected(self):
+        with pytest.raises(InvalidArgumentError, match="requested_units must be >= 1"):
+            ResourceClaim("c", stored_claims()[0].constraints, 0, "cloud-1", 0)
+
+    def test_ticket_of_negative_capacity_is_rejected(self):
+        with pytest.raises(InvalidArgumentError, match="available_units must be >= 0"):
+            ResourceTicket("t", published_ticket().point, -1, "cloud-2/n0", 0)
+
+    def test_keyword_construction_names_every_field(self):
+        claim = ResourceClaim(
+            claim_id="c", constraints=(Eq(THREAD_LABEL),), requested_units=2,
+            origin="cloud-1", arrival_time=5,
+        )
+        assert type(claim) is ResourceClaim
+        assert claim == ResourceClaim("c", (Eq(THREAD_LABEL),), 2, "cloud-1", 5)
+        assert (claim.claim_id, claim.requested_units, claim.origin, claim.arrival_time) == (
+            "c", 2, "cloud-1", 5
+        )
+        ticket = ResourceTicket(
+            ticket_id="t", point=(THREAD_LABEL,), available_units=0, origin="n", issue_time=9
+        )
+        assert type(ticket) is ResourceTicket
+        assert ticket == ResourceTicket("t", (THREAD_LABEL,), 0, "n", 9)
+        assert (ticket.ticket_id, ticket.point, ticket.available_units, ticket.issue_time) == (
+            "t", (THREAD_LABEL,), 0, 9
+        )
+
+    def test_records_have_no_instance_dict(self):
+        for record in (stored_claims()[0], published_ticket()):
+            assert not hasattr(record, "__dict__")
+            with pytest.raises(AttributeError):
+                record.note = "x"
+
+
 class TestMatches:
     def test_thread_claim_served_by_thread_ticket(self):
         claims = stored_claims()

@@ -3,11 +3,12 @@
 A key-based-routing overlay assigns d-dimensional index cells to coordinator
 peers; schedulers post range claims, execution nodes post point tickets, and
 per-cell FIFO allocation load-balances work units across enterprise clouds.
+
+The package exports only what the README documents, and everything else is
+imported from its module, such as `fedmesh.federation` or `fedmesh.oracles`.
 """
 
-from .config import CloudConfig, LatencyModel, Scenario
-from .coordination import AllocationDecision, ClaimStore
-from .engine import Inbox, RngStream, SimulationEngine
+from .config import Scenario
 from .errors import (
     AlreadyMemberError,
     BufferOverflowError,
@@ -22,119 +23,31 @@ from .errors import (
     NotReadyError,
     SimulationError,
 )
-from .experiments import RunResult, SweepResult, run_scenario, run_sweep, scale_workloads
-from .federation import (
-    ApplicationHandle,
-    ExecutionNode,
-    FederationState,
-    deploy_federation,
-    on_allocation,
-    publish_ticket,
-    recompute_cell_assignment,
-    response_time,
-    run_to_quiescence,
-    submit_application,
-)
-from .overlay import NodeId, OverlayMembership, RoutingState, circular_distance, hash_name
+from .experiments import RunResult, SweepResult, run_scenario, run_sweep
 from .scenario import ScenarioError, builtin_scenario_path, load_scenario, parse_scenario
-from .spatial import (
-    AttributeSpace,
-    DimensionSpec,
-    Eq,
-    Ge,
-    IndexCell,
-    Le,
-    Range,
-    ResourceClaim,
-    ResourceTicket,
-    build_base_cells,
-    claim_region,
-    map_claim,
-    map_ticket,
-    matches,
-    normalize,
-    serialize_control_point,
-    spatial_hash,
-)
-from .workloads import (
-    DemandDistribution,
-    JobShare,
-    MetricsSink,
-    WorkloadSpec,
-    WorkUnit,
-    generate_units,
-    job_share_percent,
-)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AllocationDecision",
     "AlreadyMemberError",
-    "ApplicationHandle",
-    "AttributeSpace",
     "BufferOverflowError",
-    "ClaimStore",
-    "CloudConfig",
     "ConsistencyError",
-    "DemandDistribution",
-    "DimensionSpec",
     "DomainError",
-    "Eq",
-    "ExecutionNode",
-    "FederationState",
     "FedmeshError",
-    "Ge",
     "IdCollisionError",
-    "Inbox",
-    "IndexCell",
     "InvalidArgumentError",
     "InvalidSourceError",
-    "JobShare",
-    "LatencyModel",
-    "Le",
-    "MetricsSink",
     "NoRouteError",
-    "NodeId",
     "NotAMemberError",
     "NotReadyError",
-    "OverlayMembership",
-    "Range",
-    "ResourceClaim",
-    "ResourceTicket",
-    "RngStream",
-    "RoutingState",
     "RunResult",
     "Scenario",
     "ScenarioError",
-    "SimulationEngine",
     "SimulationError",
     "SweepResult",
-    "WorkUnit",
-    "WorkloadSpec",
-    "build_base_cells",
     "builtin_scenario_path",
-    "circular_distance",
-    "claim_region",
-    "deploy_federation",
-    "generate_units",
-    "hash_name",
-    "job_share_percent",
     "load_scenario",
-    "map_claim",
-    "map_ticket",
-    "matches",
-    "normalize",
-    "on_allocation",
     "parse_scenario",
-    "publish_ticket",
-    "recompute_cell_assignment",
-    "response_time",
     "run_scenario",
     "run_sweep",
-    "run_to_quiescence",
-    "scale_workloads",
-    "serialize_control_point",
-    "spatial_hash",
-    "submit_application",
 ]

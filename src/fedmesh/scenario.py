@@ -299,8 +299,16 @@ def parse_scenario(text: str, source: str = "<string>") -> Scenario:
 
 
 def load_scenario(path: str | Path) -> Scenario:
+    """Read and parse a UTF-8 scenario file; raises ScenarioError, or OSError
+    when the file cannot be read."""
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
+    data = path.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        message = f"not UTF-8 at byte {exc.start}: {exc.reason}"
+        raise ScenarioError(str(path), [Diagnostic(line, "encoding", message)]) from None
     return parse_scenario(text, source=str(path))
 
 

@@ -2,7 +2,8 @@ from __future__ import annotations
 
 import pytest
 
-from fedmesh import (
+from fedmesh import builtin_scenario_path, load_scenario
+from fedmesh.spatial import (
     AttributeSpace,
     DimensionSpec,
     Eq,
@@ -10,8 +11,6 @@ from fedmesh import (
     ResourceClaim,
     ResourceTicket,
     build_base_cells,
-    builtin_scenario_path,
-    load_scenario,
 )
 
 TASK_LABEL = "P2PTaskExecution"

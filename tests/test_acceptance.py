@@ -12,22 +12,9 @@ import time
 
 import pytest
 
-from fedmesh import (
-    AttributeSpace,
-    ClaimStore,
-    DimensionSpec,
-    NodeId,
-    OverlayMembership,
-    build_base_cells,
-    builtin_scenario_path,
-    job_share_percent,
-    load_scenario,
-    map_claim,
-    map_ticket,
-    run_sweep,
-    spatial_hash,
-)
+from fedmesh import builtin_scenario_path, load_scenario, run_sweep
 from fedmesh.cli import main
+from fedmesh.coordination import ClaimStore
 from fedmesh.oracles import (
     allocation_suite,
     brute_force_owner,
@@ -35,6 +22,16 @@ from fedmesh.oracles import (
     rendezvous_suite,
     replica_count,
 )
+from fedmesh.overlay import NodeId, OverlayMembership
+from fedmesh.spatial import (
+    AttributeSpace,
+    DimensionSpec,
+    build_base_cells,
+    map_claim,
+    map_ticket,
+    spatial_hash,
+)
+from fedmesh.workloads import job_share_percent
 
 from conftest import published_ticket, stored_claims
 
@@ -137,7 +134,7 @@ def test_criterion_4_rendezvous_oracle(grid2x2_space):
 
     # Exhaustive discretized enumeration on the 2-dim, twice-divided grid.
     cells = build_base_cells(grid2x2_space)
-    from fedmesh import Eq, Ge, Le, Range, ResourceClaim, ResourceTicket, matches
+    from fedmesh.spatial import Eq, Ge, Le, Range, ResourceClaim, ResourceTicket, matches
 
     bounds = [d.bounds for d in grid2x2_space.dims]
     points = [[lo + k * (hi - lo) / 8 for k in range(9)] for lo, hi in bounds]

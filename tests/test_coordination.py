@@ -6,8 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedmesh import (
-    ClaimStore,
+from fedmesh import coordination
+from fedmesh.coordination import ClaimStore
+from fedmesh.oracles import (
+    centralized_fifo_allocate,
+    distributed_fifo_allocate,
+    random_claim,
+    random_space,
+    random_ticket,
+    replica_count,
+)
+from fedmesh.spatial import (
+    ClaimClass,
     Eq,
     Ge,
     IndexCell,
@@ -19,16 +29,6 @@ from fedmesh import (
     map_claim,
     map_ticket,
 )
-from fedmesh import coordination
-from fedmesh.oracles import (
-    centralized_fifo_allocate,
-    distributed_fifo_allocate,
-    random_claim,
-    random_space,
-    random_ticket,
-    replica_count,
-)
-from fedmesh.spatial import ClaimClass
 
 from conftest import THREAD_LABEL, published_ticket, stored_claims
 

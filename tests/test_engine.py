@@ -4,13 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedmesh import (
-    BufferOverflowError,
-    InvalidArgumentError,
-    RngStream,
-    SimulationEngine,
-    SimulationError,
-)
+from fedmesh import BufferOverflowError, InvalidArgumentError, SimulationError
+from fedmesh.engine import RngStream, SimulationEngine
 
 
 def collector(engine, log):

@@ -14,49 +14,51 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedmesh import (
-    AllocationDecision,
     BufferOverflowError,
-    CloudConfig,
     ConsistencyError,
-    DemandDistribution,
-    DimensionSpec,
     DomainError,
-    Eq,
-    Ge,
     InvalidArgumentError,
-    LatencyModel,
     NotReadyError,
-    ResourceClaim,
-    ResourceTicket,
+    RunResult,
     Scenario,
     SimulationError,
-    WorkloadSpec,
-    WorkUnit,
-    deploy_federation,
-    hash_name,
-    publish_ticket,
-    recompute_cell_assignment,
-    response_time,
+    federation,
+    parse_scenario,
     run_scenario,
     run_sweep,
-    run_to_quiescence,
-    scale_workloads,
-    spatial_hash,
-    submit_application,
 )
-from fedmesh import ClaimStore, RunResult, federation, parse_scenario
+from fedmesh.config import CloudConfig, LatencyModel
+from fedmesh.coordination import AllocationDecision, ClaimStore
+from fedmesh.experiments import scale_workloads
 from fedmesh.federation import (
     ClaimPost,
     Dispatch,
     TicketPost,
     TimerTick,
+    deploy_federation,
     on_allocation,
     place_cell,
+    publish_ticket,
+    recompute_cell_assignment,
+    response_time,
+    run_to_quiescence,
+    submit_application,
 )
 from fedmesh.oracles import brute_force_owner, centralized_fifo_allocate, replica_count
+from fedmesh.overlay import hash_name
 from fedmesh.reporting import write_run_outputs
-from fedmesh.spatial import claim_region, map_claim, map_ticket
-from fedmesh.workloads import SERVICE_LABELS
+from fedmesh.spatial import (
+    DimensionSpec,
+    Eq,
+    Ge,
+    ResourceClaim,
+    ResourceTicket,
+    claim_region,
+    map_claim,
+    map_ticket,
+    spatial_hash,
+)
+from fedmesh.workloads import SERVICE_LABELS, DemandDistribution, WorkloadSpec, WorkUnit
 
 from conftest import TASK_LABEL, THREAD_LABEL, published_ticket
 
@@ -882,7 +884,7 @@ class TestProtocolGuards:
         state = deploy_federation(scenario([cloud("cloud-1", 2.4, nodes=1)]))
         submit_application(state, "cloud-1", workload("cloud-1", rows=1, cols=1))
         (pending,) = state.pending.values()
-        from fedmesh import AllocationDecision
+        from fedmesh.coordination import AllocationDecision
 
         decision = AllocationDecision(
             ticket_id="t",

@@ -13,14 +13,18 @@ from fedmesh import (
     InvalidArgumentError,
     InvalidSourceError,
     NoRouteError,
-    NodeId,
     NotAMemberError,
+)
+from fedmesh.oracles import brute_force_owner, brute_force_prefix_table, pure_sha1
+from fedmesh.overlay import (
+    LEAF_SET_SIZE,
+    RING_SIZE,
+    NodeId,
     OverlayMembership,
     circular_distance,
     hash_name,
+    shared_prefix_len,
 )
-from fedmesh.overlay import LEAF_SET_SIZE, RING_SIZE, shared_prefix_len
-from fedmesh.oracles import brute_force_owner, brute_force_prefix_table, pure_sha1
 
 
 def fill(names):

@@ -20,12 +20,11 @@ from fedmesh import (
     ScenarioError,
     SimulationError,
     builtin_scenario_path,
-    deploy_federation,
     load_scenario,
     parse_scenario,
-    run_to_quiescence,
 )
 from fedmesh.cli import main
+from fedmesh.federation import deploy_federation, run_to_quiescence
 from fedmesh.oracles import run_oracle_suites
 from fedmesh.workloads import MODELS, SERVICE_LABELS
 
@@ -476,6 +475,20 @@ class TestValidateCommand:
 
     def test_missing_file_exit_three(self, tmp_path):
         assert main(["validate", str(tmp_path / "absent.scenario")]) == 3
+
+    @pytest.mark.parametrize("command", ["validate", "run", "sweep"])
+    def test_file_that_is_not_utf8_exits_two_at_its_line(self, tmp_path, capsys, command):
+        path = tmp_path / "latin.scenario"
+        path.write_bytes(b"seed = 1\n\xff\xfe bad\n")
+        with pytest.raises(ScenarioError) as exc:
+            load_scenario(path)
+        (diag,) = exc.value.diagnostics
+        assert (diag.line, diag.field) == (2, "encoding")
+        out = tmp_path / "out"
+        options = {"validate": [], "run": ["--out", str(out)], "sweep": ["--model", "task", "--out", str(out)]}
+        assert main([command, str(path), *options[command]]) == 2
+        assert capsys.readouterr().err == f"{path}: line 2: encoding: {diag.message}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "key, value",

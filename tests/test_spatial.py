@@ -9,32 +9,32 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedmesh import (
+from fedmesh import DomainError, InvalidArgumentError
+from fedmesh.federation import deploy_federation, run_to_quiescence
+from fedmesh.oracles import random_claim, random_space, random_ticket
+from fedmesh.overlay import OverlayMembership, hash_name
+from fedmesh.spatial import (
     AttributeSpace,
+    ClaimClass,
     DimensionSpec,
-    DomainError,
     Eq,
     Ge,
-    InvalidArgumentError,
     Le,
-    OverlayMembership,
     Range,
     ResourceClaim,
     ResourceTicket,
+    _region_offsets,
     build_base_cells,
     claim_region,
-    deploy_federation,
-    hash_name,
+    control_point,
     map_claim,
     map_ticket,
     matches,
     normalize,
-    run_to_quiescence,
+    point_satisfies,
     serialize_control_point,
     spatial_hash,
 )
-from fedmesh.oracles import random_claim, random_space, random_ticket
-from fedmesh.spatial import ClaimClass, _region_offsets, control_point, point_satisfies
 
 from conftest import TASK_LABEL, THREAD_LABEL, published_ticket, stored_claims
 

@@ -4,16 +4,16 @@ import dataclasses
 
 import pytest
 
-from fedmesh import (
+from fedmesh import run_scenario
+from fedmesh.experiments import scale_workloads
+from fedmesh.workloads import (
+    SWEEP_SIZES,
     DemandDistribution,
     MetricsSink,
     WorkloadSpec,
     generate_units,
     job_share_percent,
-    run_scenario,
-    scale_workloads,
 )
-from fedmesh.workloads import SWEEP_SIZES
 
 
 def spec(rows=5, cols=5, model="task", demand=None, app_id=None):
@@ -124,7 +124,7 @@ class TestConservation:
         assert by_cloud == 250
 
     def test_response_metric_single_source_of_truth(self, melbourne_scenario):
-        from fedmesh import response_time
+        from fedmesh.federation import response_time
 
         result = run_scenario(melbourne_scenario)
         for app_id, recorded in result.state.metrics.response_times.items():

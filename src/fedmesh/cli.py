@@ -134,9 +134,6 @@ def cmd_oracle(args) -> int:
     if args.trials < 1:
         print("--trials must be >= 1", file=sys.stderr)
         return EXIT_INVALID_SCENARIO
-    if args.dims < 2:
-        print("--dims must be >= 2", file=sys.stderr)
-        return EXIT_INVALID_SCENARIO
     try:
         reports = run_oracle_suites(args.trials, args.dims, args.seed)
     except InvalidArgumentError as exc:

@@ -3,11 +3,11 @@
 Virtual time is integer milliseconds. Events fire in (fire_at, schedule
 order): by time, and within one millisecond in the order they were
 scheduled, so the delivery order is a pure function of the scenario and its
-seed. Each entity has one inbox: its handler, which receives the scheduled
-payload itself (the engine keeps the time, ``now``), and a bounded count of
-undelivered events. Overflowing an inbox is an explicit error, never a silent
-drop, and scheduling to a target that never registered a handler is rejected
-at once, not when the event would fire.
+seed. Each entity registers one inbox, once: its handler, which receives the
+scheduled payload itself (the engine keeps the time, ``now``), and a bounded
+count of undelivered events. Overflowing an inbox is an explicit error, never
+a silent drop, and scheduling to a target that never registered a handler is
+rejected at once, not when the event would fire.
 
 The queue is a calendar of slots (R. Brown, "Calendar queues", CACM 1988):
 one list of (inbox, payload) per fire time, kept in schedule order, plus a
@@ -87,12 +87,10 @@ class SimulationEngine:
         return bool(self._times)
 
     def register(self, target: str, handler: Callable[[Any], None]) -> None:
-        """Create the target's inbox, or swap the handler of an existing one."""
-        box = self._inboxes.get(target)
-        if box is None:
-            self._inboxes[target] = Inbox(target, handler, self._default_capacity)
-        else:
-            box.handler = handler
+        """Create the target's inbox; a target registers once."""
+        if target in self._inboxes:
+            raise InvalidArgumentError(f"target {target!r} is already registered")
+        self._inboxes[target] = Inbox(target, handler, self._default_capacity)
 
     def inbox(self, target: str) -> Inbox:
         """The inbox of a registered target (KeyError for any other)."""
@@ -106,27 +104,14 @@ class SimulationEngine:
         """Enqueue an event at now + delay_ms, after every event already
         queued for that millisecond.
 
-        The delay is a whole, finite, non-negative number of milliseconds, not
-        a bool; any other value is rejected before anything is queued or
-        counted.
+        The delay is a non-negative ``int`` number of milliseconds (not a
+        bool or a float); any other value is rejected before anything is
+        queued or counted.
         """
-        if type(delay_ms) is not int:
-            # A bool is not a delay, and a non-number has no isfinite.
-            try:
-                whole = (
-                    type(delay_ms) is not bool
-                    and math.isfinite(delay_ms)
-                    and delay_ms == int(delay_ms)
-                )
-            except TypeError:
-                whole = False
-            if not whole:
-                raise InvalidArgumentError(
-                    f"delay to {target!r} must be a whole number of ms, got {delay_ms!r}"
-                )
-            delay_ms = int(delay_ms)
-        if delay_ms < 0:
-            raise InvalidArgumentError(f"delay to {target!r} must be >= 0, got {delay_ms}")
+        if type(delay_ms) is not int or delay_ms < 0:
+            raise InvalidArgumentError(
+                f"delay to {target!r} must be a non-negative int of ms, got {delay_ms!r}"
+            )
         box = self._inboxes.get(target)
         if box is None:
             raise SimulationError(

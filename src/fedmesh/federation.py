@@ -411,8 +411,6 @@ def publish_ticket(state: FederationState, node: ExecutionNode) -> None:
     point. The post carries the node and label; the owning peer builds the
     ResourceTicket (see _on_ticket).
     """
-    if state.finished:
-        return
     if node.busy or node.committed:
         return
     now = state.engine.now

@@ -95,6 +95,7 @@ from .config import (
     LatencyModel,
     Scenario,
 )
+from .engine import DEFAULT_INBOX_CAPACITY
 from .errors import DomainError, FedmeshError, InvalidArgumentError
 from .spatial import CATEGORICAL, NUMERIC, AttributeSpace, DimensionSpec, normalize
 from .workloads import MODELS, SERVICE_LABELS, DemandDistribution, WorkloadSpec
@@ -183,7 +184,7 @@ _KEYS = {
         "schema_version": (int, None),
         "seed": (int, None),
         "eager_tickets": (_bool, True),
-        "inbox_capacity": (_POSITIVE, 1000),
+        "inbox_capacity": (_POSITIVE, DEFAULT_INBOX_CAPACITY),
         "max_virtual_ms": (_POSITIVE, DEFAULT_MAX_VIRTUAL_MS),
     },
     "space": {"f_min": (_POSITIVE, None), "f_max": (int, 0)},
@@ -299,8 +300,9 @@ def parse_scenario(text: str, source: str = "<string>") -> Scenario:
 
 
 def load_scenario(path: str | Path) -> Scenario:
-    """Read and parse a UTF-8 scenario file; raises ScenarioError, or OSError
-    when the file cannot be read."""
+    """Read and parse a UTF-8 scenario file, with or without a leading
+    byte-order mark; raises ScenarioError, or OSError when the file cannot be
+    read."""
     path = Path(path)
     data = path.read_bytes()
     try:
@@ -309,7 +311,8 @@ def load_scenario(path: str | Path) -> Scenario:
         line = data.count(b"\n", 0, exc.start) + 1
         message = f"not UTF-8 at byte {exc.start}: {exc.reason}"
         raise ScenarioError(str(path), [Diagnostic(line, "encoding", message)]) from None
-    return parse_scenario(text, source=str(path))
+    # Not the utf-8-sig codec: its error offsets count from after the mark.
+    return parse_scenario(text.removeprefix("\ufeff"), source=str(path))
 
 
 def builtin_scenario_path(name: str = "melbourne-5") -> Path:

@@ -6,7 +6,9 @@ base index cells. Cells are never subdivided. A cell is its coordinates: the
 tuple of its slice index per dimension. Its bounds and its midpoint (its
 control point) follow from those and ``f_min``, so neither is stored; the
 control point is derived only where the federation hashes it onto the overlay
-key space, through :func:`spatial_hash`. This module is pure geometry.
+key space, through :func:`spatial_hash`. This module is pure geometry and
+keeps no process-wide state: the only mapping memo is the one each interned
+:class:`ClaimClass` carries.
 
 Claims are range objects: they are replicated to every base cell their region
 intersects. Tickets are point objects: they map to exactly one cell. Matching
@@ -16,7 +18,6 @@ matches is guaranteed to meet there.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from collections.abc import Iterable
@@ -122,9 +123,9 @@ class ClaimClass(tuple):
 
     It also keeps the cells of its last successful :func:`map_claim`, with
     the space and grid they were mapped in, so every later claim of the class
-    in that space and grid reuses them without validating again. A class
-    that fails validation is never stored, so each of its claims is rejected
-    under its own id on every call.
+    in that space and grid reuses them without validating or walking the
+    grid again. A class that fails validation is never stored, so each of
+    its claims is rejected under its own id on every call.
     """
 
     def __new__(cls, constraints: Iterable[Constraint]) -> ClaimClass:
@@ -215,19 +216,7 @@ def control_point(cell: IndexCell, f_min: int) -> tuple[float, ...]:
 
 def spatial_hash(cell: IndexCell, f_min: int) -> NodeId:
     """Overlay key of a cell: hash of its canonical control-point text."""
-    texts = _midpoint_texts(f_min)
-    return hash_name(CONTROL_POINT_PREFIX + ",".join([texts[c] for c in cell]))
-
-
-@functools.lru_cache(maxsize=8)
-def _midpoint_texts(f_min: int) -> tuple[str, ...]:
-    """The control-point text of each slice index at this division level.
-
-    A coordinate's text depends only on its slice index and ``f_min``, so
-    the ``f_min`` texts are formatted once, not once per cell.
-    """
-    line = serialize_control_point(control_point(tuple(range(f_min)), f_min))
-    return tuple(line[len(CONTROL_POINT_PREFIX):].split(","))
+    return hash_name(serialize_control_point(control_point(cell, f_min)))
 
 
 def normalize(space: AttributeSpace, dim_index: int, value: object) -> float:
@@ -295,10 +284,10 @@ def map_claim(
     Closed-interval intersection per dimension, so a region touching a slice
     boundary lands in both adjacent cells; the matching ticket's single cell
     is always among them. A claim whose constraints are a plain tuple is
-    validated on every call, and only the grid walk from its region is
-    memoised. An interned :class:`ClaimClass` keeps the cells of its last
-    successful call, which a later call with the same ``space`` and
-    ``cells`` objects returns without validating again.
+    validated and walked on every call. An interned :class:`ClaimClass`
+    keeps the cells of its last successful call, which a later call with the
+    same ``space`` and ``cells`` objects returns without validating or
+    walking again.
     """
     constraints = claim.constraints
     interned = type(constraints) is ClaimClass
@@ -313,15 +302,9 @@ def map_claim(
     return selected
 
 
-@functools.lru_cache(maxsize=256)
 def _region_offsets(f_min: int, region: tuple[tuple[float, float], ...]) -> tuple[int, ...]:
-    """Row-major flat indices of the cells a validated region meets.
-
-    Keyed on the region's floats, not on the claim's constraints: ``Eq(1)``
-    and ``Eq(True)`` are equal, but only the first passes ``normalize``. All
-    units of one claim class share a region, so the walk runs once per class;
-    the bound caps what random regions (the oracle suites) retain.
-    """
+    """Row-major flat indices of the cells a validated region meets, walked
+    slice by slice in each dimension."""
     f = f_min
     per_dim: list[list[int]] = []
     for lo, hi in region:

@@ -46,7 +46,6 @@ class TestSchedule:
     def test_zero_delay_fires_before_later_seq(self):
         engine = SimulationEngine()
         log = []
-        engine.register("a", collector(engine, log))
 
         def chaining(payload):
             log.append(payload)
@@ -66,7 +65,7 @@ class TestSchedule:
 
     @pytest.mark.parametrize(
         "delay",
-        [-1, -0.5, 0.9, 2.5, float("nan"), float("inf"), float("-inf"), True, False, "5", None],
+        [-1, -0.5, 0.9, 2.5, 3.0, float("nan"), float("inf"), float("-inf"), True, False, "5", None],
     )
     def test_rejected_delay_takes_no_inbox_slot(self, delay):
         engine = SimulationEngine(default_inbox_capacity=1)
@@ -78,13 +77,17 @@ class TestSchedule:
         engine.schedule(1, "a", "y")  # the one slot is still free
         assert engine.run() == 1
 
-    def test_whole_float_delay_fires_at_its_millisecond(self):
+    def test_a_target_registers_once(self):
         engine = SimulationEngine()
         log = []
-        engine.register("a", collector(engine, log))
-        engine.schedule(3.0, "a", "x")
+        first = collector(engine, log)
+        engine.register("a", first)
+        with pytest.raises(InvalidArgumentError, match="'a'"):
+            engine.register("a", lambda payload: None)
+        assert engine.inbox("a").handler is first
+        engine.schedule(1, "a", "x")
         engine.run()
-        assert log == [(3, "x")] and type(engine.now) is int
+        assert log == [(1, "x")]
 
     def test_inbox_overflow_is_an_error(self):
         engine = SimulationEngine()

@@ -214,7 +214,7 @@ class TestDeploy:
             assert state.store.waiting_claim_ids() == waiting
             seen.append(type(payload))
 
-        state.engine.register("peer/cloud-1", watched)
+        box.handler = watched
         run_to_quiescence(state)
         assert seen == [ClaimPost] * 25
         assert "cloud-1" not in assert_placed_by_the_oracle(state).values()
@@ -253,7 +253,7 @@ class TestDeploy:
                     arrivals.append((peer, state.engine.now, payload))
                 handler(payload)
 
-            state.engine.register(target, watched)
+            state.engine.inbox(target).handler = watched
         earlier = set(state.pending)
         sent_at = state.engine.now
         submit_application(state, "cloud-1", workload("cloud-1", rows=2, cols=3, app_id="late"))
@@ -296,7 +296,7 @@ class TestDeploy:
                     arrivals.append((peer, state.engine.now, payload))
                 handler(payload)
 
-            state.engine.register(target, watched)
+            state.engine.inbox(target).handler = watched
         sent_at = state.engine.now
         idle = [n for n in state.nodes.values() if not (n.busy or n.committed)]
         for node in idle:
@@ -443,13 +443,11 @@ class TestSubmit:
 class TestPublishTicket:
     def test_idle_node_emits_one_ticket_per_service(self):
         state = deploy_federation(scenario([cloud("cloud-1", 2.7, nodes=1)]))
-        state.submitted_total = 1  # keep the run "unfinished" for this probe
         publish_ticket(state, state.nodes["cloud-1/n0"])
         assert state.metrics.tickets_published == 2
 
     def test_busy_or_committed_node_stays_silent(self):
         state = deploy_federation(scenario([cloud("cloud-1", 2.7, nodes=1)]))
-        state.submitted_total = 1
         node = state.nodes["cloud-1/n0"]
         node.busy = True
         publish_ticket(state, node)
@@ -460,9 +458,8 @@ class TestPublishTicket:
 
     def test_tickets_go_out_in_sorted_label_order(self):
         state = deploy_federation(scenario([cloud("cloud-1", 2.7, nodes=1, services=(THREAD_LABEL, TASK_LABEL))]))
-        state.submitted_total = 1
         received = []
-        state.engine.register("peer/cloud-1", received.append)
+        state.engine.inbox("peer/cloud-1").handler = received.append
         publish_ticket(state, state.nodes["cloud-1/n0"])
         state.engine.run(until_ms=10)
         assert [post.label for post in received] == [TASK_LABEL, THREAD_LABEL] == sorted(BOTH)
@@ -1067,7 +1064,8 @@ class FifoReplay:
         self.decisions: list[tuple[str, str, int]] = []  # (ticket, claim, decided_at)
         self.unposted = None  # the live TicketPost being delivered, until the store sees it
         for peer, target in state.peer_targets.items():
-            state.engine.register(target, self.delivery(peer, state.engine.inbox(target).handler))
+            box = state.engine.inbox(target)
+            box.handler = self.delivery(peer, box.handler)
         state.store.post_ticket = self.ticket(state.store.post_ticket)
 
     def delivery(self, peer, handler):

@@ -490,6 +490,19 @@ class TestValidateCommand:
         assert capsys.readouterr().err == f"{path}: line 2: encoding: {diag.message}\n"
         assert not out.exists()
 
+    def test_file_with_a_byte_order_mark_loads_as_without(self, tmp_path):
+        plain = builtin_scenario_path()
+        path = tmp_path / "bom.scenario"
+        path.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert main(["validate", str(path)]) == 0
+        assert load_scenario(path) == load_scenario(plain)
+
+    def test_byte_order_mark_counts_in_the_encoding_offset(self, tmp_path, capsys):
+        path = tmp_path / "bom-latin.scenario"
+        path.write_bytes(b"\xef\xbb\xbfseed = 1\n\xff x\n")
+        assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"{path}: line 2: encoding: not UTF-8 at byte 12")
+
     @pytest.mark.parametrize(
         "key, value",
         [
@@ -676,7 +689,7 @@ class TestOracleCommand:
     def test_dims_below_two_rejected(self, dims, capsys):
         assert main(["oracle", "--trials", "10", "--dims", dims]) == 2
         captured = capsys.readouterr()
-        assert "--dims must be >= 2" in captured.err
+        assert f"--dims: oracle suites need max_dims >= 2, got {dims}" in captured.err
         assert "[pass]" not in captured.out
         with pytest.raises(InvalidArgumentError, match="max_dims >= 2"):
             run_oracle_suites(10, int(dims), 5)

@@ -92,7 +92,8 @@ from .spatial import (
     IndexCell,
     ResourceClaim,
     ResourceTicket,
-    build_base_cells,
+    # Unused here: bench/tracing.py's spatial.build_base_cells row patches this name.
+    build_base_cells,  # noqa: F401
     map_claim,
     map_ticket,
     point_satisfies,
@@ -196,7 +197,10 @@ class FederationState:
     Under the hub model one coordinator peer joins per cloud; under full_p2p
     every node joins as an autonomous coordinator. Scheduling services stay
     one per cloud (they are the submission entry points), and each routed
-    cell's owner is derived deterministically from the membership.
+    cell's owner is derived deterministically from the membership. No grid
+    is built: a cell is its coordinates, which map_claim and map_ticket
+    compute from the space, so a deploy's cost does not grow with
+    f_min ** dim.
     """
 
     def __init__(self, scenario: Scenario) -> None:
@@ -213,7 +217,6 @@ class FederationState:
                 f"claims need exactly the dimensions {sorted(REQUIRED_DIMS)}; the space has {names}"
             )
         self.engine = SimulationEngine(default_inbox_capacity=scenario.inbox_capacity)
-        self.cells = build_base_cells(self.space)
         self.membership = OverlayMembership()
         self.peer_cloud: dict[str, str] = {}
         self.nodes: dict[str, ExecutionNode] = {}
@@ -270,7 +273,7 @@ class FederationState:
                 cell = point_cells.get(point)
                 if cell is None:
                     ticket = ResourceTicket(f"{cid}/{label}", point, 1, cid, 0)
-                    cell = point_cells[point] = map_ticket(self.space, self.cells, ticket)
+                    cell = point_cells[point] = map_ticket(self.space, ticket)
                 self.ticket_routes[cid, label] = _route(self, cid, cell)
         # The only cells a ticket can reach, so the only ones that store a claim.
         self.ticket_cells = frozenset(point_cells.values())
@@ -344,7 +347,7 @@ def deploy_federation(scenario: Scenario) -> FederationState:
 
     log.info(
         "deployed federation: %d clouds, %d nodes, %d peers, %d cells",
-        len(state.clouds), len(state.nodes), len(state.peer_cloud), len(state.cells),
+        len(state.clouds), len(state.nodes), len(state.peer_cloud), state.space.f_min ** state.space.dim,
     )
     return state
 
@@ -393,7 +396,7 @@ def submit_application(
         claim = new_record(ResourceClaim, (unit.unit_id, claim_class.constraints, 1, cloud_id, now))
         if not claim_class.satisfiable:
             state.stranded_ids.add(claim.claim_id)
-        cells = map_claim(state.space, state.cells, claim)
+        cells = map_claim(state.space, claim)
         if routes is None:
             stored = tuple([cell for cell in cells if cell in state.ticket_cells])
             routes = [_route(state, cloud_id, cell) for cell in cells]

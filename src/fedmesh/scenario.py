@@ -100,7 +100,7 @@ from .errors import DomainError, FedmeshError, InvalidArgumentError
 from .spatial import CATEGORICAL, NUMERIC, AttributeSpace, DimensionSpec, normalize
 from .workloads import MODELS, SERVICE_LABELS, DemandDistribution, WorkloadSpec
 
-MAX_CELLS = 100_000
+MAX_CELLS = 100_000  # f_min**dim: the most cells one claim is replicated to
 MAX_UNITS = 1_000_000  # over all workloads: submit builds every unit of an app at once
 MAX_NODES = 100_000  # over all clouds: deploy builds every node, its stream and timer at once
 

@@ -13,7 +13,10 @@ keeps no process-wide state: the only mapping memo is the one each interned
 Claims are range objects: they are replicated to every base cell their region
 intersects. Tickets are point objects: they map to exactly one cell. Matching
 therefore happens only at the ticket's cell, and any claim/ticket pair that
-matches is guaranteed to meet there.
+matches is guaranteed to meet there. Both mappings compute their cells from
+coordinates, as a Pastry key's root is found by routing to the key: no run
+lists the grid. :func:`build_base_cells` enumerates it for the geometry
+checks that need every cell.
 """
 
 from __future__ import annotations
@@ -122,10 +125,10 @@ class ClaimClass(tuple):
     of the same constraints, with its hash computed once at construction.
 
     It also keeps the cells of its last successful :func:`map_claim`, with
-    the space and grid they were mapped in, so every later claim of the class
-    in that space and grid reuses them without validating or walking the
-    grid again. A class that fails validation is never stored, so each of
-    its claims is rejected under its own id on every call.
+    the space they were mapped in, so every later claim of the class in that
+    space reuses them without validating or mapping its region again. A
+    class that fails validation is never stored, so each of its claims is
+    rejected under its own id on every call.
     """
 
     def __new__(cls, constraints: Iterable[Constraint]) -> ClaimClass:
@@ -276,48 +279,45 @@ def claim_region(space: AttributeSpace, claim: ResourceClaim) -> tuple[tuple[flo
     return tuple(region)
 
 
-def map_claim(
-    space: AttributeSpace, cells: tuple[IndexCell, ...], claim: ResourceClaim
-) -> tuple[IndexCell, ...]:
-    """Every base cell whose bounds intersect the claim's region.
+def map_claim(space: AttributeSpace, claim: ResourceClaim) -> tuple[IndexCell, ...]:
+    """Every base cell whose bounds intersect the claim's region, in
+    row-major order of their coordinates.
 
     Closed-interval intersection per dimension, so a region touching a slice
     boundary lands in both adjacent cells; the matching ticket's single cell
-    is always among them. A claim whose constraints are a plain tuple is
-    validated and walked on every call. An interned :class:`ClaimClass`
-    keeps the cells of its last successful call, which a later call with the
-    same ``space`` and ``cells`` objects returns without validating or
-    walking again.
+    is always among them. Only the cells the region meets are built, never
+    the grid. A claim whose constraints are a plain tuple is validated and
+    mapped on every call. An interned :class:`ClaimClass` keeps the cells of
+    its last successful call, which a later call with the same ``space``
+    object returns without validating or mapping again.
     """
     constraints = claim.constraints
     interned = type(constraints) is ClaimClass
     if interned:
         mapped = constraints._mapped
-        if mapped is not None and mapped[0] is space and mapped[1] is cells:
-            return mapped[2]
-    offsets = _region_offsets(space.f_min, claim_region(space, claim))
-    selected = tuple([cells[i] for i in offsets])
+        if mapped is not None and mapped[0] is space:
+            return mapped[1]
+    cells = _region_cells(space.f_min, claim_region(space, claim))
     if interned:
-        constraints._mapped = (space, cells, selected)
-    return selected
+        constraints._mapped = (space, cells)
+    return cells
 
 
-def _region_offsets(f_min: int, region: tuple[tuple[float, float], ...]) -> tuple[int, ...]:
-    """Row-major flat indices of the cells a validated region meets, walked
-    slice by slice in each dimension."""
+def _region_cells(f_min: int, region: tuple[tuple[float, float], ...]) -> tuple[IndexCell, ...]:
+    """The cells a validated region meets, in row-major order: the product
+    of the slices it meets in each dimension."""
     f = f_min
     per_dim: list[list[int]] = []
     for lo, hi in region:
         indices = [a for a in range(f) if lo <= (a + 1) / f and a / f <= hi]
         assert indices, "a region inside the unit cube always meets at least one slice"
         per_dim.append(indices)
-    return tuple(_flat_index(coords, f) for coords in itertools.product(*per_dim))
+    return tuple(itertools.product(*per_dim))
 
 
-def map_ticket(
-    space: AttributeSpace, cells: tuple[IndexCell, ...], ticket: ResourceTicket
-) -> IndexCell:
-    """The unique cell containing the ticket's normalized point.
+def map_ticket(space: AttributeSpace, ticket: ResourceTicket) -> IndexCell:
+    """The unique cell containing the ticket's normalized point: its slice
+    index per dimension.
 
     Slices are half-open below the top of the space; the upper boundary of
     the whole space belongs to the last slice. A coordinate outside its
@@ -342,7 +342,7 @@ def map_ticket(
         elif a < f - 1 and x >= (a + 1) / f:
             a += 1
         coords.append(a)
-    return cells[_flat_index(tuple(coords), f)]
+    return tuple(coords)
 
 
 def constraint_satisfied(constraint: Constraint, value: object) -> bool:
@@ -373,10 +373,3 @@ def matches(claim: ResourceClaim, ticket: ResourceTicket) -> bool:
     capacity accounting.
     """
     return point_satisfies(claim.constraints, ticket.point)
-
-
-def _flat_index(coords: tuple[int, ...], f: int) -> int:
-    idx = 0
-    for c in coords:
-        idx = idx * f + c
-    return idx

@@ -110,10 +110,10 @@ def test_criterion_3_stored_claims_replay(testbed_space, testbed_cells):
     store = ClaimStore()
     claims = stored_claims(times=(300, 400, 500))
     for claim in claims:
-        for cell in map_claim(testbed_space, testbed_cells, claim):
+        for cell in map_claim(testbed_space, claim):
             store.post_claim(cell, claim)
     ticket = published_ticket(issue_time=700)
-    tcell = map_ticket(testbed_space, testbed_cells, ticket)
+    tcell = map_ticket(testbed_space, ticket)
     decisions = store.post_ticket(tcell, ticket)
     assert len(decisions) == 1
     assert decisions[0].claim_id == "claim-1"
@@ -133,7 +133,6 @@ def test_criterion_4_rendezvous_oracle(grid2x2_space):
     assert report.failures == 0
 
     # Exhaustive discretized enumeration on the 2-dim, twice-divided grid.
-    cells = build_base_cells(grid2x2_space)
     from fedmesh.spatial import Eq, Ge, Le, Range, ResourceClaim, ResourceTicket, matches
 
     bounds = [d.bounds for d in grid2x2_space.dims]
@@ -142,14 +141,14 @@ def test_criterion_4_rendezvous_oracle(grid2x2_space):
     for x in points[0]:
         for y in points[1]:
             ticket = ResourceTicket("t", (x, y), 1, "n", 0)
-            tcell = map_ticket(grid2x2_space, cells, ticket)
+            tcell = map_ticket(grid2x2_space, ticket)
             cons_x = [Eq(x), Ge(x), Le(x), Range(bounds[0][0], x), Range(x, bounds[0][1])]
             cons_y = [Eq(y), Ge(y), Le(y), Range(bounds[1][0], y), Range(y, bounds[1][1])]
             for cx in cons_x:
                 for cy in cons_y:
                     claim = ResourceClaim("c", (cx, cy), 1, "o", 0)
                     assert matches(claim, ticket)
-                    assert tcell in map_claim(grid2x2_space, cells, claim)
+                    assert tcell in map_claim(grid2x2_space, claim)
                     pairs += 1
     assert pairs == 81 * 25
     assert time.monotonic() - start < 30.0
@@ -214,7 +213,7 @@ def test_criterion_8_byte_determinism(determinism_outputs):
     announce(8, "two seed-42 runs emit byte-identical CSV/JSON outputs")
 
 
-def test_criterion_9_exactly_once(sweep, testbed_space, testbed_cells):
+def test_criterion_9_exactly_once(sweep, testbed_space):
     # Across every simulation this suite ran: no claim is ever granted twice
     # and every completed unit was dispatched exactly once.
     for size, result in sweep.runs.items():
@@ -231,12 +230,12 @@ def test_criterion_9_exactly_once(sweep, testbed_space, testbed_cells):
     store = ClaimStore()
     claims = stored_claims()
     for claim in claims:
-        for cell in map_claim(testbed_space, testbed_cells, claim):
+        for cell in map_claim(testbed_space, claim):
             store.post_claim(cell, claim)
     ticket = published_ticket()
-    tcell = map_ticket(testbed_space, testbed_cells, ticket)
+    tcell = map_ticket(testbed_space, ticket)
     first = store.post_ticket(tcell, ticket)
-    for cell in map_claim(testbed_space, testbed_cells, claims[0]):  # retire claim-1
+    for cell in map_claim(testbed_space, claims[0]):  # retire claim-1
         store.discard(cell, "claim-1")
     second = store.post_ticket(tcell, published_ticket(issue_time=800))
     granted = [d.claim_id for d in first + second]

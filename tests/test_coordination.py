@@ -25,7 +25,6 @@ from fedmesh.spatial import (
     Range,
     ResourceClaim,
     ResourceTicket,
-    build_base_cells,
     map_claim,
     map_ticket,
 )
@@ -40,23 +39,23 @@ def _replaced(record, **changes):
 
 
 @pytest.fixture()
-def replay(testbed_space, testbed_cells):
+def replay(testbed_space):
     """Store loaded with the three waiting claims, plus the incoming ticket."""
     store = ClaimStore()
     claims = stored_claims()
     for claim in claims:
-        for cell in map_claim(testbed_space, testbed_cells, claim):
+        for cell in map_claim(testbed_space, claim):
             store.post_claim(cell, claim)
     ticket = published_ticket()
-    tcell = map_ticket(testbed_space, testbed_cells, ticket)
+    tcell = map_ticket(testbed_space, ticket)
     return store, claims, ticket, tcell
 
 
 class TestPostClaim:
-    def test_first_claim_in_empty_cell(self, testbed_space, testbed_cells):
+    def test_first_claim_in_empty_cell(self, testbed_space):
         store = ClaimStore()
         claim = stored_claims()[0]
-        cell = map_claim(testbed_space, testbed_cells, claim)[0]
+        cell = map_claim(testbed_space, claim)[0]
         store.post_claim(cell, claim)
         assert store.snapshot(cell) == [claim]
 
@@ -67,28 +66,28 @@ class TestPostClaim:
         assert times == sorted(times)
         assert waiting[0].claim_id == "claim-1"
 
-    def test_out_of_order_posts_are_sorted(self, testbed_space, testbed_cells):
+    def test_out_of_order_posts_are_sorted(self, testbed_space):
         store = ClaimStore()
         c1, c2, c3 = stored_claims()
-        cell = map_ticket(testbed_space, testbed_cells, published_ticket())
+        cell = map_ticket(testbed_space, published_ticket())
         for claim in (c3, c1):  # c2 maps elsewhere (task cells)
             store.post_claim(cell, claim)
         assert [c.claim_id for c in store.snapshot(cell)] == ["claim-1", "claim-3"]
 
-    def test_duplicate_post_ignored(self, testbed_space, testbed_cells):
+    def test_duplicate_post_ignored(self, testbed_space):
         store = ClaimStore()
         claim = stored_claims()[0]
-        cell = map_claim(testbed_space, testbed_cells, claim)[0]
+        cell = map_claim(testbed_space, claim)[0]
         store.post_claim(cell, claim)
         store.post_claim(cell, claim)
         assert len(store.snapshot(cell)) == 1
 
-    def test_equal_arrival_times_tie_break_on_id(self, testbed_space, testbed_cells):
+    def test_equal_arrival_times_tie_break_on_id(self, testbed_space):
         store = ClaimStore()
         base = stored_claims()[0]
         a = _replaced(base, claim_id="b-claim", arrival_time=100)
         b = _replaced(base, claim_id="a-claim", arrival_time=100)
-        cell = map_claim(testbed_space, testbed_cells, base)[0]
+        cell = map_claim(testbed_space, base)[0]
         store.post_claim(cell, a)
         store.post_claim(cell, b)
         assert [c.claim_id for c in store.snapshot(cell)] == ["a-claim", "b-claim"]
@@ -127,7 +126,7 @@ class TestPostTicket:
         base = stored_claims()[0]
         hungry = _replaced(base, claim_id="hungry", requested_units=3, arrival_time=10)
         modest = _replaced(base, claim_id="modest", requested_units=1, arrival_time=20)
-        cell = map_ticket(testbed_space, testbed_cells, published_ticket())
+        cell = map_ticket(testbed_space, published_ticket())
         store.post_claim(cell, hungry)
         store.post_claim(cell, modest)
         decisions = store.post_ticket(cell, published_ticket())
@@ -151,7 +150,7 @@ def discard_replicas(store, cells, claim_id) -> int:
 class TestDiscard:
     def test_removes_every_replica(self, testbed_space, testbed_cells, replay):
         store, claims, ticket, tcell = replay
-        cells = map_claim(testbed_space, testbed_cells, claims[0])
+        cells = map_claim(testbed_space, claims[0])
         assert replica_count(store, testbed_cells, "claim-1") == len(cells) == 2
         assert discard_replicas(store, cells, "claim-1") == 2
         assert replica_count(store, testbed_cells, "claim-1") == 0
@@ -163,7 +162,7 @@ class TestDiscard:
         self, testbed_space, testbed_cells, replay
     ):
         store, claims, ticket, tcell = replay
-        cells = map_claim(testbed_space, testbed_cells, claims[0])
+        cells = map_claim(testbed_space, claims[0])
         before = replica_count(store, testbed_cells, "claim-1")
         store.post_ticket(tcell, ticket)
         assert discard_replicas(store, cells, "claim-1") == before - 1
@@ -189,7 +188,6 @@ class TestOracleEquivalence:
         rng = random.Random(1009)
         for k in range(150):
             space = random_space(rng, rng.randint(1, 3))
-            cells = build_base_cells(space)
             tickets = [
                 random_ticket(rng, space, f"t{j:02d}", units=rng.randint(0, 3), issue_time=j)
                 for j in range(rng.randint(1, 8))
@@ -205,7 +203,7 @@ class TestOracleEquivalence:
                 )
                 for j in range(rng.randint(1, 15))
             ]
-            assert distributed_fifo_allocate(space, cells, claims, tickets) == (
+            assert distributed_fifo_allocate(space, claims, tickets) == (
                 centralized_fifo_allocate(claims, tickets)
             )
 
@@ -213,7 +211,6 @@ class TestOracleEquivalence:
     @given(st.randoms(use_true_random=False))
     def test_property_no_over_provisioning(self, rnd):
         space = random_space(rnd, rnd.randint(1, 3))
-        cells = build_base_cells(space)
         tickets = [
             random_ticket(rnd, space, f"t{j}", units=rnd.randint(0, 4), issue_time=j)
             for j in range(rnd.randint(1, 5))
@@ -226,7 +223,7 @@ class TestOracleEquivalence:
             )
             for j in range(rnd.randint(1, 12))
         ]
-        allocations = distributed_fifo_allocate(space, cells, claims, tickets)
+        allocations = distributed_fifo_allocate(space, claims, tickets)
         granted: dict[str, int] = {}
         for ticket_id, _, units in allocations:
             granted[ticket_id] = granted.get(ticket_id, 0) + units
@@ -249,7 +246,7 @@ class TestClaimClasses:
     """Several claims per constraint tuple, as every real workload posts."""
 
     def test_two_matching_classes_serve_in_global_first_fit_order(
-        self, testbed_space, testbed_cells
+        self, testbed_space
     ):
         # Classes by minimum speed: 2.0 and 2.4 match the 2.7 GHz ticket, 3.0 does not.
         claims = {
@@ -264,7 +261,7 @@ class TestClaimClasses:
         }
         base = published_ticket()
         ticket = _replaced(base, available_units=5)
-        cell = map_ticket(testbed_space, testbed_cells, ticket)
+        cell = map_ticket(testbed_space, ticket)
         store = ClaimStore()
         for claim_id in ("a3", "b3", "c1", "b2", "a1", "big", "a2", "b1"):
             store.post_claim(cell, claims[claim_id])
@@ -291,10 +288,10 @@ class TestClaimClasses:
         assert [d.claim_id for d in store.post_ticket(cell, follow_up)] == ["big", "b3"]
         assert [c.claim_id for c in store.snapshot(cell)] == ["c1"]
 
-    def test_discard_from_the_middle_and_from_the_head(self, testbed_space, testbed_cells):
+    def test_discard_from_the_middle_and_from_the_head(self, testbed_space):
         # One bucket, tied on arrival time: the middle claim is found by a
         # search, a head claim is dropped without one.
-        cell = map_ticket(testbed_space, testbed_cells, published_ticket())
+        cell = map_ticket(testbed_space, published_ticket())
         store = ClaimStore()
         for claim_id in ("c", "a", "b"):
             store.post_claim(cell, _thread_claim(claim_id, 2.4, 100))
@@ -305,7 +302,7 @@ class TestClaimClasses:
             assert [c.claim_id for c in store.snapshot(cell)] == left
             assert store.has_waiting(cell) == bool(left)
 
-    def test_a_ticket_serves_claims_behind_an_unserved_head(self, testbed_space, testbed_cells):
+    def test_a_ticket_serves_claims_behind_an_unserved_head(self, testbed_space):
         # The head wants more than the ticket holds, so both claims served
         # leave from behind it.
         claims = [
@@ -314,7 +311,7 @@ class TestClaimClasses:
             _thread_claim("c", 2.4, 100),
         ]
         ticket = _replaced(published_ticket(), available_units=2)
-        cell = map_ticket(testbed_space, testbed_cells, ticket)
+        cell = map_ticket(testbed_space, ticket)
         store = ClaimStore()
         for claim in claims:
             store.post_claim(cell, claim)
@@ -348,7 +345,7 @@ class TestClaimClasses:
             hash(interned)
         assert len(calls) == 2
 
-    def test_interned_and_plain_claims_share_one_bucket(self, testbed_space, testbed_cells):
+    def test_interned_and_plain_claims_share_one_bucket(self, testbed_space):
         interned = ClaimClass((Eq(THREAD_LABEL), Eq(1), Eq("Intel"), Ge(2.4)))
         claims = [
             _replaced(
@@ -359,7 +356,7 @@ class TestClaimClasses:
         ]
         assert {type(c.constraints) for c in claims} == {tuple, ClaimClass}
         ticket = _replaced(published_ticket(), available_units=5)
-        cell = map_ticket(testbed_space, testbed_cells, ticket)
+        cell = map_ticket(testbed_space, ticket)
         store = ClaimStore()
         for claim in claims:
             store.post_claim(cell, claim)
@@ -376,7 +373,6 @@ class TestClaimClasses:
     @given(st.randoms(use_true_random=False))
     def test_property_shared_classes_match_centralized_allocator(self, rnd):
         space = random_space(rnd, rnd.randint(1, 3))
-        cells = build_base_cells(space)
         tickets = [
             random_ticket(rnd, space, f"t{j}", units=rnd.randint(0, 4), issue_time=j)
             for j in range(rnd.randint(1, 6))
@@ -395,7 +391,7 @@ class TestClaimClasses:
             )
             for j in range(rnd.randint(2, 16))
         ]
-        assert distributed_fifo_allocate(space, cells, claims, tickets) == (
+        assert distributed_fifo_allocate(space, claims, tickets) == (
             centralized_fifo_allocate(claims, tickets)
         )
 

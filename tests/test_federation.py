@@ -22,6 +22,7 @@ from fedmesh import (
     RunResult,
     Scenario,
     SimulationError,
+    builtin_scenario_path,
     federation,
     parse_scenario,
     run_scenario,
@@ -53,6 +54,7 @@ from fedmesh.spatial import (
     Ge,
     ResourceClaim,
     ResourceTicket,
+    build_base_cells,
     claim_region,
     map_claim,
     map_ticket,
@@ -120,7 +122,7 @@ class TestDeploy:
         state = deploy_federation(scenario([cloud(f"cloud-{i}", 2.4) for i in range(1, 6)]))
         assert len(state.membership) == 5
         assert len(state.nodes) == 20
-        per_peer = Counter(place_cell(state, cell) for cell in state.cells)
+        per_peer = Counter(place_cell(state, cell) for cell in build_base_cells(state.space))
         assert sum(per_peer.values()) == 81
         assert sum(per_peer.values()) / 5 == pytest.approx(16.2)
         assert set(per_peer) == set(state.peer_cloud)
@@ -138,9 +140,8 @@ class TestDeploy:
         sc = scenario([cloud(f"cloud-{i}", 2.4) for i in range(1, 6)])
         first, second = deploy_federation(sc), deploy_federation(sc)
         assert first.cell_owner == second.cell_owner
-        assert {c: place_cell(first, c) for c in first.cells} == {
-            c: place_cell(second, c) for c in second.cells
-        }
+        cells = build_base_cells(sc.space())
+        assert {c: place_cell(first, c) for c in cells} == {c: place_cell(second, c) for c in cells}
 
     def test_duplicate_cloud_rejected(self):
         with pytest.raises(InvalidArgumentError, match="duplicate cloud id 'a'"):
@@ -151,9 +152,10 @@ class TestDeploy:
         state.membership.leave(hash_name("cloud-3"))
         state.peer_cloud.pop("cloud-3")
         recompute_cell_assignment(state)
-        owners = {cell: place_cell(state, cell) for cell in state.cells}
+        cells = build_base_cells(state.space)
+        owners = {cell: place_cell(state, cell) for cell in cells}
         assert "cloud-3" not in set(owners.values())
-        for cell in state.cells:
+        for cell in cells:
             owner = state.membership.owner_of(spatial_hash(cell, state.space.f_min))
             assert owners[cell] == state.membership.name_of(owner)
         assert state.cell_owner.items() <= owners.items()
@@ -165,6 +167,25 @@ class TestDeploy:
         assert assert_placed_by_the_oracle(state) == before
         assert state.cell_owner == placed
 
+    def test_a_run_builds_no_grid(self, monkeypatch):
+        # The built-in scenario on 16 slices per dimension: 65,536 cells, of
+        # which a run places only the few its posts are routed to.
+        text = builtin_scenario_path("melbourne-5").read_text(encoding="utf-8")
+        sc = parse_scenario(text.replace("f_min = 3\nf_max = 3", "f_min = 16\nf_max = 16"))
+        assert sc.f_min ** len(sc.dims) == 65_536
+
+        def no_grid(space):
+            raise AssertionError("the grid was enumerated")
+
+        for module in ("fedmesh.spatial", "fedmesh.federation", "fedmesh.oracles"):
+            monkeypatch.setattr(f"{module}.build_base_cells", no_grid)
+        state = deploy_federation(sc)
+        report = run_to_quiescence(state)
+        assert report.stranded_claim_ids == ()
+        assert len(state.ticket_cells) < len(state.cell_owner) < 100
+        assert_placed_by_the_oracle(state, tuple(state.cell_owner))
+        assert_served_exactly_once(state)
+
     def test_cells_never_go_to_an_undeployed_peer(self, melbourne_scenario):
         # A peer that joins the overlay mid-run has no handler and no cloud.
         # Refused for being on the overlay, whether or not it owns a cell
@@ -172,7 +193,7 @@ class TestDeploy:
         state = deploy_federation(melbourne_scenario)
         before, routes = dict(state.cell_owner), dict(state.ticket_routes)
         state.membership.join("cloud-9")
-        assert Counter(place_cell(state, cell) for cell in state.cells)["cloud-9"] == 10
+        assert Counter(place_cell(state, c) for c in build_base_cells(state.space))["cloud-9"] == 10
         with pytest.raises(ConsistencyError, match=r"'cloud-9' is on the overlay but was never deployed"):
             recompute_cell_assignment(state)
         assert state.cell_owner == before and state.ticket_routes == routes
@@ -226,7 +247,7 @@ class TestDeploy:
         # new owners serve them.
         state = deploy_federation(melbourne_scenario)
         state.engine.run(until_ms=2_000)
-        lost = [cell for cell in state.cells if place_cell(state, cell) == "cloud-1"]
+        lost = [c for c in build_base_cells(state.space) if place_cell(state, c) == "cloud-1"]
         waiting = {claim.claim_id for cell in lost for claim in state.store.snapshot(cell)}
         assert (len(lost), len(waiting)) == (18, 175)
         state.membership.leave(hash_name("cloud-1"))
@@ -405,7 +426,7 @@ class TestSubmit:
             "fedmesh.spatial.claim_region", lambda *args: regions.append(args) or claim_region(*args)
         )
         monkeypatch.setattr(
-            "fedmesh.federation.map_claim", lambda *args: mapped.append(args[2]) or map_claim(*args)
+            "fedmesh.federation.map_claim", lambda *args: mapped.append(args[1]) or map_claim(*args)
         )
         state = deploy_federation(melbourne_scenario)
         run_to_quiescence(state)
@@ -436,7 +457,7 @@ class TestSubmit:
         submit_application(state, "cloud-1", workload("cloud-1", rows=1, cols=1))
         state.engine.run(until_ms=10)  # let claim-post messages land
         (claim_id,) = state.pending
-        replicas = replica_count(state.store, state.cells, claim_id)
+        replicas = replica_count(state.store, build_base_cells(state.space), claim_id)
         assert replicas == len(state.pending[claim_id].cells) >= 1
 
 
@@ -711,10 +732,10 @@ class TestTicketCells:
         state = deploy_federation(fanned_p2p_scenario())
         state.engine.run(until_ms=1_000)
         assert len(state.ticket_cells) == 4
-        holding = {cell for cell in state.cells if state.store.snapshot(cell)}
+        holding = {cell for cell in build_base_cells(state.space) if state.store.snapshot(cell)}
         assert holding and holding <= state.ticket_cells
         for pending in state.pending.values():
-            cells = map_claim(state.space, state.cells, pending.claim)
+            cells = map_claim(state.space, pending.claim)
             assert pending.cells == tuple(c for c in cells if c in state.ticket_cells)
             assert len(cells) > len(pending.cells)
 
@@ -761,7 +782,7 @@ class TestTicketCells:
         points = set(state.node_points.values())
         assert len(calls) == len(points) == len(state.ticket_cells) == 4
         assert type(state.ticket_cells) is frozenset
-        assert sorted(ticket.point for _, _, ticket in calls) == sorted(points)
+        assert sorted(ticket.point for _, ticket in calls) == sorted(points)
         assert len(state.ticket_routes) == 4  # two clouds, two labels each
         run_to_quiescence(state)  # every submission and publish
         assert len(calls) == 4 and state.metrics.tickets_published > 0
@@ -799,7 +820,7 @@ class TestProtocolGuards:
         target_peer = state.cell_owner[cell]
         state.engine.schedule(1, f"peer/{target_peer}", ClaimPost(claim, cell))
         state.engine.run(until_ms=20)
-        assert replica_count(state.store, state.cells, claim_id) == 0
+        assert replica_count(state.store, build_base_cells(state.space), claim_id) == 0
 
     @pytest.mark.parametrize(
         "target, payload",
@@ -978,17 +999,19 @@ def federations(draw):
     return sc, churn
 
 
-def assert_placed_by_the_oracle(state):
-    """Every cell, placed or not, goes to the peer brute_force_owner finds
-    for its key, and each placed cell's cell_owner entry names that peer.
-    Returns every cell's owner."""
+def assert_placed_by_the_oracle(state, cells=None):
+    """Every cell of the grid, or each of the given cells, placed or not,
+    goes to the peer brute_force_owner finds for its key, and each placed
+    cell's cell_owner entry names that peer. Returns those cells' owners."""
+    if cells is None:
+        cells = build_base_cells(state.space)
     membership, f_min = state.membership, state.space.f_min
     members = membership.members()
     owners = {
         cell: membership.name_of(brute_force_owner(members, spatial_hash(cell, f_min)))
-        for cell in state.cells
+        for cell in cells
     }
-    assert {cell: place_cell(state, cell) for cell in state.cells} == owners
+    assert {cell: place_cell(state, cell) for cell in cells} == owners
     assert state.cell_owner.items() <= owners.items()
     return owners
 

@@ -267,25 +267,22 @@ class TestClaimRegion:
 
 
 class TestMapClaim:
-    def test_point_region_single_cell(self, testbed_space, testbed_cells):
+    def test_point_region_single_cell(self, testbed_space):
         claim = ResourceClaim(
             "pt", (Eq(THREAD_LABEL), Eq(2.0), Eq("Intel"), Eq(2.0)), 1, "o", 0
         )
-        cells = map_claim(testbed_space, testbed_cells, claim)
+        cells = map_claim(testbed_space, claim)
         assert len(cells) == 1
 
     def test_ge_spans_two_of_two_slices(self, grid2x2_space):
-        cells = build_base_cells(grid2x2_space)
         claim = ResourceClaim("span", (Ge(1.5), Eq(0.2)), 1, "o", 0)
-        selected = map_claim(grid2x2_space, cells, claim)
+        selected = map_claim(grid2x2_space, claim)
         # normalized speed interval [0.375, 1] meets both slices of dim x.
         assert sorted(selected) == [(0, 0), (1, 0)]
-        # Replicas share the grid's own cell objects.
-        assert all(cells[cells.index(c)] is c for c in selected)
 
     def test_union_of_cells_covers_region(self):
         # Brute force over the whole grid, in grid order. Each claim is mapped
-        # twice, and the second walk must return the grid's same cells.
+        # twice, and both mappings must list the same cells in that order.
         rng = random.Random(37)
         spaces = [random_space(rng, rng.randint(1, 3)) for _ in range(60)]
         spaces += [random_space(rng, dim, f_min=f) for f in (1, 2, 3) for dim in (1, 2, 3)]
@@ -299,75 +296,72 @@ class TestMapClaim:
                     if all(lo <= chi and clo <= hi
                            for (lo, hi), (clo, chi) in zip(region, cell_bounds(c, space.f_min)))
                 )
-                first = map_claim(space, cells, claim)
+                first = map_claim(space, claim)
                 assert first == expected
-                again = map_claim(space, cells, claim)
+                again = map_claim(space, claim)
                 assert again == expected
-                assert all(a is b for a, b in zip(again, first))
 
-    def test_bool_still_rejected_after_equal_number_was_mapped(self, testbed_space, testbed_cells):
+    def test_bool_still_rejected_after_equal_number_was_mapped(self, testbed_space):
         # Eq(True) == Eq(1) and both hash alike; mapping the first must not
         # let the second pass.
         one = ResourceClaim("one", (Eq(THREAD_LABEL), Eq(1), Eq("Intel"), Eq(2.0)), 1, "o", 0)
         true = ResourceClaim("true", (Eq(THREAD_LABEL), Eq(True), Eq("Intel"), Eq(2.0)), 1, "o", 0)
         assert one.constraints == true.constraints
-        assert len(map_claim(testbed_space, testbed_cells, one)) == 1
+        assert len(map_claim(testbed_space, one)) == 1
         with pytest.raises(DomainError, match="expected a number, got True"):
-            map_claim(testbed_space, testbed_cells, true)
+            map_claim(testbed_space, true)
 
-    def test_wrong_arity_names_its_own_claim_each_call(self, testbed_space, testbed_cells):
+    def test_wrong_arity_names_its_own_claim_each_call(self, testbed_space):
         constraints = (Eq(THREAD_LABEL), Eq(1), Eq("Intel"))
         for ident in ("short-a", "short-b", "short-a"):
             claim = ResourceClaim(ident, constraints, 1, "o", 0)
             with pytest.raises(InvalidArgumentError, match=f"claim {ident}: 3 constraints for 4 dims"):
-                map_claim(testbed_space, testbed_cells, claim)
+                map_claim(testbed_space, claim)
 
-    def test_nan_bound_rejected_with_dimension_named(self, testbed_space, testbed_cells):
+    def test_nan_bound_rejected_with_dimension_named(self, testbed_space):
         claim = ResourceClaim(
             "nan", (Eq(THREAD_LABEL), Eq(1), Eq("Intel"), Ge(float("nan"))), 1, "o", 0
         )
         with pytest.raises(DomainError, match="speed_ghz: nan outside bounds"):
-            map_claim(testbed_space, testbed_cells, claim)
+            map_claim(testbed_space, claim)
 
 
 class TestClaimClassMemo:
     """An interned class keeps the cells of its last successful mapping,
-    with the space and grid they were mapped in."""
+    with the space they were mapped in."""
 
     def test_interned_class_maps_as_its_plain_tuple(self):
         # Each class is mapped on a miss, on a hit, and in an equal but
-        # distinct grid of the same space, which is a miss again.
+        # distinct space, which is a miss again.
         rng = random.Random(41)
         for s in range(60):
             space = random_space(rng, rng.randint(1, 3))
-            cells = build_base_cells(space)
             for t in range(4):
                 plain = random_claim(rng, space, f"p{s}.{t}")
-                expected = map_claim(space, cells, plain)
+                expected = map_claim(space, plain)
                 interned = ClaimClass(plain.constraints)
                 for j in range(2):
                     claim = ResourceClaim(f"i{s}.{t}.{j}", interned, 1, "o", 0)
-                    assert map_claim(space, cells, claim) == expected
-                    assert interned._mapped[0] is space and interned._mapped[1] is cells
-                    assert interned._mapped[2] == expected
-                again = build_base_cells(space)
-                selected = map_claim(space, again, ResourceClaim(f"g{s}.{t}", interned, 1, "o", 0))
+                    assert map_claim(space, claim) == expected
+                    assert interned._mapped[0] is space and interned._mapped[1] == expected
+                twin = AttributeSpace(space.dims, space.f_min)
+                assert twin == space and twin is not space
+                selected = map_claim(twin, ResourceClaim(f"g{s}.{t}", interned, 1, "o", 0))
                 assert selected == expected
-                assert all(again[again.index(c)] is c for c in selected)
-                assert interned._mapped[1] is again
+                assert interned._mapped[0] is twin and interned._mapped[1] is selected
 
     def test_hit_skips_validation_and_returns_the_stored_cells(
-        self, testbed_space, testbed_cells, monkeypatch
+        self, testbed_space, monkeypatch
     ):
         interned = ClaimClass((Eq(THREAD_LABEL), Eq(1), Eq("Intel"), Ge(2.4)))
-        first = map_claim(testbed_space, testbed_cells, ResourceClaim("u0", interned, 1, "o", 0))
+        first = map_claim(testbed_space, ResourceClaim("u0", interned, 1, "o", 0))
         calls = []
         monkeypatch.setattr(
             "fedmesh.spatial.claim_region", lambda *args: calls.append(args) or claim_region(*args)
         )
         for j in range(1, 4):
             claim = ResourceClaim(f"u{j}", interned, 1, "o", 0)
-            assert map_claim(testbed_space, testbed_cells, claim) is first
+            assert map_claim(testbed_space, claim) is first
         assert calls == []
 
     @pytest.mark.parametrize(
@@ -389,64 +383,63 @@ class TestClaimClassMemo:
         ids=["arity", "nan", "label"],
     )
     def test_failing_class_is_rejected_under_each_claim_id_and_never_stored(
-        self, testbed_space, testbed_cells, constraints, error, message
+        self, testbed_space, constraints, error, message
     ):
         interned = ClaimClass(constraints)
         for ident in ("bad-a", "bad-b", "bad-a"):
             claim = ResourceClaim(ident, interned, 1, "o", 0)
             with pytest.raises(error, match=f"claim {ident}: {message}"):
-                map_claim(testbed_space, testbed_cells, claim)
+                map_claim(testbed_space, claim)
             assert interned._mapped is None
 
-    def test_class_is_validated_again_in_another_space(self, testbed_space, testbed_cells):
+    def test_class_is_validated_again_in_another_space(self, testbed_space):
         slower = AttributeSpace(
             dims=testbed_space.dims[:3]
             + (DimensionSpec(name="speed_ghz", kind="numeric", bounds=(0.0, 3.0)),),
             f_min=testbed_space.f_min,
         )
         interned = ClaimClass((Eq(THREAD_LABEL), Eq(1), Eq("Intel"), Ge(3.5)))
-        stored = map_claim(testbed_space, testbed_cells, ResourceClaim("fast-1", interned, 1, "o", 0))
-        assert stored and interned._mapped[2] is stored
+        stored = map_claim(testbed_space, ResourceClaim("fast-1", interned, 1, "o", 0))
+        assert stored and interned._mapped[1] is stored
         claim = ResourceClaim("fast-2", interned, 1, "o", 0)
         with pytest.raises(DomainError, match=r"claim fast-2: speed_ghz: 3.5 outside bounds \[0.0, 3.0\]"):
-            map_claim(slower, build_base_cells(slower), claim)
+            map_claim(slower, claim)
         assert interned._mapped[0] is testbed_space
 
 
 class TestMapTicket:
-    def test_origin_point_maps_to_first_cell(self, testbed_space, testbed_cells):
+    def test_origin_point_maps_to_first_cell(self, testbed_space):
         ticket = ResourceTicket("t0", (TASK_LABEL, 1.0, "Intel", 0.0), 1, "n", 0)
         # first categorical label sits at 1/6 -> slice 0; numeric zeros -> slice 0
-        cell = map_ticket(testbed_space, testbed_cells, ticket)
+        cell = map_ticket(testbed_space, ticket)
         assert cell[1] == 0 and cell[3] == 0
 
-    def test_upper_boundary_belongs_to_last_slice(self, testbed_space, testbed_cells):
+    def test_upper_boundary_belongs_to_last_slice(self, testbed_space):
         ticket = ResourceTicket("t1", (TASK_LABEL, 8.0, "Intel", 4.0), 1, "n", 0)
-        cell = map_ticket(testbed_space, testbed_cells, ticket)
+        cell = map_ticket(testbed_space, ticket)
         assert cell[1] == 2 and cell[3] == 2
 
-    def test_point_of_wrong_length_rejected(self, testbed_space, testbed_cells):
+    def test_point_of_wrong_length_rejected(self, testbed_space):
         ticket = ResourceTicket("t3", (TASK_LABEL, 1.0, "Intel"), 1, "n", 0)
         with pytest.raises(InvalidArgumentError, match="ticket t3: 3 coordinates for 4 dims"):
-            map_ticket(testbed_space, testbed_cells, ticket)
+            map_ticket(testbed_space, ticket)
 
-    def test_out_of_bounds_point_rejected(self, testbed_space, testbed_cells):
+    def test_out_of_bounds_point_rejected(self, testbed_space):
         ticket = ResourceTicket("t2", (TASK_LABEL, 1.0, "Intel", 9.9), 1, "n", 0)
         with pytest.raises(DomainError):
-            map_ticket(testbed_space, testbed_cells, ticket)
+            map_ticket(testbed_space, ticket)
 
-    def test_nan_coordinate_rejected_with_dimension_named(self, testbed_space, testbed_cells):
+    def test_nan_coordinate_rejected_with_dimension_named(self, testbed_space):
         ticket = ResourceTicket("tn", (TASK_LABEL, 1.0, "Intel", float("nan")), 1, "n", 0)
         with pytest.raises(DomainError, match="speed_ghz: nan outside bounds"):
-            map_ticket(testbed_space, testbed_cells, ticket)
+            map_ticket(testbed_space, ticket)
 
     def test_point_lands_within_reported_cell_bounds(self):
         rng = random.Random(41)
         for t in range(500):
             space = random_space(rng, rng.randint(1, 3))
-            cells = build_base_cells(space)
             ticket = random_ticket(rng, space, f"t{t}")
-            cell = map_ticket(space, cells, ticket)
+            cell = map_ticket(space, ticket)
             for i in range(space.dim):
                 x = normalize(space, i, ticket.point[i])
                 lo, hi = cell_bounds(cell, space.f_min)[i]
@@ -463,7 +456,7 @@ class TestDomainErrorsNameTheirQuery:
             pytest.param(2, "Sparc", "cpu_type: unknown label 'Sparc'", id="unknown-label"),
         ],
     )
-    def test_prefixed_with_the_query_id(self, testbed_space, testbed_cells, query, dim, value, message):
+    def test_prefixed_with_the_query_id(self, testbed_space, query, dim, value, message):
         point = [THREAD_LABEL, 1, "Intel", 2.0]
         point[dim] = value
         if query == "claim":
@@ -471,7 +464,7 @@ class TestDomainErrorsNameTheirQuery:
         else:
             mapper, obj = map_ticket, ResourceTicket("bad-7", tuple(point), 1, "n", 0)
         with pytest.raises(DomainError, match=f"^{query} bad-7: {re.escape(message)}$"):
-            mapper(testbed_space, testbed_cells, obj)
+            mapper(testbed_space, obj)
 
 
 class TestRecords:
@@ -537,7 +530,6 @@ class TestMatches:
 
 class TestRendezvous:
     def test_exhaustive_on_2d_grid(self, grid2x2_space):
-        cells = build_base_cells(grid2x2_space)
         (lo_x, hi_x), (lo_y, hi_y) = (d.bounds for d in grid2x2_space.dims)
         xs = [lo_x + k * (hi_x - lo_x) / 8 for k in range(9)]
         ys = [lo_y + k * (hi_y - lo_y) / 8 for k in range(9)]
@@ -555,13 +547,13 @@ class TestRendezvous:
         ]
         checked = 0
         for ticket in tickets:
-            tcell = map_ticket(grid2x2_space, cells, ticket)
+            tcell = map_ticket(grid2x2_space, ticket)
             per_dim = constraints_for(ticket.point)
             for cx in per_dim[0]:
                 for cy in per_dim[1]:
                     claim = ResourceClaim("c", (cx, cy), 1, "o", 0)
                     assert matches(claim, ticket)
-                    assert tcell in map_claim(grid2x2_space, cells, claim)
+                    assert tcell in map_claim(grid2x2_space, claim)
                     checked += 1
         assert checked == 81 * 25
 
@@ -569,11 +561,10 @@ class TestRendezvous:
     @given(st.integers(2, 4), st.randoms(use_true_random=False))
     def test_property_matching_pairs_meet(self, dim, rnd):
         space = random_space(rnd, dim)
-        cells = build_base_cells(space)
         ticket = random_ticket(rnd, space, "t")
         claim = random_claim(rnd, space, "c", anchor=ticket)
         assert matches(claim, ticket)
-        assert map_ticket(space, cells, ticket) in map_claim(space, cells, claim)
+        assert map_ticket(space, ticket) in map_claim(space, claim)
 
 
 class TestSliceBoundaries:
@@ -593,19 +584,18 @@ class TestSliceBoundaries:
             ),
             f_min=f,
         )
-        cells = build_base_cells(space)
         u_points = [a / f for a in range(f + 1)]
         v_lo, v_hi = space.dims[1].bounds
         v_points = [v_lo + (v_hi - v_lo) * a / f for a in range(f + 1)]
         for u in u_points:
             for v in v_points:
                 ticket = ResourceTicket("t", (u, v), 1, "n", 0)
-                tcell = map_ticket(space, cells, ticket)
+                tcell = map_ticket(space, ticket)
                 for cu in (Eq(u), Ge(u), Le(u)):
                     for cv in (Eq(v), Ge(v), Le(v)):
                         claim = ResourceClaim("c", (cu, cv), 1, "o", 0)
                         assert matches(claim, ticket)
-                        assert tcell in map_claim(space, cells, claim), (f, u, v, cu, cv)
+                        assert tcell in map_claim(space, claim), (f, u, v, cu, cv)
 
     def test_ticket_on_interior_boundary_goes_to_upper_slice(self):
         # Half-open slices: an exact boundary point belongs to the slice above.
@@ -615,16 +605,15 @@ class TestSliceBoundaries:
         )
         cells = build_base_cells(space)
         ticket = ResourceTicket("t", (1 / 3,), 1, "n", 0)
-        assert map_ticket(space, cells, ticket) is cells[1] == (1,)
+        assert map_ticket(space, ticket) == cells[1] == (1,)
 
     def test_eq_claim_on_boundary_replicates_to_both_neighbors(self):
         space = AttributeSpace(
             dims=(DimensionSpec(name="u", kind="numeric", bounds=(0.0, 1.0)),),
             f_min=3,
         )
-        cells = build_base_cells(space)
         claim = ResourceClaim("c", (Eq(1 / 3),), 1, "o", 0)
-        assert sorted(map_claim(space, cells, claim)) == [(0,), (1,)]
+        assert sorted(map_claim(space, claim)) == [(0,), (1,)]
 
 
 def test_build_is_pure(testbed_space):

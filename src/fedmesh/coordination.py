@@ -48,7 +48,6 @@ from heapq import merge
 from itertools import chain
 from typing import NamedTuple
 
-from .errors import InvalidArgumentError
 from .spatial import Constraint, IndexCell, ResourceClaim, ResourceTicket, matches
 
 # (arrival_time, claim_id, claim): unique on the first two within a cell.
@@ -164,11 +163,6 @@ class ClaimStore:
                 break
         for decision in decisions:
             queue.remove_id(decision.claim_id)
-        granted = ticket.available_units - remaining
-        if granted > ticket.available_units:
-            raise InvalidArgumentError(
-                f"over-provisioned ticket {ticket.ticket_id}: {granted} > {ticket.available_units}"
-            )
         return decisions
 
     def has_waiting(self, cell: IndexCell) -> bool:

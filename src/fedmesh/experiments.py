@@ -7,7 +7,7 @@ from dataclasses import dataclass, replace
 
 from .config import Scenario
 from .federation import FederationState, RunReport, deploy_federation, run_to_quiescence
-from .workloads import MODELS, SWEEP_SIZES
+from .workloads import MODELS, SWEEP_SIZES, WorkloadSpec
 
 log = logging.getLogger("fedmesh.experiments")
 
@@ -37,7 +37,8 @@ def run_scenario(scenario: Scenario) -> RunResult:
 def scale_workloads(scenario: Scenario, models: tuple[str, ...], size: int) -> Scenario:
     """Resize the selected models' workloads to a size x size partition."""
     scaled = tuple(
-        replace(spec, rows=size, cols=size) if spec.model in models else spec
+        WorkloadSpec(**{**spec._asdict(), "rows": size, "cols": size})
+        if spec.model in models else spec
         for spec in scenario.workloads
     )
     return replace(scenario, workloads=scaled)

@@ -25,12 +25,13 @@ executes two units at once even though status tickets are periodic.
 
 Messages: the WorkloadSpec (submission), ClaimPost, TicketPost, the
 AllocationDecision (match notification), Dispatch, ExecDone, the finished
-WorkUnit (result) and a node's TimerTick. All but the submission are
-NamedTuples. Those sent per unit or per ticket are built in C with
-tuple.__new__ (new_record); a TimerTick is built once per node, at deploy.
-So are each unit's ResourceClaim and each ResourceTicket a peer builds at
-its cell: tuple records whose public constructors check their units, which
-new_record skips, so both sites pass the literal 1 that holds the check.
+WorkUnit (result) and a node's TimerTick. All are NamedTuples; the
+submission is a checked tuple record, built by the scenario parser. Those
+sent per unit or per ticket are built in C with tuple.__new__ (new_record);
+a TimerTick is built once per node, at deploy. So are each unit's
+ResourceClaim and each ResourceTicket a peer builds at its cell: tuple
+records whose public constructors check their units, which new_record
+skips, so both sites pass the literal 1 that holds the check.
 Each entity kind (scheduler, peer, node) dispatches on the payload's type
 through one table; any other payload is a named error. A TicketPost carries
 (node, label, issue time, cell), not a ticket: the cell's owner builds the
@@ -521,8 +522,12 @@ def _on_result(state: FederationState, cloud_id: str, unit: WorkUnit) -> None:
 
 def _forward(state: FederationState, peer: str, post: ClaimPost | TicketPost) -> None:
     """Pass a post for a cell this peer no longer owns on to the cell's
-    current owner, as Pastry routes a key on to its new root."""
+    current owner, as Pastry routes a key on to its new root. A route back
+    to this same peer would deliver the post to it forever, so it raises
+    ConsistencyError naming the cell and the peer."""
     delay, target, _ = _route(state, state.peer_cloud[peer], post.cell)
+    if target == state.peer_targets[peer]:
+        raise ConsistencyError(f"peer {peer!r} owns cell {post.cell}, yet forwards its post")
     state.engine.schedule(delay, target, post)
 
 

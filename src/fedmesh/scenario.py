@@ -72,6 +72,14 @@ given a default or a domain there and nowhere else. ``_Builder`` holds only
 the rules that relate two keys or sections: f_max equal to f_min, the
 guards, the four dimensions, a cloud's point inside the space, a model's
 service label, a workload's submit cloud and run time, and unique peer ids.
+
+A parse converts each distinct text once per converter: ``_Builder`` keeps
+one memo, keyed by (converter, raw text), of the texts that converted. Every
+value it holds is immutable (a number, string, tuple or frozen
+DemandDistribution), so sections share them. A text that fails is not kept,
+so it is diagnosed again at every line it appears on. The workload
+converters hold each field to its ``WorkloadSpec`` domain, so each spec is
+built unchecked, with ``coordination.new_record``.
 """
 
 from __future__ import annotations
@@ -95,6 +103,7 @@ from .config import (
     LatencyModel,
     Scenario,
 )
+from .coordination import new_record
 from .engine import DEFAULT_INBOX_CAPACITY
 from .errors import DomainError, FedmeshError, InvalidArgumentError
 from .spatial import CATEGORICAL, NUMERIC, AttributeSpace, DimensionSpec, normalize
@@ -209,7 +218,7 @@ _KEYS = {
         "cols": (_POSITIVE, None),
         "unit_demand": (_demand, None),
         "submit_cloud": (str, None),
-        "submit_time_ms": (_NON_NEGATIVE, WorkloadSpec.submit_time_ms),
+        "submit_time_ms": (_NON_NEGATIVE, WorkloadSpec._field_defaults["submit_time_ms"]),
     },
 }
 
@@ -255,13 +264,16 @@ def parse_scenario(text: str, source: str = "<string>") -> Scenario:
     top = _Section(0, "")
     sections: dict[str, list[_Section]] = {kind: [] for kind in _NAMES}
     seen: set[tuple[str, str]] = set()
-    current = top
+    entries = top.entries
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith("#"):
+        if not line:
             continue
-        if line.startswith("["):
+        first = line[0]
+        if first == "#":
+            continue
+        if first == "[":
             if not line.endswith("]"):
                 diags.append(Diagnostic(lineno, "section", "missing closing ']'"))
                 continue
@@ -270,6 +282,7 @@ def parse_scenario(text: str, source: str = "<string>") -> Scenario:
             name = parts[1].strip() if len(parts) > 1 else ""
             # A section that is diagnosed here is not built: its keys are dropped.
             current = _Section(lineno, name)
+            entries = current.entries
             named = _NAMES.get(kind)
             ident = (kind, name if named else "")  # a header's name is ignored where none is taken
             if kind not in _NAMES:
@@ -283,14 +296,14 @@ def parse_scenario(text: str, source: str = "<string>") -> Scenario:
                 seen.add(ident)
                 sections[kind].append(current)
             continue
-        if "=" not in line:
+        key, equals, value = line.partition("=")
+        if not equals:
             diags.append(Diagnostic(lineno, "syntax", f"expected 'key = value', got {line!r}"))
             continue
-        key, _, value = line.partition("=")
-        key = key.strip()
-        if key in current.entries:
+        key = key.rstrip()  # the line is stripped, so only the inner sides of "=" are left
+        if key in entries:
             diags.append(Diagnostic(lineno, key, "duplicate key in this section"))
-        current.entries[key] = (lineno, value.strip())
+        entries[key] = (lineno, value.lstrip())
 
     scenario = _Builder(diags).build(top, sections)
     if diags:
@@ -325,6 +338,8 @@ def builtin_scenario_path(name: str = "melbourne-5") -> Path:
 class _Builder:
     def __init__(self, diags: list[Diagnostic]) -> None:
         self.diags = diags
+        # (converter, raw text) -> value, for the texts that converted.
+        self.memo: dict[tuple, object] = {}
 
     def error(self, line: int, field: str, message: str) -> None:
         self.diags.append(Diagnostic(line, field, message))
@@ -334,25 +349,31 @@ class _Builder:
 
         A missing required key is diagnosed at the section line, a value
         that does not convert at its key's line; both read as the key's
-        default. Each key the table does not list is diagnosed too.
+        default. Each key the table does not list is diagnosed too. A text
+        converts once per parse: a bad one is converted, and diagnosed, again
+        at each line it appears on.
         """
         entries = section.entries
         table = _KEYS[kind]
+        memo = self.memo
         values = {}
         for key, (convert, default) in table.items():
             got = entries.get(key)
-            values[key] = default
             if got is None:
                 if default is None:
                     self.error(section.line, key, "required key missing")
+                values[key] = default
                 continue
             line, raw = got
-            try:
-                values[key] = convert(raw)
-            except InvalidArgumentError as exc:
-                self.error(line, key, f"{exc}, got {raw}")
-            except ValueError:
-                self.error(line, key, f"expected {_EXPECTED[convert]}, got {raw!r}")
+            value = memo.get((convert, raw))
+            if value is None:  # a miss, since no converter returns None; stays None on failure
+                try:
+                    value = memo[convert, raw] = convert(raw)
+                except InvalidArgumentError as exc:
+                    self.error(line, key, f"{exc}, got {raw}")
+                except ValueError:
+                    self.error(line, key, f"expected {_EXPECTED[convert]}, got {raw!r}")
+            values[key] = default if value is None else value
         if not entries.keys() <= table.keys():
             for key, (line, _) in entries.items():
                 if key not in table:
@@ -540,5 +561,7 @@ class _Builder:
                 message = f"submitted at {at} ms, {hi} GHz-s at {speed} GHz takes {hi / speed * 1000:g} ms"
                 self.error(line, "unit_demand", f"{message}, past max_virtual_ms = {horizon}")
                 continue
-            workloads.append(WorkloadSpec(**values, app_id=sec.name))
+            # The converters hold every field to its domain, so the spec is
+            # built unchecked; values are in _KEYS order, the field order.
+            workloads.append(new_record(WorkloadSpec, (*values.values(), sec.name)))
         return workloads

@@ -47,8 +47,7 @@ class DemandDistribution:
         return cls("uniform", lo, hi)
 
 
-@dataclass(frozen=True)
-class WorkloadSpec:
+class _WorkloadSpecFields(NamedTuple):
     model: str
     rows: int
     cols: int
@@ -57,13 +56,33 @@ class WorkloadSpec:
     submit_time_ms: int = 0
     app_id: str | None = None
 
-    def __post_init__(self) -> None:
-        if self.model not in MODELS:
-            raise InvalidArgumentError(f"model must be one of {MODELS}, got {self.model!r}")
-        if self.rows < 1 or self.cols < 1:
+
+class WorkloadSpec(_WorkloadSpecFields):
+    """One application: a rows x cols partition of one model, submitted to
+    one cloud at one virtual time.
+
+    A tuple record whose constructor checks the model, ``rows, cols >= 1``
+    and ``submit_time_ms >= 0``. The scenario parser builds its specs in C
+    with ``tuple.__new__`` (coordination.new_record), which skips the check,
+    since its key converters already hold each field to that domain.
+    NamedTuple's ``_replace`` and ``_make`` build through ``tuple.__new__``
+    too, so the library calls neither.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls, model: str, rows: int, cols: int, unit_demand: DemandDistribution,
+        submit_cloud: str, submit_time_ms: int = 0, app_id: str | None = None,
+    ) -> WorkloadSpec:
+        if model not in MODELS:
+            raise InvalidArgumentError(f"model must be one of {MODELS}, got {model!r}")
+        if rows < 1 or cols < 1:
             raise InvalidArgumentError("rows and cols must be >= 1")
-        if self.submit_time_ms < 0:
+        if submit_time_ms < 0:
             raise InvalidArgumentError("submit_time_ms must be >= 0")
+        fields = (model, rows, cols, unit_demand, submit_cloud, submit_time_ms, app_id)
+        return tuple.__new__(cls, fields)
 
     @property
     def unit_count(self) -> int:

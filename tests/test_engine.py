@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -268,6 +270,12 @@ class TestRngStream:
         for _ in range(10_000):
             v = stream.uniform(5.0, 40.0)
             assert 5.0 <= v < 40.0
+
+    def test_draw_rounding_up_to_hi_is_clamped_below_it(self, monkeypatch):
+        # 1 + (2 - 1) * (1 - 2**-53) rounds to 2.0 (ties to even).
+        stream = RngStream(1, "x")
+        monkeypatch.setattr(stream._random, "random", lambda: 1 - 2**-53)
+        assert stream.uniform(1.0, 2.0) == math.nextafter(2.0, 1.0)
 
     def test_mean_of_uniform_5_40(self):
         stream = RngStream(2024, "status")

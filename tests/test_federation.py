@@ -36,6 +36,7 @@ from fedmesh.federation import (
     Dispatch,
     TicketPost,
     TimerTick,
+    _forward,
     deploy_federation,
     on_allocation,
     place_cell,
@@ -240,6 +241,16 @@ class TestDeploy:
         assert seen == [ClaimPost] * 25
         assert "cloud-1" not in assert_placed_by_the_oracle(state).values()
         assert_served_exactly_once(state)
+
+    def test_forward_to_the_forwarding_peer_is_a_named_error(self, melbourne_scenario):
+        # A post reaching its cell's own owner is handled, never forwarded:
+        # forwarding it would deliver it to that peer again and again.
+        state = deploy_federation(melbourne_scenario)
+        state.engine.run(until_ms=0)
+        cell, owner = next(iter(state.cell_owner.items()))
+        post = ClaimPost(state.pending[next(iter(state.pending))].claim, cell)
+        with pytest.raises(ConsistencyError, match=re.escape(f"peer '{owner}' owns cell {cell}")):
+            _forward(state, owner, post)
 
     def test_leave_hands_waiting_claims_to_new_owners(self, melbourne_scenario):
         # At t=2 s cloud-1 owns 18 cells holding 175 waiting claims and has

@@ -26,7 +26,7 @@ from fedmesh import (
 from fedmesh.cli import main
 from fedmesh.federation import deploy_federation, run_to_quiescence
 from fedmesh.oracles import run_oracle_suites
-from fedmesh.workloads import MODELS, SERVICE_LABELS
+from fedmesh.workloads import MODELS, SERVICE_LABELS, WorkloadSpec
 
 from test_federation import assert_served_once_or_stranded
 
@@ -410,6 +410,71 @@ class TestParse:
         assert (diag.line, diag.field, diag.message) == (
             3, "max_virtual_ms", f"expected an integer >= 1, got {horizon!r}"
         )
+
+    @pytest.mark.parametrize(
+        "good, bad, message",
+        [
+            (
+                "unit_demand = constant, 4.8", "unit_demand = uniform, 6.0, 3.0",
+                "demand bounds must satisfy 0 < lo <= hi < inf, got uniform, 6.0, 3.0",
+            ),
+            (
+                "unit_demand = constant, 4.8", "unit_demand = constant, x",
+                "expected 'constant, X' or 'uniform, LO, HI', got 'constant, x'",
+            ),
+            # A key with a default: the text that failed must not read as it.
+            (
+                "submit_cloud = cloud-1", "submit_cloud = cloud-1\nsubmit_time_ms = -5",
+                "expected an integer >= 0, got '-5'",
+            ),
+        ],
+        ids=["domain", "syntax", "defaulted"],
+    )
+    def test_repeated_bad_value_is_diagnosed_at_each_line(self, good, bad, message):
+        # Values convert once per parse, but a bad one is never kept, so
+        # each of its lines gets its own diagnostic.
+        section = MINIMAL[MINIMAL.index("[workload app-1]"):]
+        text = "\n".join([MINIMAL, section.replace("app-1", "app-2"), section.replace("app-1", "app-3")])
+        text = text.replace(good, bad)
+        field = bad.rpartition("\n")[2].partition(" =")[0]
+        lines = [i for i, line in enumerate(text.splitlines(), start=1) if line.startswith(f"{field} =")]
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(text)
+        assert len(lines) == 3
+        assert [(d.line, d.field, d.message) for d in exc.value.diagnostics] == [
+            (line, field, message) for line in lines
+        ]
+
+    def test_parsed_workload_specs_equal_checked_ones(self):
+        # The parser builds specs unchecked, in _KEYS order: each must be
+        # the spec the checked constructor builds from its fields.
+        assert (*fedmesh.scenario._KEYS["workload"], "app_id") == WorkloadSpec._fields
+        sections = "".join(
+            f"[workload app-{i}]\nmodel = {MODELS[i % 2]}\nrows = {1 + i % 3}\ncols = {1 + i % 4}\n"
+            f"unit_demand = {('constant, 4.8', 'uniform, 1.5, 6.0', 'constant, 2')[i % 3]}\n"
+            f"submit_cloud = cloud-1\n" + (f"submit_time_ms = {i % 7 * 10}\n" if i % 5 else "")
+            for i in range(2, 201)
+        )
+        built = parse_scenario(MINIMAL + sections).workloads
+        builtin = load_scenario(builtin_scenario_path()).workloads
+        assert len(built) == 200
+        for spec in built + builtin:
+            assert type(spec) is WorkloadSpec
+            assert WorkloadSpec(**spec._asdict()) == spec
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("model", "batch", "model must be one of"),
+            ("rows", 0, "rows and cols must be >= 1"),
+            ("cols", 0, "rows and cols must be >= 1"),
+            ("submit_time_ms", -1, "submit_time_ms must be >= 0"),
+        ],
+    )
+    def test_workload_spec_constructor_checks_its_fields(self, field, value, message):
+        spec = parse_scenario(MINIMAL).workloads[0]
+        with pytest.raises(InvalidArgumentError, match=message):
+            WorkloadSpec(**{**spec._asdict(), field: value})
 
 
 class TestValidateCommand:

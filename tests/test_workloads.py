@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 
 from fedmesh import run_scenario
@@ -79,7 +77,8 @@ class TestGranularitySweep:
                     assert s == base  # a model outside the sweep is left untouched
                     continue
                 assert (s.rows, s.cols) == (size, size)
-                assert dataclasses.replace(s, rows=base.rows, cols=base.cols) == base
+                assert type(s) is WorkloadSpec
+                assert s._replace(rows=base.rows, cols=base.cols) == base
 
 
 class TestJobShare:

@@ -91,10 +91,13 @@ def load(src: Path, alias: str):
 
 
 def plain(value):
-    """Dataclasses as field dicts and sequences as lists, so two packages'
-    scenarios compare by value."""
+    """Dataclasses and NamedTuple records as field dicts and sequences as
+    lists, so two packages' scenarios compare by value, whichever of the two
+    record kinds each side builds."""
     if dataclasses.is_dataclass(value):
         return {f.name: plain(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, tuple) and hasattr(value, "_asdict"):
+        return {name: plain(field) for name, field in value._asdict().items()}
     if isinstance(value, (tuple, list)):
         return [plain(item) for item in value]
     return value

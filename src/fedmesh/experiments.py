@@ -1,15 +1,24 @@
-"""Experiment drivers: single runs and granularity sweeps over a scenario."""
+"""Experiment drivers: single runs and granularity sweeps over a scenario.
+
+A run's response rows are built in one place, ``RunResult.responses``; a
+sweep takes the swept models' rows of each of its runs, so the run and
+sweep writers report one row per application alike.
+"""
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 from .config import Scenario
 from .federation import FederationState, RunReport, deploy_federation, run_to_quiescence
 from .workloads import MODELS, SWEEP_SIZES, WorkloadSpec
 
 log = logging.getLogger("fedmesh.experiments")
+
+# (submit_cloud, model, granularity, response seconds)
+ResponseRow = tuple[str, str, int, float]
 
 
 @dataclass
@@ -21,6 +30,18 @@ class RunResult:
     @property
     def stranded(self) -> tuple[str, ...]:
         return self.report.stranded_claim_ids
+
+    def responses(self) -> list[ResponseRow]:
+        """One row per completed application, sorted on (cloud, model,
+        granularity); applications that tie stay in submission order."""
+        times = self.state.metrics.response_times
+        rows = [
+            (handle.submit_cloud, handle.model, handle.unit_count, times[handle.app_id])
+            for handle in self.state.apps.values()
+            if handle.complete
+        ]
+        rows.sort(key=lambda row: row[:3])
+        return rows
 
 
 def run_scenario(scenario: Scenario) -> RunResult:
@@ -50,13 +71,27 @@ class SweepResult:
     models: tuple[str, ...]
     sizes: tuple[int, ...]
     runs: dict[int, RunResult]
-    # (submit_cloud, model, granularity) -> response seconds
-    response: dict[tuple[str, str, int], float]
 
     @property
     def stranded(self) -> tuple[str, ...]:
         """Distinct ids of the claims stranded in any run, sorted."""
         return tuple(sorted({cid for run in self.runs.values() for cid in run.stranded}))
+
+    def responses(self) -> list[ResponseRow]:
+        """The swept models' rows of every run's ``responses()``, one per
+        application, sorted as those are."""
+        rows = [
+            row for run in self.runs.values() for row in run.responses() if row[1] in self.models
+        ]
+        rows.sort(key=lambda row: row[:3])
+        return rows
+
+    @cached_property
+    def response(self) -> dict[tuple[str, str, int], float]:
+        """(submit_cloud, model, granularity) -> response seconds, from
+        ``responses()``: when two applications share a key, the
+        later-submitted one is kept."""
+        return {row[:3]: row[3] for row in self.responses()}
 
 
 def run_sweep(
@@ -70,15 +105,5 @@ def run_sweep(
     replays the whole scenario with the same seed, so points are directly
     comparable.
     """
-    runs: dict[int, RunResult] = {}
-    response: dict[tuple[str, str, int], float] = {}
-    for size in sizes:
-        result = run_scenario(scale_workloads(scenario, models, size))
-        runs[size] = result
-        for handle in result.state.apps.values():
-            if handle.model in models and handle.complete:
-                key = (handle.submit_cloud, handle.model, handle.unit_count)
-                response[key] = result.state.metrics.response_times[handle.app_id]
-    return SweepResult(
-        scenario=scenario, models=models, sizes=sizes, runs=runs, response=response
-    )
+    runs = {size: run_scenario(scale_workloads(scenario, models, size)) for size in sizes}
+    return SweepResult(scenario=scenario, models=models, sizes=sizes, runs=runs)

@@ -114,7 +114,8 @@ log = logging.getLogger("fedmesh.federation")
 @dataclass
 class ExecutionNode:
     """One compute node; busy while executing, committed from allocation to
-    completion (the window in which its old tickets are stale)."""
+    completion (the window in which its old tickets are stale), so a busy
+    node is always committed."""
 
     node_id: str
     cloud_id: str
@@ -410,12 +411,12 @@ def submit_application(
 def publish_ticket(state: FederationState, node: ExecutionNode) -> None:
     """Advertise an idle node: one point ticket per hosted service type.
 
-    A busy or committed node publishes nothing. Each ticket carries one free
-    processor and routes to the single cell containing the node's attribute
-    point. The post carries the node and label; the owning peer builds the
-    ResourceTicket (see _on_ticket).
+    A committed node publishes nothing (a busy one is committed too). Each
+    ticket carries one free processor and routes to the single cell
+    containing the node's attribute point. The post carries the node and
+    label; the owning peer builds the ResourceTicket (see _on_ticket).
     """
-    if node.busy or node.committed:
+    if node.committed:
         return
     now = state.engine.now
     cloud_id = node.cloud_id
@@ -427,8 +428,8 @@ def publish_ticket(state: FederationState, node: ExecutionNode) -> None:
         state.metrics.tickets_published += 1
 
 
-def on_allocation(state: FederationState, decision: AllocationDecision) -> None:
-    """Scheduler-side handling of a match notification: dispatch the unit."""
+def on_allocation(state: FederationState, cloud_id: str, decision: AllocationDecision) -> None:
+    """A scheduler's handling of a match notification: dispatch the unit."""
     if decision.claim_id in state.dispatched:
         raise ConsistencyError(f"claim {decision.claim_id} allocated twice")
     state.dispatched.add(decision.claim_id)
@@ -508,10 +509,6 @@ def _on_submit(state: FederationState, cloud_id: str, spec: WorkloadSpec) -> Non
     submit_application(state, cloud_id, spec)
 
 
-def _on_match(state: FederationState, cloud_id: str, decision: AllocationDecision) -> None:
-    on_allocation(state, decision)
-
-
 def _on_result(state: FederationState, cloud_id: str, unit: WorkUnit) -> None:
     handle = state.apps[unit.app_id]
     handle.completions[unit.unit_id] = state.engine.now
@@ -549,7 +546,7 @@ def _on_ticket(state: FederationState, peer: str, post: TicketPost) -> None:
         _forward(state, peer, post)
         return
     node = post.node
-    if node.busy or node.committed:
+    if node.committed:
         state.metrics.stale_tickets += 1
         return
     if not state.store.has_waiting(cell):
@@ -628,7 +625,7 @@ def _route(state: FederationState, cloud_id: str, cell: IndexCell) -> tuple[int,
     return state.latency.between(cloud_id, state.peer_cloud[owner]), state.peer_targets[owner], cell
 
 
-_SCHEDULER = {WorkloadSpec: _on_submit, AllocationDecision: _on_match, WorkUnit: _on_result}
+_SCHEDULER = {WorkloadSpec: _on_submit, AllocationDecision: on_allocation, WorkUnit: _on_result}
 _PEER = {ClaimPost: _on_claim, TicketPost: _on_ticket}
 _NODE = {TimerTick: _on_tick, Dispatch: _on_dispatch, ExecDone: _on_done}
 

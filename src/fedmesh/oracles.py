@@ -332,23 +332,15 @@ def allocation_suite(instances: int, seed: int) -> SuiteReport:
 
 
 def routing_suite(checks: int, seed: int) -> SuiteReport:
-    """route() must land on the brute-force nearest peer."""
+    """route() must land on the brute-force nearest peer: measure_routing
+    over memberships of 1 to 64 peers, up to 50 keys each."""
     rng = random.Random(seed)
     failures = 0
     done = 0
     while done < checks:
-        n = rng.randint(1, 64)
-        membership = OverlayMembership()
-        for i in range(n):
-            membership.join(f"peer-{seed}-{done}-{i}")
-        members = membership.members()
-        for _ in range(min(50, checks - done)):
-            key = NodeId(rng.getrandbits(160))
-            source = members[rng.randrange(n)]
-            owner, _ = membership.route(source, key)
-            if owner != brute_force_owner(members, key):
-                failures += 1
-            done += 1
+        stats = measure_routing(rng.randint(1, 64), min(50, checks - done), rng.getrandbits(32))
+        failures += stats.samples - stats.agreements
+        done += stats.samples
     return SuiteReport(name="routing", trials=done, failures=failures)
 
 

@@ -1,7 +1,9 @@
 """Result tables and byte-deterministic CSV/JSON emission.
 
 All rows are sorted and floats fixed to three decimals, so identical
-(scenario, seed) pairs always produce identical bytes.
+(scenario, seed) pairs always produce identical bytes. Response rows, one
+per application, come from ``RunResult.responses`` for a run and
+``SweepResult.responses`` for a sweep, which takes them from its runs.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ import json
 from pathlib import Path
 
 from .config import SCHEMA_VERSION
-from .experiments import RunResult, SweepResult
+from .experiments import ResponseRow, RunResult, SweepResult
 from .workloads import MODELS, SERVICE_LABELS, JobShare, MetricsSink, job_share_percent
 
 RESPONSE_HEADER = "cloud_id,model,granularity,response_time_s"
@@ -41,16 +43,6 @@ def _summary_json(meta: dict, rows: list[_Row]) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def _response_rows(result: RunResult) -> list[tuple[str, str, int, float]]:
-    rows = []
-    for handle in result.state.apps.values():
-        if handle.complete:
-            rt = result.state.metrics.response_times[handle.app_id]
-            rows.append((handle.submit_cloud, handle.model, handle.unit_count, rt))
-    rows.sort(key=lambda r: (r[0], r[1], r[2]))
-    return rows
-
-
 def _jobs_rows(result: RunResult) -> list[tuple[str, str, int]]:
     done = result.state.metrics.completed_by_model
     return sorted(
@@ -71,7 +63,7 @@ def _write_outputs(
     fmt: str,
     rows: list[_Row],
     meta: dict,
-    responses: list[tuple[str, str, int, float]],
+    responses: list[ResponseRow],
     jobs: list[tuple[str, str, int]],
     share: JobShare,
 ) -> list[Path]:
@@ -119,14 +111,12 @@ def write_run_outputs(result: RunResult, out_dir: str | Path, fmt: str = "csv") 
         "zero_job_models": list(share.zero_models),
         "stranded_claims": list(result.stranded),
     }
-    return _write_outputs(
-        out_dir, fmt, rows, meta, _response_rows(result), _jobs_rows(result), share
-    )
+    return _write_outputs(out_dir, fmt, rows, meta, result.responses(), _jobs_rows(result), share)
 
 
 def write_sweep_outputs(sweep: SweepResult, out_dir: str | Path, fmt: str = "csv") -> list[Path]:
-    """Emit one response-time row per (cloud, model, granularity); the jobs
-    and share tables aggregate across the sweep's runs."""
+    """Emit one response-time row per application of the swept models in
+    each run; the jobs and share tables aggregate across the sweep's runs."""
     rows: list[_Row] = []
     merged = MetricsSink()
     for size in sweep.sizes:
@@ -145,6 +135,5 @@ def write_sweep_outputs(sweep: SweepResult, out_dir: str | Path, fmt: str = "csv
         "zero_job_models": list(share.zero_models),
         "stranded_claims": list(sweep.stranded),
     }
-    responses = [(c, m, g, rt) for (c, m, g), rt in sorted(sweep.response.items())]
     job_rows = sorted((c, SERVICE_LABELS[m], n) for (c, m), n in merged.completed_by_model.items())
-    return _write_outputs(out_dir, fmt, rows, meta, responses, job_rows, share)
+    return _write_outputs(out_dir, fmt, rows, meta, sweep.responses(), job_rows, share)

@@ -13,7 +13,7 @@ a ``#`` after a value is part of the value, since a label may contain one.
 
     [space]
     f_min = 3
-    # must equal f_min: cells are never subdivided
+    # optional; if present, must equal f_min: cells are never subdivided
     f_max = 3
 
     # the order of dimension sections is the dimension order of the space
@@ -69,9 +69,10 @@ required. A key's converter is its domain: a value outside it is diagnosed
 at its own line as "expected ..., got ..." and reads as the key's default.
 One reader converts a section against the table, so a key is added, renamed,
 given a default or a domain there and nowhere else. ``_Builder`` holds only
-the rules that relate two keys or sections: f_max equal to f_min, the
-guards, the four dimensions, a cloud's point inside the space, a model's
-service label, a workload's submit cloud and run time, and unique peer ids.
+the rules that relate two keys or sections: a present f_max equal to f_min,
+the guards, the four dimensions, a cloud's point inside the space (diagnosed
+at the line of the key holding the value), a model's service label, a
+workload's submit cloud and run time, and unique peer ids.
 
 A parse converts each distinct text once per converter: ``_Builder`` keeps
 one memo, keyed by (converter, raw text), of the texts that converted. Every
@@ -144,7 +145,7 @@ def _demand(raw: str) -> DemandDistribution:
     if items[0] == "constant" and len(items) == 2:
         return DemandDistribution.constant(float(items[1]))
     if items[0] == "uniform" and len(items) == 3:
-        return DemandDistribution.uniform(float(items[1]), float(items[2]))
+        return DemandDistribution(float(items[1]), float(items[2]))
     raise ValueError(raw)
 
 
@@ -187,7 +188,8 @@ _KIND = _one_of(NUMERIC, CATEGORICAL)
 # kind; "dimension" holds those of a section whose kind is missing or wrong
 # (for a claim dimension, the other kind is wrong), whose bounds and labels
 # are then left unchecked: only its kind is diagnosed.
-# f_max has to equal f_min, and its absence is diagnosed as f_max != f_min.
+# f_max may be left out; a present one has to equal f_min, and one that does
+# not convert reads as 0, so it is diagnosed at [space] too.
 _KEYS = {
     "top": {
         "schema_version": (int, None),
@@ -393,8 +395,8 @@ class _Builder:
             sec = sections["space"][0]
             values = self.read(sec, "space")
             f_min = values["f_min"] or 0
-            if f_min and values["f_max"] != f_min:
-                message = f"must be present and equal f_min = {f_min}: cells are never subdivided"
+            if f_min and "f_max" in sec.entries and values["f_max"] != f_min:
+                message = f"must equal f_min = {f_min}: cells are never subdivided"
                 self.error(sec.line, "f_max", message)
 
         dims = self.build_dims(sections["dimension"])
@@ -430,7 +432,7 @@ class _Builder:
                 message = f"expected {required} for claim dimension {sec.name!r}, got {kind!r}"
                 self.error(sec.entries["kind"][0], "kind", message)
                 continue
-            if None in values.values():
+            if any(value is None for value in values.values()):
                 continue
             try:
                 dims.append(DimensionSpec(sec.name, **values))
@@ -462,7 +464,7 @@ class _Builder:
         total_nodes = 0
         for sec in sections:
             values = self.read(sec, "cloud")
-            if None in values.values():
+            if any(value is None for value in values.values()):
                 continue
             nodes = values["nodes"]
             total_nodes += nodes
@@ -477,8 +479,8 @@ class _Builder:
                     (DIM_SERVICE, label, line, "service_types") for label in values["service_types"]
                 ]
                 point += [
-                    (DIM_CPU, values["cpu_type"], sec.line, "cpu_type"),
-                    (DIM_SPEED, values["speed_ghz"], sec.line, "speed_ghz"),
+                    (DIM_CPU, values["cpu_type"], sec.entries["cpu_type"][0], "cpu_type"),
+                    (DIM_SPEED, values["speed_ghz"], sec.entries["speed_ghz"][0], "speed_ghz"),
                     (DIM_PROCESSORS, 1, sec.line, "nodes"),
                 ]
                 for dim, value, line, field in point:
@@ -531,7 +533,7 @@ class _Builder:
         units = 0
         for sec in sections:
             values = self.read(sec, "workload")
-            if None in values.values():
+            if any(value is None for value in values.values()):
                 continue
             model, rows, cols = values["model"], values["rows"], values["cols"]
             if labels and SERVICE_LABELS[model] not in labels:

@@ -3,6 +3,8 @@
 Workloads mirror parameter-sweep applications partitioned into rows x cols
 independent units. The two programming models behave identically in the
 simulator except for the execution-service label their claims request.
+Each unit's demand is one draw from its application's demand interval; a
+constant demand is an interval of one point.
 """
 
 from __future__ import annotations
@@ -26,25 +28,20 @@ SWEEP_SIZES = (5, 7, 9, 11, 13)
 
 @dataclass(frozen=True)
 class DemandDistribution:
-    """Per-unit service demand in GHz-seconds: constant or uniform[lo, hi]."""
+    """Per-unit service demand in GHz-seconds, uniform on [lo, hi]. A
+    constant demand v is the interval [v, v], from which a draw is v and
+    consumes no randomness."""
 
-    kind: str
     lo: float
     hi: float
 
     def __post_init__(self) -> None:
-        if self.kind not in ("constant", "uniform"):
-            raise InvalidArgumentError(f"unknown demand distribution {self.kind!r}")
         if not 0 < self.lo <= self.hi < math.inf:
             raise InvalidArgumentError("demand bounds must satisfy 0 < lo <= hi < inf")
 
     @classmethod
     def constant(cls, value: float) -> "DemandDistribution":
-        return cls("constant", value, value)
-
-    @classmethod
-    def uniform(cls, lo: float, hi: float) -> "DemandDistribution":
-        return cls("uniform", lo, hi)
+        return cls(value, value)
 
 
 class _WorkloadSpecFields(NamedTuple):
@@ -105,15 +102,12 @@ class WorkUnit(NamedTuple):
 def generate_units(spec: WorkloadSpec, seed: int) -> list[WorkUnit]:
     """rows x cols independent units with seeded per-unit demands."""
     app_id = spec.resolved_app_id
-    stream = RngStream(seed, f"workload/{app_id}")
-    units = []
-    for k in range(spec.unit_count):
-        if spec.unit_demand.kind == "constant":
-            demand = spec.unit_demand.lo
-        else:
-            demand = stream.uniform(spec.unit_demand.lo, spec.unit_demand.hi)
-        units.append(new_record(WorkUnit, (f"{app_id}#{k}", app_id, spec.model, demand)))
-    return units
+    draw = RngStream(seed, f"workload/{app_id}").uniform
+    lo, hi = spec.unit_demand.lo, spec.unit_demand.hi
+    return [
+        new_record(WorkUnit, (f"{app_id}#{k}", app_id, spec.model, draw(lo, hi)))
+        for k in range(spec.unit_count)
+    ]
 
 
 @dataclass

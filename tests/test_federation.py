@@ -97,7 +97,7 @@ def workload(cloud_id, model="task", rows=5, cols=5, demand=None, at=0, app_id=N
         model=model,
         rows=rows,
         cols=cols,
-        unit_demand=demand or DemandDistribution.uniform(3.0, 6.0),
+        unit_demand=demand or DemandDistribution(3.0, 6.0),
         submit_cloud=cloud_id,
         submit_time_ms=at,
         app_id=app_id,
@@ -479,14 +479,34 @@ class TestPublishTicket:
         assert state.metrics.tickets_published == 2
 
     def test_busy_or_committed_node_stays_silent(self):
+        # The two states a node reaches between its allocation and its
+        # completion: committed, then committed and busy.
         state = deploy_federation(scenario([cloud("cloud-1", 2.7, nodes=1)]))
         node = state.nodes["cloud-1/n0"]
-        node.busy = True
-        publish_ticket(state, node)
-        node.busy = False
         node.committed = True
         publish_ticket(state, node)
+        node.busy = True
+        publish_ticket(state, node)
         assert state.metrics.tickets_published == 0
+
+    def test_a_busy_node_is_always_committed(self, melbourne_scenario, monkeypatch):
+        # Why publish_ticket and _on_ticket test committed alone. Only a
+        # node's own handlers set busy or clear committed.
+        busy_events = Counter()
+
+        def checked(on):
+            def handle(state, node, payload):
+                on(state, node, payload)
+                assert node.committed or not node.busy, (node.node_id, payload)
+                busy_events[node.busy] += 1
+
+            return handle
+
+        for kind, on in list(federation._NODE.items()):
+            monkeypatch.setitem(federation._NODE, kind, checked(on))
+        result = run_scenario(melbourne_scenario)
+        assert result.state.completed_total == BUILTIN_UNITS
+        assert busy_events[True] > 0 and busy_events[False] > 0
 
     def test_tickets_go_out_in_sorted_label_order(self):
         state = deploy_federation(scenario([cloud("cloud-1", 2.7, nodes=1, services=(THREAD_LABEL, TASK_LABEL))]))
@@ -923,9 +943,9 @@ class TestProtocolGuards:
             target="cloud-1/n0",
             notify="cloud-1",
         )
-        on_allocation(state, decision)
+        on_allocation(state, "cloud-1", decision)
         with pytest.raises(ConsistencyError):
-            on_allocation(state, decision)
+            on_allocation(state, "cloud-1", decision)
 
     def test_dispatch_to_a_node_failing_the_claim_is_refused_every_time(self):
         state = deploy_federation(

@@ -24,9 +24,10 @@ from fedmesh import (
     parse_scenario,
 )
 from fedmesh.cli import main
+from fedmesh.experiments import run_sweep
 from fedmesh.federation import deploy_federation, run_to_quiescence
 from fedmesh.oracles import run_oracle_suites
-from fedmesh.workloads import MODELS, SERVICE_LABELS, WorkloadSpec
+from fedmesh.workloads import MODELS, SERVICE_LABELS, SWEEP_SIZES, DemandDistribution, WorkloadSpec
 
 from test_federation import assert_served_once_or_stranded
 
@@ -266,14 +267,22 @@ class TestParse:
             parse_scenario(bad)
         assert any("speed_ghz" in d.message for d in exc.value.diagnostics)
 
-    @pytest.mark.parametrize("space", ["f_min = 2\nf_max = 3", "f_min = 2"])
+    @pytest.mark.parametrize(
+        "space", ["f_min = 2\nf_max = 3", "f_min = 2\nf_max = 0", "f_min = 2\nf_max = x"]
+    )
     def test_f_max_must_equal_f_min(self, space):
+        # One that does not convert reads as 0, so it is diagnosed at its
+        # own line and at [space].
         bad = MINIMAL.replace("f_min = 2\nf_max = 2", space)
         with pytest.raises(ScenarioError) as exc:
             parse_scenario(bad)
-        (diag,) = [d for d in exc.value.diagnostics if d.field == "f_max"]
-        assert diag.line == MINIMAL.splitlines().index("[space]") + 1
-        assert "never subdivided" in diag.message
+        (diag,) = [d for d in exc.value.diagnostics if "never subdivided" in d.message]
+        assert (diag.line, diag.field) == (MINIMAL.splitlines().index("[space]") + 1, "f_max")
+        assert diag.message == "must equal f_min = 2: cells are never subdivided"
+
+    def test_f_max_may_be_left_out(self):
+        # It changes nothing, so leaving it out gives the same scenario.
+        assert parse_scenario(MINIMAL.replace("f_max = 2\n", "")) == parse_scenario(MINIMAL)
 
     def test_cell_guard(self):
         bad = MINIMAL.replace("f_min = 2", "f_min = 20").replace("f_max = 2", "f_max = 20")
@@ -337,22 +346,27 @@ class TestParse:
         (diag,) = exc.value.diagnostics
         assert (diag.line, diag.field) == (section_line(past, "[cloud cloud-3]"), "nodes")
 
-    def test_a_shared_invalid_value_is_diagnosed_at_each_cloud(self):
-        # The parser checks each valid (dimension, value) pair once across
-        # clouds; an invalid one is never taken as checked.
+    def check_diagnosed_at_each_cloud(self, key, good, bad):
+        # A cloud value outside the space is diagnosed at its key's own line,
+        # in every cloud that holds it.
         second = (
-            "\n[cloud cloud-2]\nnodes = 1\nspeed_ghz = 2.4\ncpu_type = AMD\n"
+            "\n[cloud cloud-2]\nnodes = 1\nspeed_ghz = 2.4\ncpu_type = Intel\n"
             "service_types = P2PTaskExecution\nstatus_update_interval_ms = 1000, 2000\n"
         )
-        bad = MINIMAL.replace("cpu_type = Intel", "cpu_type = AMD") + second
+        text = (MINIMAL + second).replace(f"{key} = {good}", f"{key} = {bad}")
         with pytest.raises(ScenarioError) as exc:
-            parse_scenario(bad)
-        lines = bad.splitlines()
-        assert sorted((d.line, d.field) for d in exc.value.diagnostics) == [
-            (lines.index("[cloud cloud-1]") + 1, "cpu_type"),
-            (lines.index("[cloud cloud-2]") + 1, "cpu_type"),
-        ]
-        assert all("AMD" in d.message for d in exc.value.diagnostics)
+            parse_scenario(text)
+        lines = text.splitlines()
+        at = [i + 1 for i, line in enumerate(lines) if line == f"{key} = {bad}"]
+        assert len(at) == 2
+        assert sorted((d.line, d.field) for d in exc.value.diagnostics) == [(n, key) for n in at]
+        assert all(bad in d.message for d in exc.value.diagnostics)
+
+    def test_a_shared_invalid_value_is_diagnosed_at_each_cloud(self):
+        self.check_diagnosed_at_each_cloud("cpu_type", "Intel", "AMD")
+
+    def test_a_shared_out_of_bounds_speed_is_diagnosed_at_each_cloud(self):
+        self.check_diagnosed_at_each_cloud("speed_ghz", "2.4", "4.5")
 
     @pytest.mark.parametrize(
         "body", ["kind = numeric\nbounds = 0, 1", "kind = categorical\nlabels = a, b"]
@@ -387,16 +401,15 @@ class TestParse:
             line for i, line in enumerate(lines) if not (at <= i < end and line.startswith(f"{key} ="))
         ]
         text = "\n".join(lines) + "\n"
+        if default == "optional":  # a key that changes nothing when left out
+            assert parse_scenario(text) == parse_scenario(MINIMAL)
+            return
         if default != "required":
             assert str(getattr(owner(parse_scenario(text)), key)).lower() == default
             return
         with pytest.raises(ScenarioError) as exc:
             parse_scenario(text)
-        diags = exc.value.diagnostics
-        if key == "f_max":  # an absent f_max breaks the one rule it exists for
-            missing = [d for d in diags if d.field == key and "must be present" in d.message]
-        else:
-            missing = [d for d in diags if d.message == "required key missing"]
+        missing = [d for d in exc.value.diagnostics if d.message == "required key missing"]
         assert [(d.line, d.field) for d in missing] == [(at, key)]
 
     @pytest.mark.parametrize("horizon", ["0", "-5"])
@@ -674,6 +687,18 @@ class TestRunCommand:
         for name in ("summary.json", "response_times.csv", "jobs_by_cloud.csv", "job_share.csv"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
+    def test_constant_demand_is_a_one_point_uniform(self, tmp_path):
+        outputs = []
+        for demand in ("constant, 4.8", "uniform, 4.8, 4.8"):
+            text = MINIMAL.replace("unit_demand = constant, 4.8", f"unit_demand = {demand}")
+            assert parse_scenario(text) == parse_scenario(MINIMAL)
+            out = tmp_path / demand.split(",")[0]
+            assert main(["run", str(write(tmp_path, text)), "--out", str(out)]) == 0
+            outputs.append({path.name: path.read_bytes() for path in out.iterdir()})
+        assert outputs[0] == outputs[1] and len(outputs[0]) == 4
+        with pytest.raises(InvalidArgumentError, match="0 < lo <= hi"):
+            DemandDistribution(5, 4)
+
     def test_seed_override_changes_outputs(self, tmp_path):
         path = write(tmp_path, MINIMAL)
         a, b = tmp_path / "a", tmp_path / "b"
@@ -731,6 +756,29 @@ class TestSweepCommand:
             "121",
             "169",
         ]
+
+    def test_sweep_writes_one_row_per_application(self, tmp_path):
+        # A second task application on cloud-1 shares every (cloud, model,
+        # granularity) with the first: both rows are written, in submission
+        # order, as a run writes them.
+        text = builtin_scenario_path().read_text(encoding="utf-8") + (
+            "\n[workload cloud-1-task-2]\nmodel = task\nrows = 5\ncols = 5\n"
+            "unit_demand = uniform, 3.0, 6.0\nsubmit_cloud = cloud-1\nsubmit_time_ms = 5\n"
+        )
+        path, out = write(tmp_path, text), tmp_path / "out"
+        assert main(["sweep", str(path), "--model", "task", "--out", str(out)]) == 0
+        lines = (out / "response_times.csv").read_text().splitlines()[1:]
+        sweep = run_sweep(parse_scenario(text), models=("task",))
+        times = {size: run.state.metrics.response_times for size, run in sweep.runs.items()}
+        assert [line for line in lines if line.startswith("cloud-1,task,")] == [
+            f"cloud-1,task,{size * size},{times[size][app]:.3f}"
+            for size in SWEEP_SIZES
+            for app in ("cloud-1-task", "cloud-1-task-2")
+        ]
+        union = [row for run in sweep.runs.values() for row in run.responses() if row[1] == "task"]
+        assert sorted(lines) == sorted(f"{c},{m},{g},{rt:.3f}" for c, m, g, rt in union)
+        # The keyed view keeps the later-submitted of two applications.
+        assert sweep.response["cloud-1", "task", 25] == times[5]["cloud-1-task-2"]
 
     def test_sweep_response_non_decreasing(self, tmp_path):
         path = write(tmp_path, MINIMAL)
@@ -887,7 +935,7 @@ def scenario_texts(draw):
     def section(kind, header=None):
         values = {}
         for key, (convert, default) in KEYS[kind].items():
-            if default is None or key == "f_max" or draw(st.booleans()):
+            if default is None or draw(st.booleans()):
                 values[key] = draw(VALUES[convert](key, ctx))
                 convert(values[key])  # the generator stays inside the domain
             if key == "f_min":  # f_max has to equal it

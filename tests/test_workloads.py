@@ -19,7 +19,7 @@ def spec(rows=5, cols=5, model="task", demand=None, app_id=None):
         model=model,
         rows=rows,
         cols=cols,
-        unit_demand=demand or DemandDistribution.uniform(3.0, 6.0),
+        unit_demand=demand or DemandDistribution(3.0, 6.0),
         submit_cloud="cloud-1",
         app_id=app_id,
     )

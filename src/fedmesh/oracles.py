@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .coordination import ClaimStore
 from .errors import InvalidArgumentError
-from .overlay import NodeId, OverlayMembership, circular_distance, shared_prefix_len
+from .overlay import NodeId, OverlayMembership, circular_distance
 from .scenario import MAX_CELLS
 from .spatial import (
     CATEGORICAL,
@@ -82,6 +82,16 @@ def brute_force_owner(members: tuple[NodeId, ...], key: NodeId) -> NodeId:
         if d < best_d or (d == best_d and m.value < best.value):
             best, best_d = m, d
     return best
+
+
+def shared_prefix_len(a: str, b: str) -> int:
+    """Number of leading hex digits two canonical ids share."""
+    n = 0
+    for ca, cb in zip(a, b):
+        if ca != cb:
+            break
+        n += 1
+    return n
 
 
 def brute_force_prefix_table(

@@ -15,7 +15,12 @@ from fedmesh import (
     NoRouteError,
     NotAMemberError,
 )
-from fedmesh.oracles import brute_force_owner, brute_force_prefix_table, pure_sha1
+from fedmesh.oracles import (
+    brute_force_owner,
+    brute_force_prefix_table,
+    pure_sha1,
+    shared_prefix_len,
+)
 from fedmesh.overlay import (
     LEAF_SET_SIZE,
     RING_SIZE,
@@ -23,7 +28,6 @@ from fedmesh.overlay import (
     OverlayMembership,
     circular_distance,
     hash_name,
-    shared_prefix_len,
 )
 
 
@@ -204,23 +208,79 @@ class TestRoutingState:
     def test_small_membership_leaf_holds_everyone(self):
         m = fill(f"node-{i}" for i in range(6))
         for owner in m.members():
-            state = m.routing_state(owner)
-            assert state.covers_all
-            assert set(state.leaf_set) == set(m.members()) - {owner}
+            assert set(m.routing_state(owner).leaf_set) == set(m.members()) - {owner}
+
+
+class TableWalk:
+    """Reference routing: each hop reads the current peer's whole routing
+    state, with the prefix table from a member-by-member scan and the leaf set
+    from the sorted member list. ``OverlayMembership.route`` reads one slot
+    per hop instead and must take the same hops."""
+
+    def __init__(self, members):
+        self.members = members
+        self.tables = {}
+
+    def route(self, source, key):
+        members, n, half = self.members, len(self.members), LEAF_SET_SIZE // 2
+
+        def closeness(nid):
+            return (circular_distance(nid.value, key.value), nid.value)
+
+        cur, hops = source, 0
+        while True:
+            idx = members.index(cur)
+            reach = range(1, min(half, n - 1) + 1)
+            succs = [members[(idx + j) % n] for j in reach]
+            preds = [members[(idx - j) % n] for j in reach]
+            leaf = succs + preds
+            covered = n - 1 <= LEAF_SET_SIZE
+            if not covered:
+                far_pred, far_succ = preds[-1].value, succs[-1].value
+                covered = (key.value - far_pred) % RING_SIZE <= (far_succ - far_pred) % RING_SIZE
+            if covered:
+                best = min([cur, *leaf], key=closeness)
+                return best, hops + (best != cur)
+            if cur not in self.tables:
+                self.tables[cur] = brute_force_prefix_table(members, cur)
+            table = self.tables[cur]
+            depth = shared_prefix_len(cur.hex, key.hex)
+            nxt = table.get((depth, key.hex[depth]))
+            if nxt is None:
+                nxt = min(
+                    (
+                        nid
+                        for nid in [*leaf, *table.values()]
+                        if shared_prefix_len(nid.hex, key.hex) >= depth
+                        and closeness(nid) < closeness(cur)
+                    ),
+                    key=closeness,
+                )
+            cur = nxt
+            hops += 1
 
 
 class TestPrefixTableFromRingSlices:
-    """The prefix table built from ring slices equals a member-by-member scan."""
+    """The prefix table built from ring slices equals a member-by-member scan,
+    and on crafted memberships routing takes the table walk's hops."""
 
     def check(self, m):
         members = m.members()
         for owner in members:
             assert m.routing_state(owner).prefix_table == brute_force_prefix_table(members, owner)
 
-    def crafted(self, monkeypatch, values):
+    def check_crafted(self, monkeypatch, values):
         ids = {f"n{i}": NodeId(v) for i, v in enumerate(sorted({v % RING_SIZE for v in values}))}
         monkeypatch.setattr("fedmesh.overlay.hash_name", lambda name: ids[name])
-        return fill(ids)
+        m = fill(ids)
+        self.check(m)
+        # Keys on, just past and opposite each member, from every source in turn.
+        members = m.members()
+        walk = TableWalk(members)
+        keys = [(nid.value + delta) % RING_SIZE for nid in members for delta in (0, 1, RING_SIZE // 2)]
+        for i, key in enumerate(map(NodeId, keys)):
+            source = members[i % len(members)]
+            assert m.route(source, key) == walk.route(source, key)
 
     @pytest.mark.parametrize("n", [1, 2, 9, 40, 300])
     def test_hashed_memberships(self, n):
@@ -234,7 +294,7 @@ class TestPrefixTableFromRingSlices:
             for _ in range(rng.randint(1, 24)):
                 low_bits = 4 * rng.randint(1, 40)  # keep the other leading digits of base
                 values.append(base >> low_bits << low_bits | rng.getrandbits(low_bits))
-            self.check(self.crafted(monkeypatch, values))
+            self.check_crafted(monkeypatch, values)
 
     def test_same_slot_ties_around_the_antipode(self, monkeypatch):
         # Pairs mirrored about the owner's antipode are equally far from the
@@ -246,10 +306,37 @@ class TestPrefixTableFromRingSlices:
             for _ in range(rng.randint(1, 4)):
                 delta = rng.getrandbits(rng.randint(1, 152))
                 values += [owner + RING_SIZE // 2 + delta, owner + RING_SIZE // 2 - delta]
-            self.check(self.crafted(monkeypatch, values))
+            self.check_crafted(monkeypatch, values)
+
+    def test_ids_straddling_the_wrap(self, monkeypatch):
+        rng = random.Random(47)
+        for _ in range(30):
+            values = [rng.getrandbits(rng.randint(1, 156)) for _ in range(rng.randint(1, 12))]
+            values += [-rng.getrandbits(rng.randint(1, 156)) for _ in range(rng.randint(1, 12))]
+            self.check_crafted(monkeypatch, values)
 
 
 class TestRoute:
+    def test_matches_the_table_walk(self, monkeypatch):
+        # Same (owner, hops) as the whole-table walk; route falls back to the
+        # whole routing state only when the key's slot is empty, and some
+        # of these routes do.
+        fallbacks = []
+        real = OverlayMembership.routing_state
+        monkeypatch.setattr(
+            OverlayMembership,
+            "routing_state",
+            lambda self, nid: fallbacks.append(nid) or real(self, nid),
+        )
+        rng = random.Random(53)
+        for n in (1, 2, 9, 10, 17, 64, 256):
+            m = fill(f"walk-{n}-{i}" for i in range(n))
+            walk = TableWalk(m.members())
+            for _ in range(150):
+                key, source = NodeId(rng.getrandbits(160)), walk.members[rng.randrange(n)]
+                assert m.route(source, key) == walk.route(source, key)
+        assert fallbacks
+
     def test_singleton_zero_hops(self):
         m = fill(["solo"])
         nid = hash_name("solo")

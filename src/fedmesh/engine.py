@@ -130,15 +130,16 @@ class SimulationEngine:
         else:
             slot.append((box, payload))
 
-    def run(self, until_ms: int | None = None) -> int:
+    def run(self, until_ms: int | None = None) -> None:
         """Process events in order until the queue empties or time runs out.
 
-        Events with fire_at beyond until_ms stay queued. A handler exception
+        Events with fire_at beyond until_ms stay queued. ``events_processed``
+        counts the events delivered by every call, so a run driven through
+        several calls reads its total there. A handler exception
         aborts the run with entity/event/time diagnostics attached; the failed
         event is dropped and the rest of its millisecond stays queued.
         """
         slots, times = self._slots, self._times
-        processed = 0
         while times:
             fire_at = times[0]
             if until_ms is not None and fire_at > until_ms:
@@ -166,5 +167,3 @@ class SimulationEngine:
                 if not slot:
                     heapq.heappop(times)
                     del slots[fire_at]
-            processed += done
-        return processed

@@ -29,7 +29,8 @@ class RunResult:
 
     @property
     def stranded(self) -> tuple[str, ...]:
-        return self.report.stranded_claim_ids
+        """The ids of the claims the run stranded, sorted."""
+        return tuple(sorted(self.state.stranded_ids))
 
     def responses(self) -> list[ResponseRow]:
         """One row per completed application, sorted on (cloud, model,
@@ -50,7 +51,7 @@ def run_scenario(scenario: Scenario) -> RunResult:
     report = run_to_quiescence(state)
     log.info(
         "run finished: %d events, %d ms virtual, %d stranded",
-        report.events_processed, report.virtual_time_ms, len(report.stranded_claim_ids),
+        report.events_processed, report.virtual_time_ms, len(state.stranded_ids),
     )
     return RunResult(scenario=scenario, state=state, report=report)
 

@@ -293,7 +293,6 @@ class FederationState:
 class RunReport:
     events_processed: int
     virtual_time_ms: int
-    stranded_claim_ids: tuple[str, ...]
 
 
 def place_cell(state: FederationState, cell: IndexCell) -> str:
@@ -384,7 +383,6 @@ def submit_application(
         unit_count=len(units),
     )
     state.apps[app_id] = handle
-    state.metrics.record_submitted(spec.model, len(units))
     state.submitted_total += len(units)
 
     claim_class = _claim_class(state, cloud, spec.model)
@@ -460,10 +458,12 @@ def run_to_quiescence(state: FederationState) -> RunReport:
     targets with the most undelivered events, then counts the claims still
     waiting (submitted and not yet served, stored in some cell or in none)
     and names the five oldest of them. Any claim left waiting
-    must be one that was marked unsatisfiable at submission; the report
-    names every stranded claim, stored in some cell or in none.
+    must be one that was marked unsatisfiable at submission. The report
+    reads the engine's totals, so a run driven through several engine calls
+    reports all of its events; the stranded claims stay in
+    ``state.stranded_ids``.
     """
-    processed = state.engine.run(until_ms=state.max_virtual_ms)
+    state.engine.run(until_ms=state.max_virtual_ms)
     if state.engine.has_pending_events:
         pending = sorted(state.engine.pending_by_target().items(), key=lambda tp: (-tp[1], tp[0]))
         named = ", ".join(f"{target} ({count} pending)" for target, count in pending[:5])
@@ -482,11 +482,7 @@ def run_to_quiescence(state: FederationState) -> RunReport:
         raise ConsistencyError(
             f"satisfiable claims left waiting at quiescence: {sorted(unexpected)[:5]}"
         )
-    return RunReport(
-        events_processed=processed,
-        virtual_time_ms=state.engine.now,
-        stranded_claim_ids=tuple(sorted(state.stranded_ids)),
-    )
+    return RunReport(events_processed=state.engine.events_processed, virtual_time_ms=state.engine.now)
 
 
 # Event handlers: one table per entity kind, keyed by payload type. Each

@@ -21,7 +21,6 @@ import hashlib
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator
 
 from .errors import (
     AlreadyMemberError,
@@ -81,37 +80,18 @@ def _shared_digits(a: int, b: int) -> int:
 
 @dataclass(frozen=True)
 class RoutingState:
-    """One peer's deterministic view: prefix table and split leaf set.
+    """One peer's deterministic view: prefix table and leaf set.
 
     ``prefix_table[(i, d)]`` shares exactly the first ``i`` hex digits with
-    the peer whose view this is and has digit ``d`` at position ``i``. The leaf set holds up to
-    ``LEAF_SET_SIZE`` ring neighbors, half clockwise and half counterclockwise
-    (nearest first), so the immediate successor and predecessor are always
-    present; that is what makes greedy routing land on the true owner.
+    the peer whose view this is and has digit ``d`` at position ``i``. The
+    leaf set holds, once each, the up to ``LEAF_SET_SIZE`` ring neighbours
+    on the peer's leaf arc, half each way, so the immediate successor and
+    predecessor are always present; that is what makes greedy routing land
+    on the true owner.
     """
 
     prefix_table: dict[tuple[int, str], NodeId]
-    leaf_predecessors: tuple[NodeId, ...]
-    leaf_successors: tuple[NodeId, ...]
-
-    @property
-    def leaf_set(self) -> tuple[NodeId, ...]:
-        seen: dict[int, NodeId] = {}
-        for nid in self.leaf_successors + self.leaf_predecessors:
-            seen.setdefault(nid.value, nid)
-        return tuple(seen.values())
-
-    def view(self) -> Iterator[NodeId]:
-        """Every peer this node knows about (leaf set plus table entries)."""
-        seen: set[int] = set()
-        for nid in self.leaf_set:
-            if nid.value not in seen:
-                seen.add(nid.value)
-                yield nid
-        for nid in self.prefix_table.values():
-            if nid.value not in seen:
-                seen.add(nid.value)
-                yield nid
+    leaf_set: tuple[NodeId, ...]
 
 
 class OverlayMembership:
@@ -219,12 +199,13 @@ class OverlayMembership:
                 here = closeness(cur)
                 candidates = [
                     nid.value
-                    for nid in state.view()
+                    for nid in (*state.leaf_set, *state.prefix_table.values())
                     if _shared_digits(nid.value, k) >= depth and closeness(nid.value) < here
                 ]
                 if not candidates:
-                    # Unreachable for consistent global tables: a split leaf
-                    # set always supplies a strictly closer peer here.
+                    # Unreachable for consistent global tables: a leaf set
+                    # reaching both ways always supplies a strictly closer
+                    # peer here.
                     raise ConsistencyError(f"routing stuck at {cur:040x} for key {key.hex}")
                 nxt = min(candidates, key=closeness)
             cur = nxt
@@ -276,26 +257,20 @@ class OverlayMembership:
         return best
 
     def _build_state(self, owner: NodeId) -> RoutingState:
-        """Leaf set from the owner's ring neighbours; prefix table from slots.
+        """Leaf set from the owner's leaf arc; prefix table from slots.
 
         Rows run from 0 to the longest prefix the owner shares with another
         member, which one of its leaf-set neighbours attains; each row holds
         the non-empty slots of the 15 digits other than the owner's own.
         """
         ov = owner.value
-        arc = self._leaf_arc(ov)
-        mid = len(arc) // 2
-        preds, succs = arc[:mid][::-1], arc[mid + 1 :]
+        leaf = dict.fromkeys(v for v in self._leaf_arc(ov) if v != ov)
         by_value = self._by_value
         table: dict[tuple[int, str], NodeId] = {}
-        rows = max((_shared_digits(ov, v) + 1 for v in arc if v != ov), default=0)
+        rows = max((_shared_digits(ov, v) + 1 for v in leaf), default=0)
         for depth in range(rows):
             own = ov >> (ID_HEX_DIGITS - 1 - depth) * 4 & 0xF
             for d in range(ROUTING_BASE):
                 if d != own and (best := self._slot(ov, depth, d)) is not None:
                     table[(depth, _HEX_DIGITS[d])] = by_value[best][1]
-        return RoutingState(
-            prefix_table=table,
-            leaf_predecessors=tuple(by_value[v][1] for v in preds),
-            leaf_successors=tuple(by_value[v][1] for v in succs),
-        )
+        return RoutingState(prefix_table=table, leaf_set=tuple(by_value[v][1] for v in leaf))

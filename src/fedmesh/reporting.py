@@ -94,13 +94,16 @@ def _write_outputs(
 def write_run_outputs(result: RunResult, out_dir: str | Path, fmt: str = "csv") -> list[Path]:
     """Emit the run's metric files; csv writes all four, json just the summary."""
     sink = result.state.metrics
+    submitted = dict.fromkeys(MODELS, 0)
+    for handle in result.state.apps.values():
+        submitted[handle.model] += handle.unit_count
     rows: list[_Row] = [
         ("events_processed", "engine", 0, float(result.report.events_processed), "events"),
         ("virtual_time_ms", "engine", 0, float(result.report.virtual_time_ms), "ms"),
         ("stranded_claims", "engine", 0, float(len(result.stranded)), "claims"),
         ("tickets_published", "engine", 0, float(sink.tickets_published), "tickets"),
         ("stale_tickets_dropped", "engine", 0, float(sink.stale_tickets), "tickets"),
-        *(("units_submitted", m, 0, float(sink.submitted_units.get(m, 0)), "units") for m in MODELS),
+        *(("units_submitted", m, 0, float(n), "units") for m, n in submitted.items()),
         *(("units_completed", m, 0, float(n), "units") for m, n in sink.completed_per_model().items()),
     ]
     cloud_ids = tuple(sorted(c.cloud_id for c in result.scenario.clouds))

@@ -320,8 +320,10 @@ def map_ticket(space: AttributeSpace, ticket: ResourceTicket) -> IndexCell:
     index per dimension.
 
     Slices are half-open below the top of the space; the upper boundary of
-    the whole space belongs to the last slice. A coordinate outside its
-    dimension's domain is a DomainError naming the ticket.
+    the whole space belongs to the last slice. The index is the last ``a``
+    with ``a / f <= x``, in the bounds arithmetic ``_region_cells`` uses, so
+    every region containing the point meets its cell. A coordinate outside
+    its dimension's domain is a DomainError naming the ticket.
     """
     if len(ticket.point) != space.dim:
         raise InvalidArgumentError(
@@ -334,14 +336,7 @@ def map_ticket(space: AttributeSpace, ticket: ResourceTicket) -> IndexCell:
             x = normalize(space, i, ticket.point[i])
         except DomainError as exc:
             raise DomainError(f"ticket {ticket.ticket_id}: {exc}") from None
-        a = min(int(x * f), f - 1)
-        # Guard against multiplication rounding right at slice boundaries:
-        # keep the index consistent with the bounds arithmetic used by cells.
-        if a > 0 and x < a / f:
-            a -= 1
-        elif a < f - 1 and x >= (a + 1) / f:
-            a += 1
-        coords.append(a)
+        coords.append(max(a for a in range(f) if a / f <= x))
     return tuple(coords)
 
 

@@ -117,18 +117,16 @@ class MetricsSink:
     Everything here is a pure aggregation of the event trace; counters only
     ever grow while the run is in flight. Completions are counted once, per
     (cloud, model): per-label and per-model totals are derived from that
-    counter where they are reported.
+    counter where they are reported. Submissions are read from the
+    federation state's application handles, which hold each model and unit
+    count.
     """
 
     response_times: dict[str, float] = field(default_factory=dict)
     completed_by_model: dict[tuple[str, str], int] = field(default_factory=dict)
-    submitted_units: dict[str, int] = field(default_factory=dict)
     decisions: list[AllocationDecision] = field(default_factory=list)
     stale_tickets: int = 0
     tickets_published: int = 0
-
-    def record_submitted(self, model: str, count: int) -> None:
-        self.submitted_units[model] = self.submitted_units.get(model, 0) + count
 
     def record_decision(self, decision: AllocationDecision) -> None:
         self.decisions.append(decision)

@@ -29,7 +29,8 @@ class TestSchedule:
         engine.schedule(30, "a", "late")
         engine.schedule(10, "a", "early")
         engine.schedule(20, "a", "middle")
-        assert engine.run() == 3
+        engine.run()
+        assert engine.events_processed == 3
         assert [p for _, p in log] == ["early", "middle", "late"]
         assert engine.now == 30
 
@@ -77,7 +78,8 @@ class TestSchedule:
         assert engine.inbox("a").pending == 0
         assert not engine.has_pending_events
         engine.schedule(1, "a", "y")  # the one slot is still free
-        assert engine.run() == 1
+        engine.run()
+        assert engine.events_processed == 1
 
     def test_a_target_registers_once(self):
         engine = SimulationEngine()
@@ -111,7 +113,8 @@ class TestSchedule:
 class TestRun:
     def test_empty_queue_is_a_no_op(self):
         engine = SimulationEngine()
-        assert engine.run() == 0
+        assert engine.run() is None
+        assert engine.events_processed == 0
         assert engine.now == 0
 
     def test_until_between_two_events(self):
@@ -120,10 +123,12 @@ class TestRun:
         engine.register("a", collector(engine, log))
         engine.schedule(10, "a", "early")
         engine.schedule(20, "a", "late")
-        assert engine.run(until_ms=15) == 1
+        engine.run(until_ms=15)
+        assert engine.events_processed == 1
         assert [p for _, p in log] == ["early"]
         assert engine.has_pending_events
-        assert engine.run() == 1
+        engine.run()
+        assert engine.events_processed == 2  # every call's events
 
     def test_missing_handler_aborts(self):
         # Rejected when scheduled, not when the event would fire.
@@ -180,7 +185,7 @@ class TestCalendarSlots:
         assert engine.events_processed == 2  # the failed event is not counted
         assert engine.inbox("a").pending == len(left)
         assert engine.has_pending_events == bool(left)
-        assert engine.run() == len(left)
+        engine.run()
         assert log[2:] == [(5, p) for p in left]
         assert engine.events_processed == 2 + len(left)
 
@@ -196,13 +201,16 @@ class TestCalendarSlots:
         engine.register("a", handler)
         for delay, payload in ((5, "a1"), (5, "a2"), (6, "b1"), (7, "c1")):
             engine.schedule(delay, "a", payload)
-        assert engine.run(until_ms=5) == 3
+        engine.run(until_ms=5)
+        assert engine.events_processed == 3
         assert log == [(5, "a1"), (5, "a2"), (5, "a2-echo")]
         assert engine.now == 5
         engine.schedule(0, "a", "a3")  # a new slot at the current time
-        assert engine.run(until_ms=6) == 2
+        engine.run(until_ms=6)
+        assert engine.events_processed == 5
         assert log[3:] == [(5, "a3"), (6, "b1")]
-        assert engine.run() == 1
+        engine.run()
+        assert engine.events_processed == 6
         assert log[5:] == [(7, "c1")]
         assert not engine.has_pending_events
 

@@ -29,7 +29,7 @@ from fedmesh.federation import deploy_federation, run_to_quiescence
 from fedmesh.oracles import run_oracle_suites
 from fedmesh.workloads import MODELS, SERVICE_LABELS, SWEEP_SIZES, DemandDistribution, WorkloadSpec
 
-from test_federation import assert_served_once_or_stranded
+from support import assert_served_once_or_stranded
 
 MINIMAL = """\
 schema_version = 1

@@ -570,9 +570,10 @@ class TestRendezvous:
 class TestSliceBoundaries:
     """Claims and tickets sitting exactly on slice boundaries must still meet.
 
-    Boundary coordinates are the nastiest floating-point case: the ticket's
-    cell index comes from a multiplication while the cell bounds come from
-    divisions, and for fractions like 1/3 those disagree by one ulp.
+    Boundary coordinates are the nastiest floating-point case: for fractions
+    like 1/3 a multiplication ``x * f`` and the division ``a / f`` that bounds
+    a slice disagree by one ulp. The ticket's cell index and the claim's
+    cells must both come from the divisions.
     """
 
     @pytest.mark.parametrize("f", [2, 3, 4, 5, 7])

@@ -117,7 +117,8 @@ class TestConservation:
         sink = result.state.metrics
         for model in ("task", "thread"):
             done = sum(n for (_, m), n in sink.completed_by_model.items() if m == model)
-            assert done == sink.submitted_units[model] == 125
+            submitted = sum(a.unit_count for a in result.state.apps.values() if a.model == model)
+            assert done == submitted == 125
         assert sink.completed_per_model() == {"task": 125, "thread": 125}
         by_cloud = sum(sink.completed_by_model.values())
         assert by_cloud == 250

@@ -9,8 +9,10 @@ rather than a scan of all n members.
 Routing is performed hop by hop, which keeps the logarithmic-hop behavior
 observable instead of assumed. A hop reads only what it uses: the current
 peer's leaf set (one bisect of the ring) and the one prefix-table slot the
-key selects (two bisects). A peer's whole routing state is built only when
-that slot is empty. A route at n = 1024 takes about 21 us and 2.6 hops
+key selects (two bisects). When that slot is empty, the hop also reads the
+slots of the only prefix-table rows that can hold its next hop, the
+selected row and the deeper ones, so routing builds and keeps no peer's
+routing state. A route at n = 1024 takes about 22 us and 2.6 hops
 (overlay.route.us_per_call.n1024 of a traced oracle-suite run at seed 42:
 median of 5 runs, Python 3.11 on a shared 2-vCPU host).
 """
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import hashlib
 from bisect import bisect_left
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -53,7 +56,7 @@ class NodeId:
     value: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.value, int) or not 0 <= self.value < RING_SIZE:
+        if type(self.value) is not int or not 0 <= self.value < RING_SIZE:
             raise InvalidArgumentError(f"node id must be a {RING_BITS}-bit unsigned integer")
 
     @cached_property
@@ -97,15 +100,14 @@ class RoutingState:
 class OverlayMembership:
     """Global registry of named peers with derived routing state.
 
-    Mutations (join/leave) invalidate the cached ring and per-peer routing
-    states; states are rebuilt lazily, which keeps repeated join sequences
-    cheap for large memberships.
+    Mutations (join/leave) drop the cached sorted ring, which is rebuilt
+    lazily, so repeated join sequences stay cheap for large memberships.
+    Routing state is derived from the ring when read and never kept.
     """
 
     def __init__(self) -> None:
         self._by_value: dict[int, tuple[str, NodeId]] = {}
         self._ring: list[int] | None = None
-        self._states: dict[int, RoutingState] = {}
 
     def __len__(self) -> int:
         return len(self._by_value)
@@ -155,13 +157,10 @@ class OverlayMembership:
         return self._by_value[best][1]
 
     def routing_state(self, node_id: NodeId) -> RoutingState:
+        """A member's whole routing state, built afresh on each call."""
         if node_id.value not in self._by_value:
             raise NotAMemberError(f"no peer with id {node_id.hex}")
-        state = self._states.get(node_id.value)
-        if state is None:
-            state = self._build_state(node_id)
-            self._states[node_id.value] = state
-        return state
+        return self._build_state(node_id)
 
     def route(self, source: NodeId, key: NodeId) -> tuple[NodeId, int]:
         """Greedy prefix routing from source toward the owner of key.
@@ -170,8 +169,11 @@ class OverlayMembership:
         the key through the prefix table or moves strictly closer along the
         leaf set; the walk ends at the peer with minimal circular distance,
         which is independent of the source. A hop reads only the current
-        peer's leaf set and the one prefix-table slot the key selects; the
-        whole routing state is built only when that slot is empty.
+        peer's leaf set and the one prefix-table slot the key selects. When
+        that slot is empty, the next hop is the closest of the leaf set and
+        the slots of the selected prefix-table row and the deeper ones: a slot
+        in a shallower row shares fewer digits with the key than the current
+        peer does, so it can never be the next hop.
         """
         if not self._by_value:
             raise NoRouteError("cannot route in an empty membership")
@@ -195,12 +197,12 @@ class OverlayMembership:
             depth = _shared_digits(cur, k)
             nxt = self._slot(cur, depth, k >> (RING_BITS - 4 - 4 * depth) & 0xF)
             if nxt is None:
-                state = self.routing_state(self._by_value[cur][1])
                 here = closeness(cur)
+                slots = (v for _, _, v in self._table_slots(cur, arc, depth))
                 candidates = [
-                    nid.value
-                    for nid in (*state.leaf_set, *state.prefix_table.values())
-                    if _shared_digits(nid.value, k) >= depth and closeness(nid.value) < here
+                    v
+                    for v in (*arc, *slots)
+                    if _shared_digits(v, k) >= depth and closeness(v) < here
                 ]
                 if not candidates:
                     # Unreachable for consistent global tables: a leaf set
@@ -215,7 +217,6 @@ class OverlayMembership:
 
     def _invalidate(self) -> None:
         self._ring = None
-        self._states.clear()
 
     def _ring_values(self) -> list[int]:
         if self._ring is None:
@@ -256,21 +257,31 @@ class OverlayMembership:
             best = last
         return best
 
-    def _build_state(self, owner: NodeId) -> RoutingState:
-        """Leaf set from the owner's leaf arc; prefix table from slots.
+    def _table_slots(
+        self, owner: int, arc: list[int], first_row: int = 0
+    ) -> Iterator[tuple[int, int, int]]:
+        """``(row, digit, member)`` for each non-empty prefix-table slot of a
+        member in row ``first_row`` and the deeper rows; ``arc`` is its leaf
+        arc.
 
-        Rows run from 0 to the longest prefix the owner shares with another
-        member, which one of its leaf-set neighbours attains; each row holds
-        the non-empty slots of the 15 digits other than the owner's own.
+        Rows run to the longest prefix the owner shares with another member,
+        which one of its leaf-set neighbours attains; each row holds the
+        non-empty slots of the 15 digits other than the owner's own.
         """
-        ov = owner.value
-        leaf = dict.fromkeys(v for v in self._leaf_arc(ov) if v != ov)
-        by_value = self._by_value
-        table: dict[tuple[int, str], NodeId] = {}
-        rows = max((_shared_digits(ov, v) + 1 for v in leaf), default=0)
-        for depth in range(rows):
-            own = ov >> (ID_HEX_DIGITS - 1 - depth) * 4 & 0xF
+        rows = max((_shared_digits(owner, v) + 1 for v in arc if v != owner), default=0)
+        for depth in range(first_row, rows):
+            own = owner >> (ID_HEX_DIGITS - 1 - depth) * 4 & 0xF
             for d in range(ROUTING_BASE):
-                if d != own and (best := self._slot(ov, depth, d)) is not None:
-                    table[(depth, _HEX_DIGITS[d])] = by_value[best][1]
+                if d != own and (best := self._slot(owner, depth, d)) is not None:
+                    yield depth, d, best
+
+    def _build_state(self, owner: NodeId) -> RoutingState:
+        """Leaf set from the owner's leaf arc; prefix table from its slots."""
+        ov = owner.value
+        arc = self._leaf_arc(ov)
+        by_value = self._by_value
+        table = {
+            (depth, _HEX_DIGITS[d]): by_value[v][1] for depth, d, v in self._table_slots(ov, arc)
+        }
+        leaf = dict.fromkeys(v for v in arc if v != ov)
         return RoutingState(prefix_table=table, leaf_set=tuple(by_value[v][1] for v in leaf))

@@ -18,6 +18,7 @@ from fedmesh import (
 from fedmesh.oracles import (
     brute_force_owner,
     brute_force_prefix_table,
+    measure_routing,
     pure_sha1,
     shared_prefix_len,
 )
@@ -76,6 +77,9 @@ class TestNodeId:
             NodeId(RING_SIZE)
         with pytest.raises(InvalidArgumentError):
             NodeId(-1)
+        for flag in (True, False):
+            with pytest.raises(InvalidArgumentError):
+                NodeId(flag)
 
     def test_circular_distance_wraps(self):
         assert circular_distance(0, RING_SIZE - 1) == 1
@@ -316,18 +320,26 @@ class TestPrefixTableFromRingSlices:
             self.check_crafted(monkeypatch, values)
 
 
+def record_fallbacks(monkeypatch):
+    """Log each walk over prefix-table slots. Outside ``routing_state``, only
+    a route hop that finds the key's slot empty makes one."""
+    fallbacks = []
+    real = OverlayMembership._table_slots
+
+    def table_slots(self, owner, *args):
+        fallbacks.append(owner)
+        return real(self, owner, *args)
+
+    monkeypatch.setattr(OverlayMembership, "_table_slots", table_slots)
+    return fallbacks
+
+
 class TestRoute:
     def test_matches_the_table_walk(self, monkeypatch):
-        # Same (owner, hops) as the whole-table walk; route falls back to the
-        # whole routing state only when the key's slot is empty, and some
+        # Same (owner, hops) as the whole-table walk; route reads prefix-table
+        # rows beyond the key's slot only when that slot is empty, and some
         # of these routes do.
-        fallbacks = []
-        real = OverlayMembership.routing_state
-        monkeypatch.setattr(
-            OverlayMembership,
-            "routing_state",
-            lambda self, nid: fallbacks.append(nid) or real(self, nid),
-        )
+        fallbacks = record_fallbacks(monkeypatch)
         rng = random.Random(53)
         for n in (1, 2, 9, 10, 17, 64, 256):
             m = fill(f"walk-{n}-{i}" for i in range(n))
@@ -335,6 +347,19 @@ class TestRoute:
             for _ in range(150):
                 key, source = NodeId(rng.getrandbits(160)), walk.members[rng.randrange(n)]
                 assert m.route(source, key) == walk.route(source, key)
+        assert fallbacks
+
+    def test_builds_no_routing_state(self, monkeypatch):
+        # Routing at n = 1024 never builds a routing state, not even on the
+        # hops whose slot is empty, and still reaches every key's owner.
+        def refuse(*args):
+            raise AssertionError("route built a routing state")
+
+        monkeypatch.setattr(OverlayMembership, "_build_state", refuse)
+        monkeypatch.setattr(OverlayMembership, "routing_state", refuse)
+        fallbacks = record_fallbacks(monkeypatch)
+        stats = measure_routing(1024, 300, seed=71)
+        assert stats.agreements == stats.samples == 300
         assert fallbacks
 
     def test_singleton_zero_hops(self):

@@ -1044,6 +1044,12 @@ def test_library_defines_nothing_that_only_tests_use():
         # When a claim was served: tests read it, and the planned per-run
         # telemetry (claim wait from post to match) will.
         "coordination.AllocationDecision.decided_at",
+        # A peer's whole routing state, which route never builds: tests
+        # check prefix tables and leaf sets on it, and bench/tracing.py
+        # patches routing_state by name to count that routes make 0 calls.
+        "overlay.OverlayMembership.routing_state",
+        "overlay.RoutingState.leaf_set",
+        "overlay.RoutingState.prefix_table",
     }
     unused = []
     for path in sorted(sources):

@@ -1,7 +1,8 @@
 """The ``fedmesh`` command line: validate, run, sweep, oracle.
 
-Exit codes: 0 ok, 2 invalid scenario, 3 I/O error, 4 internal invariant
-failure (including buffer overflow), 5 stranded claims at quiescence.
+Exit codes: 0 ok, 1 an oracle suite failed, 2 invalid scenario, 3 I/O
+error, 4 internal invariant failure (including buffer overflow), 5 stranded
+claims at quiescence.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .reporting import write_run_outputs, write_sweep_outputs
 from .scenario import ScenarioError, load_scenario
 
 EXIT_OK = 0
+EXIT_ORACLE_FAILED = 1
 EXIT_INVALID_SCENARIO = 2
 EXIT_IO = 3
 EXIT_INTERNAL = 4
@@ -144,7 +146,7 @@ def cmd_oracle(args) -> int:
         status = "pass" if report.passed else "FAIL"
         print(f"{report.name}: {report.trials} trials, {report.failures} failures [{status}]")
         all_passed = all_passed and report.passed
-    return EXIT_OK if all_passed else 1
+    return EXIT_OK if all_passed else EXIT_ORACLE_FAILED
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -2,10 +2,13 @@
 
 One ClaimStore serves a whole federation and holds, keyed by index cell, the
 claims waiting at each cell; which peer owns a cell routes its messages but
-does not decide where its claims are kept. Claims with equal constraint tuples
-form one claim class. Every unit a cloud submits for one model shares its
-constraints, so a cell holding thousands of claims holds only a few classes.
-Each class is a FIFO bucket in (arrival_time, claim_id) order.
+does not decide where its claims are kept. A cell has a queue exactly while
+a claim waits there: the first claim builds it, and the claim whose service
+or discard empties it takes it away, so a drained cell holds nothing.
+Claims with equal constraint tuples form one claim class. Every unit a
+cloud submits for one model shares its constraints, so a cell holding
+thousands of claims holds only a few classes. Each class is a FIFO bucket
+in (arrival_time, claim_id) order.
 
 The federation interns one ClaimClass per (cloud, model). It lives in
 spatial, beside the constraints, because map_claim keeps each class's cells
@@ -103,7 +106,8 @@ class _CellQueue:
 
 class ClaimStore:
     """Claim-class buckets keyed by index cell, and the memo of which class
-    each ticket point satisfies."""
+    each ticket point satisfies. A cell has a queue exactly while a claim
+    waits there; emptied buckets stay only in a queue still holding claims."""
 
     def __init__(self) -> None:
         self._cells: dict[IndexCell, _CellQueue] = {}
@@ -131,7 +135,7 @@ class ClaimStore:
         decided_at = ticket.issue_time if now_ms is None else now_ms
         queue = self._cells.get(cell)
         remaining = ticket.available_units
-        if queue is None or remaining <= 0 or not queue.index:
+        if queue is None or remaining <= 0:
             return []
         fits = self._fits.setdefault(ticket.point, {})
         classes = []
@@ -163,17 +167,22 @@ class ClaimStore:
                 break
         for decision in decisions:
             queue.remove_id(decision.claim_id)
+        if not queue.index:
+            del self._cells[cell]
         return decisions
 
     def has_waiting(self, cell: IndexCell) -> bool:
         """Whether any claim waits at the cell, so a ticket there could serve one."""
-        queue = self._cells.get(cell)
-        return queue is not None and bool(queue.index)
+        return cell in self._cells
 
     def discard(self, cell: IndexCell, claim_id: str) -> bool:
         """Drop one replica of a claim from one cell; False if it was not there."""
         queue = self._cells.get(cell)
-        return queue.remove_id(claim_id) if queue is not None else False
+        if queue is None or not queue.remove_id(claim_id):
+            return False
+        if not queue.index:
+            del self._cells[cell]
+        return True
 
     def snapshot(self, cell: IndexCell) -> list[ResourceClaim]:
         """Read-only copy of one cell's claims, in (arrival_time, claim_id) order."""

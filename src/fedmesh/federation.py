@@ -27,11 +27,13 @@ Messages: the WorkloadSpec (submission), ClaimPost, TicketPost, the
 AllocationDecision (match notification), Dispatch, ExecDone, the finished
 WorkUnit (result) and a node's TimerTick. All are NamedTuples; the
 submission is a checked tuple record, built by the scenario parser. Those
-sent per unit or per ticket are built in C with tuple.__new__ (new_record);
-a TimerTick is built once per node, at deploy. So are each unit's
-ResourceClaim and each ResourceTicket a peer builds at its cell: tuple
-records whose public constructors check their units, which new_record
-skips, so both sites pass the literal 1 that holds the check.
+sent per unit or per ticket are built in C with tuple.__new__ (new_record).
+So are each unit's ResourceClaim and each ResourceTicket a peer builds at
+its cell: tuple records whose public constructors check their units, which
+new_record skips, so both sites pass the literal 1 that holds the check.
+A TimerTick is built once per node, at deploy, and carries the stream the
+node's status intervals are drawn from. It is re-scheduled until the run is
+finished and then dropped, so a finished run holds no timer stream.
 Each entity kind (scheduler, peer, node) dispatches on the payload's type
 through one table; any other payload is a named error. A TicketPost carries
 (node, label, issue time, cell), not a ticket: the cell's owner builds the
@@ -63,7 +65,7 @@ as Pastry routes a message on to a key's new root.
 from __future__ import annotations
 
 import logging
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .config import (
@@ -115,19 +117,17 @@ log = logging.getLogger("fedmesh.federation")
 class ExecutionNode:
     """One compute node; busy while executing, committed from allocation to
     completion (the window in which its old tickets are stale), so a busy
-    node is always committed."""
+    node is always committed. Its status-timer stream rides on its
+    TimerTick, not here, so it ends with the run."""
 
     node_id: str
     cloud_id: str
-    seed: InitVar[int]
     busy: bool = False
     committed: bool = False
     target: str = field(init=False)  # the node's engine address, built once
-    ticket_stream: RngStream = field(init=False)  # draws its status-timer intervals
 
-    def __post_init__(self, seed: int) -> None:
+    def __post_init__(self) -> None:
         self.target = f"node/{self.node_id}"
-        self.ticket_stream = RngStream(seed, f"ticket/{self.node_id}")
 
 
 # Message payloads that are not domain objects themselves.
@@ -159,7 +159,10 @@ class ExecDone(NamedTuple):
 
 
 class TimerTick(NamedTuple):
-    """A node's periodic status-update timer."""
+    """A node's periodic status-update timer, carrying the stream its
+    intervals are drawn from."""
+
+    stream: RngStream
 
 
 class _ClaimClassRecord(NamedTuple):
@@ -227,7 +230,7 @@ class FederationState:
                 self.membership.join(cloud.cloud_id)
                 self.peer_cloud[cloud.cloud_id] = cloud.cloud_id
             for i in range(cloud.node_count):
-                node = ExecutionNode(f"{cloud.cloud_id}/n{i}", cloud.cloud_id, scenario.seed)
+                node = ExecutionNode(f"{cloud.cloud_id}/n{i}", cloud.cloud_id)
                 self.nodes[node.node_id] = node
                 if cloud.topology == FULL_P2P:
                     self.membership.join(node.node_id)
@@ -338,7 +341,7 @@ def deploy_federation(scenario: Scenario) -> FederationState:
         _register(state, _PEER, target, peer_name)
     for node in state.nodes.values():
         _register(state, _NODE, node.target, node)
-        _arm_timer(state, node, TimerTick())
+        _arm_timer(state, node, TimerTick(RngStream(state.seed, f"ticket/{node.node_id}")))
 
     for spec in scenario.workloads:
         if spec.submit_cloud not in state.clouds:
@@ -570,9 +573,10 @@ def _on_tick(state: FederationState, node: ExecutionNode, tick: TimerTick) -> No
 
 
 def _arm_timer(state: FederationState, node: ExecutionNode, tick: TimerTick) -> None:
-    """Fire the node's status timer after a draw from its cloud's interval."""
+    """Fire the node's status timer after a draw from the tick's stream in
+    its cloud's interval."""
     lo, hi = state.clouds[node.cloud_id].status_update_interval_ms
-    state.engine.schedule(int(round(node.ticket_stream.uniform(lo, hi))), node.target, tick)
+    state.engine.schedule(int(round(tick.stream.uniform(lo, hi))), node.target, tick)
 
 
 def _on_dispatch(state: FederationState, node: ExecutionNode, dispatch: Dispatch) -> None:

@@ -300,7 +300,8 @@ class TestClaimClasses:
             assert store.discard(cell, claim_id)
             assert not store.discard(cell, claim_id)
             assert [c.claim_id for c in store.snapshot(cell)] == left
-            assert store.has_waiting(cell) == bool(left)
+            # A cell keeps its queue exactly while a claim waits there.
+            assert (cell in store._cells) == store.has_waiting(cell) == bool(left)
 
     def test_a_ticket_serves_claims_behind_an_unserved_head(self, testbed_space):
         # The head wants more than the ticket holds, so both claims served
@@ -615,6 +616,7 @@ class TestWalks:
                     heads.append(ticket.ticket_id)
                 served = {claim_id for _, claim_id, _ in expected}
                 waiting = [c for c in waiting if c.claim_id not in served]
+                assert (cell in store._cells) == store.has_waiting(cell) == bool(waiting)
 
         check()
         assert merges and heads

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import hashlib
 import os
 import re
 import subprocess
 import sys
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -28,6 +30,7 @@ from fedmesh import (
 )
 from fedmesh.config import LatencyModel
 from fedmesh.coordination import AllocationDecision, ClaimStore
+from fedmesh.engine import RngStream
 from fedmesh.experiments import scale_workloads
 from fedmesh.federation import (
     ClaimPost,
@@ -782,6 +785,25 @@ class TestTicketCells:
         run_to_quiescence(state)
         assert set(vars(state)) == attributes
 
+    def test_a_finished_run_holds_no_ticket_stream(self, melbourne_scenario, monkeypatch):
+        # Each status timer carries its node's interval stream, and a tick
+        # that finds the run finished is not re-armed: the streams end with
+        # the run, while the state lives on.
+        streams = []
+
+        class Recorded(RngStream):
+            def __init__(self, seed, label):
+                super().__init__(seed, label)
+                if label.startswith("ticket/"):
+                    streams.append(weakref.ref(self))
+
+        monkeypatch.setattr(federation, "RngStream", Recorded)
+        state = deploy_federation(melbourne_scenario)
+        run_to_quiescence(state)
+        gc.collect()
+        assert state.finished and len(streams) == len(state.nodes)
+        assert [ref for ref in streams if ref() is not None] == []
+
 
 class TestRecords:
     def test_per_unit_and_per_message_records_have_no_instance_dict(self):
@@ -814,8 +836,8 @@ class TestProtocolGuards:
     @pytest.mark.parametrize(
         "target, payload",
         [
-            ("peer/cloud-1", TimerTick()),
-            ("scheduler/cloud-1", TimerTick()),
+            ("peer/cloud-1", TimerTick(RngStream(0, "ticket/x"))),
+            ("scheduler/cloud-1", TimerTick(RngStream(0, "ticket/x"))),
             ("node/cloud-1/n0", workload("cloud-1")),
         ],
         ids=["peer", "scheduler", "node"],

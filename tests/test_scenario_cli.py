@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fedmesh.cli
 import fedmesh.config
 import fedmesh.federation
 import fedmesh.scenario
@@ -23,10 +24,10 @@ from fedmesh import (
     load_scenario,
     parse_scenario,
 )
-from fedmesh.cli import main
+from fedmesh.cli import EXIT_ORACLE_FAILED, main
 from fedmesh.experiments import run_sweep
 from fedmesh.federation import deploy_federation, run_to_quiescence
-from fedmesh.oracles import run_oracle_suites
+from fedmesh.oracles import SuiteReport, run_oracle_suites
 from fedmesh.workloads import MODELS, SERVICE_LABELS, SWEEP_SIZES, DemandDistribution, WorkloadSpec
 
 from support import assert_served_once_or_stranded
@@ -794,6 +795,14 @@ class TestOracleCommand:
         assert main(["oracle", "--trials", "300", "--dims", "3", "--seed", "5"]) == 0
         out = capsys.readouterr().out
         assert out.count("[pass]") == 3
+
+    def test_a_failing_suite_exits_one(self, capsys, monkeypatch):
+        reports = [SuiteReport("rendezvous", 10, 0), SuiteReport("allocation", 10, 3)]
+        monkeypatch.setattr(fedmesh.cli, "run_oracle_suites", lambda *args: reports)
+        assert main(["oracle", "--trials", "10"]) == EXIT_ORACLE_FAILED == 1
+        out = capsys.readouterr().out
+        assert "rendezvous: 10 trials, 0 failures [pass]" in out
+        assert "allocation: 10 trials, 3 failures [FAIL]" in out
 
     def test_bad_trials_rejected(self):
         assert main(["oracle", "--trials", "0"]) == 2

@@ -1,22 +1,18 @@
 """Per-cell claim queues grouped by claim class, and ticket allocation.
 
 One ClaimStore serves a whole federation and holds, keyed by index cell, the
-claims waiting at each cell; which peer owns a cell routes its messages but
-does not decide where its claims are kept. A cell has a queue exactly while
-a claim waits there: the first claim builds it, and the claim whose service
-or discard empties it takes it away, so a drained cell holds nothing.
-Claims with equal constraint tuples form one claim class. Every unit a
-cloud submits for one model shares its constraints, so a cell holding
-thousands of claims holds only a few classes. Each class is a FIFO bucket
-in (arrival_time, claim_id) order.
+claims waiting at each cell. A cell has a queue exactly while a claim waits
+there: the first claim builds it, and the claim whose service or discard
+empties it takes it away, so a drained cell holds nothing. Claims with
+equal constraint tuples form one claim class. Every unit a cloud submits
+for one model shares its constraints, so a cell holding thousands of claims
+holds only a few classes. Each class is a FIFO bucket in
+(arrival_time, claim_id) order.
 
-The federation interns one ClaimClass per (cloud, model). It lives in
-spatial, beside the constraints, because map_claim keeps each class's cells
-on it. It is a constraint tuple whose hash is computed once, at
-construction, so a cell insert pays one cached-hash call and finds its
-bucket by identity. A ClaimClass hashes and compares as the plain tuple it
-holds, so claims built with fresh tuples (as the oracles and tests build
-them) still meet an interned class in one bucket.
+The federation interns one spatial.ClaimClass per (cloud, model), so a
+cell insert pays one cached-hash call and finds its bucket by identity;
+claims built with fresh equal tuples (as the oracles and tests build them)
+still meet an interned class in one bucket.
 
 Whether a claim matches a ticket depends on its constraints and the ticket's
 point alone, and both are fixed for a whole run. So the store decides each
@@ -32,16 +28,12 @@ comes first in that order, so when it requests exactly the ticket's capacity
 (a one-unit claim meeting a one-unit node ticket, the common case) it is
 served alone and nothing is merged. Tickets are transient: any leftover
 capacity is discarded, since a fresh status ticket will follow. A ticket
-at a cell where no claim waits serves nothing, so the federation asks
-has_waiting first and builds no ticket there.
+at a cell where no claim waits serves nothing; has_waiting tells whether
+one waits.
 
-Claims and tickets are tuple records (NamedTuple subclasses whose public
-constructors check their units), and an AllocationDecision is a NamedTuple
-message, like the federation's posts: it checks nothing. new_record
-(tuple.__new__) builds any of them in C, unchecked; the federation builds
-its per-unit claims, its tickets and every decision that way. A served
-claim leaves its bucket by id; it is almost always the bucket's head,
-which is dropped without a search.
+The store builds every AllocationDecision unchecked, with new_record. A
+served claim leaves its bucket by id; it is almost always the bucket's
+head, which is dropped without a search.
 """
 
 from __future__ import annotations
@@ -56,9 +48,19 @@ from .spatial import Constraint, IndexCell, ResourceClaim, ResourceTicket, match
 # (arrival_time, claim_id, claim): unique on the first two within a cell.
 _Entry = tuple[int, str, ResourceClaim]
 
-# Builds a NamedTuple message or record from a tuple of its fields in C, at
-# about half the cost of the generated Python __new__; the object is the
-# same. It skips a record's checking __new__, so callers pass checked fields.
+# new_record(cls, fields) builds a NamedTuple message or record from a tuple
+# of its fields in C, more cheaply than the generated Python __new__; the
+# object is the same. Claims, tickets and workload specs are tuple records:
+# NamedTuple subclasses whose public constructors check their fields.
+# new_record skips that check, so each caller passes only fields that hold
+# it by construction. The federation builds this way every message it sends
+# per unit or per ticket, each unit's ResourceClaim (with the literal 1
+# unit) and each ResourceTicket (with the literal 1 free unit);
+# generate_units builds each WorkUnit, the store every AllocationDecision,
+# and the scenario parser each WorkloadSpec, whose key converters already
+# hold each field to its domain.
+# NamedTuple's _replace and _make build through tuple.__new__ too, so the
+# library calls neither on a record.
 new_record = tuple.__new__
 
 

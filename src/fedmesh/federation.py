@@ -2,64 +2,57 @@
 
 Message flow for one work unit (all delays are per-link scenario constants):
 
-  1. a client submission reaches the cloud's scheduling service directly;
-  2. the scheduler wraps each unit in a resource claim and posts it to every
-     index cell the claim's region intersects (one message per cell, even
-     when one peer owns several of them); the owner stores the replica only
-     if its cell is a ticket cell, one holding some node's point, since no
-     ticket ever reaches any other cell;
-  3. idle execution nodes periodically advertise themselves with resource
-     tickets, one per hosted service type, routed to their single cell owner;
-  4. the owning peer builds the ticket only if a claim waits in its cell,
-     and allocates it against the cell's waiting claims;
-     replicas of a served claim are retired from every other ticket cell
-     before any further event fires, which makes service exactly-once by
-     construction;
-  5. the peer notifies the claim's scheduler, the scheduler dispatches the
-     unit to the granted node, the node executes for demand/speed seconds and
-     returns the result; on completion the node (optionally) re-advertises.
+  1. a client submission (the WorkloadSpec) reaches the scheduling service
+     of its submit cloud directly;
+  2. the scheduler wraps each unit in a resource claim and posts it, one
+     ClaimPost per cell, to every index cell the claim's region intersects,
+     even when one peer owns several of them;
+  3. idle execution nodes periodically advertise themselves, one TicketPost
+     per hosted service type, routed to the owner of their point's cell;
+  4. the owning peer allocates the ticket against the cell's waiting claims
+     (see coordination); replicas of a served claim are retired from every
+     other ticket cell before any further event fires, which makes service
+     exactly-once by construction;
+  5. the peer notifies the claim's scheduler (the AllocationDecision), the
+     scheduler dispatches the unit (Dispatch) to the granted node, which
+     re-checks that its point satisfies the claim, executes for
+     demand/speed seconds (ExecDone) and returns the finished WorkUnit; on
+     completion the node (optionally) re-advertises.
 
 A node with an allocation in flight is "committed": its stale tickets are
 discarded by the coordination peers until the unit finishes, so a node never
 executes two units at once even though status tickets are periodic.
 
-Messages: the WorkloadSpec (submission), ClaimPost, TicketPost, the
-AllocationDecision (match notification), Dispatch, ExecDone, the finished
-WorkUnit (result) and a node's TimerTick. All are NamedTuples; the
-submission is a checked tuple record, built by the scenario parser. Those
-sent per unit or per ticket are built in C with tuple.__new__ (new_record).
-So are each unit's ResourceClaim and each ResourceTicket a peer builds at
-its cell: tuple records whose public constructors check their units, which
-new_record skips, so both sites pass the literal 1 that holds the check.
-A TimerTick is built once per node, at deploy, and carries the stream the
-node's status intervals are drawn from. It is re-scheduled until the run is
-finished and then dropped, so a finished run holds no timer stream.
-Each entity kind (scheduler, peer, node) dispatches on the payload's type
-through one table; any other payload is a named error. A TicketPost carries
-(node, label, issue time, cell), not a ticket: the cell's owner builds the
-ResourceTicket on arrival, after the stale check, and only for a cell
-holding a waiting claim, so neither a stale post nor one reaching an empty
-cell builds one; a one-unit ticket then takes the least matching bucket
-head with no merge (see coordination). Each (cloud, label) keeps one ticket
-route (delay, owner's target, cell), built at deploy and re-pointed by
-recompute_cell_assignment.
+Ticket cells. The node set is fixed for a run and every node of a cloud
+shares its attributes, so each (cloud, service type)'s point, its ticket
+cell and its route (delay, owner's target, cell) are built once, at deploy,
+and routes are re-pointed by recompute_cell_assignment. Only these ticket
+cells (state.ticket_cells) ever receive a ticket, so only they store a
+claim: a replica posted to any other cell is delivered and forwarded like
+any post but stored nowhere, so it is never discarded either. A TicketPost
+carries (node, label, issue time, cell), not a ticket: the cell's owner
+builds the ResourceTicket after the stale check and only when a claim waits
+in the cell, so neither a stale post nor one reaching an empty cell builds
+one.
 
-A cell is placed on the overlay (hashed to its owning peer) the first time
-a post is routed to it, as a Pastry key's root is found by routing to it:
-state.cell_owner holds the cells routed so far, which are the only cells
-any post names, and a run places a few of the f_min ** dim cells.
+Placement. A cell is placed on the overlay (hashed to its owning peer) the
+first time a post is routed to it, as a Pastry key's root is found by
+routing to it: state.cell_owner holds the cells routed so far, which are
+the only cells any post names. Which peer owns a cell decides who handles
+its messages and what latency they pay, not where its claims are kept:
+they wait in the federation's one ClaimStore, keyed by cell, so a cell that
+changes owner keeps its queue with no handoff. A post that reaches a peer
+no longer owning its cell is forwarded to the current owner, as Pastry
+routes a message on to a key's new root.
 
-A dispatch re-checks that the node's point satisfies the claim.
-
-Waiting claims live in one ClaimStore keyed by cell, and only in ticket
-cells: the node set is fixed for the run, so the ticket cells are too, built
-at deploy (state.ticket_cells). A replica posted to any other cell is
-delivered and forwarded like any post, but stored nowhere, so it is never
-discarded either. Which peer owns a cell decides who handles the
-cell's messages and what latency they pay, not where its claims are kept,
-so a cell that changes owner keeps its queue. A claim or ticket post that
-reaches a peer no longer owning its cell is forwarded to the current owner,
-as Pastry routes a message on to a key's new root.
+Every message is a NamedTuple. The federation builds every message it
+sends per unit or per ticket, each unit's ResourceClaim and each
+ResourceTicket unchecked, with coordination.new_record. Each entity kind
+(scheduler, peer, node) dispatches on the payload's type through one table;
+any other payload is a named error. A node's TimerTick is built once, at deploy, and
+carries the stream its status intervals are drawn from; it is re-scheduled
+until the run is finished and then dropped, so a finished run holds no
+timer stream.
 """
 
 from __future__ import annotations
@@ -117,8 +110,7 @@ log = logging.getLogger("fedmesh.federation")
 class ExecutionNode:
     """One compute node; busy while executing, committed from allocation to
     completion (the window in which its old tickets are stale), so a busy
-    node is always committed. Its status-timer stream rides on its
-    TimerTick, not here, so it ends with the run."""
+    node is always committed."""
 
     node_id: str
     cloud_id: str
@@ -139,8 +131,7 @@ class ClaimPost(NamedTuple):
 
 
 class TicketPost(NamedTuple):
-    """A node's status ticket for one label: the owning peer builds the
-    ResourceTicket from these, so a stale post never builds one."""
+    """A node's status ticket for one label, as posted to its cell's owner."""
 
     node: ExecutionNode
     label: str
@@ -262,11 +253,8 @@ class FederationState:
         # Places nothing yet (the routes below place the ticket cells); it
         # checks the deployed membership as every later change is checked.
         recompute_cell_assignment(self)
-        # Every node of a cloud shares the cloud's speed and CPU type, so a
-        # (cloud, label) pair fixes the point and the cell of its tickets,
-        # and its route: (delay, owner's target, cell). map_ticket runs once
-        # per distinct point; a point outside the space is a DomainError
-        # naming the cloud and the label.
+        # map_ticket runs once per distinct point; a point outside the space
+        # is a DomainError naming the cloud and the label.
         self.node_points: dict[tuple[str, str], tuple[object, ...]] = {}
         point_cells: dict[tuple[object, ...], IndexCell] = {}
         for cid, labels in self.service_labels.items():
@@ -312,14 +300,12 @@ def recompute_cell_assignment(state: FederationState) -> None:
     The one place owners change: every cell routed so far is placed anew
     and every ticket route is re-pointed at its cell's new owner, so a
     membership change costs O(cells routed), not O(f_min ** dim); a cell
-    not yet routed is placed on its first route. Waiting claims stay with
-    their cell, so a new owner serves them with no handoff, and a post
-    still in flight to a cell's old owner is forwarded on arrival. Every
-    overlay member must be a deployed peer, so every cell, placed or not,
-    goes to one; otherwise this raises ConsistencyError naming the peer and
-    leaves the map and the routes as they were. The undeployed member stays
-    on the overlay, so the state must not route again until it leaves and
-    this succeeds: a first route to a cell that member owns has no cloud.
+    not yet routed is placed on its first route. Every overlay member must
+    be a deployed peer, so every cell, placed or not, goes to one; otherwise
+    this raises ConsistencyError naming the peer and leaves the map and the
+    routes as they were. The undeployed member stays on the overlay, so the
+    state must not route again until it leaves and this succeeds: a first
+    route to a cell that member owns has no cloud.
     """
     membership = state.membership
     for node_id in membership.members():
@@ -356,19 +342,18 @@ def deploy_federation(scenario: Scenario) -> FederationState:
     return state
 
 
-def submit_application(
-    state: FederationState, cloud_id: str, spec: WorkloadSpec
-) -> ApplicationHandle:
-    """Create one claim per work unit and post each to its index cells.
+def submit_application(state: FederationState, spec: WorkloadSpec) -> ApplicationHandle:
+    """Create one claim per work unit of a spec and post each to its index
+    cells, from the spec's submit cloud.
 
     The claims pin the submitting cloud's own attributes: service type and
     CPU type as equalities, one processor, and speed at least as fast as the
     local nodes; every claim of one (cloud, model) shares one interned
     ClaimClass. Units no node in the federation can ever satisfy are marked
     stranded up front (their claims are still posted and reported at the
-    end of the run). Every replica is posted; a unit's pending cells are
-    the ticket cells among them, the only ones that store it.
+    end of the run).
     """
+    cloud_id = spec.submit_cloud
     cloud = state.clouds.get(cloud_id)
     if cloud is None:
         raise InvalidArgumentError(f"unknown cloud {cloud_id!r}")
@@ -414,8 +399,7 @@ def publish_ticket(state: FederationState, node: ExecutionNode) -> None:
 
     A committed node publishes nothing (a busy one is committed too). Each
     ticket carries one free processor and routes to the single cell
-    containing the node's attribute point. The post carries the node and
-    label; the owning peer builds the ResourceTicket (see _on_ticket).
+    containing the node's attribute point.
     """
     if node.committed:
         return
@@ -485,6 +469,9 @@ def run_to_quiescence(state: FederationState) -> RunReport:
         raise ConsistencyError(
             f"satisfiable claims left waiting at quiescence: {sorted(unexpected)[:5]}"
         )
+    # A drained dict keeps its high-water table; a copy is sized to the
+    # stranded units still in it.
+    state.pending = dict(state.pending)
     return RunReport(events_processed=state.engine.events_processed, virtual_time_ms=state.engine.now)
 
 
@@ -505,7 +492,7 @@ def _register(state: FederationState, table: dict, target: str, entity: object) 
 
 def _on_submit(state: FederationState, cloud_id: str, spec: WorkloadSpec) -> None:
     state.pending_submits -= 1
-    submit_application(state, cloud_id, spec)
+    submit_application(state, spec)
 
 
 def _on_result(state: FederationState, cloud_id: str, unit: WorkUnit) -> None:

@@ -12,9 +12,7 @@ peer's leaf set (one bisect of the ring) and the one prefix-table slot the
 key selects (two bisects). When that slot is empty, the hop also reads the
 slots of the only prefix-table rows that can hold its next hop, the
 selected row and the deeper ones, so routing builds and keeps no peer's
-routing state. A route at n = 1024 takes about 22 us and 2.6 hops
-(overlay.route.us_per_call.n1024 of a traced oracle-suite run at seed 42:
-median of 5 runs, Python 3.11 on a shared 2-vCPU host).
+routing state.
 """
 
 from __future__ import annotations

@@ -152,12 +152,8 @@ class _ResourceClaimFields(NamedTuple):
 class ResourceClaim(_ResourceClaimFields):
     """A range look-up query: one constraint per dimension plus capacity.
 
-    A tuple record whose constructor checks ``requested_units >= 1``. The
-    federation builds its per-unit claims in C with ``tuple.__new__``
-    (coordination.new_record), which skips the check, so it passes only
-    fields that hold it by construction. NamedTuple's ``_replace`` and
-    ``_make`` build through ``tuple.__new__`` too, so the library calls
-    neither.
+    A tuple record whose constructor checks ``requested_units >= 1``;
+    coordination.new_record builds it without the check.
     """
 
     __slots__ = ()
@@ -182,12 +178,8 @@ class _ResourceTicketFields(NamedTuple):
 class ResourceTicket(_ResourceTicketFields):
     """A point update query: a node's attribute values plus free capacity.
 
-    A tuple record whose constructor checks ``available_units >= 0``. The
-    federation builds each node ticket in C with ``tuple.__new__``
-    (coordination.new_record), which skips the check, so it passes only
-    fields that hold it by construction. NamedTuple's ``_replace`` and
-    ``_make`` build through ``tuple.__new__`` too, so the library calls
-    neither.
+    A tuple record whose constructor checks ``available_units >= 0``;
+    coordination.new_record builds it without the check.
     """
 
     __slots__ = ()

@@ -59,11 +59,8 @@ class WorkloadSpec(_WorkloadSpecFields):
     one cloud at one virtual time.
 
     A tuple record whose constructor checks the model, ``rows, cols >= 1``
-    and ``submit_time_ms >= 0``. The scenario parser builds its specs in C
-    with ``tuple.__new__`` (coordination.new_record), which skips the check,
-    since its key converters already hold each field to that domain.
-    NamedTuple's ``_replace`` and ``_make`` build through ``tuple.__new__``
-    too, so the library calls neither.
+    and ``submit_time_ms >= 0``; coordination.new_record builds it without
+    the check.
     """
 
     __slots__ = ()

@@ -253,7 +253,7 @@ class TestDeploy:
             state.engine.inbox(target).handler = watched
         earlier = set(state.pending)
         sent_at = state.engine.now
-        submit_application(state, "cloud-1", workload("cloud-1", rows=2, cols=3, app_id="late"))
+        submit_application(state, workload("cloud-1", rows=2, cols=3, app_id="late"))
         replicas = sorted(
             (claim_id, cell)
             for claim_id, pending in state.pending.items()
@@ -334,13 +334,13 @@ def assert_served_exactly_once(state, units=BUILTIN_UNITS):
 class TestSubmit:
     def test_one_claim_per_unit(self):
         state = deploy_federation(scenario([cloud("cloud-1", 2.4)]))
-        handle = submit_application(state, "cloud-1", workload("cloud-1", rows=5, cols=5))
+        handle = submit_application(state, workload("cloud-1", rows=5, cols=5))
         assert handle.unit_count == 25
         assert len(state.pending) == 25
 
     def test_claim_constraint_shape(self):
         state = deploy_federation(scenario([cloud("cloud-1", 2.4)]))
-        submit_application(state, "cloud-1", workload("cloud-1", model="thread", rows=1, cols=1))
+        submit_application(state, workload("cloud-1", model="thread", rows=1, cols=1))
         (pending,) = state.pending.values()
         by_dim = dict(zip((d.name for d in state.space.dims), pending.claim.constraints))
         assert by_dim["service_type"] == Eq(THREAD_LABEL)
@@ -377,7 +377,7 @@ class TestSubmit:
             for model in ("task", "thread"):
                 for app in range(2):
                     spec = workload(cloud_id, model=model, rows=2, cols=3, app_id=f"{cloud_id}/{model}{app}")
-                    submit_application(state, cloud_id, spec)
+                    submit_application(state, spec)
         by_pair = {}
         for pending in state.pending.values():
             pair = (pending.claim.origin, pending.unit.model)
@@ -389,8 +389,8 @@ class TestSubmit:
 
     def test_clouds_submitting_equal_claims_share_one_class(self):
         state = deploy_federation(scenario([cloud("cloud-1", 2.4), cloud("cloud-2", 2.4)]))
-        submit_application(state, "cloud-1", workload("cloud-1", rows=1, cols=2))
-        submit_application(state, "cloud-2", workload("cloud-2", rows=1, cols=2))
+        submit_application(state, workload("cloud-1", rows=1, cols=2))
+        submit_application(state, workload("cloud-2", rows=1, cols=2))
         assert len({id(p.claim.constraints) for p in state.pending.values()}) == 1
         assert len(state.claim_classes) == 1
 
@@ -426,11 +426,17 @@ class TestSubmit:
     def test_unknown_cloud_rejected(self):
         state = deploy_federation(scenario([cloud("cloud-1", 2.4)]))
         with pytest.raises(InvalidArgumentError, match="unknown cloud 'nowhere'"):
-            submit_application(state, "nowhere", workload("cloud-1"))
+            submit_application(state, workload("nowhere"))
+
+    def test_deploy_rejects_a_workload_for_an_undeclared_cloud(self):
+        # A Scenario built in code skips the parser's submit_cloud check.
+        bad = scenario([cloud("cloud-1", 2.4)], [workload("cloud-1"), workload("nowhere")])
+        with pytest.raises(InvalidArgumentError, match="workload targets unknown cloud 'nowhere'"):
+            deploy_federation(bad)
 
     def test_claims_posted_to_owning_peers(self):
         state = deploy_federation(scenario([cloud("cloud-1", 2.4), cloud("cloud-2", 3.0)]))
-        submit_application(state, "cloud-1", workload("cloud-1", rows=1, cols=1))
+        submit_application(state, workload("cloud-1", rows=1, cols=1))
         state.engine.run(until_ms=10)  # let claim-post messages land
         (claim_id,) = state.pending
         replicas = replica_count(state.store, build_base_cells(state.space), claim_id)
@@ -609,7 +615,7 @@ class TestExecutionFlow:
 class TestResponseTime:
     def test_not_ready_before_completion(self):
         state = deploy_federation(scenario([cloud("cloud-1", 2.4)]))
-        handle = submit_application(state, "cloud-1", workload("cloud-1", rows=1, cols=1))
+        handle = submit_application(state, workload("cloud-1", rows=1, cols=1))
         with pytest.raises(NotReadyError):
             response_time(handle)
 
@@ -804,6 +810,13 @@ class TestTicketCells:
         assert state.finished and len(streams) == len(state.nodes)
         assert [ref for ref in streams if ref() is not None] == []
 
+    def test_a_finished_run_holds_no_drained_pending_table(self, melbourne_scenario):
+        # Every unit was dispatched, and the emptied table is no larger than
+        # a new empty dict: it keeps no high-water hash table.
+        state = run_scenario(melbourne_scenario).state
+        assert not state.stranded_ids and not state.pending
+        assert sys.getsizeof(state.pending) == sys.getsizeof({})
+
 
 class TestRecords:
     def test_per_unit_and_per_message_records_have_no_instance_dict(self):
@@ -823,7 +836,7 @@ class TestProtocolGuards:
         # A claim replica can still be in flight to one cell when a ticket
         # serves the claim at another; the late post must not resurrect it.
         state = deploy_federation(scenario([cloud("cloud-1", 2.4), cloud("cloud-2", 3.0)]))
-        submit_application(state, "cloud-1", workload("cloud-1", rows=1, cols=1))
+        submit_application(state, workload("cloud-1", rows=1, cols=1))
         (claim_id,) = state.pending
         claim = state.pending[claim_id].claim
         state.served.add(claim_id)  # as the decision-taking peer would
@@ -911,7 +924,7 @@ class TestProtocolGuards:
 
     def test_double_allocation_detected(self):
         state = deploy_federation(scenario([cloud("cloud-1", 2.4, nodes=1)]))
-        submit_application(state, "cloud-1", workload("cloud-1", rows=1, cols=1))
+        submit_application(state, workload("cloud-1", rows=1, cols=1))
         (pending,) = state.pending.values()
         from fedmesh.coordination import AllocationDecision
 
@@ -931,7 +944,7 @@ class TestProtocolGuards:
         state = deploy_federation(
             scenario([cloud("cloud-1", 2.4, nodes=2), cloud("cloud-2", 3.0, nodes=1)])
         )
-        submit_application(state, "cloud-2", workload("cloud-2", rows=1, cols=3))
+        submit_application(state, workload("cloud-2", rows=1, cols=3))
         units = list(state.pending.values())  # each claim needs >= 3.0 GHz
 
         def dispatch(pending, node_id):

@@ -5,16 +5,22 @@ order): by time, and within one millisecond in the order they were
 scheduled, so the delivery order is a pure function of the scenario and its
 seed. Each entity registers one inbox, once: its handler, which receives the
 scheduled payload itself (the engine keeps the time, ``now``), and a bounded
-count of undelivered events. Overflowing an inbox is an explicit error, never
-a silent drop, and scheduling to a target that never registered a handler is
-rejected at once, not when the event would fire.
+count of undelivered messages. Overflowing an inbox is an explicit error,
+never a silent drop, and scheduling to a target that never registered a
+handler is rejected at once, not when the event would fire.
+
+A Batch is one event that stands for ``messages`` messages sent together to
+one target: it takes that many places in the inbox when scheduled (all or
+none of them), its handler is called once with the batch's payload, and
+``events_processed``, which counts messages, grows by ``messages`` once that
+call returns. Any other payload is one message.
 
 The queue is a calendar of slots (R. Brown, "Calendar queues", CACM 1988):
 one list of (inbox, payload) per fire time, kept in schedule order, plus a
 heap of the distinct fire times. Events that share a millisecond, such as the
-replicas of one claim, are appended to one list instead of each being pushed
-on a heap. A zero-delay event scheduled while a slot is delivered joins the
-end of that slot, after its earlier-scheduled siblings.
+claim posts of one submission, are appended to one list instead of each
+being pushed on a heap. A zero-delay event scheduled while a slot is
+delivered joins the end of that slot, after its earlier-scheduled siblings.
 """
 
 from __future__ import annotations
@@ -23,16 +29,24 @@ import hashlib
 import heapq
 import math
 import random
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from .errors import BufferOverflowError, InvalidArgumentError, SimulationError
 
 DEFAULT_INBOX_CAPACITY = 1000
 
 
+class Batch(NamedTuple):
+    """One delivery of ``payload`` that counts as ``messages`` messages to
+    its target."""
+
+    payload: Any
+    messages: int
+
+
 class Inbox:
     """One entity's target name, handler and bounded count of undelivered
-    events."""
+    messages."""
 
     __slots__ = ("target", "handler", "capacity", "pending")
 
@@ -97,7 +111,7 @@ class SimulationEngine:
         return self._inboxes[target]
 
     def pending_by_target(self) -> dict[str, int]:
-        """Undelivered event count of every target that has any."""
+        """Undelivered message count of every target that has any."""
         return {target: box.pending for target, box in self._inboxes.items() if box.pending}
 
     def schedule(self, delay_ms: int, target: str, payload: Any) -> None:
@@ -105,23 +119,31 @@ class SimulationEngine:
         queued for that millisecond.
 
         The delay is a non-negative ``int`` number of milliseconds (not a
-        bool or a float); any other value is rejected before anything is
-        queued or counted.
+        bool or a float), and a Batch's ``messages`` an ``int`` >= 1; any
+        other value is rejected before anything is queued or counted. A
+        Batch that does not fit whole in the inbox is refused whole.
         """
         if type(delay_ms) is not int or delay_ms < 0:
             raise InvalidArgumentError(
                 f"delay to {target!r} must be a non-negative int of ms, got {delay_ms!r}"
             )
+        messages = 1
+        if type(payload) is Batch:
+            messages = payload.messages
+            if type(messages) is not int or messages < 1:
+                raise InvalidArgumentError(
+                    f"batch to {target!r} must count an int >= 1 of messages, got {messages!r}"
+                )
         box = self._inboxes.get(target)
         if box is None:
             raise SimulationError(
                 f"no handler for entity {target!r} ({type(payload).__name__} at t={self._now})"
             )
-        if box.pending >= box.capacity:
+        if box.pending + messages > box.capacity:
             raise BufferOverflowError(
                 f"inbox of {target!r} at capacity {box.capacity}; refusing to enqueue"
             )
-        box.pending += 1
+        box.pending += messages
         fire_at = self._now + delay_ms
         slot = self._slots.get(fire_at)
         if slot is None:
@@ -134,10 +156,11 @@ class SimulationEngine:
         """Process events in order until the queue empties or time runs out.
 
         Events with fire_at beyond until_ms stay queued. ``events_processed``
-        counts the events delivered by every call, so a run driven through
+        counts the messages delivered by every call, so a run driven through
         several calls reads its total there. A handler exception
         aborts the run with entity/event/time diagnostics attached; the failed
-        event is dropped and the rest of its millisecond stays queued.
+        event is dropped uncounted and the rest of its millisecond stays
+        queued.
         """
         slots, times = self._slots, self._times
         while times:
@@ -147,13 +170,21 @@ class SimulationEngine:
             assert fire_at >= self._now, "clock must never run backwards"
             self._now = fire_at
             slot = slots[fire_at]
-            done = 0
+            done = delivered = 0
             try:
                 # The list iterator re-reads the length, so it also reaches
                 # the zero-delay events that handlers append to this slot.
                 for box, payload in slot:
-                    box.pending -= 1
+                    if type(payload) is Batch:
+                        messages = payload.messages
+                        payload = payload.payload
+                    else:
+                        messages = 1
+                    # An event leaves its inbox as its delivery starts, and
+                    # is counted once its handler returns.
+                    box.pending -= messages
                     box.handler(payload)
+                    delivered += messages
                     done += 1
             except Exception as exc:
                 raise SimulationError(
@@ -162,7 +193,7 @@ class SimulationEngine:
             finally:
                 # Delivered events leave the slot, and so does one whose
                 # handler raised; the rest of its millisecond stays queued.
-                self.events_processed += done
+                self.events_processed += delivered
                 del slot[: done + 1]
                 if not slot:
                     heapq.heappop(times)

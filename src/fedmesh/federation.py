@@ -4,9 +4,13 @@ Message flow for one work unit (all delays are per-link scenario constants):
 
   1. a client submission (the WorkloadSpec) reaches the scheduling service
      of its submit cloud directly;
-  2. the scheduler wraps each unit in a resource claim and posts it, one
-     ClaimPost per cell, to every index cell the claim's region intersects,
-     even when one peer owns several of them;
+  2. the scheduler wraps each unit in a resource claim and posts every
+     claim to every index cell their one region intersects, even when one
+     peer owns several of them: one ClaimPost per cell holds the
+     submission's claims in unit order and travels as one engine Batch,
+     counted as one message per claim, so each cell's owner handles a
+     submission in one call while the message cost and every inbox count
+     stay per claim;
   3. idle execution nodes periodically advertise themselves, one TicketPost
      per hosted service type, routed to the owner of their point's cell;
   4. the owning peer allocates the ticket against the cell's waiting claims
@@ -46,13 +50,17 @@ no longer owning its cell is forwarded to the current owner, as Pastry
 routes a message on to a key's new root.
 
 Every message is a NamedTuple. The federation builds every message it
-sends per unit or per ticket, each unit's ResourceClaim and each
-ResourceTicket unchecked, with coordination.new_record. Each entity kind
-(scheduler, peer, node) dispatches on the payload's type through one table;
-any other payload is a named error. A node's TimerTick is built once, at deploy, and
-carries the stream its status intervals are drawn from; it is re-scheduled
-until the run is finished and then dropped, so a finished run holds no
-timer stream.
+sends per unit, per ticket or per claim post, each unit's ResourceClaim and
+each ResourceTicket unchecked, with coordination.new_record. A ClaimPost is
+only ever sent through _claim_batch, so no post counts as fewer messages
+than it holds claims. A peer drops a post's claims that are already served;
+it forwards the rest as one batch if it no longer owns the cell, and
+otherwise stores them in order if the cell is a ticket cell. Each entity
+kind (scheduler, peer, node) dispatches on the payload's type through one
+table; any other payload is a named error. A node's TimerTick is built
+once, at deploy, and carries the stream its status intervals are drawn
+from; it is re-scheduled until the run is finished and then dropped, so a
+finished run holds no timer stream.
 """
 
 from __future__ import annotations
@@ -73,7 +81,7 @@ from .config import (
     Scenario,
 )
 from .coordination import AllocationDecision, ClaimStore, new_record
-from .engine import RngStream, SimulationEngine
+from .engine import Batch, RngStream, SimulationEngine
 from .errors import (
     ConsistencyError,
     InvalidArgumentError,
@@ -125,9 +133,30 @@ class ExecutionNode:
 # Message payloads that are not domain objects themselves.
 
 
-class ClaimPost(NamedTuple):
-    claim: ResourceClaim
+class _ClaimPostFields(NamedTuple):
+    claims: tuple[ResourceClaim, ...]
     cell: IndexCell
+
+
+class ClaimPost(_ClaimPostFields):
+    """The claims one submission posts to one cell, in unit order, sent as
+    one Batch that counts one message per claim (see _claim_batch).
+
+    A tuple record whose constructor checks that ``claims`` is a non-empty
+    tuple of ResourceClaims; coordination.new_record builds it without the
+    check.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, claims: tuple[ResourceClaim, ...], cell: IndexCell) -> ClaimPost:
+        if type(claims) is not tuple or not claims or not all(
+            isinstance(claim, ResourceClaim) for claim in claims
+        ):
+            raise InvalidArgumentError(
+                f"claims must be a non-empty tuple of ResourceClaim, got {claims!r}"
+            )
+        return tuple.__new__(cls, (claims, cell))
 
 
 class TicketPost(NamedTuple):
@@ -376,8 +405,8 @@ def submit_application(state: FederationState, spec: WorkloadSpec) -> Applicatio
     claim_class = _claim_class(state, cloud, spec.model)
     # One claim class, so one region: the same cells for every unit, and the
     # same routes, since ownership cannot change before this call returns.
-    stored = routes = None
-    schedule = state.engine.schedule
+    claims = []
+    stored, cells = None, ()
     for unit in units:
         # Built in C, unchecked: the literal 1 unit passes
         # ResourceClaim's requested_units >= 1 check by construction.
@@ -385,12 +414,15 @@ def submit_application(state: FederationState, spec: WorkloadSpec) -> Applicatio
         if not claim_class.satisfiable:
             state.stranded_ids.add(claim.claim_id)
         cells = map_claim(state.space, claim)
-        if routes is None:
+        if stored is None:
             stored = tuple([cell for cell in cells if cell in state.ticket_cells])
-            routes = [_route(state, cloud_id, cell) for cell in cells]
         state.pending[claim.claim_id] = new_record(_PendingUnit, (claim, unit, stored))
-        for delay, target, cell in routes:
-            schedule(delay, target, new_record(ClaimPost, (claim, cell)))
+        claims.append(claim)
+    claims = tuple(claims)
+    schedule = state.engine.schedule
+    for cell in cells:
+        delay, target, _ = _route(state, cloud_id, cell)
+        schedule(delay, target, _claim_batch(claims, cell))
     return handle
 
 
@@ -503,25 +535,38 @@ def _on_result(state: FederationState, cloud_id: str, unit: WorkUnit) -> None:
         state.metrics.record_response(handle.app_id, response_time(handle))
 
 
-def _forward(state: FederationState, peer: str, post: ClaimPost | TicketPost) -> None:
+def _forward(
+    state: FederationState, peer: str, cell: IndexCell, payload: Batch | TicketPost
+) -> None:
     """Pass a post for a cell this peer no longer owns on to the cell's
     current owner, as Pastry routes a key on to its new root. A route back
     to this same peer would deliver the post to it forever, so it raises
     ConsistencyError naming the cell and the peer."""
-    delay, target, _ = _route(state, state.peer_cloud[peer], post.cell)
+    delay, target, _ = _route(state, state.peer_cloud[peer], cell)
     if target == state.peer_targets[peer]:
-        raise ConsistencyError(f"peer {peer!r} owns cell {post.cell}, yet forwards its post")
-    state.engine.schedule(delay, target, post)
+        raise ConsistencyError(f"peer {peer!r} owns cell {cell}, yet forwards its post")
+    state.engine.schedule(delay, target, payload)
+
+
+def _claim_batch(claims: tuple[ResourceClaim, ...], cell: IndexCell) -> Batch:
+    """The one way a ClaimPost is sent: one delivery to the cell's owner,
+    counted as one message per claim."""
+    return new_record(Batch, (new_record(ClaimPost, (claims, cell)), len(claims)))
 
 
 def _on_claim(state: FederationState, peer: str, post: ClaimPost) -> None:
-    claim, cell = post
-    if claim.claim_id in state.served:
-        return  # replica still in flight when the claim was served
+    claims, cell = post.claims, post.cell
+    # Replicas still in flight when their claim was served are dropped.
+    served = state.served
     if state.cell_owner[cell] != peer:
-        _forward(state, peer, post)
+        rest = tuple([claim for claim in claims if claim.claim_id not in served])
+        if rest:
+            _forward(state, peer, cell, _claim_batch(rest, cell))
     elif cell in state.ticket_cells:
-        state.store.post_claim(cell, claim)
+        post_claim = state.store.post_claim
+        for claim in claims:
+            if claim.claim_id not in served:
+                post_claim(cell, claim)
 
 
 def _on_ticket(state: FederationState, peer: str, post: TicketPost) -> None:
@@ -529,7 +574,7 @@ def _on_ticket(state: FederationState, peer: str, post: TicketPost) -> None:
         return
     cell = post.cell
     if state.cell_owner[cell] != peer:
-        _forward(state, peer, post)
+        _forward(state, peer, cell, post)
         return
     node = post.node
     if node.committed:

@@ -225,8 +225,10 @@ class FifoReplay:
                 f"{kind.__name__} delivered to {peer} for the unplaced cell {payload.cell}"
             )
             owned = posted and state.cell_owner[payload.cell] == peer
-            if owned and kind is ClaimPost and payload.claim.claim_id not in self.served:
-                self.waiting.setdefault(payload.cell, []).append(payload.claim)
+            if owned and kind is ClaimPost:
+                self.waiting.setdefault(payload.cell, []).extend(
+                    claim for claim in payload.claims if claim.claim_id not in self.served
+                )
             live = (
                 owned
                 and kind is TicketPost

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedmesh import BufferOverflowError, InvalidArgumentError, SimulationError
-from fedmesh.engine import RngStream, SimulationEngine
+from fedmesh.engine import Batch, RngStream, SimulationEngine
 
 
 def collector(engine, log):
@@ -147,6 +147,95 @@ class TestRun:
         engine.schedule(7, "frail", Ping())
         with pytest.raises(SimulationError, match=r"frail.*Ping.*t=7"):
             engine.run()
+
+
+class TestBatch:
+    """A Batch is one delivery that counts as ``messages`` messages."""
+
+    def test_delivered_once_and_counted_per_message(self):
+        engine = SimulationEngine()
+        log = []
+        engine.register("a", collector(engine, log))
+        engine.schedule(3, "a", Batch("posts", 4))
+        assert engine.inbox("a").pending == 4
+        engine.run()
+        assert log == [(3, "posts")]
+        assert engine.events_processed == 4
+        assert engine.inbox("a").pending == 0
+
+    def test_capacity_is_checked_per_message(self):
+        engine = SimulationEngine(default_inbox_capacity=5)
+        log = []
+        engine.register("a", collector(engine, log))
+        engine.schedule(1, "a", "x")
+        engine.schedule(1, "a", Batch("fits", 4))
+        assert engine.inbox("a").pending == 5
+        with pytest.raises(BufferOverflowError, match="'a'"):
+            engine.schedule(1, "a", Batch("one more", 1))
+        engine.run()
+        assert engine.events_processed == 5
+
+    def test_a_batch_that_does_not_fit_is_refused_whole(self):
+        engine = SimulationEngine(default_inbox_capacity=5)
+        log = []
+        engine.register("a", collector(engine, log))
+        engine.schedule(1, "a", "x")
+        engine.schedule(2, "a", "y")
+        with pytest.raises(BufferOverflowError, match="inbox of 'a' at capacity 5"):
+            engine.schedule(2, "a", Batch("too big", 4))
+        assert engine.inbox("a").pending == 2
+        engine.run()
+        assert log == [(1, "x"), (2, "y")]
+        assert engine.events_processed == 2
+        engine.schedule(0, "a", Batch("now fits", 5))
+
+    @pytest.mark.parametrize("messages", [0, -1, True, 1.0, None])
+    def test_a_batch_of_no_int_count_is_rejected_at_schedule(self, messages):
+        engine = SimulationEngine(default_inbox_capacity=1)
+        engine.register("a", lambda payload: None)
+        with pytest.raises(InvalidArgumentError, match="batch to 'a'"):
+            engine.schedule(1, "a", Batch("x", messages))
+        assert engine.inbox("a").pending == 0
+        assert not engine.has_pending_events
+        assert engine.events_processed == 0
+
+    def test_a_raising_handler_counts_none_and_leaves_its_siblings_queued(self):
+        engine = SimulationEngine()
+        log = []
+
+        def fragile(payload):
+            if payload == "bad":
+                raise RuntimeError("kaput")
+            log.append((engine.now, payload))
+
+        engine.register("a", fragile)
+        for payload in (Batch("bad", 3), "two", Batch("three", 2)):
+            engine.schedule(5, "a", payload)
+        with pytest.raises(SimulationError, match=r"'a' failed on str at t=5"):
+            engine.run()
+        assert log == []
+        assert engine.events_processed == 0
+        assert engine.inbox("a").pending == 3
+        engine.run()
+        assert log == [(5, "two"), (5, "three")]
+        assert engine.events_processed == 3
+
+    def test_a_zero_delay_batch_joins_the_end_of_the_current_slot(self):
+        engine = SimulationEngine()
+        log = []
+
+        def chaining(payload):
+            log.append((engine.now, payload))
+            if payload == "outer":
+                engine.schedule(0, "a", Batch("inner", 2))
+
+        engine.register("a", chaining)
+        engine.schedule(4, "a", Batch("outer", 3))
+        engine.schedule(4, "a", "sibling")
+        engine.run()
+        assert log == [(4, "outer"), (4, "sibling"), (4, "inner")]
+        assert engine.events_processed == 6
+        assert not engine.has_pending_events
 
 
 class Halt(BaseException):

@@ -30,7 +30,7 @@ from fedmesh import (
 )
 from fedmesh.config import LatencyModel
 from fedmesh.coordination import AllocationDecision, ClaimStore
-from fedmesh.engine import RngStream
+from fedmesh.engine import Batch, RngStream
 from fedmesh.experiments import scale_workloads
 from fedmesh.federation import (
     ClaimPost,
@@ -184,9 +184,9 @@ class TestDeploy:
         assert_served_exactly_once(state)
 
     def test_leave_forwards_posts_in_flight(self, melbourne_scenario):
-        # At t=0 cloud-1's first 25 claim posts are still in flight to it.
-        # After it leaves, each one reaching it is passed on to its cell's
-        # new owner: the departed peer stores nothing itself.
+        # At t=0 cloud-1's posts of 25 claims are still in flight to it.
+        # After it leaves, each post reaching it is passed on to its cell's
+        # new owner: the departed peer stores none of the 25 itself.
         state = deploy_federation(melbourne_scenario)
         state.engine.run(until_ms=0)
         box = state.engine.inbox("peer/cloud-1")
@@ -199,11 +199,12 @@ class TestDeploy:
             waiting = state.store.waiting_claim_ids()
             departed(payload)
             assert state.store.waiting_claim_ids() == waiting
-            seen.append(type(payload))
+            seen.append(payload)
 
         box.handler = watched
         run_to_quiescence(state)
-        assert seen == [ClaimPost] * 25
+        assert {type(post) for post in seen} == {ClaimPost}
+        assert sum(len(post.claims) for post in seen) == 25
         assert "cloud-1" not in assert_placed_by_the_oracle(state).values()
         assert_served_exactly_once(state)
 
@@ -213,9 +214,9 @@ class TestDeploy:
         state = deploy_federation(melbourne_scenario)
         state.engine.run(until_ms=0)
         cell, owner = next(iter(state.cell_owner.items()))
-        post = ClaimPost(state.pending[next(iter(state.pending))].claim, cell)
+        post = ClaimPost((state.pending[next(iter(state.pending))].claim,), cell)
         with pytest.raises(ConsistencyError, match=re.escape(f"peer '{owner}' owns cell {cell}")):
-            _forward(state, owner, post)
+            _forward(state, owner, cell, Batch(post, 1))
 
     def test_leave_hands_waiting_claims_to_new_owners(self, melbourne_scenario):
         # At t=2 s cloud-1 owns 18 cells holding 175 waiting claims and has
@@ -261,13 +262,55 @@ class TestDeploy:
             for cell in pending.cells
         )
         state.engine.run(until_ms=sent_at + state.latency.inter_cloud_ms)
-        late = [(peer, t, post) for peer, t, post in arrivals if post.claim.claim_id not in earlier]
+        late = [
+            (peer, t, claim, post.cell)
+            for peer, t, post in arrivals
+            for claim in post.claims
+            if claim.claim_id not in earlier
+        ]
         assert len(replicas) > 6
-        assert sorted((post.claim.claim_id, post.cell) for _, _, post in late) == replicas
-        assert not [peer for peer, _, _ in late if peer == "cloud-1"]
-        for peer, t, post in late:
-            assert peer == state.cell_owner[post.cell]
+        assert sorted((claim.claim_id, cell) for _, _, claim, cell in late) == replicas
+        assert not [peer for peer, _, _, _ in late if peer == "cloud-1"]
+        for peer, t, _, cell in late:
+            assert peer == state.cell_owner[cell]
             assert t == sent_at + state.latency.between("cloud-1", state.peer_cloud[peer])
+
+    def test_a_forwarded_post_carries_only_its_unserved_claims(self, melbourne_scenario):
+        # A claim of a post in flight to cloud-1 is served elsewhere before
+        # the post arrives; after cloud-1 leaves, it forwards the rest as one
+        # batch, and the new owner's inbox counts exactly those claims.
+        state = deploy_federation(melbourne_scenario)
+        state.engine.run(until_ms=0)
+        # The engine's queue is private; this reads it only to find a post.
+        post = next(
+            payload.payload
+            for slot in state.engine._slots.values()
+            for box, payload in slot
+            if box.target == "peer/cloud-1" and payload.messages > 1
+        )
+        state.served.add(post.claims[0].claim_id)  # as the decision-taking peer would
+        state.membership.leave(hash_name("cloud-1"))
+        recompute_cell_assignment(state)
+        owner = state.engine.inbox(state.peer_targets[state.cell_owner[post.cell]])
+        box = state.engine.inbox("peer/cloud-1")
+        departed, schedule, sent = box.handler, state.engine.schedule, []
+
+        def watched(payload):
+            if payload is not post:
+                return departed(payload)
+            before = owner.pending
+            state.engine.schedule = lambda *args: sent.append(args) or schedule(*args)
+            try:
+                departed(payload)
+            finally:
+                del state.engine.schedule
+            assert owner.pending == before + len(post.claims) - 1
+
+        box.handler = watched
+        state.engine.run(until_ms=state.latency.inter_cloud_ms)
+        ((_, target, batch),) = sent
+        assert target == owner.target
+        assert batch == Batch(ClaimPost(post.claims[1:], post.cell), len(post.claims) - 1)
 
     def test_tickets_after_a_leave_go_straight_to_their_cells_new_owner(
         self, melbourne_scenario
@@ -433,6 +476,20 @@ class TestSubmit:
         bad = scenario([cloud("cloud-1", 2.4)], [workload("cloud-1"), workload("nowhere")])
         with pytest.raises(InvalidArgumentError, match="workload targets unknown cloud 'nowhere'"):
             deploy_federation(bad)
+
+    def test_a_submission_queues_one_message_per_claim_and_route(self):
+        # One batch per (submission, cell), each counted as its six claims.
+        state = deploy_federation(scenario([cloud("cloud-1", 2.4), cloud("cloud-2", 3.0)]))
+        submit_application(state, workload("cloud-1", rows=2, cols=3))
+        cells = map_claim(state.space, next(iter(state.pending.values())).claim)
+        routes = Counter(state.peer_targets[state.cell_owner[cell]] for cell in cells)
+        pending = state.engine.pending_by_target()
+        assert {target: pending[target] for target in state.peer_targets.values()} == {
+            target: 6 * routes[target] for target in state.peer_targets.values()
+        }
+        # The engine's queue is private; this reads it only to count.
+        batches = [p for slot in state.engine._slots.values() for box, p in slot if type(p) is Batch]
+        assert sorted(batch.payload.cell for batch in batches) == sorted(cells)
 
     def test_claims_posted_to_owning_peers(self):
         state = deploy_federation(scenario([cloud("cloud-1", 2.4), cloud("cloud-2", 3.0)]))
@@ -822,11 +879,17 @@ class TestRecords:
     def test_per_unit_and_per_message_records_have_no_instance_dict(self):
         # Slotted records keep the heap of a deep claim backlog small.
         state = deploy_federation(scenario([cloud("cloud-1", 2.4)], [workload("cloud-1", rows=1, cols=2)]))
-        state.engine.run(until_ms=1)
+        state.engine.run(until_ms=0)
         pending = next(iter(state.pending.values()))
+        # The engine's queue is private; this reads it only to find a post.
+        batch = next(p for slot in state.engine._slots.values() for _, p in slot if type(p) is Batch)
         run_to_quiescence(state)
-        records = (pending.claim, pending.unit, state.metrics.decisions[0], published_ticket())
-        for record, kind in zip(records, (ResourceClaim, WorkUnit, AllocationDecision, ResourceTicket)):
+        records = (
+            pending.claim, pending.unit, state.metrics.decisions[0], published_ticket(),
+            batch, batch.payload,
+        )
+        kinds = (ResourceClaim, WorkUnit, AllocationDecision, ResourceTicket, Batch, ClaimPost)
+        for record, kind in zip(records, kinds, strict=True):
             assert type(record) is kind
             assert not hasattr(record, "__dict__")
 
@@ -842,9 +905,33 @@ class TestProtocolGuards:
         state.served.add(claim_id)  # as the decision-taking peer would
         cell = state.pending[claim_id].cells[0]
         target_peer = state.cell_owner[cell]
-        state.engine.schedule(1, f"peer/{target_peer}", ClaimPost(claim, cell))
+        state.engine.schedule(1, f"peer/{target_peer}", ClaimPost((claim,), cell))
         state.engine.run(until_ms=20)
         assert replica_count(state.store, build_base_cells(state.space), claim_id) == 0
+
+    def test_a_post_stores_only_its_unserved_claims_in_order(self):
+        # The middle claim is served while the submission's posts are in
+        # flight: each of its cells stores the other two, in unit order.
+        state = deploy_federation(scenario([cloud("cloud-1", 2.4), cloud("cloud-2", 3.0)]))
+        submit_application(state, workload("cloud-1", rows=1, cols=3))
+        first, middle, last = (pending.claim for pending in state.pending.values())
+        state.served.add(middle.claim_id)  # as the decision-taking peer would
+        state.engine.run(until_ms=20)
+        cells = state.pending[first.claim_id].cells
+        assert cells
+        for cell in cells:
+            assert state.store.snapshot(cell) == [first, last]
+
+    @pytest.mark.parametrize("claims", ["bare", (), "list", "mixed"])
+    def test_a_claim_post_takes_only_a_nonempty_tuple_of_claims(self, claims):
+        state = deploy_federation(scenario([cloud("cloud-1", 2.4)]))
+        submit_application(state, workload("cloud-1", rows=1, cols=1))
+        ((claim_id, pending),) = state.pending.items()
+        claims = {
+            "bare": pending.claim, "list": [pending.claim], "mixed": (pending.claim, claim_id)
+        }.get(claims, claims)
+        with pytest.raises(InvalidArgumentError, match="claims must be a non-empty tuple"):
+            ClaimPost(claims, pending.cells[0])
 
     @pytest.mark.parametrize(
         "target, payload",
@@ -1027,8 +1114,12 @@ class TestWholeRuns:
         else:
             assert_served_once_or_stranded(sc, state, report)
         replay.check()
-        # The engine's queue is private; this reads it only to count.
-        queued = Counter(box.target for slot in state.engine._slots.values() for box, _ in slot)
+        # The engine's queue is private; this reads it only to count the
+        # messages queued, a batch counting one per claim.
+        queued = Counter()
+        for slot in state.engine._slots.values():
+            for box, payload in slot:
+                queued[box.target] += payload.messages if type(payload) is Batch else 1
         for target in engine_targets(state):
             assert state.engine.inbox(target).pending == queued[target], target
 

@@ -1,13 +1,15 @@
 """Per-cell claim queues grouped by claim class, and ticket allocation.
 
 One ClaimStore serves a whole federation and holds, keyed by index cell, the
-claims waiting at each cell. A cell has a queue exactly while a claim waits
-there: the first claim builds it, and the claim whose service or discard
-empties it takes it away, so a drained cell holds nothing. Claims with
-equal constraint tuples form one claim class. Every unit a cloud submits
-for one model shares its constraints, so a cell holding thousands of claims
-holds only a few classes. Each class is a FIFO bucket in
-(arrival_time, claim_id) order.
+claims waiting at each cell. Claims with equal constraint tuples form one
+claim class. Every unit a cloud submits for one model shares its
+constraints, so a cell holding thousands of claims holds only a few
+classes. Each cell is a dict from class to that class's FIFO bucket in
+(arrival_time, claim_id) order, and the claims live there alone: a cell is
+present exactly while a claim waits there, and a class exactly while its
+bucket holds a claim. The claim whose service or discard empties a bucket
+takes it away, and its cell with it when no other class waits, so a
+drained cell holds nothing.
 
 The federation interns one spatial.ClaimClass per (cloud, model), so a
 cell insert pays one cached-hash call and finds its bucket by identity;
@@ -32,13 +34,14 @@ at a cell where no claim waits serves nothing; has_waiting tells whether
 one waits.
 
 The store builds every AllocationDecision unchecked, with new_record. A
-served claim leaves its bucket by id; it is almost always the bucket's
-head, which is dropped without a search.
+served or discarded claim is found through its own class and
+(arrival_time, claim_id); it is almost always its bucket's head, which is
+dropped without a search.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from heapq import merge
 from itertools import chain
 from typing import NamedTuple
@@ -77,53 +80,28 @@ class AllocationDecision(NamedTuple):
     notify: str  # claim origin: the scheduler to inform
 
 
-class _CellQueue:
-    """One cell's claims: a FIFO bucket per claim class, and an index from
-    claim id to (bucket, arrival_time), so removal never rehashes a class.
-    Emptied buckets stay in place for the class's next claim."""
-
-    __slots__ = ("buckets", "index")
-
-    def __init__(self) -> None:
-        self.buckets: dict[tuple[Constraint, ...], list[_Entry]] = {}
-        self.index: dict[str, tuple[list[_Entry], int]] = {}
-
-    def insert(self, claim: ResourceClaim) -> None:
-        bucket = self.buckets.get(claim.constraints)
-        if bucket is None:
-            bucket = self.buckets[claim.constraints] = []
-        insort(bucket, (claim.arrival_time, claim.claim_id, claim))
-        self.index[claim.claim_id] = (bucket, claim.arrival_time)
-
-    def remove_id(self, claim_id: str) -> bool:
-        found = self.index.pop(claim_id, None)
-        if found is None:
-            return False
-        bucket, arrival_time = found
-        # A served claim is almost always its bucket's head: drop it unsearched.
-        if bucket[0][1] == claim_id:
-            del bucket[0]
-        else:
-            del bucket[bisect_left(bucket, (arrival_time, claim_id))]
-        return True
-
-
 class ClaimStore:
     """Claim-class buckets keyed by index cell, and the memo of which class
-    each ticket point satisfies. A cell has a queue exactly while a claim
-    waits there; emptied buckets stay only in a queue still holding claims."""
+    each ticket point satisfies. A cell is present exactly while a claim
+    waits there, and a class exactly while its bucket holds a claim."""
 
     def __init__(self) -> None:
-        self._cells: dict[IndexCell, _CellQueue] = {}
+        self._cells: dict[IndexCell, dict[tuple[Constraint, ...], list[_Entry]]] = {}
         self._fits: dict[tuple[object, ...], dict[tuple[Constraint, ...], bool]] = {}
 
     def post_claim(self, cell: IndexCell, claim: ResourceClaim) -> None:
-        """Insert in (arrival_time, claim_id) order; duplicates are ignored."""
-        queue = self._cells.get(cell)
-        if queue is None:
-            queue = self._cells[cell] = _CellQueue()
-        if claim.claim_id not in queue.index:
-            queue.insert(claim)
+        """Insert into the claim's class bucket in (arrival_time, claim_id)
+        order. The search that places a claim also finds it if it is
+        already stored, so a re-post is ignored."""
+        buckets = self._cells.get(cell)
+        if buckets is None:
+            buckets = self._cells[cell] = {}
+        bucket = buckets.get(claim.constraints)
+        if bucket is None:
+            bucket = buckets[claim.constraints] = []
+        at = bisect_left(bucket, (claim.arrival_time, claim.claim_id))
+        if at == len(bucket) or bucket[at][1] != claim.claim_id:
+            bucket.insert(at, (claim.arrival_time, claim.claim_id, claim))
 
     def post_ticket(
         self, cell: IndexCell, ticket: ResourceTicket, now_ms: int | None = None
@@ -137,19 +115,18 @@ class ClaimStore:
         zero. Leftover capacity is discarded rather than parked.
         """
         decided_at = ticket.issue_time if now_ms is None else now_ms
-        queue = self._cells.get(cell)
+        buckets = self._cells.get(cell)
         remaining = ticket.available_units
-        if queue is None or remaining <= 0:
+        if buckets is None or remaining <= 0:
             return []
         fits = self._fits.setdefault(ticket.point, {})
         classes = []
-        for constraints, bucket in queue.buckets.items():
-            if bucket:
-                fit = fits.get(constraints)
-                if fit is None:
-                    fit = fits[constraints] = matches(bucket[0][2], ticket)
-                if fit:
-                    classes.append(bucket)
+        for constraints, bucket in buckets.items():
+            fit = fits.get(constraints)
+            if fit is None:
+                fit = fits[constraints] = matches(bucket[0][2], ticket)
+            if fit:
+                classes.append(bucket)
         if not classes:
             return []
         # The least head comes first in merged order: when it takes the
@@ -158,6 +135,7 @@ class ClaimStore:
         head = min(classes)[0]
         walk = (head,) if head[2].requested_units == remaining else merge(*classes)
         decisions: list[AllocationDecision] = []
+        served: list[ResourceClaim] = []
         for _, _, claim in walk:
             if claim.requested_units > remaining:
                 continue
@@ -166,36 +144,49 @@ class ClaimStore:
                 decided_at, ticket.origin, claim.origin,
             )
             decisions.append(new_record(AllocationDecision, fields))
+            served.append(claim)
             remaining -= claim.requested_units
             if remaining <= 0:
                 break
-        for decision in decisions:
-            queue.remove_id(decision.claim_id)
-        if not queue.index:
-            del self._cells[cell]
+        for claim in served:
+            self._remove(cell, claim)
         return decisions
 
     def has_waiting(self, cell: IndexCell) -> bool:
         """Whether any claim waits at the cell, so a ticket there could serve one."""
         return cell in self._cells
 
-    def discard(self, cell: IndexCell, claim_id: str) -> bool:
-        """Drop one replica of a claim from one cell; False if it was not there."""
-        queue = self._cells.get(cell)
-        if queue is None or not queue.remove_id(claim_id):
+    def discard(self, cell: IndexCell, claim: ResourceClaim) -> bool:
+        """Drop one replica of a claim from one cell, found through the
+        claim's class; False if it was not there."""
+        buckets = self._cells.get(cell)
+        bucket = None if buckets is None else buckets.get(claim.constraints)
+        if bucket is None:
             return False
-        if not queue.index:
-            del self._cells[cell]
+        # A served claim is almost always its bucket's head: drop it unsearched.
+        if bucket[0][1] == claim.claim_id:
+            del bucket[0]
+        else:
+            at = bisect_left(bucket, (claim.arrival_time, claim.claim_id))
+            if at == len(bucket) or bucket[at][1] != claim.claim_id:
+                return False
+            del bucket[at]
+        if not bucket:
+            del buckets[claim.constraints]
+            if not buckets:
+                del self._cells[cell]
         return True
+
+    # post_ticket removes the claims it serves under this second name, so a
+    # count or trace of discard calls sees only replicas retired by a caller.
+    _remove = discard
 
     def snapshot(self, cell: IndexCell) -> list[ResourceClaim]:
         """Read-only copy of one cell's claims, in (arrival_time, claim_id) order."""
-        queue = self._cells.get(cell)
-        return [] if queue is None else [e[2] for e in sorted(chain(*queue.buckets.values()))]
+        buckets = self._cells.get(cell)
+        return [] if buckets is None else [e[2] for e in sorted(chain(*buckets.values()))]
 
     def waiting_claim_ids(self) -> tuple[str, ...]:
         """Distinct ids of all claims still stored, sorted."""
-        ids: set[str] = set()
-        for queue in self._cells.values():
-            ids.update(queue.index)
-        return tuple(sorted(ids))
+        cells = self._cells.values()
+        return tuple(sorted({e[1] for buckets in cells for e in chain(*buckets.values())}))

@@ -589,9 +589,10 @@ def _on_ticket(state: FederationState, peer: str, post: TicketPost) -> None:
         state.served.add(decision.claim_id)
         node.committed = True
         # Retire every replica before any further event can observe it.
-        for other in state.pending[decision.claim_id].cells:
+        pending = state.pending[decision.claim_id]
+        for other in pending.cells:
             if other != cell:  # the matched copy is already gone
-                state.store.discard(other, decision.claim_id)
+                state.store.discard(other, pending.claim)
         state.metrics.record_decision(decision)
         delay = state.latency.between(state.peer_cloud[peer], decision.notify)
         state.engine.schedule(delay, state.scheduler_targets[decision.notify], decision)

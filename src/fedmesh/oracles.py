@@ -248,18 +248,20 @@ def distributed_fifo_allocate(
     """The per-cell path: replicate claims, match each ticket at its one cell,
     retire replicas of served claims before the next ticket."""
     store = ClaimStore()
-    replicas: dict[str, tuple[IndexCell, ...]] = {}
+    replicas: dict[str, tuple[ResourceClaim, tuple[IndexCell, ...]]] = {}
     for claim in claims:
-        replicas[claim.claim_id] = map_claim(space, claim)
-        for cell in replicas[claim.claim_id]:
+        cells = map_claim(space, claim)
+        replicas[claim.claim_id] = (claim, cells)
+        for cell in cells:
             store.post_claim(cell, claim)
     allocations: list[tuple[str, str, int]] = []
     for ticket in tickets:
         cell = map_ticket(space, ticket)
         decisions = store.post_ticket(cell, ticket)
         for d in decisions:
-            for replica in replicas[d.claim_id]:
-                store.discard(replica, d.claim_id)
+            claim, cells = replicas[d.claim_id]
+            for replica in cells:
+                store.discard(replica, claim)
             allocations.append((d.ticket_id, d.claim_id, d.units_granted))
     return allocations
 

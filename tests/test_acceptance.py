@@ -236,7 +236,7 @@ def test_criterion_9_exactly_once(sweep, testbed_space):
     tcell = map_ticket(testbed_space, ticket)
     first = store.post_ticket(tcell, ticket)
     for cell in map_claim(testbed_space, claims[0]):  # retire claim-1
-        store.discard(cell, "claim-1")
+        store.discard(cell, claims[0])
     second = store.post_ticket(tcell, published_ticket(issue_time=800))
     granted = [d.claim_id for d in first + second]
     assert granted.count("claim-1") == 1

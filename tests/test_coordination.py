@@ -142,9 +142,9 @@ class TestPostTicket:
         assert store.post_ticket(tcell, ticket, now_ms=705)[0].decided_at == 705
 
 
-def discard_replicas(store, cells, claim_id) -> int:
+def discard_replicas(store, cells, claim) -> int:
     """Discard a claim from each of its replica cells; returns how many held it."""
-    return sum(store.discard(cell, claim_id) for cell in cells)
+    return sum(store.discard(cell, claim) for cell in cells)
 
 
 class TestDiscard:
@@ -152,11 +152,11 @@ class TestDiscard:
         store, claims, ticket, tcell = replay
         cells = map_claim(testbed_space, claims[0])
         assert replica_count(store, testbed_cells, "claim-1") == len(cells) == 2
-        assert discard_replicas(store, cells, "claim-1") == 2
+        assert discard_replicas(store, cells, claims[0]) == 2
         assert replica_count(store, testbed_cells, "claim-1") == 0
 
     def test_unknown_id_returns_zero(self, testbed_cells):
-        assert discard_replicas(ClaimStore(), testbed_cells, "ghost") == 0
+        assert discard_replicas(ClaimStore(), testbed_cells, _thread_claim("ghost", 2.4, 100)) == 0
 
     def test_after_service_one_replica_already_gone(
         self, testbed_space, testbed_cells, replay
@@ -165,7 +165,7 @@ class TestDiscard:
         cells = map_claim(testbed_space, claims[0])
         before = replica_count(store, testbed_cells, "claim-1")
         store.post_ticket(tcell, ticket)
-        assert discard_replicas(store, cells, "claim-1") == before - 1
+        assert discard_replicas(store, cells, claims[0]) == before - 1
 
 
 class TestSnapshot:
@@ -276,8 +276,8 @@ class TestClaimClasses:
         )
         assert [c.claim_id for c in store.snapshot(cell)] == ["c1", "big", "b2", "b3"]
 
-        assert store.discard(cell, "b2")
-        assert not store.discard(cell, "b2")
+        assert store.discard(cell, claims["b2"])
+        assert not store.discard(cell, claims["b2"])
         assert [c.claim_id for c in store.snapshot(cell)] == ["c1", "big", "b3"]
         assert replica_count(store, (cell,), "b2") == 0
         assert replica_count(store, (cell,), "b3") == 1
@@ -293,14 +293,15 @@ class TestClaimClasses:
         # search, a head claim is dropped without one.
         cell = map_ticket(testbed_space, published_ticket())
         store = ClaimStore()
-        for claim_id in ("c", "a", "b"):
-            store.post_claim(cell, _thread_claim(claim_id, 2.4, 100))
-        assert len(store._cells[cell].buckets) == 1
+        claims = {claim_id: _thread_claim(claim_id, 2.4, 100) for claim_id in ("c", "a", "b")}
+        for claim in claims.values():
+            store.post_claim(cell, claim)
+        assert len(store._cells[cell]) == 1
         for claim_id, left in (("b", ["a", "c"]), ("a", ["c"]), ("c", [])):
-            assert store.discard(cell, claim_id)
-            assert not store.discard(cell, claim_id)
+            assert store.discard(cell, claims[claim_id])
+            assert not store.discard(cell, claims[claim_id])
             assert [c.claim_id for c in store.snapshot(cell)] == left
-            # A cell keeps its queue exactly while a claim waits there.
+            # A cell is stored exactly while a claim waits there.
             assert (cell in store._cells) == store.has_waiting(cell) == bool(left)
 
     def test_a_ticket_serves_claims_behind_an_unserved_head(self, testbed_space):
@@ -361,7 +362,7 @@ class TestClaimClasses:
         store = ClaimStore()
         for claim in claims:
             store.post_claim(cell, claim)
-        assert len(store._cells[cell].buckets) == 1
+        assert len(store._cells[cell]) == 1
         fifo = sorted(claims, key=lambda c: (c.arrival_time, c.claim_id))
         assert store.snapshot(cell) == fifo
         decisions = store.post_ticket(cell, ticket)
@@ -494,7 +495,7 @@ class TestMatchLists:
         for claim in (*claims, later):
             store.post_claim(cell, claim)
         for claim in claims[1:]:
-            store.discard(cell, claim.claim_id)
+            store.discard(cell, claim)
         for n, claim in enumerate((claims[0], later)):
             ticket = _pool_ticket(n, ("x", 2.0), 1)
             assert _served(store.post_ticket(cell, ticket)) == [(ticket.ticket_id, claim.claim_id, 1)]
@@ -515,22 +516,22 @@ class TestMatchLists:
     def test_property_interleaved_posts_discards_and_tickets(self, ops):
         store = ClaimStore()
         waiting: list[list[ResourceClaim]] = [[] for _ in _POOL_CELLS]
-        posted: list[str] = []
+        posted: list[ResourceClaim] = []
         for n, op in enumerate(ops):
             if op[0] == "post":
                 _, constraints, k, arrival_time, units = op
                 claim = _pool_claim(n, constraints, arrival_time, units)
                 store.post_claim(_POOL_CELLS[k], claim)
                 waiting[k].append(claim)
-                posted.append(claim.claim_id)
+                posted.append(claim)
             elif op[0] == "discard":
                 _, k, pick = op
                 if not posted:
                     continue
-                claim_id = posted[pick % len(posted)]
-                held = [c for c in waiting[k] if c.claim_id == claim_id]
-                assert store.discard(_POOL_CELLS[k], claim_id) == bool(held)
-                waiting[k] = [c for c in waiting[k] if c.claim_id != claim_id]
+                claim = posted[pick % len(posted)]
+                held = [c for c in waiting[k] if c.claim_id == claim.claim_id]
+                assert store.discard(_POOL_CELLS[k], claim) == bool(held)
+                waiting[k] = [c for c in waiting[k] if c.claim_id != claim.claim_id]
             else:
                 _, point, k, units, repeats = op
                 for r in range(repeats):
@@ -539,6 +540,13 @@ class TestMatchLists:
                     assert _served(store.post_ticket(_POOL_CELLS[k], ticket)) == expected
                     served = {claim_id for _, claim_id, _ in expected}
                     waiting[k] = [c for c in waiting[k] if c.claim_id not in served]
+            # A cell is stored exactly while a claim waits there, its classes
+            # are exactly those with a waiting claim, and no bucket is empty.
+            for held, cell in zip(waiting, _POOL_CELLS):
+                assert (cell in store._cells) == bool(held)
+                buckets = store._cells.get(cell, {})
+                assert set(buckets) == {c.constraints for c in held}
+                assert all(buckets.values())
         for k, cell in enumerate(_POOL_CELLS):
             assert store.snapshot(cell) == sorted(
                 waiting[k], key=lambda c: (c.arrival_time, c.claim_id)

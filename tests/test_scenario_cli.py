@@ -729,10 +729,11 @@ class TestRunCommand:
 
     def test_json_format_writes_summary_only(self, tmp_path):
         path = write(tmp_path, MINIMAL)
-        out = tmp_path / "out"
-        assert main(["run", str(path), "--out", str(out), "--format", "json"]) == 0
-        assert (out / "summary.json").exists()
-        assert not (out / "response_times.csv").exists()
+        for command, *options in (["run"], ["sweep", "--model", "task"]):
+            out = tmp_path / command
+            argv = [command, str(path), *options, "--out", str(out), "--format", "json"]
+            assert main(argv) == 0
+            assert [p.name for p in out.iterdir()] == ["summary.json"]
 
     def test_fedmesh_out_env_is_default(self, tmp_path, monkeypatch):
         path = write(tmp_path, MINIMAL)

@@ -69,6 +69,8 @@ class CloudConfig:
             raise InvalidArgumentError(f"{self.cloud_id}: bad status interval [{lo}, {hi}]")
         if not self.service_types:
             raise InvalidArgumentError(f"{self.cloud_id}: at least one service type required")
+        if len(set(self.service_types)) != len(self.service_types):
+            raise InvalidArgumentError(f"{self.cloud_id}: service types must be unique")
 
 
 @dataclass(frozen=True)

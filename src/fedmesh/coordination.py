@@ -53,14 +53,14 @@ _Entry = tuple[int, str, ResourceClaim]
 
 # new_record(cls, fields) builds a NamedTuple message or record from a tuple
 # of its fields in C, more cheaply than the generated Python __new__; the
-# object is the same. Claims, tickets, claim posts and workload specs are
-# tuple records: NamedTuple subclasses whose public constructors check their
-# fields.
+# object is the same. Claims, tickets and workload specs are tuple records:
+# NamedTuple subclasses whose public constructors check their fields.
 # new_record skips that check, so each caller passes only fields that hold
 # it by construction. The federation builds this way every message it sends
 # per unit, per ticket or per claim post, each unit's ResourceClaim (with
-# the literal 1 unit), each ResourceTicket (with the literal 1 free unit)
-# and each ClaimPost (with a non-empty tuple of claims);
+# the literal 1 unit) and each ResourceTicket (with the literal 1 free unit);
+# a ClaimPost checks nothing, and the Batch that carries it counts its
+# claims, so the engine refuses an empty post when it is scheduled;
 # generate_units builds each WorkUnit, the store every AllocationDecision,
 # and the scenario parser each WorkloadSpec, whose key converters already
 # hold each field to its domain.

@@ -133,30 +133,12 @@ class ExecutionNode:
 # Message payloads that are not domain objects themselves.
 
 
-class _ClaimPostFields(NamedTuple):
+class ClaimPost(NamedTuple):
+    """The claims one submission posts to one cell, in unit order, sent as
+    one Batch that counts one message per claim (see _claim_batch)."""
+
     claims: tuple[ResourceClaim, ...]
     cell: IndexCell
-
-
-class ClaimPost(_ClaimPostFields):
-    """The claims one submission posts to one cell, in unit order, sent as
-    one Batch that counts one message per claim (see _claim_batch).
-
-    A tuple record whose constructor checks that ``claims`` is a non-empty
-    tuple of ResourceClaims; coordination.new_record builds it without the
-    check.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, claims: tuple[ResourceClaim, ...], cell: IndexCell) -> ClaimPost:
-        if type(claims) is not tuple or not claims or not all(
-            isinstance(claim, ResourceClaim) for claim in claims
-        ):
-            raise InvalidArgumentError(
-                f"claims must be a non-empty tuple of ResourceClaim, got {claims!r}"
-            )
-        return tuple.__new__(cls, (claims, cell))
 
 
 class TicketPost(NamedTuple):

@@ -4,6 +4,8 @@ All rows are sorted and floats fixed to three decimals, so identical
 (scenario, seed) pairs always produce identical bytes. Response rows, one
 per application, come from ``RunResult.responses`` for a run and
 ``SweepResult.responses`` for a sweep, which takes them from its runs.
+A run and a sweep build their summary meta and job share in one place,
+``_write_outputs``, from the result and the sink whose counts it reports.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from pathlib import Path
 
 from .config import SCHEMA_VERSION
 from .experiments import ResponseRow, RunResult, SweepResult
-from .workloads import MODELS, SERVICE_LABELS, JobShare, MetricsSink, job_share_percent
+from .workloads import MODELS, SERVICE_LABELS, MetricsSink, job_share_percent
 
 RESPONSE_HEADER = "cloud_id,model,granularity,response_time_s"
 JOBS_HEADER = "cloud_id,service_type,jobs_completed"
@@ -59,17 +61,18 @@ def _write(path: Path, text: str) -> Path:
 
 
 def _write_outputs(
-    out_dir: str | Path,
-    fmt: str,
-    rows: list[_Row],
-    meta: dict,
-    responses: list[ResponseRow],
-    jobs: list[tuple[str, str, int]],
-    share: JobShare,
+    result: RunResult | SweepResult, sink: MetricsSink, out_dir: str | Path, fmt: str,
+    rows: list[_Row], jobs: list[tuple[str, str, int]], **meta: list,
 ) -> list[Path]:
     """Add the response, jobs and share rows to ``rows`` and write
-    summary.json with ``meta``; csv also writes the three CSVs from the
-    same rows."""
+    summary.json with the result's meta plus ``meta``; csv also writes the
+    three CSVs from the same rows. The shares normalise ``sink``'s counts."""
+    responses = result.responses()
+    share = job_share_percent(sink, tuple(sorted(c.cloud_id for c in result.scenario.clouds)))
+    meta.update(
+        schema_version=SCHEMA_VERSION, seed=result.scenario.seed,
+        zero_job_models=list(share.zero_models), stranded_claims=list(result.stranded),
+    )
     for cloud, model, granularity, rt in responses:
         rows.append(("response_time_s", f"{cloud}/{model}", granularity, rt, "s"))
     for cloud, label, count in jobs:
@@ -106,15 +109,7 @@ def write_run_outputs(result: RunResult, out_dir: str | Path, fmt: str = "csv") 
         *(("units_submitted", m, 0, float(n), "units") for m, n in submitted.items()),
         *(("units_completed", m, 0, float(n), "units") for m, n in sink.completed_per_model().items()),
     ]
-    cloud_ids = tuple(sorted(c.cloud_id for c in result.scenario.clouds))
-    share = job_share_percent(sink, cloud_ids)
-    meta = {
-        "schema_version": SCHEMA_VERSION,
-        "seed": result.scenario.seed,
-        "zero_job_models": list(share.zero_models),
-        "stranded_claims": list(result.stranded),
-    }
-    return _write_outputs(out_dir, fmt, rows, meta, result.responses(), _jobs_rows(result), share)
+    return _write_outputs(result, sink, out_dir, fmt, rows, _jobs_rows(result))
 
 
 def write_sweep_outputs(sweep: SweepResult, out_dir: str | Path, fmt: str = "csv") -> list[Path]:
@@ -128,15 +123,8 @@ def write_sweep_outputs(sweep: SweepResult, out_dir: str | Path, fmt: str = "csv
             merged.completed_by_model[key] = merged.completed_by_model.get(key, 0) + count
         events = float(result.report.events_processed)
         rows.append(("events_processed", "engine", size * size, events, "events"))
-    cloud_ids = tuple(sorted(c.cloud_id for c in sweep.scenario.clouds))
-    share = job_share_percent(merged, cloud_ids)
-    meta = {
-        "schema_version": SCHEMA_VERSION,
-        "seed": sweep.scenario.seed,
-        "models": list(sweep.models),
-        "sizes": list(sweep.sizes),
-        "zero_job_models": list(share.zero_models),
-        "stranded_claims": list(sweep.stranded),
-    }
     job_rows = sorted((c, SERVICE_LABELS[m], n) for (c, m), n in merged.completed_by_model.items())
-    return _write_outputs(out_dir, fmt, rows, meta, sweep.responses(), job_rows, share)
+    return _write_outputs(
+        sweep, merged, out_dir, fmt, rows, job_rows,
+        models=list(sweep.models), sizes=list(sweep.sizes),
+    )

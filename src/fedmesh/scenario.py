@@ -41,6 +41,7 @@ a ``#`` after a value is part of the value, since a label may contain one.
     nodes = 4
     speed_ghz = 2.4
     cpu_type = Intel
+    # distinct labels of the service_type dimension
     service_types = P2PTaskExecution, P2PThreadExecution
     status_update_interval_ms = 5000, 40000
     # or full_p2p
@@ -128,6 +129,13 @@ def _items(raw: str) -> tuple[str, ...]:
     return items
 
 
+def _distinct(raw: str) -> tuple[str, ...]:
+    items = _items(raw)
+    if len(set(items)) < len(items):
+        raise ValueError(raw)
+    return items
+
+
 def _bounds(raw: str) -> tuple[float, float]:
     lo, hi = map(float, _items(raw))
     return lo, hi
@@ -154,6 +162,7 @@ _EXPECTED = {
     float: "a number",
     _bool: "true or false",
     _items: "a list without empty items",
+    _distinct: "a list without empty or repeated items",
     _bounds: "'lo, hi' numbers",
     _interval: "'lo, hi' integers, 1 <= lo <= hi",
     _demand: "'constant, X' or 'uniform, LO, HI'",
@@ -210,7 +219,7 @@ _KEYS = {
         "nodes": (_POSITIVE, None),
         "speed_ghz": (float, None),
         "cpu_type": (str, None),
-        "service_types": (_items, None),
+        "service_types": (_distinct, None),
         "status_update_interval_ms": (_interval, None),
         "topology": (_one_of(*TOPOLOGIES), CloudConfig.topology),
     },
@@ -490,18 +499,8 @@ class _Builder:
                         self.error(line, field, str(exc))
             if len(self.diags) > before:
                 continue
-            try:
-                clouds.append(
-                    CloudConfig(
-                        cloud_id=sec.name,
-                        node_count=nodes,
-                        node_speed_ghz=values["speed_ghz"],
-                        cpu_type=values["cpu_type"],
-                        service_types=values["service_types"],
-                        status_update_interval_ms=values["status_update_interval_ms"],
-                        topology=values["topology"],
-                    )
-                )
+            try:  # values are in _KEYS order, the field order after cloud_id
+                clouds.append(CloudConfig(sec.name, *values.values()))
             except InvalidArgumentError as exc:  # the speed: converters and the code above check the rest
                 self.error(sec.entries["speed_ghz"][0], "speed_ghz", str(exc))
         # A hub cloud joins the overlay under its own id and node i of a

@@ -922,16 +922,18 @@ class TestProtocolGuards:
         for cell in cells:
             assert state.store.snapshot(cell) == [first, last]
 
-    @pytest.mark.parametrize("claims", ["bare", (), "list", "mixed"])
-    def test_a_claim_post_takes_only_a_nonempty_tuple_of_claims(self, claims):
+    def test_an_empty_claim_post_is_refused_when_scheduled(self):
+        # A ClaimPost checks nothing itself: its Batch counts one message per
+        # claim, so the engine refuses a post of no claims before queueing it.
         state = deploy_federation(scenario([cloud("cloud-1", 2.4)]))
         submit_application(state, workload("cloud-1", rows=1, cols=1))
-        ((claim_id, pending),) = state.pending.items()
-        claims = {
-            "bare": pending.claim, "list": [pending.claim], "mixed": (pending.claim, claim_id)
-        }.get(claims, claims)
-        with pytest.raises(InvalidArgumentError, match="claims must be a non-empty tuple"):
-            ClaimPost(claims, pending.cells[0])
+        ((_, pending),) = state.pending.items()
+        cell = pending.cells[0]
+        target = f"peer/{state.cell_owner[cell]}"
+        queued = state.engine.inbox(target).pending
+        with pytest.raises(InvalidArgumentError, match=f"batch to '{target}'"):
+            state.engine.schedule(1, target, federation._claim_batch((), cell))
+        assert state.engine.inbox(target).pending == queued
 
     @pytest.mark.parametrize(
         "target, payload",

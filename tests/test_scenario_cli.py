@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ast
+import dataclasses
 import json
 import re
 import textwrap
@@ -25,6 +26,7 @@ from fedmesh import (
     parse_scenario,
 )
 from fedmesh.cli import EXIT_ORACLE_FAILED, main
+from fedmesh.config import CloudConfig
 from fedmesh.experiments import run_sweep
 from fedmesh.federation import deploy_federation, run_to_quiescence
 from fedmesh.oracles import SuiteReport, run_oracle_suites
@@ -117,6 +119,10 @@ DOMAIN_FAULTS = [
     ("[cloud cloud-1]", "[latency]\nintra_cloud_ms = -1\n\n[cloud cloud-1]"),
     ("nodes = 2", "nodes = 0"),
     ("nodes = 2", "nodes = 2\ntopology = ring"),
+    (
+        "service_types = P2PTaskExecution, P2PThreadExecution",
+        "service_types = P2PThreadExecution, P2PTaskExecution, P2PThreadExecution",
+    ),
     ("status_update_interval_ms = 1000, 2000", "status_update_interval_ms = 5, 1"),
     ("status_update_interval_ms = 1000, 2000", "status_update_interval_ms = 0, 5"),
     ("model = task", "model = x"),
@@ -475,6 +481,32 @@ class TestParse:
         for spec in built + builtin:
             assert type(spec) is WorkloadSpec
             assert WorkloadSpec(**spec._asdict()) == spec
+
+    def test_parsed_cloud_fields_follow_the_key_order(self):
+        # The parser passes a cloud's values positionally, in _KEYS order,
+        # after its id: each key must sit where its field does.
+        fields = [f.name for f in dataclasses.fields(CloudConfig)]
+        assert list(zip(["cloud_id", *fedmesh.scenario._KEYS["cloud"]], fields, strict=True)) == [
+            ("cloud_id", "cloud_id"),
+            ("nodes", "node_count"),
+            ("speed_ghz", "node_speed_ghz"),
+            ("cpu_type", "cpu_type"),
+            ("service_types", "service_types"),
+            ("status_update_interval_ms", "status_update_interval_ms"),
+            ("topology", "topology"),
+        ]
+
+    def test_cloud_config_refuses_a_repeated_service_type(self):
+        cloud = parse_scenario(MINIMAL).clouds[0]
+        repeated = ("P2PTaskExecution", "P2PThreadExecution", "P2PTaskExecution")
+        with pytest.raises(InvalidArgumentError, match="cloud-1: service types must be unique"):
+            dataclasses.replace(cloud, service_types=repeated)
+
+    def test_a_repeated_interval_bound_still_parses(self):
+        # Only service_types rejects repeats: the list splitter the interval,
+        # bounds and demand keys share still accepts them.
+        text = MINIMAL.replace("status_update_interval_ms = 1000, 2000", "status_update_interval_ms = 5000, 5000")
+        assert parse_scenario(text).clouds[0].status_update_interval_ms == (5000, 5000)
 
     @pytest.mark.parametrize(
         "field, value, message",
@@ -918,6 +950,8 @@ VALUES = {
     ),
     fedmesh.scenario._demand: demands,
 }
+# Its lists are already drawn without repeats.
+VALUES[fedmesh.scenario._distinct] = VALUES[fedmesh.scenario._items]
 # The drawn part of each integer key's domain: small federations (at most 4
 # clouds x 3 nodes and 3x3 workloads) on a coarse grid, inboxes no such run
 # fills, and horizons that some units cannot finish within.

@@ -38,6 +38,7 @@ MUTANT_VALUES = (
     "", "0", "-1", "1", "3.5", "1e9", "nan", "inf", "x", ",", "a, b", "0, 0", "5, 1",
     "true", "numeric", "categorical", "full_p2p", "constant, 0", "uniform, 1", "cloud-1",
     "P2PTaskExecution", "constant, nan", "uniform, 1, inf", "-inf, 4", "1, 2, 3",
+    "P2PTaskExecution, P2PTaskExecution",
 )
 MUTANT_NAMES = ("", "x", "cloud-1", "speed_ghz", "two words")
 MUTANT_LINES = (

@@ -20,7 +20,6 @@ from .errors import (
     InvalidSourceError,
     NoRouteError,
     NotAMemberError,
-    NotReadyError,
     SimulationError,
 )
 from .experiments import RunResult, SweepResult, run_scenario, run_sweep
@@ -39,7 +38,6 @@ __all__ = [
     "InvalidSourceError",
     "NoRouteError",
     "NotAMemberError",
-    "NotReadyError",
     "RunResult",
     "Scenario",
     "ScenarioError",

@@ -59,6 +59,8 @@ _Entry = tuple[int, str, ResourceClaim]
 # it by construction. The federation builds this way every message it sends
 # per unit, per ticket or per claim post, each unit's ResourceClaim (with
 # the literal 1 unit) and each ResourceTicket (with the literal 1 free unit);
+# a waiting unit is stored as its Dispatch, built once at submission and
+# sent as it is when the unit's claim is allocated;
 # a ClaimPost checks nothing, and the Batch that carries it counts its
 # claims, so the engine refuses an empty post when it is scheduled;
 # generate_units builds each WorkUnit, the store every AllocationDecision,

@@ -43,9 +43,5 @@ class SimulationError(FedmeshError):
     """The event loop aborted; carries entity/event/time diagnostics."""
 
 
-class NotReadyError(FedmeshError):
-    """A result was requested before the computation producing it finished."""
-
-
 class ConsistencyError(FedmeshError):
     """An internal protocol invariant was violated (should be unreachable)."""

@@ -15,13 +15,14 @@ Message flow for one work unit (all delays are per-link scenario constants):
      per hosted service type, routed to the owner of their point's cell;
   4. the owning peer allocates the ticket against the cell's waiting claims
      (see coordination); replicas of a served claim are retired from every
-     other ticket cell before any further event fires, which makes service
-     exactly-once by construction;
+     other ticket cell of its class before any further event fires, which
+     makes service exactly-once by construction;
   5. the peer notifies the claim's scheduler (the AllocationDecision), the
-     scheduler dispatches the unit (Dispatch) to the granted node, which
-     re-checks that its point satisfies the claim, executes for
-     demand/speed seconds (ExecDone) and returns the finished WorkUnit; on
-     completion the node (optionally) re-advertises.
+     scheduler sends the unit's waiting Dispatch, built at submission, to
+     the granted node, which re-checks that its point satisfies the claim,
+     executes for demand/speed seconds (ExecDone) and returns the finished
+     WorkUnit; on completion the node (optionally) re-advertises, and an
+     application's response time is read at its last result's arrival.
 
 A node with an allocation in flight is "committed": its stale tickets are
 discarded by the coordination peers until the unit finishes, so a node never
@@ -33,11 +34,14 @@ cell and its route (delay, owner's target, cell) are built once, at deploy,
 and routes are re-pointed by recompute_cell_assignment. Only these ticket
 cells (state.ticket_cells) ever receive a ticket, so only they store a
 claim: a replica posted to any other cell is delivered and forwarded like
-any post but stored nowhere, so it is never discarded either. A TicketPost
-carries (node, label, issue time, cell), not a ticket: the cell's owner
-builds the ResourceTicket after the stale check and only when a claim waits
-in the cell, so neither a stale post nor one reaching an empty cell builds
-one.
+any post but stored nowhere, so it is never discarded either. A claim
+class's ticket cells are kept once, in state.replica_cells, and a served
+claim's replicas are retired from them. A node's point and its cloud's
+claim classes are built from one set of node values (_node_values), so a
+cloud's own nodes satisfy its claims. A TicketPost carries (node, label,
+issue time, cell), not a ticket: the cell's owner builds the ResourceTicket
+after the stale check and only when a claim waits in the cell, so neither a
+stale post nor one reaching an empty cell builds one.
 
 Placement. A cell is placed on the overlay (hashed to its owning peer) the
 first time a post is routed to it, as a Pastry key's root is found by
@@ -51,9 +55,11 @@ routes a message on to a key's new root.
 
 Every message is a NamedTuple. The federation builds every message it
 sends per unit, per ticket or per claim post, each unit's ResourceClaim and
-each ResourceTicket unchecked, with coordination.new_record. A ClaimPost is
-only ever sent through _claim_batch, so no post counts as fewer messages
-than it holds claims. A peer drops a post's claims that are already served;
+each ResourceTicket unchecked, with coordination.new_record. A waiting unit
+is stored in state.pending as its Dispatch, built once at submission and
+sent unchanged when its claim is allocated. A ClaimPost is only ever sent
+through _claim_batch, so no post counts as fewer messages than it holds
+claims. A peer drops a post's claims that are already served;
 it forwards the rest as one batch if it no longer owns the cell, and
 otherwise stores them in order if the cell is a ticket cell. Each entity
 kind (scheduler, peer, node) dispatches on the payload's type through one
@@ -82,12 +88,7 @@ from .config import (
 )
 from .coordination import AllocationDecision, ClaimStore, new_record
 from .engine import Batch, RngStream, SimulationEngine
-from .errors import (
-    ConsistencyError,
-    InvalidArgumentError,
-    NotReadyError,
-    SimulationError,
-)
+from .errors import ConsistencyError, InvalidArgumentError, SimulationError
 from .overlay import OverlayMembership
 from .spatial import (
     ClaimClass,
@@ -175,14 +176,6 @@ class _ClaimClassRecord(NamedTuple):
     satisfiable: bool
 
 
-class _PendingUnit(NamedTuple):
-    claim: ResourceClaim
-    unit: WorkUnit
-    # The ticket cells among map_claim's: where a replica is stored, so
-    # where it is retired. One tuple shared by every unit of a submission.
-    cells: tuple[IndexCell, ...]
-
-
 @dataclass
 class ApplicationHandle:
     app_id: str
@@ -249,7 +242,8 @@ class FederationState:
         self.scheduler_targets = {cid: f"scheduler/{cid}" for cid in self.clouds}
         self.service_labels = {cid: tuple(sorted(c.service_types)) for cid, c in self.clouds.items()}
         self.apps: dict[str, ApplicationHandle] = {}
-        self.pending: dict[str, _PendingUnit] = {}
+        # Each waiting unit as the Dispatch its allocation sends, by claim id.
+        self.pending: dict[str, Dispatch] = {}
         self.served: set[str] = set()
         self.dispatched: set[str] = set()
         self.stranded_ids: set[str] = set()
@@ -260,6 +254,9 @@ class FederationState:
         # clouds submitting equal claims share one record. Satisfiability is
         # valid for the whole run because the node set is fixed.
         self.claim_classes: dict[tuple[str, str, float], _ClaimClassRecord] = {}
+        # The ticket cells among a class's map_claim cells: where its
+        # replicas are stored, so where they are retired.
+        self.replica_cells: dict[ClaimClass, tuple[IndexCell, ...]] = {}
         self.ticket_routes: dict[tuple[str, str], tuple[int, str, IndexCell]] = {}
         # Places nothing yet (the routes below place the ticket cells); it
         # checks the deployed membership as every later change is checked.
@@ -269,10 +266,8 @@ class FederationState:
         self.node_points: dict[tuple[str, str], tuple[object, ...]] = {}
         point_cells: dict[tuple[object, ...], IndexCell] = {}
         for cid, labels in self.service_labels.items():
-            cloud = self.clouds[cid]
-            values = {DIM_PROCESSORS: 1, DIM_CPU: cloud.cpu_type, DIM_SPEED: cloud.node_speed_ghz}
             for label in labels:
-                values[DIM_SERVICE] = label
+                values = _node_values(self.clouds[cid], label)
                 point = self.node_points[cid, label] = tuple(values[d.name] for d in self.space.dims)
                 cell = point_cells.get(point)
                 if cell is None:
@@ -388,7 +383,6 @@ def submit_application(state: FederationState, spec: WorkloadSpec) -> Applicatio
     # One claim class, so one region: the same cells for every unit, and the
     # same routes, since ownership cannot change before this call returns.
     claims = []
-    stored, cells = None, ()
     for unit in units:
         # Built in C, unchecked: the literal 1 unit passes
         # ResourceClaim's requested_units >= 1 check by construction.
@@ -396,11 +390,10 @@ def submit_application(state: FederationState, spec: WorkloadSpec) -> Applicatio
         if not claim_class.satisfiable:
             state.stranded_ids.add(claim.claim_id)
         cells = map_claim(state.space, claim)
-        if stored is None:
-            stored = tuple([cell for cell in cells if cell in state.ticket_cells])
-        state.pending[claim.claim_id] = new_record(_PendingUnit, (claim, unit, stored))
+        state.pending[claim.claim_id] = new_record(Dispatch, (claim, unit))
         claims.append(claim)
     claims = tuple(claims)
+    state.replica_cells[claim_class.constraints] = tuple([c for c in cells if c in state.ticket_cells])
     schedule = state.engine.schedule
     for cell in cells:
         delay, target, _ = _route(state, cloud_id, cell)
@@ -428,26 +421,17 @@ def publish_ticket(state: FederationState, node: ExecutionNode) -> None:
 
 
 def on_allocation(state: FederationState, cloud_id: str, decision: AllocationDecision) -> None:
-    """A scheduler's handling of a match notification: dispatch the unit."""
+    """A scheduler's handling of a match notification: send the unit's
+    waiting Dispatch to the granted node."""
     if decision.claim_id in state.dispatched:
         raise ConsistencyError(f"claim {decision.claim_id} allocated twice")
     state.dispatched.add(decision.claim_id)
-    pending = state.pending.pop(decision.claim_id, None)
-    if pending is None:
+    dispatch = state.pending.pop(decision.claim_id, None)
+    if dispatch is None:
         raise ConsistencyError(f"allocation for unknown claim {decision.claim_id}")
     node = state.nodes[decision.target]
-    delay = state.latency.between(pending.claim.origin, node.cloud_id)
-    state.engine.schedule(delay, node.target, new_record(Dispatch, (pending.claim, pending.unit)))
-
-
-def response_time(handle: ApplicationHandle) -> float:
-    """Seconds from submission to the last unit's result arrival."""
-    if not handle.complete:
-        raise NotReadyError(
-            f"application {handle.app_id!r}: {len(handle.completions)}/{handle.unit_count} units done"
-        )
-    last = max(handle.completions.values())
-    return (last - handle.submit_time_ms) / 1000.0
+    delay = state.latency.between(dispatch.claim.origin, node.cloud_id)
+    state.engine.schedule(delay, node.target, dispatch)
 
 
 def run_to_quiescence(state: FederationState) -> RunReport:
@@ -511,10 +495,12 @@ def _on_submit(state: FederationState, cloud_id: str, spec: WorkloadSpec) -> Non
 
 def _on_result(state: FederationState, cloud_id: str, unit: WorkUnit) -> None:
     handle = state.apps[unit.app_id]
-    handle.completions[unit.unit_id] = state.engine.now
+    handle.completions[unit.unit_id] = now = state.engine.now
     state.completed_total += 1
     if handle.complete:
-        state.metrics.record_response(handle.app_id, response_time(handle))
+        # Results arrive in time order, so this one is the last: the response
+        # time runs from submission to its arrival.
+        state.metrics.record_response(handle.app_id, (now - handle.submit_time_ms) / 1000.0)
 
 
 def _forward(
@@ -571,10 +557,10 @@ def _on_ticket(state: FederationState, peer: str, post: TicketPost) -> None:
         state.served.add(decision.claim_id)
         node.committed = True
         # Retire every replica before any further event can observe it.
-        pending = state.pending[decision.claim_id]
-        for other in pending.cells:
+        claim = state.pending[decision.claim_id].claim
+        for other in state.replica_cells[claim.constraints]:
             if other != cell:  # the matched copy is already gone
-                state.store.discard(other, pending.claim)
+                state.store.discard(other, claim)
         state.metrics.record_decision(decision)
         delay = state.latency.between(state.peer_cloud[peer], decision.notify)
         state.engine.schedule(delay, state.scheduler_targets[decision.notify], decision)
@@ -645,27 +631,27 @@ _PEER = {ClaimPost: _on_claim, TicketPost: _on_ticket}
 _NODE = {TimerTick: _on_tick, Dispatch: _on_dispatch, ExecDone: _on_done}
 
 
-# Claim classes.
+# Node points and claim classes.
+
+
+def _node_values(cloud: CloudConfig, label: str) -> dict[str, object]:
+    """A cloud's node attributes for one service label, by dimension name:
+    its nodes' point, and what its claims for that label ask for."""
+    return {DIM_SERVICE: label, DIM_PROCESSORS: 1, DIM_CPU: cloud.cpu_type, DIM_SPEED: cloud.node_speed_ghz}
 
 
 def _claim_class(state: FederationState, cloud: CloudConfig, model: str) -> _ClaimClassRecord:
-    """The claim class of a cloud's units of one model, built on first use."""
+    """The claim class of a cloud's units of one model, built on first use:
+    its own node values, each an equality but speed, which is a floor."""
     key = (model, cloud.cpu_type, cloud.node_speed_ghz)
     record = state.claim_classes.get(key)
     if record is None:
-        values = {
-            DIM_SERVICE: Eq(SERVICE_LABELS[model]),
-            DIM_PROCESSORS: Eq(1),
-            DIM_CPU: Eq(cloud.cpu_type),
-            DIM_SPEED: Ge(cloud.node_speed_ghz),
-        }
-        constraints = ClaimClass(values[d.name] for d in state.space.dims)
-        # Every cloud has at least one node, and its nodes share one point
-        # per label, so checking clouds x labels checks every node.
-        satisfiable = any(
-            point_satisfies(constraints, state.node_points[cid, label])
-            for cid, other in state.clouds.items()
-            for label in other.service_types
+        values = _node_values(cloud, SERVICE_LABELS[model])
+        constraints = ClaimClass(
+            Ge(values[d.name]) if d.name == DIM_SPEED else Eq(values[d.name]) for d in state.space.dims
         )
+        # Every cloud has at least one node, and its nodes share one point
+        # per label, so checking the node points checks every node.
+        satisfiable = any(point_satisfies(constraints, point) for point in state.node_points.values())
         record = state.claim_classes[key] = _ClaimClassRecord(constraints, satisfiable)
     return record

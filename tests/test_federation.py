@@ -20,7 +20,6 @@ from fedmesh import (
     ConsistencyError,
     DomainError,
     InvalidArgumentError,
-    NotReadyError,
     SimulationError,
     builtin_scenario_path,
     federation,
@@ -43,7 +42,6 @@ from fedmesh.federation import (
     place_cell,
     publish_ticket,
     recompute_cell_assignment,
-    response_time,
     run_to_quiescence,
     submit_application,
 )
@@ -59,9 +57,10 @@ from fedmesh.spatial import (
     claim_region,
     map_claim,
     map_ticket,
+    point_satisfies,
     spatial_hash,
 )
-from fedmesh.workloads import DemandDistribution, WorkUnit
+from fedmesh.workloads import SERVICE_LABELS, DemandDistribution, WorkUnit
 
 from conftest import TASK_LABEL, THREAD_LABEL, published_ticket
 from support import (
@@ -259,7 +258,7 @@ class TestDeploy:
             (claim_id, cell)
             for claim_id, pending in state.pending.items()
             if claim_id not in earlier
-            for cell in pending.cells
+            for cell in state.replica_cells[pending.claim.constraints]
         )
         state.engine.run(until_ms=sent_at + state.latency.inter_cloud_ms)
         late = [
@@ -391,6 +390,22 @@ class TestSubmit:
         assert by_dim["cpu_type"] == Eq("Intel")
         assert by_dim["speed_ghz"] == Ge(2.4)
 
+    @pytest.mark.parametrize("order", [1, -1], ids=["declared", "reversed"])
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(federations())
+    def test_property_a_clouds_own_nodes_satisfy_its_claims(self, order, drawn):
+        # Node points and claim classes are read from the same node values
+        # by dimension name, in either order of the space's dimensions; the
+        # parser's horizon check relies on a unit running on its own cloud.
+        sc, _ = drawn
+        state = deploy_federation(dataclasses.replace(sc, dims=sc.dims[::order]))
+        for c in sc.clouds:
+            for model, label in SERVICE_LABELS.items():
+                if label in c.service_types:
+                    record = federation._claim_class(state, c, model)
+                    assert point_satisfies(record.constraints, state.node_points[c.cloud_id, label])
+                    assert record.satisfiable
+
     def test_records_built_in_c_pass_their_checks(self, melbourne_scenario, monkeypatch):
         # Each unit's claim and each ticket skip their constructor's check;
         # every one the built-in run makes must pass it all the same.
@@ -497,7 +512,7 @@ class TestSubmit:
         state.engine.run(until_ms=10)  # let claim-post messages land
         (claim_id,) = state.pending
         replicas = replica_count(state.store, build_base_cells(state.space), claim_id)
-        assert replicas == len(state.pending[claim_id].cells) >= 1
+        assert replicas == len(state.replica_cells[state.pending[claim_id].claim.constraints]) >= 1
 
 
 class TestPublishTicket:
@@ -670,12 +685,6 @@ class TestExecutionFlow:
 
 
 class TestResponseTime:
-    def test_not_ready_before_completion(self):
-        state = deploy_federation(scenario([cloud("cloud-1", 2.4)]))
-        handle = submit_application(state, workload("cloud-1", rows=1, cols=1))
-        with pytest.raises(NotReadyError):
-            response_time(handle)
-
     def test_lower_bound_is_execution_time(self):
         sc = scenario(
             [cloud("cloud-1", 2.4, nodes=2)],
@@ -790,8 +799,13 @@ class TestTicketCells:
         assert holding and holding <= state.ticket_cells
         for pending in state.pending.values():
             cells = map_claim(state.space, pending.claim)
-            assert pending.cells == tuple(c for c in cells if c in state.ticket_cells)
-            assert len(cells) > len(pending.cells)
+            stored = state.replica_cells[pending.claim.constraints]
+            assert stored == tuple(c for c in cells if c in state.ticket_cells)
+            assert len(cells) > len(stored)
+        # One entry per claim class, kept for the whole run.
+        run_to_quiescence(state)
+        classes = {record.constraints for record in state.claim_classes.values()}
+        assert state.replica_cells.keys() == classes and len(classes) == len(state.claim_classes)
 
     def test_a_run_hashes_each_cell_it_routes_to_once(self, monkeypatch):
         # Deploy places the ticket cells; the run's claims place the rest of
@@ -903,7 +917,7 @@ class TestProtocolGuards:
         (claim_id,) = state.pending
         claim = state.pending[claim_id].claim
         state.served.add(claim_id)  # as the decision-taking peer would
-        cell = state.pending[claim_id].cells[0]
+        cell = state.replica_cells[claim.constraints][0]
         target_peer = state.cell_owner[cell]
         state.engine.schedule(1, f"peer/{target_peer}", ClaimPost((claim,), cell))
         state.engine.run(until_ms=20)
@@ -917,7 +931,7 @@ class TestProtocolGuards:
         first, middle, last = (pending.claim for pending in state.pending.values())
         state.served.add(middle.claim_id)  # as the decision-taking peer would
         state.engine.run(until_ms=20)
-        cells = state.pending[first.claim_id].cells
+        cells = state.replica_cells[first.constraints]
         assert cells
         for cell in cells:
             assert state.store.snapshot(cell) == [first, last]
@@ -928,7 +942,7 @@ class TestProtocolGuards:
         state = deploy_federation(scenario([cloud("cloud-1", 2.4)]))
         submit_application(state, workload("cloud-1", rows=1, cols=1))
         ((_, pending),) = state.pending.items()
-        cell = pending.cells[0]
+        cell = state.replica_cells[pending.claim.constraints][0]
         target = f"peer/{state.cell_owner[cell]}"
         queued = state.engine.inbox(target).pending
         with pytest.raises(InvalidArgumentError, match=f"batch to '{target}'"):

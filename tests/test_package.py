@@ -23,7 +23,7 @@ def documented_names() -> list[str]:
 
 def test_all_is_the_readme_list_of_public_names():
     assert sorted(fedmesh.__all__) == documented_names()
-    assert len(set(fedmesh.__all__)) == len(fedmesh.__all__) == 21
+    assert len(set(fedmesh.__all__)) == len(fedmesh.__all__) == 20
 
 
 def test_star_import_binds_exactly_all():

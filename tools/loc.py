@@ -4,11 +4,16 @@ A line counts when it holds at least one token that is not a comment, and
 it is not part of a module, class or function docstring. Blank lines,
 comments and docstrings are left out, so the total moves only with code.
 
-    python3 tools/loc.py [DIR]
+    python3 tools/loc.py [DIR] [--base BASE_DIR]
+
+DIR defaults to this checkout's src/fedmesh. With --base, it prints each
+module's base -> head count and their difference, a module found on one
+side only counting 0 on the other, then the totals and the net change.
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
 import io
 import sys
@@ -41,16 +46,31 @@ def code_lines(source: str) -> int:
     return len(lines)
 
 
+def module_lines(package: Path) -> dict[str, int]:
+    return {path.name: code_lines(path.read_text(encoding="utf-8")) for path in sorted(package.glob("*.py"))}
+
+
 def main(argv: list[str]) -> int:
-    package = Path(argv[1]) if len(argv) > 1 else PACKAGE
-    total = 0
-    for path in sorted(package.glob("*.py")):
-        count = code_lines(path.read_text(encoding="utf-8"))
-        total += count
-        print(f"{count:6d}  {path.name}")
-    print(f"{total:6d}  total")
+    parser = argparse.ArgumentParser(description="Print code-only lines per module.")
+    parser.add_argument("package", nargs="?", type=Path, default=PACKAGE)
+    parser.add_argument("--base", type=Path, help="package to compare against")
+    args = parser.parse_args(argv)
+    for package in (args.package, args.base):
+        if package is not None and not package.is_dir():
+            parser.error(f"{package} is not a directory")
+    head = module_lines(args.package)
+    if args.base is None:
+        for name, count in head.items():
+            print(f"{count:6d}  {name}")
+        print(f"{sum(head.values()):6d}  total")
+        return 0
+    base = module_lines(args.base)
+    rows = [(name, base.get(name, 0), head.get(name, 0)) for name in sorted(base.keys() | head.keys())]
+    rows.append(("total", sum(base.values()), sum(head.values())))
+    for name, old, new in rows:
+        print(f"{old:6d} -> {new:6d}  {new - old:+5d}  {name}")
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv))
+    sys.exit(main(sys.argv[1:]))

@@ -17,7 +17,6 @@ from .errors import (
     FedmeshError,
     IdCollisionError,
     InvalidArgumentError,
-    InvalidSourceError,
     NoRouteError,
     NotAMemberError,
     SimulationError,
@@ -35,7 +34,6 @@ __all__ = [
     "FedmeshError",
     "IdCollisionError",
     "InvalidArgumentError",
-    "InvalidSourceError",
     "NoRouteError",
     "NotAMemberError",
     "RunResult",

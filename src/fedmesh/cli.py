@@ -8,7 +8,6 @@ claims at quiescence.
 from __future__ import annotations
 
 import argparse
-import logging
 import os
 import sys
 from functools import partial
@@ -28,21 +27,11 @@ EXIT_IO = 3
 EXIT_INTERNAL = 4
 EXIT_STRANDED = 5
 
-LOG_LEVELS = {
-    "error": logging.ERROR,
-    "warn": logging.WARNING,
-    "info": logging.INFO,
-    "trace": logging.DEBUG,
-}
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fedmesh",
         description="Deterministic simulator of a decentralized enterprise-cloud federation",
-    )
-    parser.add_argument(
-        "--log-level", choices=sorted(LOG_LEVELS), default="warn", help="logging verbosity"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -151,7 +140,6 @@ def cmd_oracle(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    logging.basicConfig(level=LOG_LEVELS[args.log_level], stream=sys.stderr)
     handlers = {
         "validate": cmd_validate,
         "run": cmd_run,

@@ -7,6 +7,7 @@ they live below both: neither module needs the other.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 from .errors import InvalidArgumentError
 from .spatial import CATEGORICAL, NUMERIC, AttributeSpace, DimensionSpec
@@ -71,6 +72,18 @@ class CloudConfig:
             raise InvalidArgumentError(f"{self.cloud_id}: at least one service type required")
         if len(set(self.service_types)) != len(self.service_types):
             raise InvalidArgumentError(f"{self.cloud_id}: service types must be unique")
+
+    @cached_property
+    def node_ids(self) -> tuple[str, ...]:
+        """Each node's id, "<cloud id>/n<i>", in index order. Built once, so
+        a full_p2p cloud's peers and nodes share one string per id."""
+        return tuple(f"{self.cloud_id}/n{i}" for i in range(self.node_count))
+
+    @property
+    def peer_ids(self) -> tuple[str, ...]:
+        """The ids the cloud joins the overlay under, in join order: a hub
+        cloud's own id, or each node id of a full_p2p cloud."""
+        return (self.cloud_id,) if self.topology == HUB else self.node_ids
 
 
 @dataclass(frozen=True)

@@ -65,7 +65,8 @@ _Entry = tuple[int, str, ResourceClaim]
 # claims, so the engine refuses an empty post when it is scheduled;
 # generate_units builds each WorkUnit, the store every AllocationDecision,
 # and the scenario parser each WorkloadSpec, whose key converters already
-# hold each field to its domain.
+# hold each field to its domain and whose section name, its app_id, is
+# never empty.
 # NamedTuple's _replace and _make build through tuple.__new__ too, so the
 # library calls neither on a record.
 new_record = tuple.__new__

@@ -20,7 +20,7 @@ class AlreadyMemberError(FedmeshError):
 
 
 class NotAMemberError(FedmeshError):
-    """Leave or lookup referenced a peer that is not in the overlay."""
+    """Leave, lookup or route referenced a peer that is not in the overlay."""
 
 
 class IdCollisionError(FedmeshError):
@@ -29,10 +29,6 @@ class IdCollisionError(FedmeshError):
 
 class NoRouteError(FedmeshError):
     """Routing requested against an empty overlay."""
-
-
-class InvalidSourceError(FedmeshError):
-    """Route requested from a node that is not an overlay member."""
 
 
 class BufferOverflowError(FedmeshError):

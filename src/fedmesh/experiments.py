@@ -7,15 +7,12 @@ sweep writers report one row per application alike.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, replace
 from functools import cached_property
 
 from .config import Scenario
 from .federation import FederationState, RunReport, deploy_federation, run_to_quiescence
 from .workloads import MODELS, SWEEP_SIZES, WorkloadSpec
-
-log = logging.getLogger("fedmesh.experiments")
 
 # (submit_cloud, model, granularity, response seconds)
 ResponseRow = tuple[str, str, int, float]
@@ -36,11 +33,8 @@ class RunResult:
         """One row per completed application, sorted on (cloud, model,
         granularity); applications that tie stay in submission order."""
         times = self.state.metrics.response_times
-        rows = [
-            (handle.submit_cloud, handle.model, handle.unit_count, times[handle.app_id])
-            for handle in self.state.apps.values()
-            if handle.complete
-        ]
+        specs = [handle.spec for handle in self.state.apps.values() if handle.complete]
+        rows = [(spec.submit_cloud, spec.model, spec.unit_count, times[spec.app_id]) for spec in specs]
         rows.sort(key=lambda row: row[:3])
         return rows
 
@@ -48,12 +42,7 @@ class RunResult:
 def run_scenario(scenario: Scenario) -> RunResult:
     """Deploy the federation, run to quiescence, and keep the final state."""
     state = deploy_federation(scenario)
-    report = run_to_quiescence(state)
-    log.info(
-        "run finished: %d events, %d ms virtual, %d stranded",
-        report.events_processed, report.virtual_time_ms, len(state.stranded_ids),
-    )
-    return RunResult(scenario=scenario, state=state, report=report)
+    return RunResult(scenario=scenario, state=state, report=run_to_quiescence(state))
 
 
 def scale_workloads(scenario: Scenario, models: tuple[str, ...], size: int) -> Scenario:

@@ -71,7 +71,6 @@ finished run holds no timer stream.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -80,8 +79,6 @@ from .config import (
     DIM_PROCESSORS,
     DIM_SERVICE,
     DIM_SPEED,
-    FULL_P2P,
-    HUB,
     REQUIRED_DIMS,
     CloudConfig,
     Scenario,
@@ -111,8 +108,6 @@ from .workloads import (
     WorkUnit,
     generate_units,
 )
-
-log = logging.getLogger("fedmesh.federation")
 
 
 @dataclass
@@ -178,16 +173,16 @@ class _ClaimClassRecord(NamedTuple):
 
 @dataclass
 class ApplicationHandle:
-    app_id: str
-    model: str
-    submit_cloud: str
+    """A submitted application: its spec, the engine time it was submitted
+    at, and each completed unit's arrival time by unit id."""
+
+    spec: WorkloadSpec
     submit_time_ms: int
-    unit_count: int
     completions: dict[str, int] = field(default_factory=dict)
 
     @property
     def complete(self) -> bool:
-        return len(self.completions) == self.unit_count
+        return len(self.completions) == self.spec.unit_count
 
 
 class FederationState:
@@ -221,15 +216,11 @@ class FederationState:
         self.peer_cloud: dict[str, str] = {}
         self.nodes: dict[str, ExecutionNode] = {}
         for cloud in self.clouds.values():
-            if cloud.topology == HUB:
-                self.membership.join(cloud.cloud_id)
-                self.peer_cloud[cloud.cloud_id] = cloud.cloud_id
-            for i in range(cloud.node_count):
-                node = ExecutionNode(f"{cloud.cloud_id}/n{i}", cloud.cloud_id)
-                self.nodes[node.node_id] = node
-                if cloud.topology == FULL_P2P:
-                    self.membership.join(node.node_id)
-                    self.peer_cloud[node.node_id] = cloud.cloud_id
+            for peer in cloud.peer_ids:
+                self.membership.join(peer)
+                self.peer_cloud[peer] = cloud.cloud_id
+            for node_id in cloud.node_ids:
+                self.nodes[node_id] = ExecutionNode(node_id, cloud.cloud_id)
         self.latency = scenario.latency
         self.eager_tickets = scenario.eager_tickets
         self.seed = scenario.seed
@@ -340,11 +331,6 @@ def deploy_federation(scenario: Scenario) -> FederationState:
             raise InvalidArgumentError(f"workload targets unknown cloud {spec.submit_cloud!r}")
         state.pending_submits += 1
         state.engine.schedule(spec.submit_time_ms, state.scheduler_targets[spec.submit_cloud], spec)
-
-    log.info(
-        "deployed federation: %d clouds, %d nodes, %d peers, %d cells",
-        len(state.clouds), len(state.nodes), len(state.peer_cloud), state.space.f_min ** state.space.dim,
-    )
     return state
 
 
@@ -363,20 +349,12 @@ def submit_application(state: FederationState, spec: WorkloadSpec) -> Applicatio
     cloud = state.clouds.get(cloud_id)
     if cloud is None:
         raise InvalidArgumentError(f"unknown cloud {cloud_id!r}")
-    app_id = spec.resolved_app_id
-    if app_id in state.apps:
-        raise InvalidArgumentError(f"application {app_id!r} already submitted")
+    if spec.app_id in state.apps:
+        raise InvalidArgumentError(f"application {spec.app_id!r} already submitted")
 
     now = state.engine.now
     units = generate_units(spec, state.seed)
-    handle = ApplicationHandle(
-        app_id=app_id,
-        model=spec.model,
-        submit_cloud=cloud_id,
-        submit_time_ms=now,
-        unit_count=len(units),
-    )
-    state.apps[app_id] = handle
+    handle = state.apps[spec.app_id] = ApplicationHandle(spec, now)
     state.submitted_total += len(units)
 
     claim_class = _claim_class(state, cloud, spec.model)
@@ -500,7 +478,7 @@ def _on_result(state: FederationState, cloud_id: str, unit: WorkUnit) -> None:
     if handle.complete:
         # Results arrive in time order, so this one is the last: the response
         # time runs from submission to its arrival.
-        state.metrics.record_response(handle.app_id, (now - handle.submit_time_ms) / 1000.0)
+        state.metrics.record_response(handle.spec.app_id, (now - handle.submit_time_ms) / 1000.0)
 
 
 def _forward(

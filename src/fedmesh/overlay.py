@@ -28,7 +28,6 @@ from .errors import (
     ConsistencyError,
     IdCollisionError,
     InvalidArgumentError,
-    InvalidSourceError,
     NoRouteError,
     NotAMemberError,
 )
@@ -176,7 +175,7 @@ class OverlayMembership:
         if not self._by_value:
             raise NoRouteError("cannot route in an empty membership")
         if source.value not in self._by_value:
-            raise InvalidSourceError(f"source {source.hex} is not a member")
+            raise NotAMemberError(f"source {source.hex} is not a member")
         k = key.value
 
         def closeness(v: int) -> tuple[int, int]:

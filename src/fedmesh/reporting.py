@@ -99,7 +99,7 @@ def write_run_outputs(result: RunResult, out_dir: str | Path, fmt: str = "csv") 
     sink = result.state.metrics
     submitted = dict.fromkeys(MODELS, 0)
     for handle in result.state.apps.values():
-        submitted[handle.model] += handle.unit_count
+        submitted[handle.spec.model] += handle.spec.unit_count
     rows: list[_Row] = [
         ("events_processed", "engine", 0, float(result.report.events_processed), "events"),
         ("virtual_time_ms", "engine", 0, float(result.report.virtual_time_ms), "ms"),

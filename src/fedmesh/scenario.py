@@ -80,8 +80,9 @@ one memo, keyed by (converter, raw text), of the texts that converted. Every
 value it holds is immutable (a number, string, tuple or frozen
 DemandDistribution), so sections share them. A text that fails is not kept,
 so it is diagnosed again at every line it appears on. The workload
-converters hold each field to its ``WorkloadSpec`` domain, so each spec is
-built unchecked, with ``coordination.new_record``.
+converters hold each field to its ``WorkloadSpec`` domain, and a section's
+name, the spec's non-empty app_id, is required, so each spec is built
+unchecked, with ``coordination.new_record``.
 """
 
 from __future__ import annotations
@@ -229,7 +230,7 @@ _KEYS = {
         "cols": (_POSITIVE, None),
         "unit_demand": (_demand, None),
         "submit_cloud": (str, None),
-        "submit_time_ms": (_NON_NEGATIVE, WorkloadSpec._field_defaults["submit_time_ms"]),
+        "submit_time_ms": (_NON_NEGATIVE, 0),
     },
 }
 
@@ -503,13 +504,10 @@ class _Builder:
                 clouds.append(CloudConfig(sec.name, *values.values()))
             except InvalidArgumentError as exc:  # the speed: converters and the code above check the rest
                 self.error(sec.entries["speed_ghz"][0], "speed_ghz", str(exc))
-        # A hub cloud joins the overlay under its own id and node i of a
-        # full_p2p cloud under "<cloud id>/n<i>", so no two may share one.
+        # A hub cloud joins the overlay under its own id and a full_p2p cloud
+        # under its node ids (CloudConfig.peer_ids), so no two may share one.
         hubs = {c.cloud_id for c in clouds if c.topology == HUB}
-        peers = {
-            f"{c.cloud_id}/n{i}": c.cloud_id
-            for c in clouds if c.topology == FULL_P2P for i in range(c.node_count)
-        }
+        peers = {peer: c.cloud_id for c in clouds if c.topology == FULL_P2P for peer in c.peer_ids}
         for sec in sections:
             if sec.name in hubs and sec.name in peers:
                 owner = peers[sec.name]
@@ -562,7 +560,8 @@ class _Builder:
                 message = f"submitted at {at} ms, {hi} GHz-s at {speed} GHz takes {hi / speed * 1000:g} ms"
                 self.error(line, "unit_demand", f"{message}, past max_virtual_ms = {horizon}")
                 continue
-            # The converters hold every field to its domain, so the spec is
-            # built unchecked; values are in _KEYS order, the field order.
+            # The converters hold every field to its domain and the section
+            # name, the app_id, is never empty, so the spec is built
+            # unchecked; values are in _KEYS order, the field order.
             workloads.append(new_record(WorkloadSpec, (*values.values(), sec.name)))
         return workloads

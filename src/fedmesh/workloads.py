@@ -50,24 +50,24 @@ class _WorkloadSpecFields(NamedTuple):
     cols: int
     unit_demand: DemandDistribution
     submit_cloud: str
-    submit_time_ms: int = 0
-    app_id: str | None = None
+    submit_time_ms: int
+    app_id: str
 
 
 class WorkloadSpec(_WorkloadSpecFields):
     """One application: a rows x cols partition of one model, submitted to
-    one cloud at one virtual time.
+    one cloud at one virtual time under its own application id.
 
-    A tuple record whose constructor checks the model, ``rows, cols >= 1``
-    and ``submit_time_ms >= 0``; coordination.new_record builds it without
-    the check.
+    A tuple record whose constructor checks the model, ``rows, cols >= 1``,
+    ``submit_time_ms >= 0`` and that ``app_id`` is a non-empty string;
+    coordination.new_record builds it without the check.
     """
 
     __slots__ = ()
 
     def __new__(
         cls, model: str, rows: int, cols: int, unit_demand: DemandDistribution,
-        submit_cloud: str, submit_time_ms: int = 0, app_id: str | None = None,
+        submit_cloud: str, submit_time_ms: int, app_id: str,
     ) -> WorkloadSpec:
         if model not in MODELS:
             raise InvalidArgumentError(f"model must be one of {MODELS}, got {model!r}")
@@ -75,18 +75,14 @@ class WorkloadSpec(_WorkloadSpecFields):
             raise InvalidArgumentError("rows and cols must be >= 1")
         if submit_time_ms < 0:
             raise InvalidArgumentError("submit_time_ms must be >= 0")
+        if not isinstance(app_id, str) or not app_id:
+            raise InvalidArgumentError(f"app_id must be a non-empty string, got {app_id!r}")
         fields = (model, rows, cols, unit_demand, submit_cloud, submit_time_ms, app_id)
         return tuple.__new__(cls, fields)
 
     @property
     def unit_count(self) -> int:
         return self.rows * self.cols
-
-    @property
-    def resolved_app_id(self) -> str:
-        if self.app_id is not None:
-            return self.app_id
-        return f"{self.submit_cloud}/{self.model}-{self.rows}x{self.cols}"
 
 
 class WorkUnit(NamedTuple):
@@ -98,7 +94,7 @@ class WorkUnit(NamedTuple):
 
 def generate_units(spec: WorkloadSpec, seed: int) -> list[WorkUnit]:
     """rows x cols independent units with seeded per-unit demands."""
-    app_id = spec.resolved_app_id
+    app_id = spec.app_id
     draw = RngStream(seed, f"workload/{app_id}").uniform
     lo, hi = spec.unit_demand.lo, spec.unit_demand.hi
     return [
@@ -115,8 +111,8 @@ class MetricsSink:
     ever grow while the run is in flight. Completions are counted once, per
     (cloud, model): per-label and per-model totals are derived from that
     counter where they are reported. Submissions are read from the
-    federation state's application handles, which hold each model and unit
-    count.
+    federation state's application handles, which hold each submitted
+    spec.
     """
 
     response_times: dict[str, float] = field(default_factory=dict)

@@ -63,7 +63,7 @@ def workload(cloud_id, model="task", rows=5, cols=5, demand=None, at=0, app_id=N
         unit_demand=demand or DemandDistribution(3.0, 6.0),
         submit_cloud=cloud_id,
         submit_time_ms=at,
-        app_id=app_id,
+        app_id=app_id or f"{cloud_id}/{model}-{rows}x{cols}",
     )
 
 

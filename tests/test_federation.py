@@ -377,7 +377,7 @@ class TestSubmit:
     def test_one_claim_per_unit(self):
         state = deploy_federation(scenario([cloud("cloud-1", 2.4)]))
         handle = submit_application(state, workload("cloud-1", rows=5, cols=5))
-        assert handle.unit_count == 25
+        assert handle.spec.unit_count == 25
         assert len(state.pending) == 25
 
     def test_claim_constraint_shape(self):
@@ -701,8 +701,9 @@ class TestResponseTime:
         )
         small = run_scenario(scale_workloads(base, ("task",), 5))
         large = run_scenario(scale_workloads(base, ("task",), 13))
+        # scale_workloads keeps each app id, as a sweep of a parsed scenario does.
         rt_small = small.state.metrics.response_times["cloud-1/task-5x5"]
-        rt_large = large.state.metrics.response_times["cloud-1/task-13x13"]
+        rt_large = large.state.metrics.response_times["cloud-1/task-5x5"]
         assert rt_large >= rt_small
 
 
@@ -717,7 +718,7 @@ class TestStranded:
         assert result.state.completed_total == 0
         handle = result.state.apps["cloud-1/thread-2x2"]
         assert not handle.complete
-        assert stranded_units(result.state, handle.app_id) == set(result.stranded)
+        assert stranded_units(result.state, handle.spec.app_id) == set(result.stranded)
         # No node hosts the thread label, so the claims' region meets no
         # ticket cell and no cell stores them; the report still names them.
         assert not set(result.state.store.waiting_claim_ids()) & set(result.stranded)

@@ -11,7 +11,6 @@ from fedmesh import (
     AlreadyMemberError,
     IdCollisionError,
     InvalidArgumentError,
-    InvalidSourceError,
     NoRouteError,
     NotAMemberError,
 )
@@ -371,7 +370,7 @@ class TestRoute:
 
     def test_invalid_source(self):
         m = fill(["a"])
-        with pytest.raises(InvalidSourceError):
+        with pytest.raises(NotAMemberError):
             m.route(NodeId(5), NodeId(6))
 
     def test_agrees_with_owner_of(self):

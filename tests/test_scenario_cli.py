@@ -17,6 +17,7 @@ import fedmesh.config
 import fedmesh.federation
 import fedmesh.scenario
 from fedmesh import (
+    AlreadyMemberError,
     InvalidArgumentError,
     Scenario,
     ScenarioError,
@@ -32,6 +33,7 @@ from fedmesh.federation import deploy_federation, run_to_quiescence
 from fedmesh.oracles import SuiteReport, run_oracle_suites
 from fedmesh.workloads import MODELS, SERVICE_LABELS, SWEEP_SIZES, DemandDistribution, WorkloadSpec
 
+import support
 from support import assert_served_once_or_stranded
 
 MINIMAL = """\
@@ -515,6 +517,8 @@ class TestParse:
             ("rows", 0, "rows and cols must be >= 1"),
             ("cols", 0, "rows and cols must be >= 1"),
             ("submit_time_ms", -1, "submit_time_ms must be >= 0"),
+            ("app_id", None, "app_id must be a non-empty string"),
+            ("app_id", "", "app_id must be a non-empty string"),
         ],
     )
     def test_workload_spec_constructor_checks_its_fields(self, field, value, message):
@@ -583,6 +587,13 @@ class TestValidateCommand:
         assert main(["validate", str(write(tmp_path, text))]) == 2
         # x has no node 1, so a hub cloud x/n1 joins under a peer id of its own.
         fedmesh.federation.FederationState(parse_scenario(text.replace("[cloud x/n0]", "[cloud x/n1]")))
+        # Built in code, the same two clouds meet the same rule at the overlay.
+        configs = [
+            support.cloud("x", 2.4, nodes=1, services=("P2PTaskExecution",), topology="full_p2p"),
+            support.cloud("x/n0", 2.4, nodes=1, services=("P2PTaskExecution",)),
+        ]
+        with pytest.raises(AlreadyMemberError, match="'x/n0'"):
+            fedmesh.federation.FederationState(support.scenario(configs[::-1] if hub_first else configs))
 
     def test_missing_file_exit_three(self, tmp_path):
         assert main(["validate", str(tmp_path / "absent.scenario")]) == 3

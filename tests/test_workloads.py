@@ -21,7 +21,8 @@ def spec(rows=5, cols=5, model="task", demand=None, app_id=None):
         cols=cols,
         unit_demand=demand or DemandDistribution(3.0, 6.0),
         submit_cloud="cloud-1",
-        app_id=app_id,
+        submit_time_ms=0,
+        app_id=app_id or f"cloud-1/{model}-{rows}x{cols}",
     )
 
 
@@ -117,7 +118,7 @@ class TestConservation:
         sink = result.state.metrics
         for model in ("task", "thread"):
             done = sum(n for (_, m), n in sink.completed_by_model.items() if m == model)
-            submitted = sum(a.unit_count for a in result.state.apps.values() if a.model == model)
+            submitted = sum(a.spec.unit_count for a in result.state.apps.values() if a.spec.model == model)
             assert done == submitted == 125
         assert sink.completed_per_model() == {"task": 125, "thread": 125}
         by_cloud = sum(sink.completed_by_model.values())
